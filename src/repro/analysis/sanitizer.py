@@ -106,6 +106,18 @@ def checked(array: np.ndarray, name: str) -> CheckedArray:
     return view
 
 
+def flat_offsets(array: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Offsets of ``array[rows, cols]`` into ``array.reshape(-1)``.
+
+    Folding a 2-D key into one offset would hide a ``-1`` column inside
+    the previous row, out of the guard's sight, so a CheckedArray checks
+    the 2-D key first.
+    """
+    if isinstance(array, CheckedArray):
+        array._check_key((rows, cols))
+    return rows * array.shape[1] + cols
+
+
 # -- the colony sanitizer ----------------------------------------------------
 
 

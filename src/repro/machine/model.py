@@ -8,11 +8,25 @@ without a table (none on the built-in targets) do not constrain occupancy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from functools import cached_property
+from typing import Dict, Mapping, NamedTuple, Tuple
+
+import numpy as np
 
 from ..errors import MachineModelError
 from ..ir.registers import RegisterClass
 from .occupancy import OccupancyTable
+
+
+class PressureLUTs(NamedTuple):
+    """Occupancy / APRP lookup tables, one row per class of
+    :meth:`MachineModel.classes`; column = pressure. Pressures at or beyond
+    ``width - 1`` must be clamped by the caller (the last column is past
+    every table's ``max_pressure``, so it holds occupancy 0)."""
+
+    width: int
+    occupancy: np.ndarray
+    aprp: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -66,3 +80,19 @@ class MachineModel:
 
     def classes(self) -> Tuple[RegisterClass, ...]:
         return tuple(self.occupancy_tables)
+
+    @cached_property
+    def pressure_luts(self) -> PressureLUTs:
+        """The per-class tables as read-only arrays, built once per model."""
+        classes = self.classes()
+        width = max(self.table_for(cls).max_pressure for cls in classes) + 2
+        occ = np.zeros((len(classes), width), dtype=np.int32)
+        aprp = np.zeros((len(classes), width), dtype=np.int32)
+        for ci, cls in enumerate(classes):
+            table = self.table_for(cls)
+            for p in range(width):
+                occ[ci, p] = table.occupancy(p)
+                aprp[ci, p] = table.aprp(p)
+        occ.setflags(write=False)
+        aprp.setflags(write=False)
+        return PressureLUTs(width, occ, aprp)

@@ -101,6 +101,12 @@ class RegionDeviceData:
         self.score_scale = float(max(cp.height) + 1)
         self.num_uses = np.count_nonzero(self.uses >= 0, axis=1).astype(np.float64)
         self.num_defs = np.count_nonzero(self.defs >= 0, axis=1).astype(np.float64)
+        # Static parts of the scores. Every term is an exact small integer
+        # (or the same division) in float64, so hoisting them out of the
+        # per-step formula leaves every score bit-identical.
+        self.cp_eta = 1.0 + self.heights
+        self.luc_base = self.num_uses - self.num_defs + 1.0
+        self.luc_height = self.heights / self.score_scale
 
         # Liveness inputs.
         self.total_use_counts = np.zeros(self.num_registers, dtype=np.int32)
@@ -113,18 +119,41 @@ class RegionDeviceData:
         self.live_in_ids = np.array(
             sorted(self.reg_index[reg] for reg in region.live_in), dtype=np.int32
         )
+        live_in_class = self.reg_class[self.live_in_ids]
+        self.live_in_per_class = np.array(
+            [np.count_nonzero(live_in_class == ci) for ci in range(self.num_classes)],
+            dtype=np.int32,
+        )
+        # The machine classes the region touches, as (class index, class):
+        # the keys of a reported peak (matching rp.liveness.peak_pressure).
+        region_classes = set(region.register_classes())
+        self.peak_classes: Tuple[Tuple[int, RegisterClass], ...] = tuple(
+            (ci, cls) for ci, cls in enumerate(classes) if cls in region_classes
+        )
+
+        # The kill-preview table. Column g*S + s of row i names the register
+        # use slot s of instruction i would close, grouped by class g (group
+        # num_classes holds unconstrained registers). Padded slots, slots
+        # that i redefines, and slots of another group name the sentinel
+        # column num_registers, which the per-ant killable mask keeps False.
+        # A step gathers "would this slot close a live range" for every
+        # candidate with one flat take through this table.
+        slots = self.uses.shape[1]
+        self.kill_table = np.full(
+            (n, (self.num_classes + 1) * slots), self.num_registers, dtype=np.intp
+        )
+        rows, cols = np.nonzero((self.uses >= 0) & ~self.uses_redefined)
+        regs = self.uses[rows, cols]
+        groups = np.where(self.reg_class[regs] >= 0, self.reg_class[regs], self.num_classes)
+        self.kill_table[rows, groups * slots + cols] = regs
 
         # Occupancy / APRP lookup tables, one row per class; index = pressure
         # clamped to the table width (beyond-table pressure -> occupancy 0).
-        max_p = max(machine.table_for(cls).max_pressure for cls in classes)
-        self.lut_width = max_p + 2
-        self.occ_lut = np.zeros((self.num_classes, self.lut_width), dtype=np.int32)
-        self.aprp_lut = np.zeros((self.num_classes, self.lut_width), dtype=np.int32)
-        for ci, cls in enumerate(classes):
-            table = machine.table_for(cls)
-            for p in range(self.lut_width):
-                self.occ_lut[ci, p] = table.occupancy(p)
-                self.aprp_lut[ci, p] = table.aprp(p)
+        # Built once per machine model and shared read-only.
+        luts = machine.pressure_luts
+        self.lut_width = luts.width
+        self.occ_lut = luts.occupancy
+        self.aprp_lut = luts.aprp
         self.max_occupancy = machine.max_occupancy
 
         # The available-list bound of Section V-A. Available = ready and

@@ -43,11 +43,16 @@ finishes or early termination retires it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import ColonySanitizer, checked, sanitize_enabled
+from ..analysis.sanitizer import (
+    ColonySanitizer,
+    checked,
+    flat_offsets,
+    sanitize_enabled,
+)
 from ..config import ACOParams
 from ..gpusim.kernel import KernelAccounting
 from ..ir.registers import RegisterClass
@@ -158,6 +163,31 @@ class VectorizedColony:
             self.cycles_buf = checked(self.cycles_buf, "cycles_buf")
             self.sanitizer.audit_layout(self)
 
+        # Flat views of the per-ant state that _schedule_chosen and
+        # _remove_from_avail address as ``ant * width + column``.
+        self._avail_ids_flat = self.avail_ids.reshape(-1)
+        self._avail_release_flat = self.avail_release.reshape(-1)
+        self._pred_remaining_flat = self.pred_remaining.reshape(-1)
+        self._earliest_flat = self.earliest.reshape(-1)
+        self._remaining_uses_flat = self.remaining_uses.reshape(-1)
+        self._live_flat = self.live.reshape(-1)
+        self._current_flat = self.current.reshape(-1)
+        self._order_flat = self.order_buf.reshape(-1)
+        self._cycles_flat = self.cycles_buf.reshape(-1)
+
+        # Kill-preview scratch: killable[a, r] says ant a's next use of r
+        # closes r's live range; the last column is the kill table's
+        # sentinel and stays False. One flat take through
+        # data.kill_table reads it for every candidate use slot.
+        self._killable = np.zeros((a, d.num_registers + 1), dtype=bool)
+        self._killable_regs = self._killable[:, : d.num_registers]
+        self._kill_base = (self._ants * (d.num_registers + 1))[:, None, None]
+        self._not_live_out = ~d.live_out_mask
+        #: The current pass-2 step's per-group closes, computed by
+        #: _candidate_excess and reused by _eta in the same step (every
+        #: pass-2 step calls _candidate_excess first; _reset clears it).
+        self._preview: Optional[List[np.ndarray]] = None
+
     # -- per-iteration reset ---------------------------------------------------
 
     def _reset(self) -> None:
@@ -173,12 +203,7 @@ class VectorizedColony:
         self.live[:] = False
         if len(d.live_in_ids):
             self.live[:, d.live_in_ids] = True
-        self.current[:] = 0
-        for ci in range(d.num_classes):
-            if len(d.live_in_ids):
-                self.current[:, ci] = int(
-                    np.count_nonzero(d.reg_class[d.live_in_ids] == ci)
-                )
+        self.current[:] = d.live_in_per_class[None, :]
         self.peak[:] = self.current
         self.order_buf[:] = -1
         self.cycles_buf[:] = 0
@@ -187,37 +212,58 @@ class VectorizedColony:
         self.active[:] = True
         self.dead[:] = False
         self.optional_stalls[:] = 0
+        self._preview = None
 
     # -- score computation -------------------------------------------------------
 
-    def _eta(self, cand: np.ndarray, valid: np.ndarray, primary: str) -> np.ndarray:
+    def _kill_preview(self, safe: np.ndarray) -> List[np.ndarray]:
+        """Per-candidate count of live ranges each use-slot group would close.
+
+        Returns one ``(ants, cols)`` int8 array per class group of
+        ``data.kill_table`` (machine classes, then unconstrained registers):
+        the candidate's uses of that group whose remaining use count is 1,
+        that are live and not live-out, and that it does not redefine.
+        """
+        d = self.data
+        killable = self._killable_regs
+        np.equal(self.remaining_uses, 1, out=killable)
+        np.logical_and(killable, self.live, out=killable)
+        np.logical_and(killable, self._not_live_out, out=killable)
+        offsets = d.kill_table.take(safe, axis=0)
+        offsets += self._kill_base
+        gathered = self._killable.reshape(-1).take(offsets).view(np.int8)
+        slots = d.uses.shape[1]
+        closes = []
+        for group in range(d.num_classes + 1):
+            # A short loop over slots: a .sum over a 2-3 long axis costs
+            # far more than these few adds at this size.
+            total = gathered[:, :, group * slots]
+            for slot in range(1, slots):
+                total = total + gathered[:, :, group * slots + slot]
+            closes.append(total)
+        return closes
+
+    def _eta(self, safe: np.ndarray, primary: str) -> np.ndarray:
         """Per-candidate eta for each ant's assigned heuristic.
 
+        ``safe`` holds the candidate ids (0 in invalid columns).
         ``primary`` is the pass's base heuristic (``"luc"`` for pass 1,
         ``"cp"`` for pass 2); with heuristic diversity on, wavefronts with
         assignment 1 use the other heuristic.
         """
         d = self.data
-        safe = np.where(valid, cand, 0)
-        cp_eta = 1.0 + d.heights[safe]
+        cp_eta = d.cp_eta.take(safe)
         need_luc = primary == "luc" or bool(self.heuristic_of_ant.any())
         if not need_luc:
             return cp_eta
-        closes = np.zeros(cand.shape, dtype=np.float64)
-        ants_col = self._ants[:, None]
-        for slot in range(d.uses.shape[1]):
-            u = d.uses[safe, slot]
-            m = valid & (u >= 0) & ~d.uses_redefined[safe, slot]
-            um = np.where(m, u, 0)
-            pred_kill = (
-                m
-                & (self.remaining_uses[ants_col, um] == 1)
-                & ~d.live_out_mask[um]
-                & self.live[ants_col, um]
-            )
-            closes += pred_kill
-        net = closes - d.num_defs[safe]
-        luc_score = (net + d.num_uses[safe] + 1.0) * d.score_scale + d.heights[safe] / d.score_scale
+        # Pass 2 previewed every available candidate this step already;
+        # the columns scored here (the safe ready ones) are a subset, and
+        # _scores zeroes the others.
+        groups = self._preview if self._preview is not None else self._kill_preview(safe)
+        closes = groups[0]
+        for group in groups[1:]:
+            closes = closes + group
+        luc_score = (closes + d.luc_base.take(safe)) * d.score_scale + d.luc_height.take(safe)
         luc_eta = np.maximum(1e-6, 1.0 + luc_score)
         if primary == "luc":
             return np.where((self.heuristic_of_ant == 0)[:, None], luc_eta, cp_eta)
@@ -227,8 +273,8 @@ class VectorizedColony:
         self, tau: np.ndarray, cand: np.ndarray, valid: np.ndarray, primary: str
     ) -> np.ndarray:
         safe = np.where(valid, cand, 0)
-        tau_vals = tau[self.prev_inst[:, None], safe]
-        eta = self._eta(cand, valid, primary)
+        tau_vals = tau.take(self.prev_inst[:, None] * tau.shape[1] + safe)
+        eta = self._eta(safe, primary)
         scores = tau_vals * eta**self.params.heuristic_weight
         scores[~valid] = 0.0
         return scores
@@ -265,83 +311,93 @@ class VectorizedColony:
     # -- state mutation ------------------------------------------------------------
 
     def _schedule_chosen(self, doers: np.ndarray, chosen: np.ndarray, cycle: int) -> None:
-        """Apply the scheduling of ``chosen`` for ants where ``doers``."""
+        """Apply the scheduling of ``chosen`` for ants where ``doers``.
+
+        Per-ant state is read and written through flat ``ant * width +
+        column`` offsets. Each per-slot pass touches every ant at most once,
+        and the slots run in order, so a register an instruction uses twice
+        is closed once.
+        """
         d = self.data
         ants = self._ants[doers]
         picks = chosen[doers]
-        self.order_buf[ants, self.scheduled[ants]] = picks
-        self.cycles_buf[ants, picks] = cycle
+        self._order_flat[flat_offsets(self.order_buf, ants, self.scheduled[ants])] = picks
+        self._cycles_flat[flat_offsets(self.cycles_buf, ants, picks)] = cycle
         self.scheduled[ants] += 1
         self.prev_inst[ants] = picks
 
+        remaining = self._remaining_uses_flat
+        live = self._live_flat
+        current = self._current_flat
         # Kill-before-def pressure update (mirrors rp.tracker semantics).
         for slot in range(d.uses.shape[1]):
             u = d.uses[picks, slot]
             m = u >= 0
             au, uu = ants[m], u[m]
-            self.remaining_uses[au, uu] -= 1
+            at = flat_offsets(self.remaining_uses, au, uu)
+            left = remaining[at] - 1
+            remaining[at] = left
             kill = (
-                (self.remaining_uses[au, uu] == 0)
-                & ~d.live_out_mask[uu]
+                (left == 0)
+                & self._not_live_out[uu]
                 & ~d.uses_redefined[picks[m], slot]
-                & self.live[au, uu]
+                & live[at]
             )
-            ak, uk = au[kill], uu[kill]
-            self.live[ak, uk] = False
-            cls = d.reg_class[uk]
+            live[at[kill]] = False
+            cls = d.reg_class[uu[kill]]
             cm = cls >= 0
-            self.current[ak[cm], cls[cm]] -= 1
+            current[flat_offsets(self.current, au[kill][cm], cls[cm])] -= 1
+        def_slots = []
         for slot in range(d.defs.shape[1]):
             dd = d.defs[picks, slot]
             m = dd >= 0
             ad, rd = ants[m], dd[m]
-            fresh = ~self.live[ad, rd]
-            af, rf = ad[fresh], rd[fresh]
-            self.live[af, rf] = True
-            cls = d.reg_class[rf]
+            at = flat_offsets(self.live, ad, rd)
+            def_slots.append((ad, rd, at))
+            fresh = ~live[at]
+            live[at[fresh]] = True
+            cls = d.reg_class[rd[fresh]]
             cm = cls >= 0
-            self.current[af[cm], cls[cm]] += 1
+            current[flat_offsets(self.current, ad[fresh][cm], cls[cm])] += 1
         self.peak[ants] = np.maximum(self.peak[ants], self.current[ants])
         # Dead defs (no uses, not live-out) die right after the peak sample.
-        for slot in range(d.defs.shape[1]):
-            dd = d.defs[picks, slot]
-            m = (dd >= 0)
-            ad, rd = ants[m], dd[m]
-            dead_def = (
-                (self.remaining_uses[ad, rd] == 0)
-                & ~d.live_out_mask[rd]
-                & self.live[ad, rd]
-            )
-            ax, rx = ad[dead_def], rd[dead_def]
-            self.live[ax, rx] = False
-            cls = d.reg_class[rx]
+        for ad, rd, at in def_slots:
+            dead_def = (remaining[at] == 0) & self._not_live_out[rd] & live[at]
+            live[at[dead_def]] = False
+            cls = d.reg_class[rd[dead_def]]
             cm = cls >= 0
-            self.current[ax[cm], cls[cm]] -= 1
+            current[flat_offsets(self.current, ad[dead_def][cm], cls[cm])] -= 1
 
         # Release successors into the available list.
+        earliest = self._earliest_flat
+        pred_remaining = self._pred_remaining_flat
         for slot in range(d.succ_ids.shape[1]):
             s = d.succ_ids[picks, slot]
             m = s >= 0
             asucc, ss = ants[m], s[m]
-            release = cycle + d.succ_lat[picks[m], slot]
-            self.earliest[asucc, ss] = np.maximum(self.earliest[asucc, ss], release)
-            self.pred_remaining[asucc, ss] -= 1
-            newly = self.pred_remaining[asucc, ss] == 0
-            an, sn = asucc[newly], ss[newly]
-            pos = self.avail_len[an]
-            self.avail_ids[an, pos] = sn
-            self.avail_release[an, pos] = self.earliest[an, sn]
+            at = flat_offsets(self.earliest, asucc, ss)
+            release = np.maximum(earliest[at], cycle + d.succ_lat[picks[m], slot])
+            earliest[at] = release
+            left = pred_remaining[at] - 1
+            pred_remaining[at] = left
+            newly = left == 0
+            an = asucc[newly]
+            pos = flat_offsets(self.avail_ids, an, self.avail_len[an])
+            self._avail_ids_flat[pos] = ss[newly]
+            self._avail_release_flat[pos] = release[newly]
             self.avail_len[an] += 1
 
     def _remove_from_avail(self, doers: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Swap-remove the selected column; returns the chosen instruction ids."""
         ants = self._ants[doers]
-        cols = sel[doers]
-        chosen_ids = self.avail_ids[ants, cols].copy()
-        last = self.avail_len[ants] - 1
-        self.avail_ids[ants, cols] = self.avail_ids[ants, last]
-        self.avail_release[ants, cols] = self.avail_release[ants, last]
-        self.avail_ids[ants, last] = -1
+        at = flat_offsets(self.avail_ids, ants, sel[doers])
+        last = flat_offsets(self.avail_ids, ants, self.avail_len[ants] - 1)
+        ids = self._avail_ids_flat
+        release = self._avail_release_flat
+        chosen_ids = ids[at]
+        ids[at] = ids[last]
+        release[at] = release[last]
+        ids[last] = -1
         self.avail_len[ants] -= 1
         chosen = np.full(self.num_ants, -1, dtype=np.int32)
         chosen[doers] = chosen_ids
@@ -412,12 +468,7 @@ class VectorizedColony:
     def _peak_dict(self, ant: int) -> Dict[RegisterClass, int]:
         """Per-class peak, over the classes the region actually touches
         (matching :func:`repro.rp.liveness.peak_pressure`)."""
-        region_classes = set(self.data.ddg.region.register_classes())
-        return {
-            cls: int(self.peak[ant, ci])
-            for ci, cls in enumerate(self.data.classes)
-            if cls in region_classes
-        }
+        return {cls: int(self.peak[ant, ci]) for ci, cls in self.data.peak_classes}
 
     # -- pass 1 -----------------------------------------------------------------------
 
@@ -461,28 +512,17 @@ class VectorizedColony:
 
         ``excess[a, c] <= 0`` means candidate ``c`` keeps ant ``a`` within
         the pass-2 pressure target. Mirrors
-        :meth:`repro.rp.tracker.PressureTracker.pressure_if_scheduled`.
+        :meth:`repro.rp.tracker.PressureTracker.pressure_if_scheduled`
+        (up to the redefinition of a live register: ``defs_per_class``
+        counts that def as opening a range, the tracker does not).
         """
         d = self.data
-        cand = self.avail_ids
-        safe = np.where(any_cand, cand, 0)
-        ants_col = self._ants[:, None]
-        excess = np.full(cand.shape, -(10**9), dtype=np.int64)
+        safe = np.where(any_cand, self.avail_ids, 0)
+        closes = self._kill_preview(safe)
+        self._preview = closes
+        excess = np.full(safe.shape, -(10**9), dtype=np.int64)
         for ci in range(d.num_classes):
-            closes = np.zeros(cand.shape, dtype=np.int64)
-            for slot in range(d.uses.shape[1]):
-                u = d.uses[safe, slot]
-                m = any_cand & (u >= 0) & (d.reg_class[np.where(u >= 0, u, 0)] == ci)
-                um = np.where(m, u, 0)
-                pred_kill = (
-                    m
-                    & (self.remaining_uses[ants_col, um] == 1)
-                    & ~d.live_out_mask[um]
-                    & ~d.uses_redefined[safe, slot]
-                    & self.live[ants_col, um]
-                )
-                closes += pred_kill
-            after = self.current[:, ci : ci + 1] + d.defs_per_class[safe, ci] - closes
+            after = self.current[:, ci : ci + 1] + d.defs_per_class[:, ci].take(safe) - closes[ci]
             excess = np.maximum(excess, after - target[ci])
         return excess
 

@@ -214,6 +214,17 @@ class TestFaultInjection:
         with pytest.raises(SanitizerError, match="capacity"):
             colony.sanitizer.audit_layout(fake)
 
+    def test_negative_column_caught_through_flat_offsets(self, fig1_ddg, vega):
+        """Mutation: lanes issue an uninitialized pick (-1). Folded into a
+        flat offset, column -1 of ant a is a valid-looking cell of ant
+        a - 1, so the 2-D key must be checked before folding."""
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        doers = np.arange(colony.num_ants) > 0  # ant 0 would go negative anyway
+        chosen = np.full(colony.num_ants, -1, dtype=np.int32)
+        with pytest.raises(SanitizerError, match="cycles_buf"):
+            colony._schedule_chosen(doers, chosen, cycle=0)
+
     def test_uninitialized_slot_read_caught_live(self, fig1_ddg, vega):
         """The CheckedArray wrapping catches a computed -1 index on the
         colony's own state arrays."""

@@ -6,18 +6,20 @@ both pressure trackers: accumulators updated in place, registers
 redefined after use, and write-after-write chains.
 """
 
+import numpy as np
 import pytest
 
 from repro.aco import SequentialACOScheduler
-from repro.config import GPUParams
+from repro.config import ACOParams, GPUParams
 from repro.ddg import DDG
 from repro.ddg.graph import DepKind
+from repro.gpusim import GPUDevice, KernelAccounting
 from repro.heuristics import AMDMaxOccupancyScheduler, CriticalPathHeuristic, list_schedule
 from repro.ir import RegionBuilder
 from repro.ir.registers import VGPR
 from repro.machine import amd_vega20, simple_test_target
-from repro.parallel import ParallelACOScheduler
-from repro.rp import peak_pressure
+from repro.parallel import Colony, DivergencePolicy, ParallelACOScheduler, RegionDeviceData
+from repro.rp import PressureTracker, peak_pressure
 from repro.schedule import validate_schedule
 
 
@@ -89,6 +91,41 @@ class TestPressureOnNonSSA:
         )
         assert par.peak == peak_pressure(par.schedule)
         validate_schedule(par.schedule, ddg, machine)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the pass-2 preview counts a def of an already-live register "
+        "(defs_per_class) as opening a range; the tracker does not",
+    )
+    def test_preview_of_live_redefinition_matches_tracker(self, redefinition_region):
+        """After 0 and 1, instruction 2 redefines v0 while v0 is still live
+        (instruction 3 reads it): the tracker previews 2 VGPRs, the
+        colonies' static def count previews 3."""
+        vega = amd_vega20()
+        ddg = DDG(redefinition_region)
+        policy = DivergencePolicy.from_params(GPUParams(blocks=1))
+        colony = Colony(
+            RegionDeviceData(ddg, vega),
+            ACOParams(),
+            policy,
+            KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True),
+            1,
+        )
+        tracker = PressureTracker(redefinition_region)
+        colony._reset()
+        everyone = np.ones(colony.num_ants, dtype=bool)
+        for step, inst in enumerate((0, 1)):
+            tracker.schedule(redefinition_region[inst])
+            sel = np.argmax(colony.avail_ids == inst, axis=1)
+            chosen = colony._remove_from_avail(everyone, sel)
+            colony._schedule_chosen(everyone, chosen, cycle=step)
+        col = int(np.argmax(colony.avail_ids[0] == 2))
+        target = np.zeros(colony.data.num_classes, dtype=np.int64)
+        excess = colony._candidate_excess(colony.avail_ids >= 0, target)
+        tracked = tracker.pressure_if_scheduled(redefinition_region[2])[VGPR]
+        assert tracked == 2
+        # With a zero target the excess is the previewed VGPR pressure.
+        assert int(excess[0, col]) == tracked
 
 
 class TestEndToEnd:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 
+import numpy as np
 import pytest
 
 import repro.parallel.scheduler as scheduler_mod
@@ -61,18 +62,27 @@ def _record(tmp_path, name, backend="vectorized", draws="full"):
 
 
 class _FlippedGen:
-    """Wraps one ant's generator; flips exactly one U[0,1) draw."""
+    """Wraps one ant's generator; flips exactly one U[0,1) draw.
+
+    Counts drawn *values*, not calls: the streams read ahead in blocks, so
+    the ``flip_at``-th value (1-based) may sit inside a block draw.
+    """
 
     def __init__(self, inner, flip_at):
         self._inner = inner
         self._flip_at = flip_at
-        self._calls = 0
+        self._drawn = 0
 
-    def random(self, *args, **kwargs):
-        value = self._inner.random(*args, **kwargs)
-        self._calls += 1
-        if self._calls == self._flip_at:
+    def random(self, size=None):
+        value = self._inner.random(size)
+        count = 1 if size is None else int(np.prod(size))
+        index = self._flip_at - 1 - self._drawn  # the target's place in this call
+        self._drawn += count
+        if not 0 <= index < count:
+            return value
+        if size is None:
             return 1.0 - value
+        value.flat[index] = 1.0 - value.flat[index]
         return value
 
     def __getattr__(self, name):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.aco import PheromoneTable, SequentialACOScheduler
 from repro.config import ACOParams, GPUParams
@@ -11,7 +12,7 @@ from repro.gpusim import GPUDevice, KernelAccounting
 from repro.ir.registers import VGPR
 from repro.machine import amd_vega20, simple_test_target
 from repro.parallel import Colony, DivergencePolicy, ParallelACOScheduler, RegionDeviceData
-from repro.rp import peak_pressure
+from repro.rp import PressureTracker, peak_pressure
 from repro.schedule import Schedule, validate_schedule
 
 from strategies import ddgs
@@ -158,6 +159,61 @@ class TestColonyPass2:
             peak = peak_pressure(schedule)
             for cls, limit in target.items():
                 assert peak.get(cls, 0) <= limit
+
+
+def _random_walk(colony, steps, rng):
+    """Advance every ant by ``steps`` uniformly random legal picks."""
+    colony._reset()
+    everyone = np.ones(colony.num_ants, dtype=bool)
+    for step in range(steps):
+        sel = (rng.random(colony.num_ants) * colony.avail_len).astype(np.int64)
+        chosen = colony._remove_from_avail(everyone, sel)
+        colony._schedule_chosen(everyone, chosen, cycle=step)
+
+
+def _preview_mismatches(colony, target):
+    """Candidates whose vectorized excess differs from the tracker's preview.
+
+    The tracker replays each ant's issued prefix; the expected excess of a
+    candidate is ``max_c(pressure_if_scheduled(inst)[c] - target[c])`` over
+    the machine classes.
+    """
+    d = colony.data
+    region = d.ddg.region
+    valid = np.arange(d.ready_capacity)[None, :] < colony.avail_len[:, None]
+    excess = colony._candidate_excess(valid, np.asarray(target, dtype=np.int64))
+    mismatches = []
+    for ant in range(colony.num_ants):
+        tracker = PressureTracker(region)
+        for inst in colony.order_buf[ant, : colony.scheduled[ant]]:
+            tracker.schedule(region[int(inst)])
+        for col in range(int(colony.avail_len[ant])):
+            inst = int(colony.avail_ids[ant, col])
+            preview = tracker.pressure_if_scheduled(region[inst])
+            want = max(
+                preview.get(cls, 0) - int(target[ci]) for ci, cls in enumerate(d.classes)
+            )
+            if int(excess[ant, col]) != want:
+                mismatches.append((ant, inst, int(excess[ant, col]), want))
+    return mismatches
+
+
+class TestPressurePreview:
+    """Pins the pass-2 pressure preview to the scalar tracker's semantics."""
+
+    @given(
+        ddg=ddgs(min_size=3, max_size=24),
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_excess_matches_tracker_on_ssa_regions(self, ddg, seed, depth):
+        vega = amd_vega20()
+        colony, data, _ = _make_colony(ddg, vega, blocks=1, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        _random_walk(colony, int(depth * (ddg.num_instructions - 1)), rng)
+        target = rng.integers(0, 12, size=data.num_classes)
+        assert _preview_mismatches(colony, target) == []
 
 
 class TestParallelScheduler:

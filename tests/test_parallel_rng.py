@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.parallel.rng import AntRngStreams
+from repro.parallel.rng import DRAW_BLOCK, AntRngStreams
 
 #: First draw of each of the first four spawn children of seed 2024.
 #: Recorded once; any change means seeded schedules change everywhere.
@@ -89,3 +91,89 @@ class TestCoercion:
             AntRngStreams(7, 0)
         with pytest.raises(ConfigError):
             AntRngStreams(7, 8).uniform_wavefront_leaders(3, 4)
+
+
+# -- draw-ahead: block reads are invisible ------------------------------------
+
+#: (wavefronts, wavefront size) geometries small enough to push every
+#: stream across several DRAW_BLOCK boundaries in one example.
+_GEOMETRIES = st.tuples(st.integers(1, 3), st.integers(1, 4))
+
+#: One primitive call, repeated: ("ants", -, k), ("leaders", -, k) or
+#: ("ant", lane, k), where lane is taken modulo the population.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["ants", "leaders", "ant"]),
+        st.integers(0, 11),
+        st.integers(1, 2 * DRAW_BLOCK),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+def _apply(streams, reference, op, geometry):
+    """Run one op on ``streams`` and assert it matches scalar reference draws."""
+    kind, lane, repeat = op
+    waves, size = geometry
+    num_ants = waves * size
+    for _ in range(repeat):
+        if kind == "ants":
+            got = list(streams.uniform_ants())
+            want = [reference[i].random() for i in range(num_ants)]
+        elif kind == "leaders":
+            got = list(streams.uniform_wavefront_leaders(waves, size))
+            want = [reference[w * size].random() for w in range(waves)]
+        else:
+            got = [streams.uniform_ant(lane % num_ants)]
+            want = [reference[lane % num_ants].random()]
+        assert got == want
+
+
+class TestDrawAhead:
+    @given(seed=st.integers(0, 2**32 - 1), geometry=_GEOMETRIES, ops=_OPS)
+    @settings(max_examples=40, deadline=None)
+    def test_any_interleaving_equals_scalar_spawn_draws(self, seed, geometry, ops):
+        num_ants = geometry[0] * geometry[1]
+        streams = AntRngStreams(seed, num_ants)
+        reference = np.random.default_rng(seed).spawn(num_ants)
+        for op in ops:
+            _apply(streams, reference, op, geometry)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        geometry=_GEOMETRIES,
+        before=_OPS,
+        after=_OPS,
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_state_mid_block_restores_draw_for_draw(self, seed, geometry, before, after):
+        num_ants = geometry[0] * geometry[1]
+        streams = AntRngStreams(seed, num_ants)
+        reference = np.random.default_rng(seed).spawn(num_ants)
+        for op in before:
+            _apply(streams, reference, op, geometry)
+        captured = streams.state()
+        # The capture is the state after the consumed draws only...
+        assert captured == [g.bit_generator.state for g in reference]
+        # ...and a fresh stream set restored from it continues exactly
+        # where the scalar streams are, as does the captured set itself.
+        resumed = AntRngStreams(seed + 1, num_ants)
+        resumed.restore(captured)
+        twin = np.random.default_rng(seed + 2).spawn(num_ants)
+        for generator, state in zip(twin, captured):
+            generator.bit_generator.state = state
+        for op in after:
+            _apply(resumed, reference, op, geometry)
+            _apply(streams, twin, op, geometry)
+
+    def test_refills_one_row_at_a_time(self):
+        streams = AntRngStreams(7, 8)
+        leaders = 0
+        while leaders <= DRAW_BLOCK:
+            streams.uniform_wavefront_leaders(2, 4)
+            leaders += 1
+        # Leader rows crossed into their second block; the rest never drew.
+        assert [start is not None for start in streams._block_start] == [
+            True, False, False, False, True, False, False, False,
+        ]
