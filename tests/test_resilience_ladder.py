@@ -292,3 +292,19 @@ class TestMultiRegionBatches:
         assert batch.seconds > 0.0
         for item, result in zip(self._items(), batch.results):
             validate_schedule(result.schedule, item.ddg, machine)
+
+    def test_one_cpu_rescue_in_a_device_batch(self, machine):
+        """One slot is rescued by the sequential rung while the other two
+        ship from the device: the rescue's seconds add to the batch as
+        serial host time and the device slots batch as usual. The times
+        are pinned to the bit."""
+        plan = FaultPlan(seed=1, rates={"oom": 0.6})
+        resilience = ResilienceParams(enabled=True, max_retries=0)
+        with resilience_log_session(ResilienceLog()):
+            batch = MultiRegionScheduler(machine).schedule_batch(
+                self._items(), fault_plan=plan, resilience=resilience
+            )
+        assert batch.final_backends == ("sequential", "vectorized", "vectorized")
+        assert batch.errors == (None, None, None)
+        assert batch.seconds.hex() == "0x1.ab6c7b15539f8p-14"
+        assert batch.unbatched_seconds.hex() == "0x1.6aeae7db9afe4p-13"
