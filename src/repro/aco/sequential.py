@@ -7,6 +7,13 @@ constraint and minimizes schedule *length* over cycle-accurate schedules
 with stalls. Each pass runs ``sequential_ants`` ants per iteration and
 terminates on the lower bound or on stagnation.
 
+The passes themselves — termination, pheromone update, deadline,
+checkpoint and resume — are the shared :class:`~repro.aco.driver.TwoPassDriver`.
+This module is only the CPU construction engine: ``sequential_ants``
+calls of :func:`~repro.aco.ant.construct_order` (pass 1) or
+:func:`~repro.aco.ant.construct_cycles` (pass 2) per iteration, over one
+``random.Random`` shared by both passes.
+
 Scheduling time is reported through the deterministic CPU cost model of
 :mod:`repro.timing` (see that module for why wall-clock Python timing would
 not reproduce the paper's mechanisms).
@@ -15,105 +22,149 @@ not reproduce the paper's mechanisms).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
-from ..analysis.sanitizer import verification_enabled
-from ..analysis.verifier import verify_aco_result, verify_order
 from ..config import ACOParams
 from ..ddg.graph import DDG
-from ..errors import ResilienceError
-from ..ddg.lower_bounds import RegionBounds, region_bounds
 from ..heuristics.base import GuidingHeuristic
 from ..heuristics.critical_path import CriticalPathHeuristic
-from ..heuristics.list_scheduler import schedule_in_order
-from ..heuristics.luc import LastUseCountHeuristic
-from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
-from ..obs.context import region_trace
-from ..obs.record import get_recorder
-from ..resilience.checkpoint import RegionCheckpoint
-from ..resilience.log import get_resilience_log
-from ..resilience.watchdog import DeadlineBudget
-from ..rp.cost import rp_cost, rp_cost_lower_bound
-from ..rp.liveness import peak_pressure
-from ..schedule.schedule import Schedule
 from ..profile import get_profiler
-from ..telemetry import Telemetry, get_telemetry
+from ..telemetry import Telemetry
 from ..timing import DEFAULT_CPU_COST, CPUCostModel, HostSecondsLedger
-from .ant import AntResult, ConstructionStats, construct_cycles, construct_order
+from .ant import ConstructionStats, construct_cycles, construct_order
+from .driver import ACOResult, PassCost, PassEngine, PassResult, TwoPassDriver, Winner
 from .pheromone import PheromoneTable
 from .seeding import launch_rng
 from .stalls import OptionalStallHeuristic
-from .strategy import make_strategy, publish_reinit, resolve_strategy, strategy_from_env
-from .termination import TerminationTracker
+
+__all__ = ["SequentialACOScheduler", "ACOResult", "PassResult"]
 
 
-@dataclass
-class PassResult:
-    """Outcome of one ACO pass on one region."""
+class _SequentialPass(PassEngine):
+    """One pass of ``sequential_ants`` CPU ants per iteration.
 
-    invoked: bool
-    iterations: int
-    initial_cost: float
-    final_cost: float
-    hit_lower_bound: bool
-    seconds: float
-    stats: ConstructionStats = field(default_factory=ConstructionStats)
-    #: Per-iteration winner costs (the convergence curve of the search),
-    #: derived from the telemetry layer's ``iteration`` events (see
-    #: :meth:`repro.telemetry.PassScope.trace`).
-    trace: Tuple[float, ...] = ()
-    #: True when the pass stopped early because the region's deadline
-    #: budget ran out (the best-so-far shipped as a partial result).
-    deadline_hit: bool = False
+    Charges a :class:`HostSecondsLedger` from the CPU cost model (region
+    overhead, per-ant construction, pheromone update) and emits a profiler
+    span per iteration.
+    """
 
-    @property
-    def improved(self) -> bool:
-        return self.final_cost < self.initial_cost
+    def __init__(self, scheduler, ddg, pass_index, rng, target, max_length):
+        self.scheduler = scheduler
+        self.ddg = ddg
+        self.pass_index = pass_index
+        self.rng = rng
+        self.target = target
+        self.max_length = max_length
+        cost_model = scheduler.cost_model
+        self.ledger = HostSecondsLedger(cost_model.region_overhead)
+        self.charged = 0.0
+        self.stats = ConstructionStats()
+        self.prof = get_profiler()
+        self.prof.push("pass%d" % pass_index, "pass")
+        self.prof.charge_leaf("overhead", cost_model.region_overhead, "overhead")
+        if pass_index == 1:
+            self.prepared = scheduler.rp_heuristic.prepare(ddg)
+        else:
+            self.prepared = scheduler.ilp_heuristic.prepare(ddg)
+            self.stall_heuristic = OptionalStallHeuristic(scheduler.params, len(ddg.region))
+        self.iteration_ledger = HostSecondsLedger()
+
+    def construct(self, iteration, pheromone, checkpoint):
+        scheduler = self.scheduler
+        params = scheduler.params
+        winner = None
+        self.iteration_ledger = construct = HostSecondsLedger()
+        for _ant in range(params.sequential_ants):
+            if self.pass_index == 1:
+                result = construct_order(
+                    self.ddg, scheduler.machine, pheromone, self.prepared, params, self.rng
+                )
+                better = winner is None or result.rp_cost_value < winner.rp_cost_value
+            else:
+                result = construct_cycles(
+                    self.ddg,
+                    scheduler.machine,
+                    pheromone,
+                    self.prepared,
+                    params,
+                    self.rng,
+                    target_pressure=self.target,
+                    allow_optional_stalls=True,
+                    stall_heuristic=self.stall_heuristic,
+                    max_length=self.max_length,
+                )
+                better = result.alive and (winner is None or result.length < winner.length)
+            self.stats.merge(result.stats)
+            ant_seconds = scheduler.cost_model.construction_seconds(
+                result.stats.steps,
+                result.stats.ready_scans,
+                result.stats.successor_ops,
+            )
+            self.ledger.charge(ant_seconds)
+            construct.charge(ant_seconds)
+            if better:
+                winner = result
+        if winner is None:
+            return None
+        if self.pass_index == 1:
+            return Winner(winner.rp_cost_value, winner.order, peak=winner.peak)
+        return Winner(winner.length, winner.order, cycles=winner.cycles)
+
+    def after_update(self, pheromone: PheromoneTable) -> None:
+        pheromone_seconds = self.scheduler.cost_model.pheromone_seconds(
+            pheromone.touched_entries()
+        )
+        self.ledger.charge(pheromone_seconds)
+        prof = self.prof
+        if prof.enabled:
+            with prof.span("iteration", "iteration"):
+                prof.charge_leaf("construct", self.iteration_ledger.total, "construct")
+                prof.charge_leaf("pheromone", pheromone_seconds, "pheromone")
+
+    def uncharged_seconds(self) -> float:
+        seconds = self.ledger.total - self.charged
+        self.charged = self.ledger.total
+        return seconds
+
+    def checkpoint_fields(self) -> Dict:
+        return {"backend": "sequential"}
+
+    def finish(self) -> PassCost:
+        self.prof.pop()
+        return PassCost(seconds=self.ledger.total, stats=self.stats)
+
+    def publish(self, iterations: int) -> None:
+        """Export the pass's construction-operation counts as seq.* metrics."""
+        tele = self.scheduler.telemetry
+        if not tele.collect_metrics:
+            return
+        stats = self.stats
+        m = tele.metrics
+        m.counter("seq.steps").inc(stats.steps)
+        m.counter("seq.ready_scans").inc(stats.ready_scans)
+        m.counter("seq.successor_ops").inc(stats.successor_ops)
+        m.counter("seq.stalls").inc(stats.stalls)
+        m.counter("seq.optional_stalls").inc(stats.optional_stalls)
 
 
-def pass_result_from_payload(payload: Dict) -> PassResult:
-    """Rebuild a pass result from a checkpoint's embedded pass-1 payload
-    (written by :func:`repro.parallel.scheduler.pass_result_payload`).
-    Fields the CPU engine does not model — the GPU time breakdown — are
-    dropped; the reported seconds stay those of the attempt that actually
-    ran the pass."""
-    return PassResult(
-        invoked=bool(payload["invoked"]),
-        iterations=int(payload["iterations"]),
-        initial_cost=payload["initial_cost"],
-        final_cost=payload["final_cost"],
-        hit_lower_bound=bool(payload["hit_lower_bound"]),
-        seconds=float(payload["seconds"]),
-        trace=tuple(payload.get("trace", ())),
-        deadline_hit=bool(payload.get("deadline_hit", False)),
-    )
+class SequentialACOScheduler(TwoPassDriver):
+    """Two-pass ACO scheduling on the CPU.
 
-
-@dataclass
-class ACOResult:
-    """Final outcome of two-pass ACO scheduling on one region."""
-
-    schedule: Schedule
-    peak: Dict[RegisterClass, int]
-    rp_cost_value: int
-    pass1: PassResult
-    pass2: PassResult
-
-    @property
-    def seconds(self) -> float:
-        return self.pass1.seconds + self.pass2.seconds
-
-    @property
-    def length(self) -> int:
-        return self.schedule.length
-
-
-class SequentialACOScheduler:
-    """Two-pass ACO scheduling on the CPU."""
+    The resilience arguments of :meth:`schedule` mirror the parallel
+    scheduler's so the degradation ladder can swap engines freely. The CPU
+    engine has no device hazards (``fault_plan`` and ``attempt`` are
+    ignored), which is exactly why it is the ladder's safe rung. Its resume
+    is always *partial*: one ``random.Random`` spans both passes, so a
+    checkpoint from another engine cannot continue its draw sequence —
+    the learned state (pheromone, global best, tracker counters) carries
+    over and the remaining exploration draws fresh. This is the
+    cross-engine rung of the degradation ladder: a hung parallel attempt
+    hands its progress to the CPU engine.
+    """
 
     name = "sequential-aco"
+    backend = "sequential"
 
     def __init__(
         self,
@@ -126,511 +177,12 @@ class SequentialACOScheduler:
         verify: Optional[bool] = None,
         strategy: Optional[str] = None,
     ):
-        self.machine = machine
-        self.params = params or ACOParams()
-        self.params.validate()
-        self.rp_heuristic = rp_heuristic or LastUseCountHeuristic()
+        super().__init__(machine, params, telemetry, verify, strategy, rp_heuristic)
         self.ilp_heuristic = ilp_heuristic or CriticalPathHeuristic()
         self.cost_model = cost_model
-        self._telemetry = telemetry
-        self._verify = verify
-        self._strategy = strategy
-        if strategy is not None:
-            resolve_strategy(strategy)  # fail fast on unknown names
 
-    @property
-    def telemetry(self) -> Telemetry:
-        """The injected telemetry, or the process-wide one (resolved late)."""
-        return self._telemetry if self._telemetry is not None else get_telemetry()
+    def _open_region(self, ddg: DDG, seed: int, fault_plan, attempt: int) -> random.Random:
+        return launch_rng(seed)
 
-    @property
-    def verify_enabled(self) -> bool:
-        """Explicit ``verify`` argument, else ``REPRO_VERIFY`` (resolved late)."""
-        return self._verify if self._verify is not None else verification_enabled()
-
-    @property
-    def strategy_name(self) -> str:
-        """Pheromone-update strategy: explicit argument, else
-        ``REPRO_STRATEGY``, else ``params.strategy`` (resolved late)."""
-        if self._strategy is not None:
-            return self._strategy
-        return strategy_from_env() or self.params.strategy
-
-    def _publish_construction_metrics(
-        self, tele: Telemetry, stats: ConstructionStats
-    ) -> None:
-        """Export one pass's construction-operation counts as seq.* metrics."""
-        if not tele.collect_metrics:
-            return
-        m = tele.metrics
-        m.counter("seq.steps").inc(stats.steps)
-        m.counter("seq.ready_scans").inc(stats.ready_scans)
-        m.counter("seq.successor_ops").inc(stats.successor_ops)
-        m.counter("seq.stalls").inc(stats.stalls)
-        m.counter("seq.optional_stalls").inc(stats.optional_stalls)
-
-    # -- resilience plumbing ---------------------------------------------------
-
-    def _resume_state(
-        self,
-        resume: RegionCheckpoint,
-        region_name: str,
-        pheromone: PheromoneTable,
-        tracker: TerminationTracker,
-    ) -> None:
-        """Restore checkpointed search state (always a *partial* resume).
-
-        The sequential engine shares one ``random.Random`` across both
-        passes, so a checkpoint from another engine cannot continue its
-        draw sequence — the learned state (pheromone, global best, tracker
-        counters) carries over, the remaining exploration draws fresh.
-        This is the cross-engine rung of the degradation ladder: a hung
-        parallel attempt hands its progress to the CPU engine.
-        """
-        if resume.region != region_name:
-            raise ResilienceError(
-                "checkpoint is for region %r, not %r" % (resume.region, region_name)
-            )
-        if resume.tau.shape != pheromone.tau.shape:
-            raise ResilienceError(
-                "checkpoint pheromone shape %s does not match region shape %s"
-                % (resume.tau.shape, pheromone.tau.shape)
-            )
-        pheromone.tau[:] = resume.tau
-        tracker.iterations = resume.iteration
-        tracker.iterations_without_improvement = resume.without_improvement
-        tracker.best_cost = resume.best_cost
-
-    def _trip_deadline(
-        self, tele: Telemetry, region_name: str, pass_index: int, budget: DeadlineBudget
-    ) -> None:
-        """Record a soft-deadline stop (event + metric + process-wide log)."""
-        get_resilience_log().deadline_trips += 1
-        tele.emit(
-            "deadline",
-            region=region_name,
-            pass_index=pass_index,
-            deadline_seconds=budget.deadline,
-            spent_seconds=budget.spent,
-        )
-        if tele.collect_metrics:
-            tele.metrics.counter("resilience.deadline_trips").inc()
-
-    # -- pass 1 ---------------------------------------------------------------
-
-    def _run_rp_pass(
-        self,
-        ddg: DDG,
-        bounds: RegionBounds,
-        initial_order: Tuple[int, ...],
-        rng: random.Random,
-        budget: Optional[DeadlineBudget] = None,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> Tuple[Tuple[int, ...], Dict[RegisterClass, int], PassResult]:
-        region = ddg.region
-        lb_cost = rp_cost_lower_bound(bounds, self.machine)
-        initial_schedule = Schedule.from_order(region, initial_order)
-        best_peak = peak_pressure(initial_schedule)
-        best_cost = rp_cost(best_peak, self.machine)
-        best_order = tuple(initial_order)
-
-        stats = ConstructionStats()
-        ledger = HostSecondsLedger(self.cost_model.region_overhead)
-        tele = self.telemetry
-        if best_cost <= lb_cost:
-            tele.emit(
-                "pass_end",
-                region=region.name,
-                pass_index=1,
-                invoked=False,
-                iterations=0,
-                final_cost=float(best_cost),
-                hit_lower_bound=True,
-                seconds=0.0,
-            )
-            result = PassResult(False, 0, best_cost, best_cost, True, 0.0)
-            return best_order, best_peak, result
-
-        strategy = make_strategy(self.strategy_name, self.params, ddg.num_instructions)
-        scope = tele.pass_scope(
-            region.name, 1, self.name, lb_cost, best_cost, strategy=strategy.name
-        )
-        prof = get_profiler()
-        prof.push("pass1", "pass")
-        prof.charge_leaf("overhead", self.cost_model.region_overhead, "overhead")
-        prepared = self.rp_heuristic.prepare(ddg)
-        pheromone = PheromoneTable(ddg.num_instructions, self.params)
-        tracker = TerminationTracker(
-            lower_bound=lb_cost,
-            stagnation_limit=strategy.stagnation_limit(
-                self.params.termination_condition(len(region))
-            ),
-            best_cost=best_cost,
-        )
-        if resume is not None:
-            self._resume_state(resume, region.name, pheromone, tracker)
-            best_order = tuple(resume.best_order)
-            best_peak = dict(resume.best_peak)
-        deadline_hit = False
-        charged = 0.0
-        while not tracker.should_stop() and tracker.iterations < self.params.max_iterations:
-            if budget is not None:
-                budget.charge(ledger.total - charged)
-                charged = ledger.total
-                if budget.exhausted:
-                    deadline_hit = True
-                    self._trip_deadline(tele, region.name, 1, budget)
-                    break
-            winner: Optional[AntResult] = None
-            construct = HostSecondsLedger()
-            for _ant in range(self.params.sequential_ants):
-                result = construct_order(
-                    ddg, self.machine, pheromone, prepared, self.params, rng
-                )
-                stats.merge(result.stats)
-                ant_seconds = self.cost_model.construction_seconds(
-                    result.stats.steps,
-                    result.stats.ready_scans,
-                    result.stats.successor_ops,
-                )
-                ledger.charge(ant_seconds)
-                construct.charge(ant_seconds)
-                if winner is None or result.rp_cost_value < winner.rp_cost_value:
-                    winner = result
-            assert winner is not None
-            if tracker.record_iteration(winner.rp_cost_value):
-                best_order = winner.order
-                best_peak = winner.peak
-            reinitialized = strategy.update(
-                pheromone,
-                winner_order=winner.order,
-                winner_gap=winner.rp_cost_value - lb_cost,
-                best_order=best_order,
-                best_gap=tracker.best_cost - lb_cost,
-                without_improvement=tracker.iterations_without_improvement,
-            )
-            pheromone_seconds = self.cost_model.pheromone_seconds(pheromone.touched_entries())
-            ledger.charge(pheromone_seconds)
-            if reinitialized:
-                publish_reinit(
-                    tele, region.name, 1, tracker.iterations,
-                    strategy.tau_max(tracker.best_cost - lb_cost),
-                )
-            scope.iteration(float(winner.rp_cost_value), tracker.best_cost)
-            if prof.enabled:
-                with prof.span("iteration", "iteration"):
-                    prof.charge_leaf("construct", construct.total, "construct")
-                    prof.charge_leaf("pheromone", pheromone_seconds, "pheromone")
-        prof.pop()
-        if budget is not None:
-            budget.charge(ledger.total - charged)
-        pass_result = PassResult(
-            invoked=True,
-            iterations=tracker.iterations,
-            initial_cost=best_cost,
-            final_cost=tracker.best_cost,
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=ledger.total,
-            stats=stats,
-            trace=scope.trace,
-            deadline_hit=deadline_hit,
-        )
-        scope.end(
-            invoked=True,
-            iterations=tracker.iterations,
-            final_cost=float(tracker.best_cost),
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=ledger.total,
-        )
-        self._publish_construction_metrics(tele, stats)
-        return best_order, best_peak, pass_result
-
-    # -- pass 2 ---------------------------------------------------------------
-
-    def _run_ilp_pass(
-        self,
-        ddg: DDG,
-        bounds: RegionBounds,
-        best_order: Tuple[int, ...],
-        best_peak: Dict[RegisterClass, int],
-        rng: random.Random,
-        reference_schedule: Optional[Schedule] = None,
-        budget: Optional[DeadlineBudget] = None,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> Tuple[Schedule, PassResult]:
-        region = ddg.region
-        length_lb = bounds.length
-        # The pass-1 pressure constrains pass 2 at APRP granularity: any
-        # pressure that keeps the same occupancy step is acceptable.
-        target = self.machine.aprp(best_peak)
-        initial_schedule = schedule_in_order(ddg, best_order)
-        # When the heuristic's own latency-aware schedule already satisfies
-        # the pressure target (always true when pass 1 made no progress), it
-        # is a better starting point than the stretched pass-1 order.
-        if reference_schedule is not None and reference_schedule.length < initial_schedule.length:
-            ref_peak = peak_pressure(reference_schedule)
-            if all(ref_peak.get(cls, 0) <= limit for cls, limit in target.items()):
-                initial_schedule = reference_schedule
-        best_schedule = initial_schedule
-        best_length = initial_schedule.length
-
-        stats = ConstructionStats()
-        ledger = HostSecondsLedger()
-        tele = self.telemetry
-        if best_length <= length_lb:
-            tele.emit(
-                "pass_end",
-                region=region.name,
-                pass_index=2,
-                invoked=False,
-                iterations=0,
-                final_cost=float(best_length),
-                hit_lower_bound=True,
-                seconds=0.0,
-            )
-            result = PassResult(False, 0, best_length, best_length, True, 0.0)
-            return best_schedule, result
-
-        strategy = make_strategy(self.strategy_name, self.params, ddg.num_instructions)
-        scope = tele.pass_scope(
-            region.name, 2, self.name, length_lb, best_length, strategy=strategy.name
-        )
-        ledger.charge(self.cost_model.region_overhead)
-        prof = get_profiler()
-        prof.push("pass2", "pass")
-        prof.charge_leaf("overhead", self.cost_model.region_overhead, "overhead")
-        prepared = self.ilp_heuristic.prepare(ddg)
-        pheromone = PheromoneTable(ddg.num_instructions, self.params)
-        stall_heuristic = OptionalStallHeuristic(self.params, len(region))
-        tracker = TerminationTracker(
-            lower_bound=length_lb,
-            stagnation_limit=strategy.stagnation_limit(
-                self.params.termination_condition(len(region))
-            ),
-            best_cost=best_length,
-        )
-        # Length cap from the *pass-start* best (recomputed identically on
-        # resume — the checkpointed best must not tighten it).
-        max_length = max(2 * best_length, best_length + 16)
-        if resume is not None:
-            self._resume_state(resume, region.name, pheromone, tracker)
-            if resume.best_cycles is not None:
-                best_schedule = Schedule(region, resume.best_cycles)
-                best_length = int(resume.best_cost)
-        deadline_hit = False
-        charged = 0.0
-        while not tracker.should_stop() and tracker.iterations < self.params.max_iterations:
-            if budget is not None:
-                budget.charge(ledger.total - charged)
-                charged = ledger.total
-                if budget.exhausted:
-                    deadline_hit = True
-                    self._trip_deadline(tele, region.name, 2, budget)
-                    break
-            winner: Optional[AntResult] = None
-            construct = HostSecondsLedger()
-            for _ant in range(self.params.sequential_ants):
-                result = construct_cycles(
-                    ddg,
-                    self.machine,
-                    pheromone,
-                    prepared,
-                    self.params,
-                    rng,
-                    target_pressure=target,
-                    allow_optional_stalls=True,
-                    stall_heuristic=stall_heuristic,
-                    max_length=max_length,
-                )
-                stats.merge(result.stats)
-                ant_seconds = self.cost_model.construction_seconds(
-                    result.stats.steps,
-                    result.stats.ready_scans,
-                    result.stats.successor_ops,
-                )
-                ledger.charge(ant_seconds)
-                construct.charge(ant_seconds)
-                if result.alive and (winner is None or result.length < winner.length):
-                    winner = result
-            if winner is None:
-                # Every ant violated the constraint: count a stagnant
-                # iteration; the strategy's update alone reshapes the search.
-                tracker.record_iteration(tracker.best_cost)
-                reinitialized = strategy.update_no_winner(
-                    pheromone,
-                    best_order=tuple(best_schedule.order),
-                    best_gap=tracker.best_cost - length_lb,
-                    without_improvement=tracker.iterations_without_improvement,
-                )
-                pheromone_seconds = self.cost_model.pheromone_seconds(pheromone.touched_entries())
-                ledger.charge(pheromone_seconds)
-                if reinitialized:
-                    publish_reinit(
-                        tele, region.name, 2, tracker.iterations,
-                        strategy.tau_max(tracker.best_cost - length_lb),
-                    )
-                scope.iteration(float("inf"), tracker.best_cost)
-                if prof.enabled:
-                    with prof.span("iteration", "iteration"):
-                        prof.charge_leaf("construct", construct.total, "construct")
-                        prof.charge_leaf("pheromone", pheromone_seconds, "pheromone")
-                continue
-            if tracker.record_iteration(winner.length):
-                assert winner.cycles is not None
-                best_schedule = Schedule(region, winner.cycles)
-                best_length = winner.length
-            reinitialized = strategy.update(
-                pheromone,
-                winner_order=winner.order,
-                winner_gap=winner.length - length_lb,
-                best_order=tuple(best_schedule.order),
-                best_gap=tracker.best_cost - length_lb,
-                without_improvement=tracker.iterations_without_improvement,
-            )
-            pheromone_seconds = self.cost_model.pheromone_seconds(pheromone.touched_entries())
-            ledger.charge(pheromone_seconds)
-            if reinitialized:
-                publish_reinit(
-                    tele, region.name, 2, tracker.iterations,
-                    strategy.tau_max(tracker.best_cost - length_lb),
-                )
-            scope.iteration(float(winner.length), tracker.best_cost)
-            if prof.enabled:
-                with prof.span("iteration", "iteration"):
-                    prof.charge_leaf("construct", construct.total, "construct")
-                    prof.charge_leaf("pheromone", pheromone_seconds, "pheromone")
-        prof.pop()
-        if budget is not None:
-            budget.charge(ledger.total - charged)
-        pass_result = PassResult(
-            invoked=True,
-            iterations=tracker.iterations,
-            initial_cost=initial_schedule.length,
-            final_cost=best_length,
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=ledger.total,
-            stats=stats,
-            trace=scope.trace,
-            deadline_hit=deadline_hit,
-        )
-        scope.end(
-            invoked=True,
-            iterations=tracker.iterations,
-            final_cost=float(best_length),
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=ledger.total,
-        )
-        self._publish_construction_metrics(tele, stats)
-        return best_schedule, pass_result
-
-    # -- the public entry point -------------------------------------------------
-
-    def schedule(
-        self,
-        ddg: DDG,
-        seed: int = 0,
-        initial_order: Optional[Tuple[int, ...]] = None,
-        bounds: Optional[RegionBounds] = None,
-        reference_schedule: Optional[Schedule] = None,
-        fault_plan=None,
-        budget: Optional[DeadlineBudget] = None,
-        attempt: int = 0,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> ACOResult:
-        """Run both passes on one region.
-
-        ``initial_order`` is the heuristic schedule's instruction order (the
-        pipeline passes the AMD baseline's); by default the LUC greedy order
-        is used. ``reference_schedule`` is the heuristic's latency-aware
-        schedule — pass 2 starts from it whenever it satisfies the pressure
-        target and beats the stretched pass-1 order. ``bounds`` may be
-        precomputed and shared.
-
-        The resilience arguments mirror the parallel scheduler's so the
-        degradation ladder can swap engines freely: ``budget`` enforces the
-        region deadline, ``resume`` restores a checkpoint (partial —
-        see :meth:`_resume_state`). ``fault_plan`` and ``attempt`` are
-        accepted for signature parity; the CPU engine has no device
-        hazards, which is exactly why it is the ladder's safe rung.
-
-        Every telemetry event and profiler span the call produces carries
-        the region's trace context — installed here for direct callers,
-        inherited (so a ladder retry's rotated seed keeps the original
-        trace id) when the pipeline/ladder already opened one.
-        """
-        with region_trace(ddg.region.name, ddg.num_instructions, seed):
-            return self._schedule_traced(
-                ddg, seed, initial_order, bounds, reference_schedule,
-                budget=budget, resume=resume,
-            )
-
-    def _schedule_traced(
-        self,
-        ddg: DDG,
-        seed: int,
-        initial_order: Optional[Tuple[int, ...]],
-        bounds: Optional[RegionBounds],
-        reference_schedule: Optional[Schedule],
-        budget: Optional[DeadlineBudget] = None,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> ACOResult:
-        if bounds is None:
-            bounds = region_bounds(ddg)
-        if initial_order is None:
-            from ..heuristics.list_scheduler import order_schedule
-
-            initial_order = order_schedule(ddg, heuristic=self.rp_heuristic).order
-        rng = launch_rng(seed)
-
-        if resume is not None and resume.region != ddg.region.name:
-            raise ResilienceError(
-                "checkpoint is for region %r, not %r"
-                % (resume.region, ddg.region.name)
-            )
-        resume1 = resume if resume is not None and resume.pass_index == 1 else None
-        resume2 = resume if resume is not None and resume.pass_index == 2 else None
-        if resume2 is not None and resume2.pass1 is not None:
-            pass1 = pass_result_from_payload(resume2.pass1)
-            best_order = tuple(resume2.best_order)
-            best_peak = dict(resume2.best_peak)
-        else:
-            resume2 = None
-            best_order, best_peak, pass1 = self._run_rp_pass(
-                ddg, bounds, tuple(initial_order), rng, budget=budget, resume=resume1
-            )
-        schedule, pass2 = self._run_ilp_pass(
-            ddg, bounds, best_order, best_peak, rng, reference_schedule,
-            budget=budget, resume=resume2,
-        )
-        final_peak = peak_pressure(schedule)
-        result = ACOResult(
-            schedule=schedule,
-            peak=final_peak,
-            rp_cost_value=rp_cost(final_peak, self.machine),
-            pass1=pass1,
-            pass2=pass2,
-        )
-        recorder = get_recorder()
-        if recorder is not None:
-            recorder.record_schedule(
-                "search",
-                region=ddg.region.name,
-                seed=seed,
-                scheduler=self.name,
-                backend="sequential",
-                order=list(schedule.order),
-                cycles=list(schedule.cycles),
-                length=schedule.length,
-                rp_cost=result.rp_cost_value,
-            )
-        if self.verify_enabled:
-            report = verify_order(ddg, best_order)
-            report.merge(
-                verify_aco_result(
-                    result, ddg, self.machine,
-                    target_aprp=self.machine.aprp(best_peak),
-                )
-            )
-            report.publish(self.telemetry, ddg.region.name)
-            report.raise_if_failed()
-        return result
+    def _open_pass(self, region_state, ddg, pass_index, budget, resume, target, max_length):
+        return _SequentialPass(self, ddg, pass_index, region_state, target, max_length)

@@ -39,7 +39,7 @@ from ..timing import DEFAULT_CPU_COST, CPUCostModel, HostSecondsLedger
 from .ant import AntResult, ConstructionStats, construct_cycles
 from .pheromone import PheromoneTable
 from .seeding import launch_rng
-from .sequential import PassResult
+from .driver import PassResult
 from .termination import TerminationTracker
 
 #: Effectively-unconstrained pressure target (ants never die; the weighted

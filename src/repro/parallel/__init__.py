@@ -19,8 +19,8 @@ lockstep execution on the simulated device of :mod:`repro.gpusim`:
   decisions to the vectorized engine;
 * :mod:`~repro.parallel.colony` — the backend registry
   (``backend="loop"|"vectorized"``) and the historical ``Colony`` name;
-* :mod:`~repro.parallel.scheduler` — the two-pass driver mirroring
-  :class:`~repro.aco.sequential.SequentialACOScheduler`.
+* :mod:`~repro.parallel.scheduler` — the GPU construction engine under
+  the shared two-pass driver (:mod:`repro.aco.driver`).
 """
 
 from .layouts import RegionDeviceData
@@ -29,7 +29,7 @@ from .rng import AntRngStreams
 from .vectorized import VectorizedColony
 from .loop import LoopColony
 from .colony import BACKENDS, Colony, ColonyIterationResult, resolve_backend
-from .scheduler import ParallelACOScheduler, ParallelACOResult, ParallelPassResult
+from .scheduler import ParallelACOScheduler
 from .multi_region import (
     BatchItem,
     BatchResult,
@@ -49,8 +49,6 @@ __all__ = [
     "Colony",
     "ColonyIterationResult",
     "ParallelACOScheduler",
-    "ParallelACOResult",
-    "ParallelPassResult",
     "BatchItem",
     "BatchResult",
     "MultiRegionScheduler",

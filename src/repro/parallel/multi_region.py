@@ -40,7 +40,7 @@ fleet supervisor when sharding is requested (the ``fleet`` argument or the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from ..config import ACOParams, FleetParams, GPUParams, ResilienceParams, replace_params
 from ..ddg.graph import DDG
@@ -55,12 +55,8 @@ from ..resilience.log import get_resilience_log
 from ..schedule.schedule import Schedule
 from ..telemetry import Telemetry, get_telemetry
 from ..timing import HostSecondsLedger
-from ..aco.sequential import ACOResult
-from .scheduler import ParallelACOResult, ParallelACOScheduler
-
-#: A batch slot's result: GPU-scheduled normally; a region rescued by the
-#: resilience ladder's ``sequential`` rung carries a CPU :class:`ACOResult`.
-RegionResult = Union[ParallelACOResult, ACOResult]
+from ..aco.driver import ACOResult
+from .scheduler import ParallelACOScheduler
 
 
 def partition_blocks(sizes: Sequence[int], total_blocks: int) -> List[int]:
@@ -118,7 +114,7 @@ class SlotOutcome:
     time (retry overhead included under resilience).
     """
 
-    result: Optional[RegionResult]
+    result: Optional[ACOResult]
     error: Optional[str]
     attempts: int
     final_backend: Optional[str]
@@ -133,9 +129,9 @@ class BatchResult:
     is None and ``errors`` carries the per-region failure description
     (aligned index-for-index with the batch items). Fault-free batches
     keep the historical shape — every slot a result, ``errors`` all None.
-    A slot rescued by the resilience ladder's CPU rung holds a sequential
-    :class:`~repro.aco.sequential.ACOResult`; its time counts as host-side
-    work serial with the batch.
+    A slot rescued by the resilience ladder's CPU rung (``final_backends``
+    entry ``"sequential"``) holds a result with no device time; its
+    seconds count as host-side work serial with the batch.
 
     ``attempts``/``final_backends`` extend the per-region error records:
     aligned index-for-index with ``results``, they say how many engine
@@ -144,7 +140,7 @@ class BatchResult:
     with callers constructing historical-shape results.
     """
 
-    results: Tuple[Optional[RegionResult], ...]
+    results: Tuple[Optional[ACOResult], ...]
     #: Wavefronts assigned to each region.
     blocks_per_region: Tuple[int, ...]
     #: Modelled GPU seconds for the whole batch (shared launch + transfer +
@@ -169,7 +165,7 @@ class BatchResult:
         return sum(1 for r in self.results if r is None)
 
     @property
-    def scheduled(self) -> Tuple[RegionResult, ...]:
+    def scheduled(self) -> Tuple[ACOResult, ...]:
         """The successful results only (order preserved)."""
         return tuple(r for r in self.results if r is not None)
 
@@ -255,7 +251,7 @@ class MultiRegionScheduler:
         blocks: int,
         fault_plan: Optional[FaultPlan] = None,
         resilience: Optional[ResilienceParams] = None,
-    ) -> Tuple[Optional[RegionResult], Optional[str]]:
+    ) -> Tuple[Optional[ACOResult], Optional[str]]:
         outcome = self.run_slot(item, blocks, fault_plan=fault_plan, resilience=resilience)
         return outcome.result, outcome.error
 
@@ -342,7 +338,7 @@ class MultiRegionScheduler:
             )
 
     @staticmethod
-    def _kernel_and_transfer(result: ParallelACOResult) -> Tuple[float, float, int]:
+    def _kernel_and_transfer(result: ACOResult) -> Tuple[float, float, int]:
         """(kernel seconds, transfer bytes-time, invoked passes) of a result."""
         kernel = 0.0
         transfer = 0.0
@@ -438,10 +434,10 @@ class MultiRegionScheduler:
         unbatched = 0.0
         host = HostSecondsLedger()
         any_invoked = 0
-        for result in results:
+        for result, outcome in zip(results, outcomes):
             if result is None:
                 continue
-            if not isinstance(result, ParallelACOResult):
+            if outcome.final_backend == "sequential":
                 # A CPU rescue (resilience ladder's sequential rung): no
                 # device work to batch; its time is serial host time.
                 host.charge(result.seconds)

@@ -1,14 +1,19 @@
 """The two-pass GPU-parallel ACO scheduler (Section IV-B).
 
-Mirrors :class:`~repro.aco.sequential.SequentialACOScheduler` — same lower
-bounds, same termination conditions, same pheromone rules — but each
-iteration constructs ``blocks * 64`` schedules at once with the vectorized
-colony, and scheduling time comes from the simulated device: one kernel
-launch per invoked pass (the paper launches a single cooperative kernel
-whose main loop runs all iterations on-device), one host->device transfer
-of the region image and the preallocated per-ant state, per-iteration
-reduction and pheromone-update costs, and the per-step lockstep cycle
-charges accumulated by the colony.
+Runs the same two-pass algorithm as
+:class:`~repro.aco.sequential.SequentialACOScheduler` — the shared
+:class:`~repro.aco.driver.TwoPassDriver` owns the lower bounds,
+termination, pheromone rules, deadline, checkpoint and resume — but each
+iteration constructs ``blocks * 64`` schedules at once with the colony,
+and scheduling time comes from the simulated device: one kernel launch per
+invoked pass (the paper launches a single cooperative kernel whose main
+loop runs all iterations on-device), one host->device transfer of the
+region image and the preallocated per-ant state, per-iteration reduction
+and pheromone-update costs, and the per-step lockstep cycle charges
+accumulated by the colony. This module is only that device engine: the
+region image, colony, transfer and launch, the injected device faults
+(launch, preallocation, corruption, hang), and the launch's profile and
+telemetry.
 
 Memory-optimization toggles map onto the simulation as follows
 (Section V-A): with ``soa_layout`` off, the naive baseline is simulated —
@@ -21,43 +26,25 @@ the per-ant buffers are sized by the trivial bound ``n``; with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from ..aco.pheromone import PheromoneTable
-from ..analysis.sanitizer import ColonySanitizer, verification_enabled
-from ..analysis.verifier import verify_aco_result, verify_order
-from ..aco.sequential import PassResult
-from ..aco.strategy import (
-    make_strategy,
-    publish_reinit,
-    resolve_strategy,
-    strategy_from_env,
-)
-from ..aco.termination import TerminationTracker
+from ..aco.driver import PassCost, PassEngine, TwoPassDriver, Winner
+from ..aco.strategy import strategy_from_env
+from ..analysis.sanitizer import ColonySanitizer
 from ..config import ACOParams, GPUParams
 from ..ddg.graph import DDG
-from ..ddg.lower_bounds import RegionBounds, region_bounds
-from ..errors import CorruptionDetected, DeviceHangError, KernelLaunchError, ResilienceError
+from ..errors import CorruptionDetected, DeviceHangError, KernelLaunchError
 from ..gpusim.device import GPUDevice
 from ..gpusim.faults import FaultPlan, FaultyDevice
 from ..gpusim.kernel import KernelAccounting, TransferAccounting
 from ..gpusim.reduction import reduction_cycles
-from ..heuristics.list_scheduler import schedule_in_order
-from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
-from ..obs.context import region_trace
 from ..obs.record import get_recorder
 from ..profile import get_profiler
 from ..resilience.checkpoint import RegionCheckpoint
-from ..resilience.log import get_resilience_log
-from ..resilience.watchdog import DeadlineBudget
-from ..rp.cost import rp_cost, rp_cost_lower_bound
-from ..rp.liveness import peak_pressure
-from ..schedule.schedule import Schedule
-from ..telemetry import OCCUPANCY_PCT_BUCKETS, Telemetry, get_telemetry
+from ..telemetry import OCCUPANCY_PCT_BUCKETS, Telemetry
 from .colony import Colony, resolve_backend
 from .divergence import DivergencePolicy
 from .layouts import RegionDeviceData
@@ -72,78 +59,257 @@ def backend_from_env() -> Optional[str]:
     return value or None
 
 
-@dataclass
-class ParallelPassResult(PassResult):
-    """Pass outcome plus the GPU time breakdown."""
+class _DeviceRegion(NamedTuple):
+    """Per-region state shared by both passes' launches."""
 
-    transfer_seconds: float = 0.0
-    kernel_seconds: float = 0.0
-    launch_seconds: float = 0.0
+    data: RegionDeviceData
+    faulty: Optional[FaultyDevice]
+    seed: int
+    attempt: int
 
 
-def pass_result_payload(result: PassResult) -> Dict:
-    """JSON-serializable dict of a completed pass result.
+class _DevicePass(PassEngine):
+    """One invoked pass: a single simulated kernel launch.
 
-    A pass-2 checkpoint embeds the *finished* pass-1 result this way, so a
-    resume skips pass 1 entirely and still reports it faithfully. Covers
-    the common :class:`~repro.aco.sequential.PassResult` fields plus the
-    parallel time breakdown when present (construction stats are dropped —
-    they are observability, not search state).
+    Opening the pass makes the launch API call (which an injected fault
+    can fail), builds the colony (pass 2's streams are seeded ``seed + 1``)
+    and the host->device transfer, and draws this attempt's silent
+    hazards: a corrupted transfer stays hidden until the integrity check at
+    copy-back (:meth:`finish`); a hang fires after a fixed number of this
+    attempt's iterations (:meth:`construct`).
     """
-    payload = {
-        "invoked": result.invoked,
-        "iterations": result.iterations,
-        "initial_cost": result.initial_cost,
-        "final_cost": result.final_cost,
-        "hit_lower_bound": result.hit_lower_bound,
-        "seconds": result.seconds,
-        "trace": list(result.trace),
-        "deadline_hit": result.deadline_hit,
-    }
-    if isinstance(result, ParallelPassResult):
-        payload["transfer_seconds"] = result.transfer_seconds
-        payload["kernel_seconds"] = result.kernel_seconds
-        payload["launch_seconds"] = result.launch_seconds
-    return payload
+
+    def __init__(self, scheduler, region: _DeviceRegion, region_name, pass_index,
+                 budget, resume, target, max_length):
+        self.scheduler = scheduler
+        self.region_name = region_name
+        self.pass_index = pass_index
+        self.budget = budget
+        self.data = region.data
+        self.faulty = faulty = region.faulty
+        self.attempt = attempt = region.attempt
+        self.target = target
+        self.max_length = max_length
+        self.cost = cost = scheduler.device.cost
+        if faulty is not None:
+            try:
+                faulty.check_launch(region_name, pass_index, attempt)
+            except KernelLaunchError:
+                # A failed launch still burns its fixed overhead.
+                if budget is not None:
+                    budget.charge(cost.launch_overhead)
+                raise
+        seed = region.seed if pass_index == 1 else region.seed + 1
+        self.colony, self.accounting = scheduler._make_colony(self.data, seed)
+        self.transfer = scheduler._transfer(self.data)
+        self.corrupted = (
+            faulty is not None
+            and faulty.transfer_corrupted(region_name, pass_index, attempt)
+        )
+        hang_after = (
+            faulty.hang_iteration(region_name, pass_index, attempt)
+            if faulty is not None
+            else None
+        )
+        # Pheromone and tracker state carry over in the driver; the per-ant
+        # streams continue draw-for-draw only when the population matches
+        # (:meth:`RegionCheckpoint.exact_rng_resume`) — otherwise the
+        # resumed attempt re-explores with fresh streams.
+        start = 0
+        if resume is not None:
+            start = resume.iteration
+            if resume.exact_rng_resume(self.colony.num_ants):
+                self.colony.streams.restore(resume.rng_state)
+        self.hang_at = None if hang_after is None else start + hang_after
+        self.launch_charged = False
+        self.charged_kernel = 0.0
+
+    def construct(self, iteration, pheromone, checkpoint):
+        if self.hang_at is not None and iteration >= self.hang_at:
+            raise self._hang(checkpoint())
+        recorder = get_recorder()
+        if recorder is not None:
+            recorder.begin_iteration(self.region_name, self.pass_index, iteration)
+        if self.pass_index == 1:
+            result = self.colony.run_rp_iteration(pheromone.tau)
+        else:
+            result = self.colony.run_ilp_iteration(
+                pheromone.tau, self.target, self.max_length
+            )
+        self.accounting.charge_uniform_cycles(
+            self.scheduler._iteration_overhead_cycles(self.data, self.colony.num_ants)
+        )
+        if result.winner_order is None:
+            return None
+        return Winner(
+            result.winner_cost, result.winner_order,
+            result.winner_peak, result.winner_cycles,
+        )
+
+    def uncharged_seconds(self) -> float:
+        """The launch's transfer and fixed overhead first, then the kernel
+        time accumulated since the previous call."""
+        if not self.launch_charged:
+            self.launch_charged = True
+            return self.transfer.seconds() + self.cost.launch_overhead
+        kernel_now = self.accounting.kernel_seconds()
+        seconds = kernel_now - self.charged_kernel
+        self.charged_kernel = kernel_now
+        return seconds
+
+    def checkpoint_fields(self) -> Dict:
+        return {
+            "backend": self.colony.backend_name,
+            "rng_state": self.colony.streams.state(),
+            "num_ants": self.colony.num_ants,
+        }
+
+    def _hang(self, checkpoint: RegionCheckpoint) -> DeviceHangError:
+        """Build the watchdog's hang error: charge the heartbeat timeout,
+        report everything the dead attempt burned, attach the checkpoint."""
+        penalty = self.faulty.plan.hang_seconds
+        if self.budget is not None:
+            self.budget.charge(penalty)
+        burned = (
+            self.accounting.kernel_seconds()
+            + self.transfer.seconds()
+            + self.cost.launch_overhead
+            + penalty
+        )
+        return DeviceHangError(
+            "watchdog: injected hang in region %r pass %d attempt %d at iteration %d"
+            % (
+                checkpoint.region,
+                checkpoint.pass_index,
+                self.attempt,
+                checkpoint.iteration,
+            ),
+            seconds=burned,
+            checkpoint=checkpoint,
+        )
+
+    def finish(self) -> PassCost:
+        kernel_seconds = self.accounting.kernel_seconds()
+        transfer_seconds = self.transfer.seconds()
+        launch_seconds = self.cost.launch_overhead
+        seconds = kernel_seconds + transfer_seconds + launch_seconds
+        if self.corrupted:
+            raise CorruptionDetected(
+                "integrity check at copy-back: corrupted transfer in region %r "
+                "pass %d attempt %d" % (self.region_name, self.pass_index, self.attempt),
+                seconds=seconds,
+            )
+        self._profile_launch(transfer_seconds, launch_seconds)
+        return PassCost(
+            seconds=seconds,
+            device={
+                "kernel_seconds": kernel_seconds,
+                "transfer_seconds": transfer_seconds,
+                "launch_seconds": launch_seconds,
+            },
+        )
+
+    def _profile_launch(self, transfer_seconds: float, launch_seconds: float) -> None:
+        """Charge the launch to the span profiler.
+
+        The pass's whole modelled time lands on leaf spans: transfer and
+        launch overhead directly, kernel time split per cost category by
+        cycle share (so region -> pass -> kernel/compute etc. nest under
+        whatever span the caller — usually the pipeline's region span —
+        has open). Inside the kernel span, the ant-construction hot path
+        (compute/memory/alloc — the per-step work the backends execute
+        differently) is grouped under a ``construct`` span so profiles and
+        ``repro.bench``'s backend comparison can read it off directly;
+        wavefront-uniform overhead (reductions, pheromone, barriers) stays
+        a direct kernel leaf.
+        """
+        prof = get_profiler()
+        if not prof.enabled:
+            return
+        attributed = self.accounting.attributed_seconds()
+        with prof.span("pass%d" % self.pass_index, "pass"):
+            prof.charge_leaf("transfer", transfer_seconds, "transfer")
+            prof.charge_leaf("launch", launch_seconds, "launch")
+            with prof.span("kernel", "kernel"):
+                with prof.span("construct", "kernel"):
+                    for category in ("compute", "memory", "alloc"):
+                        prof.charge_leaf(category, attributed[category], "kernel")
+                prof.charge_leaf("uniform", attributed["uniform"], "kernel")
+
+    def publish(self, iterations: int) -> None:
+        """Export the launch: kernel/transfer events + gpusim.* and
+        parallel.* metrics (divergence, dead ants, ready-list bound)."""
+        tele = self.scheduler.telemetry
+        if not tele.active:
+            return
+        colony, accounting, data = self.colony, self.accounting, self.data
+        kernel_seconds = accounting.kernel_seconds()
+        transfer_seconds = self.transfer.seconds()
+        launch_seconds = self.cost.launch_overhead
+        totals = accounting.charge_totals()
+        # Optional (schema-v1 extra) attribution fields: the full cost
+        # breakdown travels with the event so a trace alone can attribute
+        # every launch's seconds (see repro.profile.attribution).
+        attributed = {
+            name + "_seconds": value
+            for name, value in accounting.attributed_seconds().items()
+        }
+        tele.emit(
+            "kernel_launch",
+            region=self.region_name,
+            pass_index=self.pass_index,
+            backend=colony.backend_name,
+            strategy=self.scheduler.strategy_name,
+            wavefronts=accounting.num_wavefronts,
+            ants=colony.num_ants,
+            iterations=iterations,
+            kernel_seconds=kernel_seconds,
+            transfer_seconds=transfer_seconds,
+            launch_seconds=launch_seconds,
+            serialized_selection_waves=colony.serialized_selection_waves,
+            serialized_stall_waves=colony.serialized_stall_waves,
+            dead_ants=colony.dead_ants_total,
+            ready_peak=colony.ready_peak,
+            ready_capacity=data.ready_capacity,
+            batches=accounting.batches(),
+            coalesced=accounting.coalesced,
+            coalescing_factor=(
+                1.0 if accounting.coalesced else self.cost.uncoalesced_factor
+            ),
+            **totals,
+            **attributed,
+        )
+        tele.emit(
+            "transfer",
+            region=self.region_name,
+            pass_index=self.pass_index,
+            bytes=self.transfer.total_bytes,
+            calls=self.transfer.array_count,
+            seconds=transfer_seconds,
+        )
+        if tele.collect_metrics:
+            m = tele.metrics
+            m.counter("gpusim.launches").inc()
+            m.counter("gpusim.kernel_us").inc(kernel_seconds * 1e6)
+            m.counter("gpusim.transfer_us").inc(transfer_seconds * 1e6)
+            m.counter("gpusim.launch_us").inc(launch_seconds * 1e6)
+            m.counter("gpusim.transfer_bytes").inc(self.transfer.total_bytes)
+            for name, value in totals.items():
+                m.counter("gpusim." + name).inc(value)
+            m.counter("parallel.constructions").inc(colony.constructions_total)
+            m.counter("parallel.dead_ants").inc(colony.dead_ants_total)
+            m.counter("parallel.serialized_selection_waves").inc(
+                colony.serialized_selection_waves
+            )
+            m.counter("parallel.serialized_stall_waves").inc(
+                colony.serialized_stall_waves
+            )
+            m.histogram(
+                "parallel.ready_occupancy_pct", OCCUPANCY_PCT_BUCKETS
+            ).observe(100.0 * colony.ready_peak / data.ready_capacity)
 
 
-def pass_result_from_payload(payload: Dict) -> ParallelPassResult:
-    """Rebuild a pass result from :func:`pass_result_payload`."""
-    return ParallelPassResult(
-        invoked=bool(payload["invoked"]),
-        iterations=int(payload["iterations"]),
-        initial_cost=payload["initial_cost"],
-        final_cost=payload["final_cost"],
-        hit_lower_bound=bool(payload["hit_lower_bound"]),
-        seconds=float(payload["seconds"]),
-        trace=tuple(payload.get("trace", ())),
-        deadline_hit=bool(payload.get("deadline_hit", False)),
-        transfer_seconds=float(payload.get("transfer_seconds", 0.0)),
-        kernel_seconds=float(payload.get("kernel_seconds", 0.0)),
-        launch_seconds=float(payload.get("launch_seconds", 0.0)),
-    )
-
-
-@dataclass
-class ParallelACOResult:
-    """Final outcome of GPU-parallel two-pass scheduling on one region."""
-
-    schedule: Schedule
-    peak: Dict[RegisterClass, int]
-    rp_cost_value: int
-    pass1: ParallelPassResult
-    pass2: ParallelPassResult
-
-    @property
-    def seconds(self) -> float:
-        return self.pass1.seconds + self.pass2.seconds
-
-    @property
-    def length(self) -> int:
-        return self.schedule.length
-
-
-class ParallelACOScheduler:
+class ParallelACOScheduler(TwoPassDriver):
     """Two-pass ACO scheduling on the simulated GPU."""
 
     name = "parallel-aco"
@@ -159,30 +325,13 @@ class ParallelACOScheduler:
         backend: Optional[str] = None,
         strategy: Optional[str] = None,
     ):
-        self.machine = machine
-        self.params = params or ACOParams()
-        self.params.validate()
+        super().__init__(machine, params, telemetry, verify, strategy)
         self.device = device or GPUDevice()
         self.gpu_params = gpu_params or GPUParams()
         self.gpu_params.validate(self.device.wavefront_size)
-        self._telemetry = telemetry
-        self._verify = verify
         self._backend = backend
         if backend is not None:
             resolve_backend(backend)  # fail fast on unknown names
-        self._strategy = strategy
-        if strategy is not None:
-            resolve_strategy(strategy)  # fail fast on unknown names
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The injected telemetry, or the process-wide one (resolved late)."""
-        return self._telemetry if self._telemetry is not None else get_telemetry()
-
-    @property
-    def verify_enabled(self) -> bool:
-        """Explicit ``verify`` argument, else ``REPRO_VERIFY`` (resolved late)."""
-        return self._verify if self._verify is not None else verification_enabled()
 
     @property
     def backend(self) -> str:
@@ -205,122 +354,9 @@ class ParallelACOScheduler:
             or self.params.strategy
         )
 
-    def _publish_launch(
-        self,
-        tele: Telemetry,
-        region_name: str,
-        pass_index: int,
-        colony: Colony,
-        accounting: KernelAccounting,
-        transfer: TransferAccounting,
-        data: RegionDeviceData,
-        iterations: int,
-        kernel_seconds: float,
-        transfer_seconds: float,
-        launch_seconds: float,
-    ) -> None:
-        """Export one simulated launch: kernel/transfer events + gpusim.*
-        and parallel.* metrics (divergence, dead ants, ready-list bound)."""
-        if not tele.active:
-            return
-        totals = accounting.charge_totals()
-        # Optional (schema-v1 extra) attribution fields: the full cost
-        # breakdown travels with the event so a trace alone can attribute
-        # every launch's seconds (see repro.profile.attribution).
-        attributed = {
-            name + "_seconds": value
-            for name, value in accounting.attributed_seconds().items()
-        }
-        tele.emit(
-            "kernel_launch",
-            region=region_name,
-            pass_index=pass_index,
-            backend=colony.backend_name,
-            strategy=self.strategy_name,
-            wavefronts=accounting.num_wavefronts,
-            ants=colony.num_ants,
-            iterations=iterations,
-            kernel_seconds=kernel_seconds,
-            transfer_seconds=transfer_seconds,
-            launch_seconds=launch_seconds,
-            serialized_selection_waves=colony.serialized_selection_waves,
-            serialized_stall_waves=colony.serialized_stall_waves,
-            dead_ants=colony.dead_ants_total,
-            ready_peak=colony.ready_peak,
-            ready_capacity=data.ready_capacity,
-            batches=accounting.batches(),
-            coalesced=accounting.coalesced,
-            coalescing_factor=(
-                1.0 if accounting.coalesced else self.device.cost.uncoalesced_factor
-            ),
-            **totals,
-            **attributed,
-        )
-        tele.emit(
-            "transfer",
-            region=region_name,
-            pass_index=pass_index,
-            bytes=transfer.total_bytes,
-            calls=transfer.array_count,
-            seconds=transfer_seconds,
-        )
-        if tele.collect_metrics:
-            m = tele.metrics
-            m.counter("gpusim.launches").inc()
-            m.counter("gpusim.kernel_us").inc(kernel_seconds * 1e6)
-            m.counter("gpusim.transfer_us").inc(transfer_seconds * 1e6)
-            m.counter("gpusim.launch_us").inc(launch_seconds * 1e6)
-            m.counter("gpusim.transfer_bytes").inc(transfer.total_bytes)
-            for name, value in totals.items():
-                m.counter("gpusim." + name).inc(value)
-            m.counter("parallel.constructions").inc(colony.constructions_total)
-            m.counter("parallel.dead_ants").inc(colony.dead_ants_total)
-            m.counter("parallel.serialized_selection_waves").inc(
-                colony.serialized_selection_waves
-            )
-            m.counter("parallel.serialized_stall_waves").inc(
-                colony.serialized_stall_waves
-            )
-            m.histogram(
-                "parallel.ready_occupancy_pct", OCCUPANCY_PCT_BUCKETS
-            ).observe(100.0 * colony.ready_peak / data.ready_capacity)
+    # -- device plumbing -----------------------------------------------------
 
-    def _profile_launch(
-        self,
-        pass_index: int,
-        accounting: KernelAccounting,
-        transfer_seconds: float,
-        launch_seconds: float,
-    ) -> None:
-        """Charge one simulated launch to the span profiler.
-
-        The pass's whole modelled time lands on leaf spans: transfer and
-        launch overhead directly, kernel time split per cost category by
-        cycle share (so region -> pass -> kernel/compute etc. nest under
-        whatever span the caller — usually the pipeline's region span —
-        has open). Inside the kernel span, the ant-construction hot path
-        (compute/memory/alloc — the per-step work the backends execute
-        differently) is grouped under a ``construct`` span so profiles and
-        ``repro.bench``'s backend comparison can read it off directly;
-        wavefront-uniform overhead (reductions, pheromone, barriers) stays
-        a direct kernel leaf.
-        """
-        prof = get_profiler()
-        if not prof.enabled:
-            return
-        attributed = accounting.attributed_seconds()
-        with prof.span("pass%d" % pass_index, "pass"):
-            prof.charge_leaf("transfer", transfer_seconds, "transfer")
-            prof.charge_leaf("launch", launch_seconds, "launch")
-            with prof.span("kernel", "kernel"):
-                with prof.span("construct", "kernel"):
-                    for category in ("compute", "memory", "alloc"):
-                        prof.charge_leaf(category, attributed[category], "kernel")
-                prof.charge_leaf("uniform", attributed["uniform"], "kernel")
-
-    # -- shared plumbing -----------------------------------------------------
-
-    def _transfer(self, data: RegionDeviceData, num_ants: int) -> TransferAccounting:
+    def _transfer(self, data: RegionDeviceData) -> TransferAccounting:
         """Host->device copy of the region image.
 
         The per-ant state is *not* copied: the kernel's threads initialize
@@ -368,585 +404,11 @@ class ParallelACOScheduler:
         )
         return colony, accounting
 
-    # -- resilience plumbing -------------------------------------------------
+    # -- the engine seam -------------------------------------------------------
 
-    def _check_launch(
-        self,
-        faulty: Optional[FaultyDevice],
-        region_name: str,
-        pass_index: int,
-        attempt: int,
-        budget: Optional[DeadlineBudget],
-    ) -> None:
-        """Simulated launch API call; a failed launch still burns its
-        fixed overhead, charged to the budget before the raise."""
-        if faulty is None:
-            return
-        try:
-            faulty.check_launch(region_name, pass_index, attempt)
-        except KernelLaunchError:
-            if budget is not None:
-                budget.charge(self.device.cost.launch_overhead)
-            raise
-
-    def _resume_state(
-        self,
-        resume: RegionCheckpoint,
-        region_name: str,
-        pheromone: PheromoneTable,
-        tracker: TerminationTracker,
-        colony: Colony,
-    ) -> None:
-        """Restore checkpointed search state into a freshly built pass.
-
-        Pheromone and tracker counters always carry over; the per-ant RNG
-        streams continue draw-for-draw only when the population matches
-        (:meth:`RegionCheckpoint.exact_rng_resume`) — otherwise the resumed
-        attempt keeps the learned state but re-explores with fresh streams.
-        """
-        if resume.region != region_name:
-            raise ResilienceError(
-                "checkpoint is for region %r, not %r" % (resume.region, region_name)
-            )
-        if resume.tau.shape != pheromone.tau.shape:
-            raise ResilienceError(
-                "checkpoint pheromone shape %s does not match region shape %s"
-                % (resume.tau.shape, pheromone.tau.shape)
-            )
-        pheromone.tau[:] = resume.tau
-        tracker.iterations = resume.iteration
-        tracker.iterations_without_improvement = resume.without_improvement
-        tracker.best_cost = resume.best_cost
-        if resume.exact_rng_resume(colony.num_ants):
-            colony.streams.restore(resume.rng_state)
-
-    def _trip_deadline(
-        self, tele: Telemetry, region_name: str, pass_index: int, budget: DeadlineBudget
-    ) -> None:
-        """Record a soft-deadline stop (event + metric + process-wide log)."""
-        get_resilience_log().deadline_trips += 1
-        tele.emit(
-            "deadline",
-            region=region_name,
-            pass_index=pass_index,
-            deadline_seconds=budget.deadline,
-            spent_seconds=budget.spent,
-        )
-        if tele.collect_metrics:
-            tele.metrics.counter("resilience.deadline_trips").inc()
-
-    def _hang(
-        self,
-        faulty: FaultyDevice,
-        budget: Optional[DeadlineBudget],
-        checkpoint: RegionCheckpoint,
-        accounting: KernelAccounting,
-        transfer: TransferAccounting,
-        attempt: int,
-    ) -> DeviceHangError:
-        """Build the watchdog's hang error: charge the heartbeat timeout,
-        report everything the dead attempt burned, attach the checkpoint."""
-        penalty = faulty.plan.hang_seconds
-        if budget is not None:
-            budget.charge(penalty)
-        burned = (
-            accounting.kernel_seconds()
-            + transfer.seconds()
-            + self.device.cost.launch_overhead
-            + penalty
-        )
-        return DeviceHangError(
-            "watchdog: injected hang in region %r pass %d attempt %d at iteration %d"
-            % (
-                checkpoint.region,
-                checkpoint.pass_index,
-                attempt,
-                checkpoint.iteration,
-            ),
-            seconds=burned,
-            checkpoint=checkpoint,
-        )
-
-    def _capture_rp_checkpoint(
-        self,
-        region_name: str,
-        seed: int,
-        colony: Colony,
-        pheromone: PheromoneTable,
-        tracker: TerminationTracker,
-        best_order: Tuple[int, ...],
-        best_peak: Dict[RegisterClass, int],
-    ) -> RegionCheckpoint:
-        """Snapshot pass-1 search state at the current iteration boundary."""
-        return RegionCheckpoint(
-            region=region_name,
-            scheduler=self.name,
-            backend=colony.backend_name,
-            seed=seed,
-            pass_index=1,
-            iteration=tracker.iterations,
-            tau=pheromone.tau.copy(),
-            best_cost=tracker.best_cost,
-            without_improvement=tracker.iterations_without_improvement,
-            best_order=tuple(best_order),
-            best_peak=dict(best_peak),
-            rng_state=colony.streams.state(),
-            num_ants=colony.num_ants,
-        )
-
-    def _capture_ilp_checkpoint(
-        self,
-        region_name: str,
-        seed: int,
-        colony: Colony,
-        pheromone: PheromoneTable,
-        tracker: TerminationTracker,
-        best_order: Tuple[int, ...],
-        best_peak: Dict[RegisterClass, int],
-        best_schedule: Schedule,
-    ) -> RegionCheckpoint:
-        """Snapshot pass-2 search state. ``best_order``/``best_peak`` are
-        the pass-2 *inputs* (pass 1's final answer) — a resume re-enters
-        pass 2 with them unchanged; the evolving best lives in
-        ``best_cycles``/``best_cost``. The caller (:meth:`schedule`)
-        attaches the completed pass-1 result payload."""
-        return RegionCheckpoint(
-            region=region_name,
-            scheduler=self.name,
-            backend=colony.backend_name,
-            seed=seed,
-            pass_index=2,
-            iteration=tracker.iterations,
-            tau=pheromone.tau.copy(),
-            best_cost=tracker.best_cost,
-            without_improvement=tracker.iterations_without_improvement,
-            best_order=tuple(best_order),
-            best_peak=dict(best_peak),
-            best_cycles=tuple(best_schedule.cycles),
-            rng_state=colony.streams.state(),
-            num_ants=colony.num_ants,
-        )
-
-    # -- pass 1 ----------------------------------------------------------------
-
-    def _run_rp_pass(
-        self,
-        ddg: DDG,
-        data: RegionDeviceData,
-        bounds: RegionBounds,
-        initial_order: Tuple[int, ...],
-        seed: int,
-        faulty: Optional[FaultyDevice] = None,
-        budget: Optional[DeadlineBudget] = None,
-        attempt: int = 0,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> Tuple[Tuple[int, ...], Dict[RegisterClass, int], ParallelPassResult]:
-        region = ddg.region
-        lb_cost = rp_cost_lower_bound(bounds, self.machine)
-        initial_schedule = Schedule.from_order(region, initial_order)
-        best_peak = peak_pressure(initial_schedule)
-        best_cost = rp_cost(best_peak, self.machine)
-        best_order = tuple(initial_order)
-        tele = self.telemetry
-        if best_cost <= lb_cost:
-            tele.emit(
-                "pass_end",
-                region=region.name,
-                pass_index=1,
-                invoked=False,
-                iterations=0,
-                final_cost=float(best_cost),
-                hit_lower_bound=True,
-                seconds=0.0,
-            )
-            result = ParallelPassResult(False, 0, best_cost, best_cost, True, 0.0)
-            return best_order, best_peak, result
-
-        strategy = make_strategy(self.strategy_name, self.params, ddg.num_instructions)
-        scope = tele.pass_scope(
-            region.name, 1, self.name, lb_cost, best_cost, strategy=strategy.name
-        )
-        self._check_launch(faulty, region.name, 1, attempt, budget)
-        colony, accounting = self._make_colony(data, seed)
-        transfer = self._transfer(data, colony.num_ants)
-        # Injected hazards for this attempt: a corrupted host->device copy
-        # stays silent until the integrity check at copy-back; a hang fires
-        # after a fixed number of this attempt's iterations.
-        corrupted = (
-            faulty.transfer_corrupted(region.name, 1, attempt)
-            if faulty is not None
-            else False
-        )
-        hang_after = (
-            faulty.hang_iteration(region.name, 1, attempt)
-            if faulty is not None
-            else None
-        )
-        pheromone = PheromoneTable(ddg.num_instructions, self.params)
-        tracker = TerminationTracker(
-            lower_bound=lb_cost,
-            stagnation_limit=strategy.stagnation_limit(
-                self.params.termination_condition(len(region))
-            ),
-            best_cost=best_cost,
-        )
-        if resume is not None:
-            self._resume_state(resume, region.name, pheromone, tracker, colony)
-            best_order = tuple(resume.best_order)
-            best_peak = dict(resume.best_peak)
-        hang_at = None if hang_after is None else tracker.iterations + hang_after
-        if budget is not None:
-            budget.charge(transfer.seconds() + self.device.cost.launch_overhead)
-        deadline_hit = False
-        charged_kernel = 0.0
-        while not tracker.should_stop() and tracker.iterations < self.params.max_iterations:
-            if budget is not None and budget.exhausted:
-                deadline_hit = True
-                self._trip_deadline(tele, region.name, 1, budget)
-                break
-            if hang_at is not None and tracker.iterations >= hang_at:
-                raise self._hang(
-                    faulty,
-                    budget,
-                    self._capture_rp_checkpoint(
-                        region.name, seed, colony, pheromone, tracker,
-                        best_order, best_peak,
-                    ),
-                    accounting,
-                    transfer,
-                    attempt,
-                )
-            recorder = get_recorder()
-            if recorder is not None:
-                recorder.begin_iteration(region.name, 1, tracker.iterations)
-            result = colony.run_rp_iteration(pheromone.tau)
-            accounting.charge_uniform_cycles(
-                self._iteration_overhead_cycles(data, colony.num_ants)
-            )
-            assert result.winner_order is not None
-            if tracker.record_iteration(result.winner_cost):
-                best_order = result.winner_order
-                best_peak = result.winner_peak
-            reinitialized = strategy.update(
-                pheromone,
-                winner_order=result.winner_order,
-                winner_gap=result.winner_cost - lb_cost,
-                best_order=best_order,
-                best_gap=tracker.best_cost - lb_cost,
-                without_improvement=tracker.iterations_without_improvement,
-            )
-            if reinitialized:
-                publish_reinit(
-                    tele, region.name, 1, tracker.iterations,
-                    strategy.tau_max(tracker.best_cost - lb_cost),
-                )
-            scope.iteration(float(result.winner_cost), tracker.best_cost)
-            if budget is not None:
-                kernel_now = accounting.kernel_seconds()
-                budget.charge(kernel_now - charged_kernel)
-                charged_kernel = kernel_now
-        if corrupted:
-            raise CorruptionDetected(
-                "integrity check at copy-back: corrupted transfer in region %r "
-                "pass 1 attempt %d" % (region.name, attempt),
-                seconds=accounting.kernel_seconds()
-                + transfer.seconds()
-                + self.device.cost.launch_overhead,
-            )
-        kernel_seconds = accounting.kernel_seconds()
-        transfer_seconds = transfer.seconds()
-        launch_seconds = self.device.cost.launch_overhead
-        self._profile_launch(1, accounting, transfer_seconds, launch_seconds)
-        pass_result = ParallelPassResult(
-            invoked=True,
-            iterations=tracker.iterations,
-            initial_cost=best_cost,
-            final_cost=tracker.best_cost,
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=kernel_seconds + transfer_seconds + launch_seconds,
-            transfer_seconds=transfer_seconds,
-            kernel_seconds=kernel_seconds,
-            launch_seconds=launch_seconds,
-            trace=scope.trace,
-            deadline_hit=deadline_hit,
-        )
-        scope.end(
-            invoked=True,
-            iterations=tracker.iterations,
-            final_cost=float(tracker.best_cost),
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=pass_result.seconds,
-            kernel_seconds=kernel_seconds,
-            transfer_seconds=transfer_seconds,
-            launch_seconds=launch_seconds,
-        )
-        self._publish_launch(
-            tele,
-            region.name,
-            1,
-            colony,
-            accounting,
-            transfer,
-            data,
-            tracker.iterations,
-            kernel_seconds,
-            transfer_seconds,
-            launch_seconds,
-        )
-        return best_order, best_peak, pass_result
-
-    # -- pass 2 ----------------------------------------------------------------
-
-    def _run_ilp_pass(
-        self,
-        ddg: DDG,
-        data: RegionDeviceData,
-        bounds: RegionBounds,
-        best_order: Tuple[int, ...],
-        best_peak: Dict[RegisterClass, int],
-        seed: int,
-        reference_schedule: Optional[Schedule] = None,
-        faulty: Optional[FaultyDevice] = None,
-        budget: Optional[DeadlineBudget] = None,
-        attempt: int = 0,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> Tuple[Schedule, ParallelPassResult]:
-        region = ddg.region
-        length_lb = bounds.length
-        target = self.machine.aprp(best_peak)
-        initial_schedule = schedule_in_order(ddg, best_order)
-        # Prefer the heuristic's latency-aware schedule as the starting
-        # point when it satisfies the pressure target and is shorter.
-        if reference_schedule is not None and reference_schedule.length < initial_schedule.length:
-            ref_peak = peak_pressure(reference_schedule)
-            if all(ref_peak.get(cls, 0) <= limit for cls, limit in target.items()):
-                initial_schedule = reference_schedule
-        best_schedule = initial_schedule
-        best_length = initial_schedule.length
-        tele = self.telemetry
-        if best_length <= length_lb:
-            tele.emit(
-                "pass_end",
-                region=region.name,
-                pass_index=2,
-                invoked=False,
-                iterations=0,
-                final_cost=float(best_length),
-                hit_lower_bound=True,
-                seconds=0.0,
-            )
-            result = ParallelPassResult(False, 0, best_length, best_length, True, 0.0)
-            return best_schedule, result
-
-        strategy = make_strategy(self.strategy_name, self.params, ddg.num_instructions)
-        scope = tele.pass_scope(
-            region.name, 2, self.name, length_lb, best_length, strategy=strategy.name
-        )
-        self._check_launch(faulty, region.name, 2, attempt, budget)
-        colony, accounting = self._make_colony(data, seed + 1)
-        transfer = self._transfer(data, colony.num_ants)
-        corrupted = (
-            faulty.transfer_corrupted(region.name, 2, attempt)
-            if faulty is not None
-            else False
-        )
-        hang_after = (
-            faulty.hang_iteration(region.name, 2, attempt)
-            if faulty is not None
-            else None
-        )
-        pheromone = PheromoneTable(ddg.num_instructions, self.params)
-        tracker = TerminationTracker(
-            lower_bound=length_lb,
-            stagnation_limit=strategy.stagnation_limit(
-                self.params.termination_condition(len(region))
-            ),
-            best_cost=best_length,
-        )
-        # The schedule-length cap derives from the *pass-start* best — it is
-        # recomputed identically on resume (same pass-1 order, same
-        # reference), keeping resumed searches draw-for-draw compatible.
-        max_length = max(2 * best_length, best_length + 16)
-        if resume is not None:
-            self._resume_state(resume, region.name, pheromone, tracker, colony)
-            if resume.best_cycles is not None:
-                best_schedule = Schedule(region, resume.best_cycles)
-                best_length = int(resume.best_cost)
-        hang_at = None if hang_after is None else tracker.iterations + hang_after
-        if budget is not None:
-            budget.charge(transfer.seconds() + self.device.cost.launch_overhead)
-        deadline_hit = False
-        charged_kernel = 0.0
-        while not tracker.should_stop() and tracker.iterations < self.params.max_iterations:
-            if budget is not None and budget.exhausted:
-                deadline_hit = True
-                self._trip_deadline(tele, region.name, 2, budget)
-                break
-            if hang_at is not None and tracker.iterations >= hang_at:
-                raise self._hang(
-                    faulty,
-                    budget,
-                    self._capture_ilp_checkpoint(
-                        region.name, seed, colony, pheromone, tracker,
-                        best_order, best_peak, best_schedule,
-                    ),
-                    accounting,
-                    transfer,
-                    attempt,
-                )
-            recorder = get_recorder()
-            if recorder is not None:
-                recorder.begin_iteration(region.name, 2, tracker.iterations)
-            result = colony.run_ilp_iteration(pheromone.tau, target, max_length)
-            accounting.charge_uniform_cycles(
-                self._iteration_overhead_cycles(data, colony.num_ants)
-            )
-            if result.winner_order is None:
-                tracker.record_iteration(tracker.best_cost)
-                reinitialized = strategy.update_no_winner(
-                    pheromone,
-                    best_order=tuple(best_schedule.order),
-                    best_gap=tracker.best_cost - length_lb,
-                    without_improvement=tracker.iterations_without_improvement,
-                )
-                if reinitialized:
-                    publish_reinit(
-                        tele, region.name, 2, tracker.iterations,
-                        strategy.tau_max(tracker.best_cost - length_lb),
-                    )
-                scope.iteration(float("inf"), tracker.best_cost)
-                if budget is not None:
-                    kernel_now = accounting.kernel_seconds()
-                    budget.charge(kernel_now - charged_kernel)
-                    charged_kernel = kernel_now
-                continue
-            if tracker.record_iteration(result.winner_cost):
-                assert result.winner_cycles is not None
-                best_schedule = Schedule(region, result.winner_cycles)
-                best_length = int(result.winner_cost)
-            reinitialized = strategy.update(
-                pheromone,
-                winner_order=result.winner_order,
-                winner_gap=result.winner_cost - length_lb,
-                best_order=tuple(best_schedule.order),
-                best_gap=tracker.best_cost - length_lb,
-                without_improvement=tracker.iterations_without_improvement,
-            )
-            if reinitialized:
-                publish_reinit(
-                    tele, region.name, 2, tracker.iterations,
-                    strategy.tau_max(tracker.best_cost - length_lb),
-                )
-            scope.iteration(float(result.winner_cost), tracker.best_cost)
-            if budget is not None:
-                kernel_now = accounting.kernel_seconds()
-                budget.charge(kernel_now - charged_kernel)
-                charged_kernel = kernel_now
-        if corrupted:
-            raise CorruptionDetected(
-                "integrity check at copy-back: corrupted transfer in region %r "
-                "pass 2 attempt %d" % (region.name, attempt),
-                seconds=accounting.kernel_seconds()
-                + transfer.seconds()
-                + self.device.cost.launch_overhead,
-            )
-        kernel_seconds = accounting.kernel_seconds()
-        transfer_seconds = transfer.seconds()
-        launch_seconds = self.device.cost.launch_overhead
-        self._profile_launch(2, accounting, transfer_seconds, launch_seconds)
-        pass_result = ParallelPassResult(
-            invoked=True,
-            iterations=tracker.iterations,
-            initial_cost=initial_schedule.length,
-            final_cost=best_length,
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=kernel_seconds + transfer_seconds + launch_seconds,
-            transfer_seconds=transfer_seconds,
-            kernel_seconds=kernel_seconds,
-            launch_seconds=launch_seconds,
-            trace=scope.trace,
-            deadline_hit=deadline_hit,
-        )
-        scope.end(
-            invoked=True,
-            iterations=tracker.iterations,
-            final_cost=float(best_length),
-            hit_lower_bound=tracker.hit_lower_bound,
-            seconds=pass_result.seconds,
-            kernel_seconds=kernel_seconds,
-            transfer_seconds=transfer_seconds,
-            launch_seconds=launch_seconds,
-        )
-        self._publish_launch(
-            tele,
-            region.name,
-            2,
-            colony,
-            accounting,
-            transfer,
-            data,
-            tracker.iterations,
-            kernel_seconds,
-            transfer_seconds,
-            launch_seconds,
-        )
-        return best_schedule, pass_result
-
-    # -- public entry point ---------------------------------------------------------
-
-    def schedule(
-        self,
-        ddg: DDG,
-        seed: int = 0,
-        initial_order: Optional[Tuple[int, ...]] = None,
-        bounds: Optional[RegionBounds] = None,
-        reference_schedule: Optional[Schedule] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        budget: Optional[DeadlineBudget] = None,
-        attempt: int = 0,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> ParallelACOResult:
-        """Run both passes on one region, on the simulated GPU.
-
-        The resilience arguments all default to None/0 and add nothing to
-        the fault-free path: ``fault_plan`` wraps the device in a
-        :class:`FaultyDevice` (chaos mode), ``budget`` enforces the
-        region's deadline in cost-model seconds, ``attempt`` names the
-        retry attempt for fault-site derivation and ``resume`` restores a
-        checkpointed search instead of starting over.
-
-        Every telemetry event and profiler span the call produces carries
-        the region's trace context — installed here for direct callers,
-        inherited (so a ladder retry's rotated seed keeps the original
-        trace id) when the pipeline/ladder already opened one.
-        """
-        with region_trace(ddg.region.name, ddg.num_instructions, seed):
-            return self._schedule_traced(
-                ddg, seed, initial_order, bounds, reference_schedule,
-                fault_plan=fault_plan, budget=budget, attempt=attempt,
-                resume=resume,
-            )
-
-    def _schedule_traced(
-        self,
-        ddg: DDG,
-        seed: int,
-        initial_order: Optional[Tuple[int, ...]],
-        bounds: Optional[RegionBounds],
-        reference_schedule: Optional[Schedule],
-        fault_plan: Optional[FaultPlan] = None,
-        budget: Optional[DeadlineBudget] = None,
-        attempt: int = 0,
-        resume: Optional[RegionCheckpoint] = None,
-    ) -> ParallelACOResult:
-        if bounds is None:
-            bounds = region_bounds(ddg)
-        if initial_order is None:
-            from ..heuristics.list_scheduler import order_schedule
-            from ..heuristics.luc import LastUseCountHeuristic
-
-            initial_order = order_schedule(ddg, heuristic=LastUseCountHeuristic()).order
-
+    def _open_region(
+        self, ddg: DDG, seed: int, fault_plan: Optional[FaultPlan], attempt: int
+    ) -> _DeviceRegion:
         data = RegionDeviceData(
             ddg, self.machine, tight_ready_bound=self.gpu_params.tight_ready_list_bound
         )
@@ -968,64 +430,10 @@ class ParallelACOScheduler:
                 attempt,
                 requested_bytes=4 * per_ant_words * policy.num_ants,
             )
-        if resume is not None and resume.region != ddg.region.name:
-            raise ResilienceError(
-                "checkpoint is for region %r, not %r"
-                % (resume.region, ddg.region.name)
-            )
-        resume1 = resume if resume is not None and resume.pass_index == 1 else None
-        resume2 = resume if resume is not None and resume.pass_index == 2 else None
-        if resume2 is not None and resume2.pass1 is not None:
-            # Pass 1 finished before the interruption; its result and
-            # outputs ride in the checkpoint, so resume re-enters pass 2
-            # directly.
-            pass1 = pass_result_from_payload(resume2.pass1)
-            best_order = tuple(resume2.best_order)
-            best_peak = dict(resume2.best_peak)
-        else:
-            resume2 = None
-            best_order, best_peak, pass1 = self._run_rp_pass(
-                ddg, data, bounds, tuple(initial_order), seed,
-                faulty=faulty, budget=budget, attempt=attempt, resume=resume1,
-            )
-        try:
-            schedule, pass2 = self._run_ilp_pass(
-                ddg, data, bounds, best_order, best_peak, seed, reference_schedule,
-                faulty=faulty, budget=budget, attempt=attempt, resume=resume2,
-            )
-        except DeviceHangError as exc:
-            if exc.checkpoint is not None and exc.checkpoint.pass1 is None:
-                exc.checkpoint.pass1 = pass_result_payload(pass1)
-            raise
-        final_peak = peak_pressure(schedule)
-        result = ParallelACOResult(
-            schedule=schedule,
-            peak=final_peak,
-            rp_cost_value=rp_cost(final_peak, self.machine),
-            pass1=pass1,
-            pass2=pass2,
+        return _DeviceRegion(data, faulty, seed, attempt)
+
+    def _open_pass(self, region_state, ddg, pass_index, budget, resume, target, max_length):
+        return _DevicePass(
+            self, region_state, ddg.region.name, pass_index, budget, resume,
+            target, max_length,
         )
-        recorder = get_recorder()
-        if recorder is not None:
-            recorder.record_schedule(
-                "search",
-                region=ddg.region.name,
-                seed=seed,
-                scheduler=self.name,
-                backend=self.backend,
-                order=list(schedule.order),
-                cycles=list(schedule.cycles),
-                length=schedule.length,
-                rp_cost=result.rp_cost_value,
-            )
-        if self.verify_enabled:
-            report = verify_order(ddg, best_order)
-            report.merge(
-                verify_aco_result(
-                    result, ddg, self.machine,
-                    target_aprp=self.machine.aprp(best_peak),
-                )
-            )
-            report.publish(self.telemetry, ddg.region.name)
-            report.raise_if_failed()
-        return result

@@ -25,7 +25,8 @@ from ..analysis.ddg_lint import lint_ddg
 from ..analysis.sanitizer import verification_enabled
 from ..analysis.verifier import verify_schedule
 from ..config import FilterParams, ResilienceParams
-from ..aco.sequential import PassResult, SequentialACOScheduler
+from ..aco.driver import PassResult
+from ..aco.sequential import SequentialACOScheduler
 from ..ddg.graph import DDG
 from ..ddg.lower_bounds import RegionBounds, region_bounds
 from ..errors import PipelineError, RegionUnrecoverable

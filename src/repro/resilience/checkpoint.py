@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -72,9 +72,7 @@ class RegionCheckpoint:
     ``pass_index`` names the interrupted pass; when it is 2, ``pass1``
     carries the completed pass-1 result fields so resume skips pass 1
     entirely (its outputs — ``best_order``/``best_peak`` — are already
-    final). ``extras`` pins pass-start-derived values (``max_length``,
-    ``initial_cost``) that must not be recomputed from the improved best
-    at resume time, or the resumed search would diverge.
+    final).
     """
 
     region: str
@@ -92,7 +90,6 @@ class RegionCheckpoint:
     pass1: Optional[Dict] = None
     rng_state: Optional[list] = None
     num_ants: Optional[int] = None
-    extras: Dict = field(default_factory=dict)
 
     # -- serialization ------------------------------------------------------
 
@@ -115,7 +112,6 @@ class RegionCheckpoint:
             "pass1": self.pass1,
             "rng_state": self.rng_state,
             "num_ants": self.num_ants,
-            "extras": dict(self.extras),
         }
 
     def to_json(self) -> str:
@@ -129,7 +125,7 @@ class RegionCheckpoint:
                 "unsupported checkpoint version %r (supported: %d)"
                 % (version, CHECKPOINT_VERSION)
             )
-        return cls(
+        checkpoint = cls(
             region=payload["region"],
             scheduler=payload["scheduler"],
             backend=payload["backend"],
@@ -149,14 +145,26 @@ class RegionCheckpoint:
             pass1=payload.get("pass1"),
             rng_state=payload.get("rng_state"),
             num_ants=payload.get("num_ants"),
-            extras=dict(payload.get("extras") or {}),
         )
+        checkpoint.check_resumable()
+        return checkpoint
 
     @classmethod
     def from_json(cls, text: str) -> "RegionCheckpoint":
         return cls.from_payload(json.loads(text))
 
     # -- resume compatibility ----------------------------------------------
+
+    def check_resumable(self) -> None:
+        """Raise :class:`ResilienceError` unless a scheduler can resume
+        from this checkpoint: ``pass_index`` must name pass 1 or 2, and a
+        pass-2 checkpoint must carry the finished pass-1 result."""
+        if self.pass_index not in (1, 2):
+            raise ResilienceError(
+                "checkpoint pass_index must be 1 or 2, got %r" % (self.pass_index,)
+            )
+        if self.pass_index == 2 and self.pass1 is None:
+            raise ResilienceError("pass-2 checkpoint carries no pass-1 result")
 
     def exact_rng_resume(self, num_ants: int) -> bool:
         """True when the RNG streams can continue draw-for-draw."""

@@ -41,12 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
-from ..aco.sequential import ACOResult, SequentialACOScheduler
+from ..aco.driver import ACOResult
+from ..aco.sequential import SequentialACOScheduler
 from ..config import ResilienceParams
 from ..errors import InjectedFault, RegionUnrecoverable
 from ..gpusim.faults import FaultPlan
 from ..obs.context import current_trace, region_trace
-from ..parallel.scheduler import ParallelACOResult, ParallelACOScheduler
+from ..parallel.scheduler import ParallelACOScheduler
 from ..suite.rng import derive_seed
 from ..telemetry import Telemetry
 from .checkpoint import RegionCheckpoint
@@ -54,7 +55,6 @@ from .log import get_resilience_log
 from .watchdog import DeadlineBudget
 
 AnyScheduler = Union[SequentialACOScheduler, ParallelACOScheduler]
-AnyResult = Union[ACOResult, ParallelACOResult]
 
 #: Sentinel rung: ship the heuristic schedule, run no search.
 HEURISTIC_RUNG = "heuristic"
@@ -71,7 +71,7 @@ class LadderOutcome:
     ``spent_seconds - result.seconds`` when a result exists.
     """
 
-    result: Optional[AnyResult]
+    result: Optional[ACOResult]
     rung: str
     attempts: int
     resumed_attempts: int = 0

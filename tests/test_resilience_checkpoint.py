@@ -61,12 +61,25 @@ class TestSerialization:
         assert back.best_order == cp.best_order
         assert back.best_peak == cp.best_peak
         assert back.rng_state == cp.rng_state
-        assert back.extras == cp.extras
 
     def test_unknown_version_rejected(self, machine, ddg):
         payload = interrupt(parallel(machine), ddg).to_payload()
         payload["checkpoint_version"] = CHECKPOINT_VERSION + 1
         with pytest.raises(ResilienceError):
+            RegionCheckpoint.from_payload(payload)
+
+    @pytest.mark.parametrize("pass_index", [0, 3])
+    def test_unknown_pass_index_rejected(self, machine, ddg, pass_index):
+        payload = interrupt(parallel(machine), ddg).to_payload()
+        payload["pass_index"] = pass_index
+        with pytest.raises(ResilienceError, match="pass_index"):
+            RegionCheckpoint.from_payload(payload)
+
+    def test_pass2_without_pass1_rejected(self, machine, ddg):
+        payload = interrupt(parallel(machine), ddg).to_payload()
+        payload["pass_index"] = 2
+        payload["pass1"] = None
+        with pytest.raises(ResilienceError, match="pass-1"):
             RegionCheckpoint.from_payload(payload)
 
     def test_exact_rng_resume_requires_population_match(self, machine, ddg):
