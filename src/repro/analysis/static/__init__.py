@@ -4,8 +4,7 @@ A multi-pass AST analyzer that *proves* the repo's reproducibility
 disciplines instead of documenting them: determinism hazards (DET-*),
 RNG stream discipline (RNG-*), lockstep-divergence hazards (DIV-*),
 simulated-time accounting (ACC-*), and the import-layering contract
-(LAY-*). The migrated legacy determinism lint lives on as composite rule
-``DET-001``; ``repro.analysis.lint`` remains as a thin deprecation shim.
+(LAY-*). The original AST determinism lint is composite rule ``DET-001``.
 
 Typical use::
 

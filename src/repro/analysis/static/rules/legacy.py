@@ -1,9 +1,8 @@
-"""``DET-001`` — the migrated AST determinism lint (PR 2).
+"""``DET-001`` — the original AST determinism lint.
 
-This is the original ``repro.analysis.lint`` checker, registered as the
-framework's first rule. Its historical sub-codes are preserved verbatim in
-each finding's ``code`` field (and message prefix) so existing tooling and
-muscle memory keep working:
+The repo's first determinism checker, registered as the framework's first
+rule. Its historical sub-codes are preserved verbatim in each finding's
+``code`` field (and message prefix):
 
 ``RNG001``  module-level ``random.*`` call in a kernel/ant path;
 ``RNG002``  legacy global ``numpy.random.*`` call anywhere;
@@ -13,8 +12,7 @@ muscle memory keep working:
 ``TEL002``  a telemetry module imports scheduler/cost state;
 ``TIME001`` wall-clock reads in a kernel/ant path.
 
-``repro.analysis.lint`` remains importable and runnable as a deprecation
-shim delegating here.
+``# lint: allow`` on a line still silences this rule (see the engine).
 """
 
 from __future__ import annotations
@@ -157,7 +155,7 @@ class LegacyDeterminismRule(Rule):
     name = "legacy-determinism-lint"
     severity = "error"
     summary = (
-        "Composite determinism lint migrated from repro.analysis.lint "
+        "Composite AST determinism lint "
         "(sub-codes RNG001-RNG004, TEL001-TEL002, TIME001)"
     )
     rationale = (

@@ -244,11 +244,12 @@ def bench_resilience(context: ExperimentContext) -> Dict[str, Dict[str, object]]
     same seeds inject the same faults, so ``recovery_rate_pct`` dropping
     below baseline means a recovery path broke.
     """
-    from ..resilience.chaos import chaos_sweep
+    from ..resilience.chaos import LADDER, chaos_sweep
 
     # Doubled fault rates vs. the default chaos profile: the bench wants a
     # dense, still-deterministic fault sample, not a realistic one.
     report = chaos_sweep(
+        LADDER,
         seeds=(11, 23, 37),
         sizes=(10, 12),
         rates={"launch": 0.25, "corruption": 0.25, "hang": 0.25, "oom": 0.15},
@@ -263,12 +264,12 @@ def bench_resilience(context: ExperimentContext) -> Dict[str, Dict[str, object]]
         "recovery_rate_pct": metric(
             100.0 * report.recovery_rate, "pct", "higher"
         ),
-        "degraded_regions": metric(report.degraded, "regions", "lower"),
+        "degraded_regions": metric(report.total("degraded"), "regions", "lower"),
         "retry_overhead_seconds": metric(
-            report.retry_overhead_seconds, "s", "lower"
+            report.total("retry_overhead_seconds"), "s", "lower"
         ),
         "schedules_valid": metric(
-            1.0 if report.all_valid else 0.0, "bool", "higher"
+            1.0 if report.all_ok else 0.0, "bool", "higher"
         ),
     }
 
@@ -401,11 +402,12 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     from ..fleet import FleetSupervisor
     from ..fleet.chaos import (
         DEFAULT_SHARDS,
+        FLEET,
         batches_identical,
-        chaos_sweep,
         fleet_items,
         fleet_scheduler,
     )
+    from ..resilience.chaos import chaos_sweep
     from ..profile import NullProfiler, profile_session
     from ..telemetry import Telemetry, telemetry_session
 
@@ -435,7 +437,7 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
                 fleet.scaling_efficiency, "ratio", "higher"
             )
 
-        sweep = chaos_sweep(seeds=(11, 23), machine=machine)
+        sweep = chaos_sweep(FLEET, seeds=(11, 23), machine=machine)
         identical = identical and sweep.all_ok
         overhead = sum(
             max(0.0, t.fleet_seconds - faultfree_makespans[t.num_shards])
@@ -445,7 +447,7 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     out["worker_faults_injected"] = metric(
         sum(sweep.faults_by_class.values()), "faults"
     )
-    out["reassignments"] = metric(sweep.reassignments, "reassignments")
+    out["reassignments"] = metric(sweep.total("reassignments"), "reassignments")
     out["recovery_rate_pct"] = metric(
         100.0 * sweep.recovery_rate, "pct", "higher"
     )

@@ -1,41 +1,36 @@
 """Chaos harness: prove injection -> detection -> recovery per fault class.
 
-Two complementary modes, both deterministic:
-
-* :func:`fault_class_proofs` forces each fault class in turn at rate 1.0
-  (every GPU attempt faults) and checks the ladder still ships a correct
-  schedule for every region — launch/OOM/corruption by engine downgrade,
-  hangs by checkpoint resume. Every shipped ACO schedule is re-validated
-  against the DDG, so a recovery that smuggled an illegal schedule
-  through would fail the proof, not pass it.
-* :func:`chaos_sweep` runs a pinned list of chaos seeds at the default
-  mixed fault rates and aggregates recovery statistics: how many faults
-  were injected (by class), how many regions recovered with a real ACO
-  result, how many shipped degraded, and the retry overhead (budget spent
-  beyond the successful attempt's own cost).
+One harness serves two layers; a :class:`ChaosLayer` holds what differs.
+:func:`fault_class_proofs` forces each fault class at rate 1.0 and
+demands that every trial passes; :func:`chaos_sweep` runs pinned seeds at
+mixed rates; :func:`bitcheck` records the sweep twice and diffs the
+bundles. :data:`LADDER` is the per-region retry ladder, whose trials pass
+when the shipped schedule re-validates against the DDG;
+``repro.fleet.chaos.FLEET`` is the sharded batch layer.
 
 Runnable as a module — CI's chaos-sweep job is exactly::
 
-    python -m repro.resilience.chaos --seeds 11,23,37 --sizes 10,12,14
+    python -m repro.resilience.chaos --bitcheck bitcheck
 
-Exit status: 0 when every proof holds and every sweep region shipped a
-valid schedule; 1 otherwise.
+Exit status: 0 when every proof, sweep trial and recording passed; 1
+otherwise; 2 on a malformed comma list.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..config import ACOParams, GPUParams, ResilienceParams
 from ..ddg.graph import DDG
-from ..gpusim.faults import DEFAULT_CHAOS_RATES, FaultPlan
+from ..gpusim.faults import DEFAULT_CHAOS_RATES, FAULT_CLASSES, FaultPlan
 from ..machine.model import MachineModel
 from ..machine.targets import amd_vega20
-from ..schedule.validate import validate_schedule
+from ..schedule.validate import is_legal
 from ..suite.patterns import random_region
-from .ladder import LadderOutcome, schedule_with_resilience
+from .ladder import schedule_with_resilience
 from .log import ResilienceLog, resilience_log_session
 
 #: The pinned sweep CI runs (arbitrary but fixed: changing them changes
@@ -46,81 +41,183 @@ PINNED_SEEDS: Tuple[int, ...] = (11, 23, 37, 58, 71, 94)
 #: about fault paths, not search quality, and must stay CI-fast.
 DEFAULT_SIZES: Tuple[int, ...] = (10, 12, 14)
 
+#: ``run(plan, chaos_seed)``: one trial per case under one fault plan.
+TrialRunner = Callable[[FaultPlan, int], List[Any]]
 
-@dataclass
-class RegionTrial:
-    """One region run through the ladder under one fault plan."""
 
-    region: str
-    chaos_seed: int
-    outcome_rung: str
-    attempts: int
-    resumed_attempts: int
-    faults: Tuple[Tuple[str, str, int], ...]
-    recovered: bool  # shipped a real ACO result
-    schedule_valid: bool  # shipped schedule passed independent validation
-    spent_seconds: float
-    result_seconds: float  # 0.0 when degraded
+@dataclass(frozen=True)
+class ChaosLayer:
+    """What one layer plugs into the harness.
+
+    Its trials are dataclasses with ``fault_counts`` (class -> faults),
+    ``recovered``, ``ok`` and a writable ``schedules_valid``.
+    """
+
+    name: str  # output prefix "[name]" and bitcheck bundle prefix
+    prog: str
+    description: str
+    #: ``--help`` text per flag, in ``--help`` order. Flags are ``seeds``,
+    #: ``sizes``, ``skip-proofs``, ``bitcheck``, ``out`` or an option name.
+    flags: Mapping[str, str]
+    fault_classes: Tuple[str, ...]
+    rates: Mapping[str, float]  # the sweep's default mixed rates
+    sizes: Tuple[int, ...]
+    trials: Callable[..., TrialRunner]  # (machine, sizes, proof, **options)
+    recorded: str  # what the bitcheck recorded, for its verdict line
+    summary: str  # str.format template over the report and its totals
+    totals: Tuple[str, ...]  # trial attributes the report sums
+    verdicts: Tuple[str, str]  # summary verdict: (some failed, all passed)
+    proof_failure: str  # printed when a forced-fault trial did not recover
+    #: Extra comma-list flags and their defaults, passed on as keywords.
+    options: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
 
 
 @dataclass
 class ChaosReport:
-    """Aggregate of a sweep (and/or the per-class proofs)."""
+    """Aggregate of a sweep or of the per-class proofs."""
 
-    trials: List[RegionTrial] = field(default_factory=list)
+    layer: ChaosLayer
+    trials: List[Any] = field(default_factory=list)
 
     @property
     def faults_by_class(self) -> Dict[str, int]:
         counts: Dict[str, int] = {}
         for trial in self.trials:
-            for fault_class, _rung, _attempt in trial.faults:
-                counts[fault_class] = counts.get(fault_class, 0) + 1
+            for name, count in trial.fault_counts.items():
+                counts[name] = counts.get(name, 0) + count
         return counts
 
     @property
-    def faulted_trials(self) -> List[RegionTrial]:
-        return [t for t in self.trials if t.faults]
+    def faulted_trials(self) -> List[Any]:
+        return [t for t in self.trials if any(t.fault_counts.values())]
 
     @property
     def recovery_rate(self) -> float:
-        """Fraction of faulted regions that still shipped an ACO result."""
+        """Fraction of faulted trials that recovered."""
         faulted = self.faulted_trials
         if not faulted:
             return 1.0
         return sum(1 for t in faulted if t.recovered) / len(faulted)
 
     @property
-    def degraded(self) -> int:
-        return sum(1 for t in self.trials if not t.recovered)
+    def all_ok(self) -> bool:
+        return all(t.ok for t in self.trials)
+
+    def total(self, name: str) -> float:
+        """One trial attribute summed over the report."""
+        return sum(getattr(t, name) for t in self.trials)
+
+    def summary(self) -> str:
+        faults = ", ".join("%s=%d" % kv for kv in sorted(self.faults_by_class.items()))
+        return self.layer.summary.format(
+            trials=len(self.trials),
+            faults=faults or "none",
+            recovery=100.0 * self.recovery_rate,
+            verdict=self.layer.verdicts[self.all_ok],
+            **{name: self.total(name) for name in self.layer.totals},
+        )
+
+    def to_json(self) -> Dict:
+        """Deterministic JSON payload (the CI recovery-proof artifact)."""
+        return {
+            "trials": [asdict(t) for t in self.trials],
+            "faults_by_class": self.faults_by_class,
+            "recovery_rate": self.recovery_rate,
+            "all_ok": self.all_ok,
+            **{name: self.total(name) for name in self.layer.totals},
+        }
+
+
+def _report(layer, machine, sizes, proof, plans, options) -> ChaosReport:
+    sizes = layer.sizes if sizes is None else sizes
+    run = layer.trials(machine or amd_vega20(), sizes, proof, **options)
+    report = ChaosReport(layer)
+    for plan, chaos_seed in plans:
+        report.trials.extend(run(plan, chaos_seed))
+    return report
+
+
+def fault_class_proofs(
+    layer: ChaosLayer,
+    machine: Optional[MachineModel] = None,
+    sizes: Optional[Sequence[int]] = None,
+    **options,
+) -> ChaosReport:
+    """Force each fault class at rate 1.0 and demand full recovery."""
+    plans = [(FaultPlan(seed=1, rates={c: 1.0}), 1) for c in layer.fault_classes]
+    report = _report(layer, machine, sizes, True, plans, options)
+    for trial in report.trials:
+        if not any(trial.fault_counts.values()):
+            trial.schedules_valid = False  # rate-1.0 must inject
+    return report
+
+
+def chaos_sweep(
+    layer: ChaosLayer,
+    seeds: Sequence[int] = PINNED_SEEDS,
+    machine: Optional[MachineModel] = None,
+    sizes: Optional[Sequence[int]] = None,
+    rates: Optional[Dict[str, float]] = None,
+    **options,
+) -> ChaosReport:
+    """Run the layer's cases under every chaos seed at mixed fault rates."""
+    plans = [(FaultPlan(seed=s, rates=dict(rates or layer.rates)), s) for s in seeds]
+    return _report(layer, machine, sizes, False, plans, options)
+
+
+def bitcheck(
+    layer: ChaosLayer,
+    seeds: Sequence[int],
+    sizes: Sequence[int],
+    out_dir: str,
+    **options,
+) -> Tuple[bool, Dict]:
+    """Record the sweep twice under ``out_dir`` and diff the two bundles."""
+    import os
+
+    from ..obs.diff import diff_bundles, write_report
+    from ..obs.record import record_run
+
+    paths = [os.path.join(out_dir, "%s-%s" % (layer.name, x)) for x in "ab"]
+    for path in paths:
+        with record_run(path):
+            chaos_sweep(layer, seeds, sizes=sizes, **options)
+    report = diff_bundles(paths[0], paths[1])
+    if not report["identical"]:
+        write_report(report, os.path.join(out_dir, "first-divergence.json"))
+    return bool(report["identical"]), report
+
+
+# -- the retry-ladder layer --------------------------------------------------
+
+
+@dataclass
+class RegionTrial:
+    """One region run through the ladder under one fault plan."""
+
+    chaos_seed: int
+    faults: Tuple[Tuple[str, str, int], ...]  # (class, rung, attempt)
+    recovered: bool  # shipped a real ACO result
+    schedules_valid: bool  # shipped schedule passed independent validation
+    spent_seconds: float
+    result_seconds: float  # 0.0 when degraded
+
+    @property
+    def fault_counts(self) -> Dict[str, int]:
+        return Counter(fault_class for fault_class, _rung, _attempt in self.faults)
+
+    @property
+    def ok(self) -> bool:
+        return self.schedules_valid
+
+    @property
+    def degraded(self) -> bool:
+        return not self.recovered
 
     @property
     def retry_overhead_seconds(self) -> float:
-        """Budget spent beyond the successful attempts' own cost."""
-        return sum(
-            max(0.0, t.spent_seconds - t.result_seconds) for t in self.trials
-        )
-
-    @property
-    def all_valid(self) -> bool:
-        return all(t.schedule_valid for t in self.trials)
-
-    def summary(self) -> str:
-        per_class = ", ".join(
-            "%s=%d" % (name, count)
-            for name, count in sorted(self.faults_by_class.items())
-        ) or "none"
-        return (
-            "%d trial(s), faults [%s], recovery rate %.0f%%, "
-            "%d degraded, retry overhead %.3gs, schedules %s"
-            % (
-                len(self.trials),
-                per_class,
-                100.0 * self.recovery_rate,
-                self.degraded,
-                self.retry_overhead_seconds,
-                "all valid" if self.all_valid else "INVALID",
-            )
-        )
+        """Budget spent beyond the successful attempt's own cost."""
+        return max(0.0, self.spent_seconds - self.result_seconds)
 
 
 def chaos_regions(
@@ -134,209 +231,144 @@ def chaos_regions(
     ]
 
 
-def _scheduler(machine: MachineModel):
+def _ladder_trials(
+    machine: MachineModel, sizes: Sequence[int], proof: bool
+) -> TrialRunner:
     from ..parallel.scheduler import ParallelACOScheduler
 
-    # Small colony: the fault surface (launches, transfers, iterations)
-    # is identical, only the search is cheaper — 4 blocks instead of the
-    # production 180, and a tight iteration cap.
-    return ParallelACOScheduler(
-        machine,
-        params=ACOParams(max_iterations=12),
-        gpu_params=GPUParams(blocks=4),
-    )
-
-
-def _run_trial(
-    machine: MachineModel,
-    ddg: DDG,
-    plan: Optional[FaultPlan],
-    resilience: ResilienceParams,
-    chaos_seed: int,
-    seed: int = 0,
-) -> RegionTrial:
-    outcome: LadderOutcome = schedule_with_resilience(
-        _scheduler(machine), ddg, seed, resilience, fault_plan=plan
-    )
-    recovered = outcome.result is not None
-    valid = True
-    if recovered:
-        try:
-            validate_schedule(outcome.result.schedule, ddg, machine)
-        except Exception:
-            valid = False
-    return RegionTrial(
-        region=ddg.region.name,
-        chaos_seed=chaos_seed,
-        outcome_rung=outcome.rung,
-        attempts=outcome.attempts,
-        resumed_attempts=outcome.resumed_attempts,
-        faults=outcome.faults,
-        recovered=recovered,
-        schedule_valid=valid,
-        spent_seconds=outcome.spent_seconds,
-        result_seconds=outcome.result.seconds if recovered else 0.0,
-    )
-
-
-def fault_class_proofs(
-    machine: Optional[MachineModel] = None,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    max_retries: int = 1,
-) -> ChaosReport:
-    """Force each fault class at rate 1.0 and demand full recovery.
-
-    At rate 1.0 every GPU-rung attempt faults, so the proof exercises the
-    class's whole recovery path: hang -> checkpoint resume (possibly on a
-    downgraded engine), launch/OOM/corruption -> retries then engine
-    downgrade to the CPU rung. A class whose faults escaped detection, or
-    whose recovery shipped an invalid schedule, fails the proof.
-    """
-    machine = machine or amd_vega20()
     regions = chaos_regions(machine, sizes)
-    report = ChaosReport()
-    resilience = ResilienceParams(enabled=True, max_retries=max_retries)
-    for fault_class in ("launch", "corruption", "hang", "oom"):
-        plan = FaultPlan(seed=1, rates={fault_class: 1.0})
-        for ddg in regions:
-            with resilience_log_session(ResilienceLog()):
-                trial = _run_trial(
-                    machine, ddg, plan, resilience, chaos_seed=1
-                )
-            if not trial.faults:
-                trial.schedule_valid = False  # rate-1.0 must inject
-            report.trials.append(trial)
-    return report
+    # At rate 1.0 one retry reaches the downgrade; the sweep allows two.
+    resilience = ResilienceParams(enabled=True, max_retries=1 if proof else 2)
+
+    def trial(ddg: DDG, plan: FaultPlan, chaos_seed: int) -> RegionTrial:
+        # Small colony: the fault surface (launches, transfers,
+        # iterations) is identical, only the search is cheaper — 4 blocks
+        # instead of the production 180, and a tight iteration cap.
+        scheduler = ParallelACOScheduler(
+            machine,
+            params=ACOParams(max_iterations=12),
+            gpu_params=GPUParams(blocks=4),
+        )
+        with resilience_log_session(ResilienceLog()):
+            outcome = schedule_with_resilience(
+                scheduler, ddg, 0, resilience, fault_plan=plan
+            )
+        result = outcome.result
+        return RegionTrial(
+            chaos_seed=chaos_seed,
+            faults=outcome.faults,
+            recovered=result is not None,
+            schedules_valid=result is None or is_legal(result.schedule, ddg, machine),
+            spent_seconds=outcome.spent_seconds,
+            result_seconds=0.0 if result is None else result.seconds,
+        )
+
+    return lambda plan, chaos_seed: [trial(d, plan, chaos_seed) for d in regions]
 
 
-def chaos_sweep(
-    seeds: Sequence[int] = PINNED_SEEDS,
-    machine: Optional[MachineModel] = None,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    rates: Optional[Dict[str, float]] = None,
-    max_retries: int = 2,
-) -> ChaosReport:
-    """Run every region under every chaos seed at mixed fault rates."""
-    machine = machine or amd_vega20()
-    regions = chaos_regions(machine, sizes)
-    report = ChaosReport()
-    resilience = ResilienceParams(enabled=True, max_retries=max_retries)
-    for chaos_seed in seeds:
-        plan = FaultPlan(seed=chaos_seed, rates=dict(rates or DEFAULT_CHAOS_RATES))
-        for ddg in regions:
-            with resilience_log_session(ResilienceLog()):
-                report.trials.append(
-                    _run_trial(machine, ddg, plan, resilience, chaos_seed)
-                )
-    return report
+LADDER = ChaosLayer(
+    name="chaos",
+    prog="python -m repro.resilience.chaos",
+    description="Chaos harness: per-class fault proofs + seed sweep.",
+    flags={
+        "seeds": "comma-separated chaos seeds for the mixed-rate sweep",
+        "sizes": "comma-separated region sizes for the chaos suite",
+        "skip-proofs": "run only the mixed-rate sweep (skip the rate-1.0 proofs)",
+        "bitcheck": "additionally record the sweep twice into DIR and diff "
+        "the run bundles; a mismatch writes DIR/first-divergence.json and "
+        "fails the harness",
+    },
+    fault_classes=FAULT_CLASSES,
+    rates=DEFAULT_CHAOS_RATES,
+    sizes=DEFAULT_SIZES,
+    trials=_ladder_trials,
+    recorded="sweeps",
+    summary="{trials} trial(s), faults [{faults}], recovery rate "
+    "{recovery:.0f}%, {degraded} degraded, retry overhead "
+    "{retry_overhead_seconds:.3g}s, schedules {verdict}",
+    totals=("degraded", "retry_overhead_seconds"),
+    verdicts=("INVALID", "all valid"),
+    proof_failure="a forced-fault region lost its ACO result",
+)
 
 
-def bitcheck(
-    seeds: Sequence[int],
-    sizes: Sequence[int],
-    out_dir: str,
-) -> Tuple[bool, Dict]:
-    """Record the sweep twice and diff the bundles for bit identity.
+# -- the command line of both layers -----------------------------------------
 
-    Chaos recovery paths (retries, checkpoint resumes, engine downgrades)
-    must themselves be deterministic per seed: two recordings of the same
-    sweep have to produce byte-identical run bundles. On a mismatch the
-    differ's first-divergence report names the exact event/iteration/draw
-    where the recovery paths forked.
+#: argparse keywords of the flags that are not comma lists.
+_SWITCHES: Dict[str, Dict[str, Any]] = {
+    "skip-proofs": {"action": "store_true"},
+    "out": {"metavar": "FILE"},
+    "bitcheck": {"metavar": "DIR"},
+}
 
-    Returns ``(identical, diff_report)``; the bundles (and, on mismatch,
-    ``first-divergence.json``) are left in ``out_dir`` for CI artifacts.
-    """
+
+def main(argv: Optional[Sequence[str]] = None, layer: ChaosLayer = LADDER) -> int:
+    """Run the layer's proofs, sweep and bitcheck; return the exit status."""
+    import argparse
+    import json
     import os
 
-    from ..obs.diff import diff_bundles, write_report
-    from ..obs.record import RunRecorder, recording_scope
-    from ..telemetry import Telemetry, telemetry_session
-
-    paths = []
-    for label in ("a", "b"):
-        path = os.path.join(out_dir, "chaos-%s" % label)
-        recorder = RunRecorder(draws="digest")
-        telemetry = Telemetry(sink=recorder.sink)
-        with telemetry_session(telemetry), recording_scope(recorder):
-            chaos_sweep(seeds=seeds, sizes=sizes)
-        recorder.save(path)
-        paths.append(path)
-    report = diff_bundles(paths[0], paths[1])
-    if not report["identical"]:
-        write_report(report, os.path.join(out_dir, "first-divergence.json"))
-    return bool(report["identical"]), report
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.resilience.chaos",
-        description="Chaos harness: per-class fault proofs + seed sweep.",
-    )
-    parser.add_argument(
-        "--seeds",
-        default=",".join(str(s) for s in PINNED_SEEDS),
-        help="comma-separated chaos seeds for the mixed-rate sweep",
-    )
-    parser.add_argument(
-        "--sizes",
-        default=",".join(str(s) for s in DEFAULT_SIZES),
-        help="comma-separated region sizes for the chaos suite",
-    )
-    parser.add_argument(
-        "--skip-proofs",
-        action="store_true",
-        help="run only the mixed-rate sweep (skip the rate-1.0 proofs)",
-    )
-    parser.add_argument(
-        "--bitcheck",
-        metavar="DIR",
-        default=None,
-        help="additionally record the sweep twice into DIR and diff the "
-        "run bundles; a mismatch writes DIR/first-divergence.json and "
-        "fails the harness",
-    )
+    parser = argparse.ArgumentParser(prog=layer.prog, description=layer.description)
+    parser.set_defaults(out=None)
+    lists = {"seeds": PINNED_SEEDS, "sizes": layer.sizes, **layer.options}
+    for flag, text in layer.flags.items():
+        if flag in lists:
+            default = ",".join(str(v) for v in lists[flag])
+            parser.add_argument("--" + flag, default=default, help=text)
+        else:
+            parser.add_argument("--" + flag, help=text, **_SWITCHES[flag])
     args = parser.parse_args(argv)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    options = {}
+    for name in lists:
+        try:
+            options[name] = tuple(int(v) for v in getattr(args, name).split(","))
+        except ValueError:
+            options[name] = ()
+        if not options[name] or min(options[name]) < 1:
+            parser.error("--%s takes comma-separated positive integers" % name)
+    seeds, sizes = options.pop("seeds"), options.pop("sizes")
 
+    tag = "[%s]" % layer.name
     failed = False
+    payload: Dict = {}
     if not args.skip_proofs:
-        proofs = fault_class_proofs(sizes=sizes)
-        print("[chaos] per-class proofs: %s" % proofs.summary())
-        classes = proofs.faults_by_class
-        for fault_class in ("launch", "corruption", "hang", "oom"):
-            if not classes.get(fault_class):
-                print("[chaos] FAIL: class %r never injected" % fault_class)
-                failed = True
-        if not proofs.all_valid:
-            failed = True
+        proofs = fault_class_proofs(layer, sizes=sizes, **options)
+        print("%s per-class proofs: %s" % (tag, proofs.summary()))
+        for fault_class in layer.fault_classes:
+            if not proofs.faults_by_class.get(fault_class):
+                print("%s FAIL: class %r never injected" % (tag, fault_class))
         if proofs.recovery_rate < 1.0:
-            print("[chaos] FAIL: a forced-fault region lost its ACO result")
-            failed = True
+            print("%s FAIL: %s" % (tag, layer.proof_failure))
+        # A class that never fired left its trials invalid: not all_ok.
+        failed = proofs.recovery_rate < 1.0 or not proofs.all_ok
+        payload["proofs"] = proofs.to_json()
 
-    sweep = chaos_sweep(seeds=seeds, sizes=sizes)
-    print("[chaos] mixed-rate sweep: %s" % sweep.summary())
-    if not sweep.all_valid:
-        failed = True
+    sweep = chaos_sweep(layer, seeds=seeds, sizes=sizes, **options)
+    print("%s mixed-rate sweep: %s" % (tag, sweep.summary()))
+    failed = failed or not sweep.all_ok
+    payload["sweep"] = sweep.to_json()
 
     if args.bitcheck:
-        import os
-
-        os.makedirs(args.bitcheck, exist_ok=True)
-        identical, report = bitcheck(seeds, sizes, args.bitcheck)
+        identical, report = bitcheck(layer, seeds, sizes, args.bitcheck, **options)
+        payload["bitcheck_identical"] = identical
         if identical:
-            print("[chaos] bitcheck: recorded sweeps byte-identical")
+            print("%s bitcheck: recorded %s byte-identical" % (tag, layer.recorded))
         else:
             from ..obs.diff import render_report
 
-            print("[chaos] FAIL: recorded sweeps diverged")
+            print("%s FAIL: recorded %s diverged" % (tag, layer.recorded))
             print(render_report(report), end="")
             failed = True
 
-    print("[chaos] %s" % ("FAILED" if failed else "OK"))
+    if args.out:
+        payload["ok"] = not failed
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
+        with open(args.out, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print("%s recovery proof written to %s" % (tag, args.out))
+
+    print("%s %s" % (tag, "FAILED" if failed else "OK"))
     return 1 if failed else 0
 
 

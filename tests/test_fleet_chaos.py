@@ -4,16 +4,10 @@ import json
 
 import pytest
 
-from repro.fleet.chaos import (
-    FleetChaosReport,
-    FleetTrial,
-    chaos_sweep,
-    fault_class_proofs,
-    fleet_items,
-    main,
-)
+from repro.fleet.chaos import FLEET, FleetTrial, fleet_items, main
 from repro.gpusim.faults import WORKER_FAULT_CLASSES
 from repro.machine import amd_vega20
+from repro.resilience.chaos import ChaosReport, chaos_sweep, fault_class_proofs
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +25,7 @@ def test_harness_batch_is_deterministic(machine):
 
 
 def test_fault_class_proofs_cover_every_class(machine):
-    report = fault_class_proofs(machine, sizes=(8, 10), num_shards=2)
+    report = fault_class_proofs(FLEET, machine, sizes=(8, 10), shards=(2,))
     assert set(report.faults_by_class) == set(WORKER_FAULT_CLASSES)
     assert all(count > 0 for count in report.faults_by_class.values())
     assert report.recovery_rate == 1.0
@@ -39,8 +33,8 @@ def test_fault_class_proofs_cover_every_class(machine):
 
 
 def test_sweep_is_deterministic(machine):
-    a = chaos_sweep(seeds=(11,), machine=machine, sizes=(8, 10), shards=(2,))
-    b = chaos_sweep(seeds=(11,), machine=machine, sizes=(8, 10), shards=(2,))
+    a = chaos_sweep(FLEET, seeds=(11,), machine=machine, sizes=(8, 10), shards=(2,))
+    b = chaos_sweep(FLEET, seeds=(11,), machine=machine, sizes=(8, 10), shards=(2,))
     assert [t.fault_counts for t in a.trials] == [t.fault_counts for t in b.trials]
     assert [t.fleet_seconds for t in a.trials] == [
         t.fleet_seconds for t in b.trials
@@ -58,7 +52,7 @@ def test_report_aggregation():
             fleet_seconds=2.0, batch_seconds=1.0,
         )
 
-    report = FleetChaosReport(trials=[
+    report = ChaosReport(FLEET, trials=[
         trial({}, True),
         trial({"worker_crash": 2}, True),
         trial({"worker_hang": 1}, False),
@@ -68,7 +62,7 @@ def test_report_aggregation():
     assert len(report.faulted_trials) == 2
     assert report.recovery_rate == 0.5
     assert not report.all_ok
-    assert report.reassignments == 3
+    assert report.total("reassignments") == 3
     assert "DIVERGED" in report.summary()
     payload = report.to_json()
     assert payload["recovery_rate"] == 0.5

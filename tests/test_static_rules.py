@@ -1,17 +1,29 @@
 """Per-rule fixture tests: one seeded true positive and one clean negative
 for every shipped rule family, run through the full engine against a
-pseudo-package laid out in tmp_path (same idiom as test_analysis_lint)."""
+pseudo-package laid out in tmp_path."""
+
+import pytest
 
 from repro.analysis.static import analyze_paths
 
 
-def _scan(tmp_path, files):
+def _write(tmp_path, files):
     for rel, source in files.items():
         path = tmp_path / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(source)
+
+
+def _scan(tmp_path, files):
+    _write(tmp_path, files)
     report = analyze_paths([str(tmp_path)])
     return [(f.rule_id, f.rel) for f in report.findings]
+
+
+def _legacy_codes(paths):
+    """Sub-codes of the DET-001 (and unparsable-file SYN-001) findings."""
+    report = analyze_paths(paths)
+    return [f.code for f in report.findings if f.rule_id in ("DET-001", "SYN-001")]
 
 
 class TestDET001Legacy:
@@ -22,6 +34,86 @@ class TestDET001Legacy:
     def test_negative_outside_kernel_path(self, tmp_path):
         hits = _scan(tmp_path, {"viz/ok.py": "import random\nx = random.random()\n"})
         assert all(rule != "DET-001" for rule, _ in hits)
+
+    @pytest.mark.parametrize(
+        "rel, source, codes",
+        [
+            pytest.param(
+                "aco/bad.py", "import random\nx = random.random()\n", ["RNG001"],
+                id="RNG001-kernel-path",
+            ),
+            pytest.param(
+                "rp/bad.py", "import random\nrandom.shuffle([1])\n", ["RNG001"],
+                id="RNG001-shuffle",
+            ),
+            pytest.param(
+                "viz/ok.py", "import random\nx = random.random()\n", [],
+                id="RNG001-non-kernel-path-allowed",
+            ),
+            pytest.param(
+                "aco/good.py",
+                "import random\nrng = random.Random(7)\nx = rng.random()\n",
+                [],
+                id="RNG001-injected-instance-allowed",
+            ),
+            pytest.param(
+                "viz/bad.py", "import numpy as np\nx = np.random.rand(3)\n", ["RNG002"],
+                id="RNG002-legacy-numpy-anywhere",
+            ),
+            pytest.param(
+                "parallel/bad.py",
+                "import numpy as np\nrng = np.random.default_rng()\n",
+                ["RNG003"],
+                id="RNG003-unseeded-default-rng",
+            ),
+            pytest.param(
+                "parallel/good.py",
+                "import numpy as np\nrng = np.random.default_rng(42)\n",
+                [],
+                id="RNG003-seeded-default-rng-allowed",
+            ),
+            pytest.param(
+                "viz/bad.py",
+                "import random\nimport numpy as np\nrandom.seed(0)\nnp.random.seed(0)\n",
+                ["RNG004", "RNG004"],
+                id="RNG004-global-seeding",
+            ),
+            pytest.param(
+                "telemetry/bad.py", "import random\n", ["TEL001"],
+                id="TEL001-telemetry-imports-rng",
+            ),
+            pytest.param(
+                "telemetry/bad.py", "from ..parallel.colony import Colony\n", ["TEL002"],
+                id="TEL002-telemetry-imports-scheduler-state",
+            ),
+            pytest.param(
+                "telemetry/ok.py", "from ..errors import ReproError\n", [],
+                id="TEL002-telemetry-imports-errors-allowed",
+            ),
+            pytest.param(
+                "gpusim/bad.py", "import time\nt = time.time()\n", ["TIME001"],
+                id="TIME001-kernel-path",
+            ),
+            pytest.param(
+                "cli.py", "import time\nt = time.time()\n", [],
+                id="TIME001-cli-allowed",
+            ),
+            pytest.param(
+                "aco/excused.py",
+                "import random\nx = random.random()  # lint: allow\n",
+                [],
+                id="lint-allow-comment",
+            ),
+            pytest.param("aco/broken.py", "def f(:\n", ["SYN001"], id="syntax-error"),
+        ],
+    )
+    def test_subcode(self, tmp_path, rel, source, codes):
+        _write(tmp_path, {rel: source})
+        assert _legacy_codes([str(tmp_path)]) == codes
+
+    def test_single_file_target(self, tmp_path):
+        _write(tmp_path, {"loose.py": "import numpy as np\nnp.random.seed(1)\n"})
+        assert _legacy_codes([str(tmp_path / "loose.py")]) == ["RNG004"]
 
 
 class TestDET002UnorderedIteration:
