@@ -18,21 +18,35 @@ claims, *without trusting any of the machinery that produced it*:
   claimed peak, the claimed RP cost, and (for pass-2 schedules) stay within
   the pass-1 APRP target.
 
+Both analyses are positional sweeps over difference arrays, linear in the
+size of the region and its schedule:
+
+* :func:`recompute_peak_pressure` turns each register's first def, last
+  use, def points and boundary liveness into an interval of live samples
+  plus isolated def points, adds them per class into a difference array and
+  takes the prefix-sum maximum: O(n + defs + uses + registers).
+* :func:`classify_stalls` marks, for every instruction, the cycles between
+  its earliest legal cycle and its own cycle as coverable, in one
+  difference array, then reads each empty cycle off the prefix sum:
+  O(n + edges + length).
+
 The recomputation shares the tracker's liveness convention (Section II-A /
-Figure 1): a register is born at its defining instruction (live-ins at
-entry), dies at its last use unless live-out, last-uses close before the
-same slot's defs open, and a dead definition still occupies its register
-for the one slot where it issues.
+Figure 1) but not its mechanism, which never replays the schedule step by
+step: a register is born at its defining instruction (live-ins at entry),
+dies at its last use unless live-out, last-uses close before the same
+slot's defs open, and a dead definition still occupies its register for
+the one slot where it issues.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from itertools import accumulate
 from typing import Dict, Mapping, Optional, Sequence
 
 from ..ddg.graph import DDG
 from ..ir.block import SchedulingRegion
-from ..ir.registers import RegisterClass
+from ..ir.registers import RegisterClass, VirtualRegister
 from ..machine.model import MachineModel
 from ..rp.liveness import peak_pressure
 from .report import VerificationReport
@@ -47,61 +61,69 @@ def recompute_peak_pressure(
     """Per-class PRP of ``order``, recomputed from live intervals.
 
     Unlike the incremental tracker, this derives each register's live
-    sample-range in closed form from its def/use positions and counts
-    interval overlap per sample point. Sample point ``-1`` is region entry
+    samples in closed form from its positions in ``order`` and sums them
+    per class with a difference array. Sample point ``-1`` is region entry
     (live-ins only); sample ``k`` is "right after the k-th issued
     instruction", with last-uses closed and the slot's defs open.
+
+    A register is live on one interval of samples plus its def points:
+
+    * the interval starts at entry (live-in) or at its first def, and ends
+      at the last sample (live-out), just before its last use, just before
+      its first def (a live-in that is redefined but never read), at the
+      last sample (a live-in that is never touched), or is empty (a
+      defined register that is never read);
+    * every def point is a live sample too, so a dead def holds its
+      register for the one slot where it issues.
     """
     n = len(region)
     position = {inst_index: pos for pos, inst_index in enumerate(order)}
 
-    # Def positions and use-occurrence positions per register, in issue order.
-    def_positions: Dict[object, list] = {}
-    use_positions: Dict[object, list] = {}
+    # Last use position and def positions per register, in issue order.
+    last_use: Dict[VirtualRegister, int] = {}
+    def_positions: Dict[VirtualRegister, set] = {}
     for inst in region:
         pos = position[inst.index]
         for reg in inst.uses:
-            use_positions.setdefault(reg, []).append(pos)
+            if last_use.get(reg, -1) < pos:
+                last_use[reg] = pos
         for reg in inst.defs:
-            def_positions.setdefault(reg, []).append(pos)
+            def_positions.setdefault(reg, set()).add(pos)
 
     classes = region.register_classes()
-    counts = [{cls: 0 for cls in classes} for _ in range(n + 1)]
-
-    def mark_live(reg, sample: int) -> None:
-        counts[sample + 1][reg.reg_class] += 1
-
+    entry = {cls: 0 for cls in classes}
+    delta = {cls: [0] * (n + 1) for cls in classes}
+    live_in, live_out = region.live_in, region.live_out
     for reg in region.all_registers:
-        defs = sorted(def_positions.get(reg, ()))
-        uses = sorted(use_positions.get(reg, ()))
-        live_in = reg in region.live_in
-        live_out = reg in region.live_out
-        def_set = set(defs)
-        born = -1 if live_in else (defs[0] if defs else None)
-        if born is None:
+        defs = def_positions.get(reg, ())
+        if reg in live_in:
+            entry[reg.reg_class] += 1
+            first = 0
+        elif defs:
+            first = min(defs)
+        else:
             continue  # never defined, never live-in: cannot become live
-        if born == -1:
-            mark_live(reg, -1)
-        for sample in range(n):
-            if sample < born:
-                continue
-            remaining = sum(1 for u in uses if u > sample)
-            alive = (
-                live_out
-                or remaining > 0
-                or sample in def_set
-                or (not uses and not defs)  # untouched live-in: never killed
-                or (not uses and live_in and defs and sample < defs[0])
-            )
-            if alive:
-                mark_live(reg, sample)
+        if reg in live_out:
+            last = n - 1
+        elif reg in last_use:
+            last = last_use[reg] - 1
+        elif reg in live_in:
+            last = min(defs) - 1 if defs else n - 1
+        else:
+            last = -1
+        counts = delta[reg.reg_class]
+        if first <= last:
+            counts[first] += 1
+            counts[last + 1] -= 1
+        for pos in defs:
+            if not first <= pos <= last:
+                counts[pos] += 1
+                counts[pos + 1] -= 1
 
-    peak = {cls: 0 for cls in classes}
-    for sample_counts in counts:
-        for cls, value in sample_counts.items():
-            if value > peak[cls]:
-                peak[cls] = value
-    return peak
+    return {
+        cls: max(entry[cls], max(accumulate(delta[cls][:n])))
+        for cls in classes
+    }
 
 
 # -- stall classification ----------------------------------------------------
@@ -114,22 +136,35 @@ def classify_stalls(schedule, ddg: DDG) -> Dict[str, int]:
     ``c`` has a predecessor whose latency (or issue position) keeps it out
     of ``c``; otherwise some instruction could legally have filled the
     cycle and the stall is *optional* (inserted by the pass-2 heuristic).
+
+    Instruction ``j`` could fill every cycle from its earliest legal cycle
+    (the latest release of its predecessors) up to the cycle before its
+    own, so one difference array over those ranges marks every coverable
+    cycle. Ranges are clamped to the schedule, so forged cycles (negative,
+    or releases past the end) count as the per-cycle definition says.
     """
     cycles = schedule.cycles
+    if not cycles:
+        return {"necessary_stalls": 0, "optional_stalls": 0}
+    length = max(cycles) + 1
     used = set(cycles)
+    coverable = [0] * (length + 1)
+    for j in range(ddg.num_instructions):
+        earliest = 0
+        for p, lat in ddg.predecessors[j]:
+            release = cycles[p] + lat
+            if release > earliest:
+                earliest = release
+        if earliest < cycles[j]:
+            coverable[earliest] += 1
+            coverable[cycles[j]] -= 1
     necessary = optional = 0
-    length = max(cycles) + 1 if cycles else 0
+    covered = 0
     for c in range(length):
+        covered += coverable[c]
         if c in used:
             continue
-        movable = False
-        for j in range(ddg.num_instructions):
-            if cycles[j] <= c:
-                continue
-            if all(cycles[p] + lat <= c for p, lat in ddg.predecessors[j]):
-                movable = True
-                break
-        if movable:
+        if covered:
             optional += 1
         else:
             necessary += 1

@@ -19,11 +19,12 @@ the LB terminates the kernel early.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from ..ir.block import SchedulingRegion
-from ..ir.registers import RegisterClass
+from ..ir.registers import RegisterClass, VirtualRegister
 from .analysis import critical_path_info
 from .graph import DDG
 
@@ -35,34 +36,43 @@ def length_lower_bound(ddg: DDG) -> int:
 
 
 def pressure_lower_bounds(region: SchedulingRegion) -> Dict[RegisterClass, int]:
-    """A sound per-class PRP lower bound (see module docstring)."""
+    """A sound per-class PRP lower bound (see module docstring).
+
+    One pass over the instructions serves every class: a use is live
+    through its instruction when it is live-out or read again later, which
+    the precomputed index of each register's last use answers in O(1).
+    """
     classes = region.register_classes()
-    bounds: Dict[RegisterClass, int] = {}
-    for cls in classes:
-        live_in = sum(1 for r in region.live_in if r.reg_class is cls)
-        live_out = sum(1 for r in region.live_out if r.reg_class is cls)
-        bound = max(live_in, live_out)
-        for inst in region:
-            uses = sum(1 for r in inst.uses if r.reg_class is cls)
-            defs = sum(1 for r in inst.defs if r.reg_class is cls)
-            # Just after `inst` issues its defs are live together with any of
-            # its uses that still have a later consumer (a successor reads
-            # them) or are live-out.
-            live_through = 0
-            for reg in inst.uses:
-                if reg.reg_class is not cls:
-                    continue
-                if reg in region.live_out:
-                    live_through += 1
-                    continue
-                if any(
-                    other.index != inst.index and other.index > inst.index
-                    and reg in other.uses
-                    for other in region
-                ):
-                    live_through += 1
-            bound = max(bound, uses, defs + live_through)
-        bounds[cls] = bound
+    live_out = region.live_out
+    last_use: Dict[VirtualRegister, int] = {}
+    for inst in region:
+        for reg in inst.uses:
+            last_use[reg] = inst.index
+    bounds = {cls: 0 for cls in classes}
+
+    def raise_to(counts: Dict[RegisterClass, int]) -> None:
+        for cls, count in counts.items():
+            if count > bounds[cls]:
+                bounds[cls] = count
+
+    raise_to(Counter(reg.reg_class for reg in region.live_in))
+    raise_to(Counter(reg.reg_class for reg in live_out))
+    for inst in region:
+        index = inst.index
+        uses: Dict[RegisterClass, int] = {}
+        # Just after `inst` issues its defs are live together with any of
+        # its uses that still have a later consumer (a successor reads
+        # them) or are live-out.
+        after: Dict[RegisterClass, int] = {}
+        for reg in inst.defs:
+            after[reg.reg_class] = after.get(reg.reg_class, 0) + 1
+        for reg in inst.uses:
+            cls = reg.reg_class
+            uses[cls] = uses.get(cls, 0) + 1
+            if reg in live_out or last_use[reg] > index:
+                after[cls] = after.get(cls, 0) + 1
+        raise_to(uses)
+        raise_to(after)
     return bounds
 
 

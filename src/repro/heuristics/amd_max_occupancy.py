@@ -11,7 +11,7 @@ avoid opening new ones — the same two-mode shape as LLVM's
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Optional, Tuple
 
 from ..ddg.graph import DDG
 from ..ir.registers import RegisterClass
@@ -34,48 +34,58 @@ class _PreparedMaxOccupancy(PreparedHeuristic):
         ilp_source_weight: float = 0.6,
     ):
         super().__init__(ddg)
-        self.machine = machine
-        self.headroom = headroom
-        self.ilp_height_weight = ilp_height_weight
-        self.ilp_source_weight = ilp_source_weight
         # Pressure ceilings: the largest pressure per class that still
         # permits the occupancy reachable by this region's live-in set alone.
-        self._ceilings: Dict[RegisterClass, int] = {}
+        # Pressure mode starts once a class's running pressure exceeds its
+        # ceiling less the headroom.
         base_pressure = {cls: 0 for cls in machine.classes()}
         for reg in ddg.region.live_in:
             if reg.reg_class in base_pressure:
                 base_pressure[reg.reg_class] += 1
         target_occupancy = machine.occupancy_for_pressure(base_pressure)
+        limits = []
         for cls in machine.classes():
             table = machine.table_for(cls)
             ceiling = 0
             for max_pressure, occ in table.breakpoints:
                 if occ >= target_occupancy:
                     ceiling = max_pressure
-            self._ceilings[cls] = ceiling
-
-    def _pressure_critical(self, state: SchedulingState) -> bool:
-        for cls, ceiling in self._ceilings.items():
-            if state.tracker.current.get(cls, 0) + self.headroom > ceiling:
-                return True
-        return False
-
-    def score(self, index: int, state: SchedulingState) -> float:
-        inst = self.ddg.region[index]
-        height_tie = self.cp_info.height[index] / self.score_scale
-        if self._pressure_critical(state):
-            net_closed = state.tracker.closes_ranges(inst) - len(inst.defs)
-            return (net_closed + len(inst.uses) + 1.0) * self.score_scale + height_tie
+            limits.append((cls, ceiling - headroom))
+        self._limits: Tuple[Tuple[RegisterClass, int], ...] = tuple(limits)
         # ILP mode: like LLVM's GenericScheduler the policy is partly
         # myopic — critical-path height blended with a source-order
         # preference (the scheduler sees latency locally, not the whole
         # DAG). The imperfection is the gap a global search can close.
-        n = self.ddg.num_instructions
-        source_bias = float(n - index)
-        return (
-            self.ilp_height_weight * float(self.cp_info.height[index])
-            + self.ilp_source_weight * source_bias
-        )
+        # Neither term depends on the partial schedule, so the scores are
+        # fixed per instruction.
+        height = self.cp_info.height
+        n = ddg.num_instructions
+        self._ilp_scores = [
+            ilp_height_weight * float(height[i]) + ilp_source_weight * float(n - i)
+            for i in range(n)
+        ]
+        # Pressure mode: the static part of the score, per instruction.
+        self._uses_less_defs = [len(inst.uses) - len(inst.defs) for inst in ddg.region]
+        self._height_ties = [h / self.score_scale for h in height]
+        # The mode depends only on the running pressure, which changes at
+        # most once per issue step: decide it on a change, not per candidate.
+        self._pressure: Optional[Tuple] = None
+        self._critical = False
+
+    def score(self, index: int, state: SchedulingState) -> float:
+        current = state.tracker.current
+        pressure = tuple(current.items())
+        if pressure != self._pressure:
+            self._pressure = pressure
+            self._critical = any(
+                current.get(cls, 0) > limit for cls, limit in self._limits
+            )
+        if self._critical:
+            closed = state.tracker.closes_ranges(self.ddg.region[index])
+            return (
+                closed + self._uses_less_defs[index] + 1.0
+            ) * self.score_scale + self._height_ties[index]
+        return self._ilp_scores[index]
 
 
 class AMDMaxOccupancyScheduler:

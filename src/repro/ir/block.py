@@ -72,6 +72,7 @@ class SchedulingRegion:
             )
         self._defined = frozenset(defined)
         self._used = frozenset(used)
+        self._register_classes: Optional[Tuple[RegisterClass, ...]] = None
 
     def _upward_exposed_uses(self) -> set:
         exposed = set()
@@ -116,11 +117,17 @@ class SchedulingRegion:
         return self._defined | self._used | self.live_in | self.live_out
 
     def register_classes(self) -> Tuple[RegisterClass, ...]:
-        """The register classes that actually occur, in a stable order."""
-        seen: Dict[RegisterClass, None] = {}
-        for reg in sorted(self.all_registers):
-            seen.setdefault(reg.reg_class, None)
-        return tuple(seen)
+        """The register classes that actually occur, in a stable order.
+
+        Computed on first use and cached: the region is immutable, and
+        every pressure tracker over it asks again.
+        """
+        if self._register_classes is None:
+            seen: Dict[RegisterClass, None] = {}
+            for reg in sorted(self.all_registers):
+                seen.setdefault(reg.reg_class, None)
+            self._register_classes = tuple(seen)
+        return self._register_classes
 
     def definer_of(self, reg: VirtualRegister) -> Optional[Instruction]:
         """The (unique in well-formed SSA-ish regions) last definer, or None."""

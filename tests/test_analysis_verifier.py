@@ -238,6 +238,26 @@ class TestClassifyStalls:
         stalls = classify_stalls(Forged(chain_region, [0, 2, 4, 6]), ddg)
         assert stalls == {"necessary_stalls": 3, "optional_stalls": 0}
 
+    @pytest.mark.parametrize(
+        "cycles, necessary, optional",
+        [
+            # 0 at -5 releases 1 at -3, before cycle 0: 1 could fill 0..2.
+            ([-5, 3, 5, 7], 2, 3),
+            # 1 at 9 releases 2 at 11, past the end: 2 covers no cycle.
+            ([0, 9, 3, 5], 1, 5),
+            # 3 at -1 covers no cycle either.
+            ([0, 4, 9, -1], 2, 5),
+            # As many negative cycles as empty ones.
+            ([-2, -1, 1, 3], 2, 0),
+        ],
+    )
+    def test_forged_cycles_count_per_cycle(self, chain_region, cycles, necessary, optional):
+        """Negative cycles and releases past the schedule's end count as
+        the per-cycle definition says: clamped, never wrapped around."""
+        ddg = DDG(chain_region)
+        stalls = classify_stalls(Forged(chain_region, cycles), ddg)
+        assert stalls == {"necessary_stalls": necessary, "optional_stalls": optional}
+
 
 # -- scheduler-integrated verification ---------------------------------------
 
