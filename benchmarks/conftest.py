@@ -19,13 +19,13 @@ simulated time and write the collapsed-stack file (flamegraph.pl /
 speedscope input; the span tree is printed to stdout at session end).
 
 Set ``REPRO_CHAOS=<seed>`` to run the whole bench session under the
-deterministic fault model: the compile pipeline resolves the resilience
-parameters from the environment, so every region passes through the retry
-ladder, and the session prints the resilience summary (faults, retries,
-degrades) at the end. The benches must still complete — recovery is the
-point — but their numbers are *not* comparable to fault-free baselines
-(retries burn budget), so chaos sessions are for robustness checking, not
-regression gating.
+deterministic fault model: the session context hands its pipelines
+``ResilienceParams(chaos_seed=<seed>)``, so every region passes through the
+retry ladder, and the session prints the resilience summary (faults,
+retries, degrades) at the end. The benches must still complete — recovery
+is the point — but their numbers are *not* comparable to fault-free
+baselines (retries burn budget), so chaos sessions are for robustness
+checking, not regression gating.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from contextlib import ExitStack
 
 import pytest
 
+from repro.config import ResilienceParams
 from repro.experiments import SCALES
 from repro.experiments.common import ExperimentContext
 from repro.profile import SpanProfiler, profile_session, render_tree, write_collapsed
@@ -54,10 +55,12 @@ def context():
     trace_path = os.environ.get("REPRO_TRACE")
     stacks_path = os.environ.get("REPRO_PROFILE")
     chaos = os.environ.get("REPRO_CHAOS", "").strip()
+    resilience = None
     with ExitStack() as stack:
         if chaos:
             from repro.resilience.log import reset_resilience_log
 
+            resilience = ResilienceParams(chaos_seed=int(chaos))
             resilience_log = reset_resilience_log()
             print("\n[chaos] bench session under REPRO_CHAOS=%s" % chaos)
 
@@ -74,7 +77,7 @@ def context():
         if stacks_path:
             profiler = SpanProfiler()
             stack.enter_context(profile_session(profiler))
-        yield ExperimentContext(scale, telemetry=telemetry)
+        yield ExperimentContext(scale, telemetry=telemetry, resilience=resilience)
         if profiler is not None:
             print()
             print(render_tree(profiler.root))

@@ -25,7 +25,6 @@ from .strategy import (
     MaxMinAntSystem,
     make_strategy,
     resolve_strategy,
-    strategy_from_env,
 )
 from .driver import ACOResult, PassResult
 from .sequential import SequentialACOScheduler
@@ -45,7 +44,6 @@ __all__ = [
     "MaxMinAntSystem",
     "make_strategy",
     "resolve_strategy",
-    "strategy_from_env",
     "SequentialACOScheduler",
     "ACOResult",
     "PassResult",

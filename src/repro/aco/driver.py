@@ -33,7 +33,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
-from ..analysis.sanitizer import verification_enabled
 from ..analysis.verifier import verify_aco_result, verify_order
 from ..config import ACOParams
 from ..ddg.graph import DDG
@@ -55,7 +54,7 @@ from ..schedule.schedule import Schedule
 from ..telemetry import Telemetry, get_telemetry
 from .ant import ConstructionStats
 from .pheromone import PheromoneTable
-from .strategy import make_strategy, publish_reinit, resolve_strategy, strategy_from_env
+from .strategy import make_strategy, publish_reinit, resolve_strategy
 from .termination import TerminationTracker
 
 
@@ -256,7 +255,7 @@ class TwoPassDriver(ABC):
         machine: MachineModel,
         params: Optional[ACOParams],
         telemetry: Optional[Telemetry],
-        verify: Optional[bool],
+        verify: bool,
         strategy: Optional[str],
         rp_heuristic: Optional[GuidingHeuristic] = None,
     ):
@@ -266,28 +265,16 @@ class TwoPassDriver(ABC):
         #: Orders the default initial schedule.
         self.rp_heuristic = rp_heuristic or LastUseCountHeuristic()
         self._telemetry = telemetry
-        self._verify = verify
-        self._strategy = strategy
-        if strategy is not None:
-            resolve_strategy(strategy)  # fail fast on unknown names
+        #: Recheck every pass result with the independent verifier.
+        self.verify_enabled = bool(verify)
+        #: Pheromone-update strategy: the argument, else ``params.strategy``.
+        self.strategy_name = strategy or self.params.strategy
+        resolve_strategy(self.strategy_name)  # fail fast on unknown names
 
     @property
     def telemetry(self) -> Telemetry:
         """The injected telemetry, or the process-wide one (resolved late)."""
         return self._telemetry if self._telemetry is not None else get_telemetry()
-
-    @property
-    def verify_enabled(self) -> bool:
-        """Explicit ``verify`` argument, else ``REPRO_VERIFY`` (resolved late)."""
-        return self._verify if self._verify is not None else verification_enabled()
-
-    @property
-    def strategy_name(self) -> str:
-        """Pheromone-update strategy: explicit argument, else
-        ``REPRO_STRATEGY``, else ``params.strategy`` (resolved late)."""
-        if self._strategy is not None:
-            return self._strategy
-        return strategy_from_env() or self.params.strategy
 
     # -- the engine seam -----------------------------------------------------
 

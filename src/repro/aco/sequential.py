@@ -174,7 +174,7 @@ class SequentialACOScheduler(TwoPassDriver):
         ilp_heuristic: Optional[GuidingHeuristic] = None,
         cost_model: CPUCostModel = DEFAULT_CPU_COST,
         telemetry: Optional[Telemetry] = None,
-        verify: Optional[bool] = None,
+        verify: bool = False,
         strategy: Optional[str] = None,
     ):
         super().__init__(machine, params, telemetry, verify, strategy, rp_heuristic)

@@ -31,7 +31,7 @@ recomputes identical bounds without new checkpoint fields.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Type
+from typing import Dict, Sequence, Tuple, Type
 
 from ..config import ACOParams, STRATEGY_NAMES
 from ..errors import ConfigError
@@ -88,8 +88,8 @@ class MaxMinAntSystem(AntSystemStrategy):
 
     def __init__(self, params: ACOParams, num_instructions: int):
         super().__init__(params, num_instructions)
-        # Validation covers params.strategy == "mmas"; an override via
-        # REPRO_STRATEGY / the scheduler argument must be caught here too.
+        # Validation covers params.strategy == "mmas"; an override via the
+        # scheduler argument or GPUParams.strategy must be caught here too.
         if params.decay >= 1.0:
             raise ConfigError(
                 "mmas needs decay < 1 (tau_max is deposit / (1 - decay))"
@@ -185,14 +185,6 @@ def make_strategy(
     return resolve_strategy(name)(params, num_instructions)
 
 
-def strategy_from_env() -> Optional[str]:
-    """The ``REPRO_STRATEGY`` override, or ``None`` when unset/empty."""
-    import os
-
-    value = os.environ.get("REPRO_STRATEGY", "").strip()  # repro: noqa[DET-003]
-    return value or None
-
-
 def publish_reinit(
     telemetry, region: str, pass_index: int, iteration: int, tau_max: float
 ) -> None:
@@ -218,5 +210,4 @@ __all__ = [
     "make_strategy",
     "publish_reinit",
     "resolve_strategy",
-    "strategy_from_env",
 ]

@@ -13,7 +13,7 @@ them from scratch — the ``-verify-machineinstrs`` of this reproduction:
   ready-list bound audit (:func:`lint_ddg`, :func:`lint_closure`,
   :func:`audit_ready_bound`);
 * :mod:`~repro.analysis.sanitizer` — the gpusim sanitizer mode
-  (``REPRO_SANITIZE=1``): checked SoA accessors, poison discipline,
+  (``--verify``): checked SoA accessors, poison discipline,
   cross-ant aliasing and wavefront-uniformity checks;
 * :mod:`~repro.analysis.static` — the rule-based static analyzer
   (``python -m repro.analysis.static``): determinism, RNG discipline,
@@ -22,18 +22,12 @@ them from scratch — the ``-verify-machineinstrs`` of this reproduction:
   rule ``DET-001`` is the original AST determinism lint.
 
 Both ACO schedulers, the compile pipeline and the CLI expose the layer
-behind a ``verify`` flag (``--verify`` / ``REPRO_VERIFY=1``).
+behind a ``verify`` flag (``--verify`` on the CLI).
 """
 
 from .ddg_lint import audit_ready_bound, lint_closure, lint_ddg, max_antichain_size
 from .report import VerificationReport, Violation
-from .sanitizer import (
-    CheckedArray,
-    ColonySanitizer,
-    checked,
-    sanitize_enabled,
-    verification_enabled,
-)
+from .sanitizer import CheckedArray, ColonySanitizer, checked
 from .verifier import (
     classify_stalls,
     recompute_peak_pressure,
@@ -57,6 +51,4 @@ __all__ = [
     "CheckedArray",
     "ColonySanitizer",
     "checked",
-    "sanitize_enabled",
-    "verification_enabled",
 ]

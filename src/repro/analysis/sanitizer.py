@@ -4,8 +4,9 @@ Section V-A replaces device-side dynamic allocation with fixed-capacity
 structure-of-arrays buffers indexed by computed offsets — exactly the kind
 of code where an off-by-one silently corrupts a *neighbouring ant's* state
 instead of faulting (the GPU-ACO failure mode Skinderowicz documents).
-When sanitize mode is on (``REPRO_SANITIZE=1``, ``--verify``, or an
-explicit ``verify=True`` on the parallel scheduler), the colony:
+When sanitize mode is on (``--verify``, or an explicit ``verify=True`` on
+the parallel scheduler, which hands the colony a :class:`ColonySanitizer`),
+the colony:
 
 * wraps its per-ant state arrays in :class:`CheckedArray`, which rejects
   *negative* computed indices (numpy would silently wrap them to the end
@@ -24,29 +25,11 @@ a sanitizer that reports late is a sanitizer that gets ignored.
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
 from ..errors import SanitizerError
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-def sanitize_enabled() -> bool:
-    """True when ``REPRO_SANITIZE`` (or ``REPRO_VERIFY``) is set."""
-    return (
-        # Documented gateway: enables *checks only*, never steers results.
-        os.environ.get("REPRO_SANITIZE", "").lower() in _TRUTHY  # repro: noqa[DET-003]
-        or verification_enabled()
-    )
-
-
-def verification_enabled() -> bool:
-    """True when ``REPRO_VERIFY`` is set (the ``--verify`` CLI flag)."""
-    # Documented gateway: enables *checks only*, never steers results.
-    return os.environ.get("REPRO_VERIFY", "").lower() in _TRUTHY  # repro: noqa[DET-003]
 
 
 # -- checked arrays ----------------------------------------------------------

@@ -14,11 +14,11 @@ Typical CI invocation::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import ExitStack
 from typing import List, Optional
 
+from ..config import record_settings
 from ..errors import BenchError, ReproError
 from ..experiments.common import SCALES, ExperimentContext
 from ..profile import SpanProfiler, profile_session
@@ -93,14 +93,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     profiler = SpanProfiler()
     # REPRO_RECORD captures the bench run as a diffable bundle — the same
     # hook contract as REPRO_TRACE/REPRO_PROFILE (env-only, no new flag).
-    record_path = os.environ.get("REPRO_RECORD")  # repro: noqa[DET-003]
+    record_path, record_draws = record_settings()
     recorder = None
     if record_path:
         from ..obs.record import RunRecorder, recording_scope
 
-        recorder = RunRecorder(
-            draws=os.environ.get("REPRO_RECORD_DRAWS", "digest")  # repro: noqa[DET-003]
-        )
+        recorder = RunRecorder(draws=record_draws)
         telemetry = Telemetry(sink=recorder.sink, collect_metrics=True)
     else:
         telemetry = Telemetry(collect_metrics=True)

@@ -2,8 +2,13 @@
 
 ``repro list`` shows the available experiments; ``repro all`` runs every
 table and figure in paper order. The scale (suite size and launch
-geometry) defaults to ``default`` and can also be set with the
-``REPRO_SCALE`` environment variable.
+geometry) defaults to ``default``.
+
+The flags below fix the run's configuration once: :func:`main` folds them
+into the scale's parameters, a :class:`~repro.config.ResilienceParams`
+and a ``verify`` flag, and hands those to the
+:class:`~repro.experiments.common.ExperimentContext` it builds. Nothing
+travels through the process environment.
 
 Observability: ``--trace PATH`` streams every telemetry event (regions,
 ACO iterations, simulated kernel launches — the schema of
@@ -20,12 +25,12 @@ All of them leave results bit-identical: observability observes, it
 never steers.
 
 Backends: ``--backend loop|vectorized`` selects the parallel scheduler's
-ant-construction engine (sets ``REPRO_BACKEND``). Both engines produce
+ant-construction engine (the scale's ``gpu.backend``). Both engines produce
 bit-identical seeded schedules; they differ in which kernel the cost
 accounting simulates (see :mod:`repro.parallel.colony`).
 
 Strategies: ``--strategy as|mmas`` selects the pheromone-update rule set
-for both schedulers (sets ``REPRO_STRATEGY``): the paper's Ant System
+for both schedulers (the scale's ``aco.strategy``): the paper's Ant System
 ("as", default) or MAX-MIN Ant System ("mmas" — clamped pheromone,
 best-only deposit, stagnation restarts; see :mod:`repro.aco.strategy`).
 
@@ -38,20 +43,14 @@ Resilience: ``--deadline SECONDS`` caps each region's scheduling budget,
 ``--chaos SEED`` injects deterministic GPU faults, and ``--max-retries N``
 sizes the retry ladder (see :mod:`repro.resilience`). Exit codes encode
 the outcome: 0 with a warning summary when every region shipped (even
-degraded to the heuristic), 3 when any region was unrecoverable.
-
-Fleet: ``--shards N`` partitions every multi-region batch across N
-supervised shard workers (sets ``REPRO_SHARDS``; see :mod:`repro.fleet`)
-— results stay bit-identical to the single-device run, only the fleet
-makespan changes. ``--fleet-chaos SEED`` additionally injects
-deterministic worker-level faults (crash, hang, result corruption) that
-the supervisor detects and recovers from by reassigning regions (sets
-``REPRO_FLEET_CHAOS``).
+degraded to the heuristic), 2 for a bad flag value, 3 when any region was
+unrecoverable.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import List
@@ -64,7 +63,9 @@ def _render(result) -> str:
 
 
 def main(argv: List[str] = None) -> int:
-    from .experiments import EXPERIMENTS, SCALES, get_context
+    from .config import ResilienceParams, record_settings, replace_params
+    from .errors import ConfigError
+    from .experiments import EXPERIMENTS, SCALES, ExperimentContext
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -81,8 +82,8 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--scale",
         choices=sorted(SCALES),
-        default=None,
-        help="experiment scale (default: $REPRO_SCALE or 'default')",
+        default="default",
+        help="experiment scale (default: %(default)s)",
     )
     parser.add_argument(
         "--csv",
@@ -132,16 +133,16 @@ def main(argv: List[str] = None) -> int:
         default=None,
         help="ant-construction engine for the parallel scheduler: the "
         "lockstep batch engine ('vectorized', default) or the scalar "
-        "per-ant reference engine with the divergent cost model ('loop'); "
-        "sets REPRO_BACKEND (see repro.parallel.colony)",
+        "per-ant reference engine with the divergent cost model ('loop'; "
+        "see repro.parallel.colony)",
     )
     parser.add_argument(
         "--strategy",
         choices=("as", "mmas"),
         default=None,
         help="pheromone-update strategy for both schedulers: the paper's "
-        "Ant System ('as', default) or MAX-MIN Ant System ('mmas'); sets "
-        "REPRO_STRATEGY (see repro.aco.strategy)",
+        "Ant System ('as', default) or MAX-MIN Ant System ('mmas'; see "
+        "repro.aco.strategy)",
     )
     parser.add_argument(
         "--deadline",
@@ -150,16 +151,15 @@ def main(argv: List[str] = None) -> int:
         default=None,
         help="per-region scheduling deadline in cost-model seconds; both "
         "ACO passes and every retry share the budget, and a region that "
-        "runs out ships its best-so-far schedule (sets REPRO_DEADLINE; "
-        "see repro.resilience)",
+        "runs out ships its best-so-far schedule (see repro.resilience)",
     )
     parser.add_argument(
         "--max-retries",
         metavar="N",
         type=int,
-        default=None,
+        default=ResilienceParams.max_retries,
         help="retries per resilience-ladder rung before degrading to the "
-        "next engine (sets REPRO_MAX_RETRIES; only meaningful with "
+        "next engine (default: %(default)s; only meaningful with "
         "--deadline or --chaos)",
     )
     parser.add_argument(
@@ -169,42 +169,21 @@ def main(argv: List[str] = None) -> int:
         default=None,
         help="inject deterministic GPU faults (launch failures, transfer "
         "corruption, hangs, OOM) driven by SEED and recover via the retry "
-        "ladder (sets REPRO_CHAOS; see repro.resilience)",
+        "ladder (see repro.resilience)",
     )
     parser.add_argument(
         "--no-degrade",
         action="store_true",
         help="forbid the resilience ladder's engine downgrade: a region "
         "whose retries are exhausted is reported unrecoverable (exit 3) "
-        "instead of shipping its heuristic schedule (sets REPRO_DEGRADE=0)",
-    )
-    parser.add_argument(
-        "--shards",
-        metavar="N",
-        type=int,
-        default=None,
-        help="shard every multi-region batch across N supervised fleet "
-        "workers with deterministic fault recovery; results are "
-        "bit-identical to the single-device run (sets REPRO_SHARDS; see "
-        "repro.fleet)",
-    )
-    parser.add_argument(
-        "--fleet-chaos",
-        metavar="SEED",
-        type=int,
-        default=None,
-        help="inject deterministic worker-level faults (crash, hang, "
-        "result corruption) driven by SEED into the shard fleet; the "
-        "supervisor detects and recovers every one (sets "
-        "REPRO_FLEET_CHAOS; only meaningful with --shards)",
+        "instead of shipping its heuristic schedule",
     )
     parser.add_argument(
         "--verify",
         action="store_true",
         help="run the scheduler sanitizer: independent verification of "
         "every shipped schedule, DDG/closure linting and checked SoA "
-        "accessors in the GPU simulation (sets REPRO_VERIFY/REPRO_SANITIZE; "
-        "see repro.analysis)",
+        "accessors in the GPU simulation (see repro.analysis)",
     )
     parser.add_argument(
         "--watch",
@@ -245,54 +224,30 @@ def main(argv: List[str] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.verify:
-        import os
-
-        os.environ["REPRO_VERIFY"] = "1"
-        os.environ["REPRO_SANITIZE"] = "1"
-
-    if args.backend:
-        import os
-
-        os.environ["REPRO_BACKEND"] = args.backend
-
-    if args.strategy:
-        import os
-
-        os.environ["REPRO_STRATEGY"] = args.strategy
-
-    if (
-        args.deadline is not None
-        or args.max_retries is not None
-        or args.chaos is not None
-        or args.no_degrade
-    ):
-        import os
-
-        if args.deadline is not None:
-            os.environ["REPRO_DEADLINE"] = repr(args.deadline)
-        if args.max_retries is not None:
-            os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
-        if args.chaos is not None:
-            os.environ["REPRO_CHAOS"] = str(args.chaos)
-        if args.no_degrade:
-            os.environ["REPRO_DEGRADE"] = "0"
-
-    if args.shards is not None or args.fleet_chaos is not None:
-        import os
-
-        if args.shards is not None:
-            os.environ["REPRO_SHARDS"] = str(args.shards)
-        if args.fleet_chaos is not None:
-            os.environ["REPRO_FLEET_CHAOS"] = str(args.fleet_chaos)
+    resilience = ResilienceParams(
+        deadline_seconds=args.deadline,
+        max_retries=args.max_retries,
+        degrade=not args.no_degrade,
+        chaos_seed=args.chaos,
+    )
+    try:
+        resilience.validate()
+    except ConfigError as exc:
+        parser.error(str(exc))
 
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
             print(name)
         return 0
 
-    scale = SCALES[args.scale] if args.scale else None
-    context = get_context(scale)
+    scale = SCALES[args.scale]
+    if args.strategy:
+        aco = replace_params(scale.aco, strategy=args.strategy)
+        scale = replace_params(scale, aco=aco)
+    if args.backend:
+        gpu = replace_params(scale.gpu, backend=args.backend)
+        scale = replace_params(scale, gpu=gpu)
+    context = ExperimentContext(scale, verify=args.verify, resilience=resilience)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -303,8 +258,6 @@ def main(argv: List[str] = None) -> int:
 
     csv_dir = None
     if args.csv:
-        import os
-
         csv_dir = args.csv
         os.makedirs(csv_dir, exist_ok=True)
 
@@ -313,9 +266,7 @@ def main(argv: List[str] = None) -> int:
     obs_requested = bool(
         args.watch or args.openmetrics or args.obs_snapshot or args.perfetto
     )
-    import os
-
-    record_path = args.record or os.environ.get("REPRO_RECORD")  # repro: noqa[DET-003]
+    record_path, record_draws = record_settings(args.record)
     stack = ExitStack()
     telemetry = None
     aggregator = None
@@ -324,9 +275,7 @@ def main(argv: List[str] = None) -> int:
     if record_path:
         from .obs.record import RunRecorder, recording_scope
 
-        recorder = RunRecorder(
-            draws=os.environ.get("REPRO_RECORD_DRAWS", "digest")  # repro: noqa[DET-003]
-        )
+        recorder = RunRecorder(draws=record_draws)
         stack.enter_context(recording_scope(recorder))
     if args.trace or args.metrics or obs_requested or recorder is not None:
         from .telemetry import (
@@ -380,8 +329,6 @@ def main(argv: List[str] = None) -> int:
             result = EXPERIMENTS[name](context)
             print(_render(result))
             if csv_dir is not None:
-                import os
-
                 tables = result if isinstance(result, list) else [result]
                 for table in tables:
                     path = os.path.join(csv_dir, table.csv_filename())

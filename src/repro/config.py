@@ -13,6 +13,7 @@ The defaults reproduce the settings reported in the paper:
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -84,7 +85,7 @@ class ACOParams:
     optional_stall_budget: float = 0.5
     #: Pheromone-update strategy: "as" (the paper's Ant System rules) or
     #: "mmas" (MAX-MIN Ant System). Overridable per scheduler via the
-    #: constructor argument, REPRO_STRATEGY, or GPUParams.strategy.
+    #: constructor argument or GPUParams.strategy.
     strategy: str = "as"
     #: MMAS: stagnation-limit multiplier over the paper's 1/2/3 termination
     #: conditions. Restarts need room to fire; with the paper's limits an
@@ -297,33 +298,6 @@ class ResilienceParams:
         if self.chaos_seed is not None:
             int(self.chaos_seed)
 
-    @classmethod
-    def from_env(cls) -> "ResilienceParams":
-        """Parameters from ``REPRO_DEADLINE`` / ``REPRO_MAX_RETRIES`` /
-        ``REPRO_CHAOS`` / ``REPRO_DEGRADE`` (each optional; unset keeps
-        the inert defaults)."""
-        import os
-
-        def _get(name):
-            value = os.environ.get(name, "").strip()
-            return value or None
-
-        deadline = _get("REPRO_DEADLINE")
-        retries = _get("REPRO_MAX_RETRIES")
-        chaos = _get("REPRO_CHAOS")
-        degrade = _get("REPRO_DEGRADE")
-        try:
-            return cls(
-                deadline_seconds=float(deadline) if deadline else None,
-                max_retries=int(retries) if retries else cls.max_retries,
-                chaos_seed=int(chaos) if chaos else None,
-                degrade=degrade not in ("0", "false", "no") if degrade else cls.degrade,
-            )
-        except ValueError as exc:
-            raise ConfigError(
-                "bad resilience environment override: %s" % exc
-            ) from None
-
 
 @dataclass(frozen=True)
 class FleetParams:
@@ -371,24 +345,6 @@ class FleetParams:
         if self.chaos_seed is not None:
             int(self.chaos_seed)
 
-    @classmethod
-    def from_env(cls) -> "FleetParams":
-        """Parameters from ``REPRO_SHARDS`` / ``REPRO_FLEET_CHAOS`` (each
-        optional; unset keeps the inert single-shard defaults)."""
-        import os
-
-        shards = os.environ.get("REPRO_SHARDS", "").strip()
-        chaos = os.environ.get("REPRO_FLEET_CHAOS", "").strip()
-        try:
-            return cls(
-                num_shards=int(shards) if shards else cls.num_shards,
-                chaos_seed=int(chaos) if chaos else None,
-            )
-        except ValueError as exc:
-            raise ConfigError(
-                "bad fleet environment override: %s" % exc
-            ) from None
-
 
 @dataclass(frozen=True)
 class SuiteParams:
@@ -429,6 +385,22 @@ class ReproConfig:
         self.suite.validate()
         self.resilience.validate()
         self.fleet.validate()
+
+
+def record_settings(path: Optional[str] = None) -> Tuple[Optional[str], str]:
+    """Where to write a run bundle, and how to record its RNG draws.
+
+    The bundle directory is ``path`` (the CLI's ``--record``), else
+    ``REPRO_RECORD``, else None (no bundle); the draw mode is
+    ``REPRO_RECORD_DRAWS`` (``digest`` by default, or ``full``/``off``).
+    Both only choose output files, never results, and the bench runner has
+    no flag for them: this is the one place the program reads its
+    environment.
+    """
+    return (
+        path or os.environ.get("REPRO_RECORD") or None,
+        os.environ.get("REPRO_RECORD_DRAWS", "digest"),
+    )
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -7,7 +7,7 @@ mirror the paper's. ``python -m repro <experiment>`` renders them; the
 benchmarks under ``benchmarks/`` call the same entry points.
 """
 
-from .common import ExperimentScale, ExperimentContext, get_context, SCALES
+from .common import ExperimentScale, ExperimentContext, SCALES
 from .report import ExperimentTable
 
 from . import table1, table2, table3, table4, table5, table6, table7, fig23, fig4
@@ -30,7 +30,6 @@ __all__ = [
     "ExperimentScale",
     "ExperimentContext",
     "ExperimentTable",
-    "get_context",
     "SCALES",
     "EXPERIMENTS",
 ]

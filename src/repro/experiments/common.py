@@ -5,25 +5,25 @@ the parallel launch geometry. The paper's full scale (341 benchmarks,
 181,883 regions, 180 blocks x 64 threads) would take days in a Python
 simulation, so the default bench scale is a proportional reduction; the
 `paper` column of every table records the published values for shape
-comparison. The scale can be overridden with the ``REPRO_SCALE``
-environment variable (``test`` / ``default`` / ``large``).
+comparison. The CLI selects one with ``--scale`` (``test`` / ``default`` /
+``large``).
 
 The expensive artifacts — the suite compiled under the baseline, the
 sequential ACO, the parallel ACO and the CP heuristic — are computed once
-per scale and cached in-process.
+per :class:`ExperimentContext` and cached on it.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..aco.sequential import SequentialACOScheduler
 from ..config import (
     ACOParams,
     FilterParams,
     GPUParams,
+    ResilienceParams,
     SIZE_CLASS_LABELS,
     SuiteParams,
     size_class_index,
@@ -77,18 +77,6 @@ SCALES: Dict[str, ExperimentScale] = {
 }
 
 
-def scale_from_env(default: str = "default") -> ExperimentScale:
-    # Documented gateway: the scale name is echoed into every artifact, so
-    # the hidden input is recorded rather than silent.
-    name = os.environ.get("REPRO_SCALE", default)  # repro: noqa[DET-003]
-    try:
-        return SCALES[name]
-    except KeyError:
-        raise ValueError(
-            "unknown REPRO_SCALE %r (choose from %s)" % (name, ", ".join(SCALES))
-        ) from None
-
-
 @dataclass
 class SpeedupRecord:
     """One comparable region's sequential-vs-parallel timing (Table 3)."""
@@ -110,7 +98,12 @@ class SpeedupRecord:
 
 
 class ExperimentContext:
-    """Lazily-computed shared artifacts for one scale.
+    """Lazily-computed shared artifacts for one run configuration.
+
+    The configuration is the ``scale`` (its ``aco.strategy`` and
+    ``gpu.backend`` included), ``verify`` (handed to every scheduler and
+    pipeline the context builds) and ``resilience`` (handed to its
+    pipelines).
 
     ``telemetry`` is the observability hook: pass an instance (e.g. one
     with a JSONL sink) and every compile run, scheduler pass and simulated
@@ -124,11 +117,15 @@ class ExperimentContext:
         scale: ExperimentScale,
         machine: Optional[MachineModel] = None,
         telemetry: Optional[Telemetry] = None,
+        verify: bool = False,
+        resilience: Optional[ResilienceParams] = None,
     ):
         self.scale = scale
         self.machine = machine or amd_vega20()
         self.filters_for_stats = FilterParams(cycle_threshold=0)
         self._telemetry = telemetry
+        self.verify = verify
+        self.resilience = resilience
         self._suite: Optional[Suite] = None
         self._runs: Dict[str, CompileRun] = {}
 
@@ -152,7 +149,10 @@ class ExperimentContext:
 
     def sequential_scheduler(self) -> SequentialACOScheduler:
         return SequentialACOScheduler(
-            self.machine, params=self.scale.aco, telemetry=self._telemetry
+            self.machine,
+            params=self.scale.aco,
+            telemetry=self._telemetry,
+            verify=self.verify,
         )
 
     def parallel_scheduler(
@@ -163,6 +163,7 @@ class ExperimentContext:
             params=self.scale.aco,
             gpu_params=gpu or self.scale.gpu,
             telemetry=self._telemetry,
+            verify=self.verify,
         )
 
     def _pipeline(self, kind: str, filters: FilterParams) -> CompilePipeline:
@@ -186,6 +187,8 @@ class ExperimentContext:
             filters=filters,
             baseline=baseline,
             telemetry=self._telemetry,
+            verify=self.verify,
+            resilience=self.resilience,
         )
 
     def run(self, kind: str, cycle_threshold: Optional[int] = None) -> CompileRun:
@@ -291,18 +294,6 @@ def thresholded_compile_seconds(
         if invoked(outcome):
             total += outcome.aco_seconds
     return total
-
-
-_CONTEXTS: Dict[Tuple[str, int], ExperimentContext] = {}
-
-
-def get_context(scale: Optional[ExperimentScale] = None) -> ExperimentContext:
-    """The process-wide cached context for ``scale`` (env-selected default)."""
-    scale = scale or scale_from_env()
-    key = (scale.name, scale.suite.seed)
-    if key not in _CONTEXTS:
-        _CONTEXTS[key] = ExperimentContext(scale)
-    return _CONTEXTS[key]
 
 
 #: Re-export for the experiment modules.

@@ -26,8 +26,6 @@ from .faults import (
     FAULT_CLASSES,
     FaultPlan,
     FaultyDevice,
-    chaos_seed_from_env,
-    fault_plan_from_env,
 )
 from .kernel import KernelAccounting, TransferAccounting
 from .reduction import reduction_cycles
@@ -40,7 +38,5 @@ __all__ = [
     "GPUDevice",
     "KernelAccounting",
     "TransferAccounting",
-    "chaos_seed_from_env",
-    "fault_plan_from_env",
     "reduction_cycles",
 ]

@@ -10,9 +10,9 @@ The ant-construction engine lives in two interchangeable implementations:
 Both construct bit-identical seeded schedules (proven by
 ``tests/test_differential.py``); they differ only in execution style and
 in which kernel the cost accounting simulates. ``BACKENDS`` maps the
-public backend names (``GPUParams.backend``, ``--backend``,
-``REPRO_BACKEND``) to engine classes; :data:`Colony` keeps the historical
-name importable and bound to the default engine.
+public backend names (``GPUParams.backend``, ``--backend``) to engine
+classes; :data:`Colony` keeps the historical name importable and bound to
+the default engine.
 """
 
 from __future__ import annotations

@@ -33,8 +33,7 @@ maintains:
 
 Together they make the fleet's merged result bit-identical to the
 single-device run for any shard count. ``schedule_batch`` delegates to the
-fleet supervisor when sharding is requested (the ``fleet`` argument or the
-``REPRO_SHARDS`` environment override).
+fleet supervisor when its ``fleet`` argument asks for more than one shard.
 """
 
 from __future__ import annotations
@@ -365,14 +364,14 @@ class MultiRegionScheduler:
         ``resilience`` to give each slot the full retry ladder instead of
         a single attempt.
 
-        Pass ``fleet`` (or set ``REPRO_SHARDS`` > 1) to shard the batch
+        Pass a ``fleet`` with ``num_shards`` > 1 to shard the batch
         across supervised workers — the merged result is bit-identical to
         this single-device path; only the fleet's own wall-model timing
         differs, reported separately on the supervisor's FleetResult.
         """
         if not items:
             raise GPUSimError("empty batch")
-        fleet_params = fleet if fleet is not None else FleetParams.from_env()
+        fleet_params = fleet or FleetParams()
         if fleet_params.num_shards > 1:
             from ..fleet.supervisor import FleetSupervisor
 

@@ -31,7 +31,6 @@ from typing import Dict, NamedTuple, Optional, Tuple
 import numpy as np
 
 from ..aco.driver import PassCost, PassEngine, TwoPassDriver, Winner
-from ..aco.strategy import strategy_from_env
 from ..analysis.sanitizer import ColonySanitizer
 from ..config import ACOParams, GPUParams
 from ..ddg.graph import DDG
@@ -49,14 +48,6 @@ from .colony import Colony, resolve_backend
 from .divergence import DivergencePolicy
 from .layouts import RegionDeviceData
 from .rng import AntRngStreams
-
-
-def backend_from_env() -> Optional[str]:
-    """The ``REPRO_BACKEND`` override, or ``None`` when unset/empty."""
-    import os
-
-    value = os.environ.get("REPRO_BACKEND", "").strip()
-    return value or None
 
 
 class _DeviceRegion(NamedTuple):
@@ -321,38 +312,21 @@ class ParallelACOScheduler(TwoPassDriver):
         gpu_params: Optional[GPUParams] = None,
         device: Optional[GPUDevice] = None,
         telemetry: Optional[Telemetry] = None,
-        verify: Optional[bool] = None,
+        verify: bool = False,
         backend: Optional[str] = None,
         strategy: Optional[str] = None,
     ):
-        super().__init__(machine, params, telemetry, verify, strategy)
         self.device = device or GPUDevice()
         self.gpu_params = gpu_params or GPUParams()
         self.gpu_params.validate(self.device.wavefront_size)
-        self._backend = backend
-        if backend is not None:
-            resolve_backend(backend)  # fail fast on unknown names
-
-    @property
-    def backend(self) -> str:
-        """Engine selection: explicit argument, else ``REPRO_BACKEND``, else
-        ``gpu_params.backend`` (resolved late, like telemetry/verify)."""
-        if self._backend is not None:
-            return self._backend
-        return backend_from_env() or self.gpu_params.backend
-
-    @property
-    def strategy_name(self) -> str:
-        """Pheromone-update strategy: explicit argument, else
-        ``REPRO_STRATEGY``, else the ``gpu_params.strategy`` device
-        override, else ``params.strategy`` (resolved late)."""
-        if self._strategy is not None:
-            return self._strategy
-        return (
-            strategy_from_env()
-            or self.gpu_params.strategy
-            or self.params.strategy
+        # The strategy falls back to the gpu_params device override, then
+        # to params.strategy (in the driver).
+        super().__init__(
+            machine, params, telemetry, verify, strategy or self.gpu_params.strategy
         )
+        #: Construction engine: the argument, else ``gpu_params.backend``.
+        self.backend = backend or self.gpu_params.backend
+        resolve_backend(self.backend)  # fail fast on unknown names
 
     # -- device plumbing -----------------------------------------------------
 
@@ -395,8 +369,7 @@ class ParallelACOScheduler(TwoPassDriver):
             dynamic_alloc=not self.gpu_params.soa_layout,
         )
         rng = AntRngStreams(seed, policy.num_ants)
-        # In verify mode, sanitize the colony too; otherwise leave resolution
-        # to the colony itself (the REPRO_SANITIZE knob).
+        # In verify mode, sanitize the colony too.
         sanitizer = ColonySanitizer() if self.verify_enabled else None
         colony_cls = resolve_backend(self.backend)
         colony = colony_cls(

@@ -47,12 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import (
-    ColonySanitizer,
-    checked,
-    flat_offsets,
-    sanitize_enabled,
-)
+from ..analysis.sanitizer import ColonySanitizer, checked, flat_offsets
 from ..config import ACOParams
 from ..gpusim.kernel import KernelAccounting
 from ..ir.registers import RegisterClass
@@ -99,8 +94,6 @@ class VectorizedColony:
         self.params = params
         self.policy = policy
         self.accounting = accounting
-        if sanitizer is None and sanitize_enabled():
-            sanitizer = ColonySanitizer()
         self.sanitizer = sanitizer
 
         self.num_ants = policy.num_ants

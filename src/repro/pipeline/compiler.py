@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from ..analysis.ddg_lint import lint_ddg
-from ..analysis.sanitizer import verification_enabled
 from ..analysis.verifier import verify_schedule
 from ..config import FilterParams, ResilienceParams
 from ..aco.driver import PassResult
@@ -166,7 +165,7 @@ class CompilePipeline:
         compile_time_model: CompileTimeModel = DEFAULT_COMPILE_TIME,
         baseline: Optional[AMDMaxOccupancyScheduler] = None,
         telemetry: Optional[Telemetry] = None,
-        verify: Optional[bool] = None,
+        verify: bool = False,
         resilience: Optional[ResilienceParams] = None,
     ):
         self.machine = machine
@@ -178,30 +177,17 @@ class CompilePipeline:
         self.compile_time_model = compile_time_model
         self.baseline = baseline or AMDMaxOccupancyScheduler(machine)
         self._telemetry = telemetry
-        self._verify = verify
-        if resilience is not None:
-            resilience.validate()
-        self._resilience = resilience
+        #: Lint every DDG and recheck every shipped schedule.
+        self.verify_enabled = bool(verify)
+        #: Deadline/retry/chaos settings; the inert defaults leave the direct
+        #: scheduling path (and its bit-identical outputs) untouched.
+        self.resilience = resilience or ResilienceParams()
+        self.resilience.validate()
 
     @property
     def telemetry(self) -> Telemetry:
         """The injected telemetry, or the process-wide one (resolved late)."""
         return self._telemetry if self._telemetry is not None else get_telemetry()
-
-    @property
-    def verify_enabled(self) -> bool:
-        """Explicit ``verify`` argument, else ``REPRO_VERIFY`` (resolved late)."""
-        return self._verify if self._verify is not None else verification_enabled()
-
-    @property
-    def resilience(self) -> ResilienceParams:
-        """Explicit ``resilience`` argument, else the ``REPRO_DEADLINE`` /
-        ``REPRO_MAX_RETRIES`` / ``REPRO_CHAOS`` environment (resolved late,
-        like telemetry/verify). Inert defaults leave the direct scheduling
-        path — and its bit-identical outputs — untouched."""
-        if self._resilience is not None:
-            return self._resilience
-        return ResilienceParams.from_env()
 
     @property
     def scheduler_name(self) -> str:

@@ -122,7 +122,7 @@ def ladder_rungs(scheduler: AnyScheduler) -> Tuple[str, ...]:
 
 def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
     """An engine for ``rung`` configured like ``base`` (same machine,
-    parameters, device and telemetry/verify injection)."""
+    parameters, device, telemetry, verify and resolved strategy)."""
     if isinstance(base, ParallelACOScheduler):
         if rung == base.backend:
             return base
@@ -133,14 +133,16 @@ def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
                 gpu_params=base.gpu_params,
                 device=base.device,
                 telemetry=base._telemetry,
-                verify=base._verify,
+                verify=base.verify_enabled,
                 backend=rung,
+                strategy=base.strategy_name,
             )
         return SequentialACOScheduler(
             base.machine,
             params=base.params,
             telemetry=base._telemetry,
-            verify=base._verify,
+            verify=base.verify_enabled,
+            strategy=base.strategy_name,
         )
     return base  # sequential entry: its only engine rung is itself
 

@@ -7,12 +7,16 @@ import pytest
 
 from repro.aco import PheromoneTable
 from repro.analysis import CheckedArray, ColonySanitizer, checked
-from repro.analysis.sanitizer import sanitize_enabled, verification_enabled
 from repro.config import ACOParams, GPUParams
 from repro.ddg import DDG
 from repro.errors import SanitizerError
 from repro.gpusim import GPUDevice, KernelAccounting
-from repro.parallel import Colony, DivergencePolicy, RegionDeviceData
+from repro.parallel import (
+    Colony,
+    DivergencePolicy,
+    ParallelACOScheduler,
+    RegionDeviceData,
+)
 
 
 def _make_colony(ddg, machine, blocks=1, seed=0, sanitize=True, **gpu_overrides):
@@ -74,29 +78,35 @@ class TestCheckedArray:
             arr[0][-1]
 
 
+def _scheduler_colony(ddg, machine, **kw):
+    scheduler = ParallelACOScheduler(machine, gpu_params=GPUParams(blocks=1), **kw)
+    colony, _ = scheduler._make_colony(RegionDeviceData(ddg, machine), seed=0)
+    return scheduler, colony
+
+
 class TestEnvGating:
-    def test_defaults_off(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        monkeypatch.delenv("REPRO_VERIFY", raising=False)
-        assert not sanitize_enabled()
-        assert not verification_enabled()
+    """The colony sanitizes exactly when the scheduler's ``verify``
+    argument hands it a sanitizer; the process environment has no say."""
 
-    def test_sanitize_env(self, monkeypatch):
+    def test_defaults_off(self, fig1_ddg, vega):
+        scheduler, colony = _scheduler_colony(fig1_ddg, vega)
+        assert not scheduler.verify_enabled
+        assert colony.sanitizer is None
+
+    def test_sanitize_env(self, fig1_ddg, vega, monkeypatch):
+        # The retired REPRO_SANITIZE / REPRO_VERIFY switches are inert.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        monkeypatch.delenv("REPRO_VERIFY", raising=False)
-        assert sanitize_enabled()
-        assert not verification_enabled()
+        monkeypatch.setenv("REPRO_VERIFY", "1")
+        scheduler, colony = _scheduler_colony(fig1_ddg, vega)
+        assert not scheduler.verify_enabled
+        assert colony.sanitizer is None
+        plain, _, _ = _make_colony(fig1_ddg, vega, sanitize=False)
+        assert plain.sanitizer is None
 
-    def test_verify_implies_sanitize(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        monkeypatch.setenv("REPRO_VERIFY", "true")
-        assert verification_enabled()
-        assert sanitize_enabled()
-
-    def test_colony_auto_resolves_from_env(self, fig1_ddg, vega, monkeypatch):
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        colony, _, _ = _make_colony(fig1_ddg, vega, sanitize=False)
-        assert colony.sanitizer is not None
+    def test_verify_implies_sanitize(self, fig1_ddg, vega):
+        for backend in ("vectorized", "loop"):
+            _, colony = _scheduler_colony(fig1_ddg, vega, verify=True, backend=backend)
+            assert isinstance(colony.sanitizer, ColonySanitizer)
 
 
 class TestColonyCleanRuns:

@@ -273,9 +273,3 @@ class TestSchedulerVerifyFlag:
 
     def test_verify_defaults_off(self, tiny_machine):
         assert not SequentialACOScheduler(tiny_machine).verify_enabled
-
-    def test_env_var_enables(self, tiny_machine, monkeypatch):
-        monkeypatch.setenv("REPRO_VERIFY", "1")
-        assert SequentialACOScheduler(tiny_machine).verify_enabled
-        monkeypatch.setenv("REPRO_VERIFY", "0")
-        assert not SequentialACOScheduler(tiny_machine).verify_enabled

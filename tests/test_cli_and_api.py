@@ -1,5 +1,6 @@
 """Tests for the CLI and the public package surface."""
 
+import os
 import subprocess
 import sys
 
@@ -89,6 +90,82 @@ class TestCLI:
         assert result.returncode == 0
         assert "table1" in result.stdout
         assert "fig4" in result.stdout
+
+
+class TestRunConfiguration:
+    """Each configuration flag reaches the schedulers and the pipeline the
+    experiment context builds, and ``main()`` leaves the process
+    environment as it found it."""
+
+    @pytest.fixture
+    def probe(self, monkeypatch):
+        """Register a ``probe`` experiment that records what it was given."""
+        from repro.config import FilterParams
+        from repro.experiments import EXPERIMENTS, ExperimentTable
+
+        seen = {}
+
+        def run(context):
+            seen["parallel"] = context.parallel_scheduler()
+            seen["sequential"] = context.sequential_scheduler()
+            seen["pipeline"] = context._pipeline("parallel", FilterParams())
+            return ExperimentTable("probe", ("A",))
+
+        monkeypatch.setitem(EXPERIMENTS, "probe", run)
+        return seen
+
+    def _main(self, *flags):
+        from repro.cli import main
+
+        return main(["probe", "--scale", "test"] + list(flags))
+
+    def test_defaults(self, probe):
+        from repro.config import ResilienceParams
+
+        assert self._main() == 0
+        assert probe["parallel"].backend == "vectorized"
+        for scheduler in (probe["parallel"], probe["sequential"]):
+            assert scheduler.strategy_name == "as"
+            assert not scheduler.verify_enabled
+        assert not probe["pipeline"].verify_enabled
+        assert probe["pipeline"].resilience == ResilienceParams()
+
+    def test_backend(self, probe):
+        assert self._main("--backend", "loop") == 0
+        assert probe["parallel"].backend == "loop"
+        assert probe["pipeline"].scheduler.backend == "loop"
+
+    def test_strategy(self, probe):
+        assert self._main("--strategy", "mmas") == 0
+        for scheduler in (probe["parallel"], probe["sequential"]):
+            assert scheduler.strategy_name == "mmas"
+
+    def test_verify(self, probe):
+        assert self._main("--verify") == 0
+        for scheduler in (probe["parallel"], probe["sequential"]):
+            assert scheduler.verify_enabled
+        assert probe["pipeline"].verify_enabled
+        assert probe["pipeline"].scheduler.verify_enabled
+
+    def test_resilience(self, probe):
+        from repro.config import ResilienceParams
+
+        flags = ("--deadline", "0.5", "--max-retries", "5", "--chaos", "9", "--no-degrade")
+        assert self._main(*flags) == 0
+        assert probe["pipeline"].resilience == ResilienceParams(
+            deadline_seconds=0.5, max_retries=5, chaos_seed=9, degrade=False
+        )
+
+    def test_environment_unchanged(self, probe, monkeypatch):
+        for name in [n for n in os.environ if n.startswith("REPRO_")]:
+            monkeypatch.delenv(name)
+        before = dict(os.environ)
+        assert self._main(
+            "--backend", "loop", "--strategy", "mmas", "--verify",
+            "--deadline", "0.5", "--max-retries", "5", "--chaos", "9",
+            "--no-degrade",
+        ) == 0
+        assert dict(os.environ) == before
 
 
 class TestCSVExport:

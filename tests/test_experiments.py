@@ -3,7 +3,7 @@ thresholding) and a smoke test of every experiment at test scale."""
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, SCALES, ExperimentTable, get_context
+from repro.experiments import EXPERIMENTS, SCALES, ExperimentTable
 from repro.experiments.common import (
     ExperimentContext,
     threshold_pick,
@@ -42,17 +42,14 @@ class TestScales:
     def test_presets_exist(self):
         assert set(SCALES) == {"test", "default", "large"}
 
-    def test_default_scale_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCALE", "test")
-        context = get_context()
-        assert context.scale.name == "test"
-
-    def test_bad_env_scale(self, monkeypatch):
-        from repro.experiments.common import scale_from_env
+    def test_bad_env_scale(self, monkeypatch, capsys):
+        """The CLI scale comes from ``--scale`` alone: a stray
+        ``REPRO_SCALE`` is never read."""
+        from repro.cli import main
 
         monkeypatch.setenv("REPRO_SCALE", "bogus")
-        with pytest.raises(ValueError):
-            scale_from_env()
+        assert main(["not-an-experiment"]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
 
 
 class TestContext:

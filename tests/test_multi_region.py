@@ -121,13 +121,3 @@ class TestFleetDelegation:
         assert sharded.final_backends == single.final_backends
         for ra, rb in zip(single.results, sharded.results):
             assert ra.schedule == rb.schedule
-
-    def test_repro_shards_env_delegates(self, machine, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARDS", "2")
-        scheduler = MultiRegionScheduler(machine, gpu_params=GPUParams(blocks=6))
-        sharded = scheduler.schedule_batch(_items(3, size=25))
-        monkeypatch.delenv("REPRO_SHARDS")
-        single = scheduler.schedule_batch(_items(3, size=25))
-        assert sharded.seconds == single.seconds
-        for ra, rb in zip(single.results, sharded.results):
-            assert ra.schedule == rb.schedule

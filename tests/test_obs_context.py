@@ -24,12 +24,6 @@ def machine():
     return amd_vega20()
 
 
-@pytest.fixture(autouse=True)
-def _clean_resilience_env(monkeypatch):
-    for name in ("REPRO_DEADLINE", "REPRO_MAX_RETRIES", "REPRO_CHAOS", "REPRO_DEGRADE"):
-        monkeypatch.setenv(name, "")
-
-
 class TestTraceContext:
     def test_ids_are_deterministic(self):
         a = TraceContext.for_region("reduce_3", 40, 7)

@@ -137,10 +137,7 @@ class TestExportCLI:
 
 
 class TestWatchFlag:
-    def test_cli_watch_renders_dashboard(self, tmp_path, capsys, monkeypatch):
-        for name in ("REPRO_DEADLINE", "REPRO_MAX_RETRIES", "REPRO_CHAOS",
-                     "REPRO_DEGRADE"):
-            monkeypatch.setenv(name, "")
+    def test_cli_watch_renders_dashboard(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
         snap = str(tmp_path / "snap.json")

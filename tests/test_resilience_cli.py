@@ -2,25 +2,13 @@
 
 * exit 0 + a ``[resilience]`` warning summary on stderr when every region
   shipped (degraded compiles included);
-* exit 3 when any region was unrecoverable (``--no-degrade``).
+* exit 3 when any region was unrecoverable (``--no-degrade``);
+* exit 2 when a resilience flag is out of range, before anything compiles.
 """
 
 import pytest
 
 from repro.cli import main
-
-
-@pytest.fixture(autouse=True)
-def _sandbox_env(monkeypatch):
-    # main() writes the resilience knobs into os.environ; pre-seeding them
-    # via monkeypatch guarantees restoration after each test.
-    for name in ("REPRO_DEADLINE", "REPRO_MAX_RETRIES", "REPRO_CHAOS", "REPRO_DEGRADE"):
-        monkeypatch.setenv(name, "")
-    # Each real CLI invocation is a fresh process; drop the process-wide
-    # experiment-context cache so each test compiles under its own knobs.
-    from repro.experiments import common
-
-    monkeypatch.setattr(common, "_CONTEXTS", {})
 
 
 def test_clean_run_exits_zero_without_summary(capsys):
@@ -46,3 +34,20 @@ def test_no_degrade_chaos_run_exits_three(capsys):
 
 def test_unknown_experiment_still_exits_two():
     assert main(["not-an-experiment"]) == 2
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--deadline", "-1"],
+        ["--deadline", "0"],
+        ["--chaos", "42", "--max-retries", "-3"],
+    ],
+)
+def test_bad_resilience_value_exits_two(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table1", "--scale", "test"] + flags)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be" in err
+    assert "Traceback" not in err

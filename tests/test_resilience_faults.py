@@ -19,9 +19,9 @@ from repro.gpusim.faults import (
     FAULT_CLASSES,
     FaultPlan,
     FaultyDevice,
-    chaos_seed_from_env,
-    fault_plan_from_env,
 )
+from repro.machine import amd_vega20
+from repro.pipeline import CompilePipeline
 from repro.resilience.watchdog import DeadlineBudget
 
 
@@ -135,33 +135,20 @@ class TestExceptionTaxonomy:
 
 
 class TestEnvironment:
+    """Resilience settings arrive as arguments; the retired ``REPRO_CHAOS``
+    variable no longer arms (or breaks) the compile pipeline."""
+
     def test_chaos_seed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_CHAOS", raising=False)
-        assert chaos_seed_from_env() is None
-        assert fault_plan_from_env() is None
         monkeypatch.setenv("REPRO_CHAOS", "123")
-        assert chaos_seed_from_env() == 123
-        assert fault_plan_from_env().seed == 123
+        machine = amd_vega20()
+        assert CompilePipeline(machine).resilience == ResilienceParams()
+        armed = CompilePipeline(machine, resilience=ResilienceParams(chaos_seed=123))
+        assert armed.resilience.active
+        assert armed.resilience.chaos_seed == 123
 
     def test_bad_chaos_seed(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "banana")
-        with pytest.raises(ConfigError):
-            chaos_seed_from_env()
-
-    def test_resilience_params_from_env(self, monkeypatch):
-        for name in ("REPRO_DEADLINE", "REPRO_MAX_RETRIES", "REPRO_CHAOS", "REPRO_DEGRADE"):
-            monkeypatch.delenv(name, raising=False)
-        assert not ResilienceParams.from_env().active
-        monkeypatch.setenv("REPRO_DEADLINE", "0.5")
-        monkeypatch.setenv("REPRO_MAX_RETRIES", "5")
-        monkeypatch.setenv("REPRO_CHAOS", "9")
-        monkeypatch.setenv("REPRO_DEGRADE", "0")
-        params = ResilienceParams.from_env()
-        assert params.active
-        assert params.deadline_seconds == 0.5
-        assert params.max_retries == 5
-        assert params.chaos_seed == 9
-        assert not params.degrade
+        assert not CompilePipeline(amd_vega20()).resilience.active
 
     def test_active_rule(self):
         assert not ResilienceParams().active

@@ -12,6 +12,7 @@ from repro.parallel import BatchItem, MultiRegionScheduler, ParallelACOScheduler
 from repro.pipeline import CompilePipeline, FilterDecision
 from repro.resilience.ladder import (
     HEURISTIC_RUNG,
+    _scheduler_for_rung,
     ladder_rungs,
     schedule_with_resilience,
 )
@@ -30,12 +31,6 @@ def machine():
 @pytest.fixture(scope="module")
 def ddg():
     return DDG(make_region("stencil", 4, 14))
-
-
-@pytest.fixture(autouse=True)
-def _clean_resilience_env(monkeypatch):
-    for name in ("REPRO_DEADLINE", "REPRO_MAX_RETRIES", "REPRO_CHAOS", "REPRO_DEGRADE"):
-        monkeypatch.setenv(name, "")
 
 
 def parallel(machine, **kw):
@@ -62,6 +57,27 @@ class TestRungs:
         assert ladder_rungs(SequentialACOScheduler(machine)) == (
             "sequential", HEURISTIC_RUNG,
         )
+
+    @pytest.mark.parametrize(
+        "base_kw",
+        [
+            {"strategy": "mmas"},
+            {"strategy": "mmas", "backend": "loop"},
+            {"gpu_params": GPUParams(blocks=4, strategy="mmas")},
+        ],
+        ids=["argument", "loop-entry", "gpu-params"],
+    )
+    def test_degraded_rungs_keep_the_configuration(self, machine, base_kw):
+        """Every engine rung runs the base scheduler's resolved strategy
+        and verify flag: degrading a region to another engine must not
+        switch MMAS back to the Ant System."""
+        base = ParallelACOScheduler(machine, verify=True, **base_kw)
+        assert base.strategy_name == "mmas"
+        for rung in ladder_rungs(base)[:-1]:
+            engine = _scheduler_for_rung(base, rung)
+            assert engine.backend == rung
+            assert engine.strategy_name == "mmas", rung
+            assert engine.verify_enabled, rung
 
 
 class TestLadder:
