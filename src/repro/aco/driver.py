@@ -204,7 +204,7 @@ class PassEngine(ABC):
         """Close the pass (may raise a detected device fault)."""
 
     def publish(self, iterations: int) -> None:
-        """Export the pass's engine events and metrics (after ``pass_end``)."""
+        """Export the pass's engine events (after ``pass_end``)."""
 
 
 @dataclass
@@ -328,7 +328,7 @@ class TwoPassDriver(ABC):
     def _trip_deadline(
         tele: Telemetry, region_name: str, pass_index: int, budget: DeadlineBudget
     ) -> None:
-        """Record a soft-deadline stop (event + metric + process-wide log)."""
+        """Record a soft-deadline stop (event + process-wide log)."""
         get_resilience_log().deadline_trips += 1
         tele.emit(
             "deadline",
@@ -337,8 +337,6 @@ class TwoPassDriver(ABC):
             deadline_seconds=budget.deadline,
             spent_seconds=budget.spent,
         )
-        if tele.collect_metrics:
-            tele.metrics.counter("resilience.deadline_trips").inc()
 
     def _capture_checkpoint(
         self,

@@ -134,19 +134,6 @@ class _SequentialPass(PassEngine):
         self.prof.pop()
         return PassCost(seconds=self.ledger.total, stats=self.stats)
 
-    def publish(self, iterations: int) -> None:
-        """Export the pass's construction-operation counts as seq.* metrics."""
-        tele = self.scheduler.telemetry
-        if not tele.collect_metrics:
-            return
-        stats = self.stats
-        m = tele.metrics
-        m.counter("seq.steps").inc(stats.steps)
-        m.counter("seq.ready_scans").inc(stats.ready_scans)
-        m.counter("seq.successor_ops").inc(stats.successor_ops)
-        m.counter("seq.stalls").inc(stats.stalls)
-        m.counter("seq.optional_stalls").inc(stats.optional_stalls)
-
 
 class SequentialACOScheduler(TwoPassDriver):
     """Two-pass ACO scheduling on the CPU.

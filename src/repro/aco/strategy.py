@@ -188,7 +188,7 @@ def make_strategy(
 def publish_reinit(
     telemetry, region: str, pass_index: int, iteration: int, tau_max: float
 ) -> None:
-    """Emit the ``reinit`` event + ``aco.reinits`` counter for one restart.
+    """Emit the ``reinit`` event for one restart.
 
     Shared by both schedulers so the observability stack sees one shape.
     """
@@ -199,8 +199,6 @@ def publish_reinit(
         iteration=int(iteration),
         tau_max=float(tau_max),
     )
-    if telemetry.collect_metrics:
-        telemetry.metrics.counter("aco.reinits").inc()
 
 
 __all__ = [

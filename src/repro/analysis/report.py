@@ -70,7 +70,7 @@ class VerificationReport:
         return self
 
     def publish(self, telemetry, region: str) -> "VerificationReport":
-        """Export this report as a ``verify`` trace event + verify.* metrics.
+        """Export this report as a ``verify`` trace event.
 
         ``telemetry`` is duck-typed (:class:`repro.telemetry.Telemetry`) so
         this module needs no telemetry import.
@@ -81,10 +81,6 @@ class VerificationReport:
             checks=self.checks,
             violations=len(self.violations),
         )
-        if telemetry.collect_metrics:
-            metrics = telemetry.metrics
-            metrics.counter("verify.checks").inc(self.checks)
-            metrics.counter("verify.violations").inc(len(self.violations))
         return self
 
     def raise_if_failed(self) -> None:

@@ -1,9 +1,10 @@
 """``python -m repro.bench`` — the continuous-benchmark runner.
 
 Runs the registered benches at one experiment scale under a live span
-profiler and metric-collecting telemetry, writes ``BENCH_<name>.json``
-files, and (with ``--baseline``) gates against a committed baseline
-directory: exit 0 when clean, 1 on regression, 2 on usage error.
+profiler and a telemetry sink that keeps the simulated kernel launches,
+writes ``BENCH_<name>.json`` files, and (with ``--baseline``) gates
+against a committed baseline directory: exit 0 when clean, 1 on
+regression, 2 on usage error.
 
 Typical CI invocation::
 
@@ -22,14 +23,14 @@ from ..config import record_settings
 from ..errors import BenchError, ReproError
 from ..experiments.common import SCALES, ExperimentContext
 from ..profile import SpanProfiler, profile_session
-from ..telemetry import Telemetry, telemetry_session
+from ..telemetry import Telemetry, TeeSink, telemetry_session
 from .compare import (
     DEFAULT_THRESHOLD_PCT,
     compare_payloads,
     load_bench_dir,
     render_deltas,
 )
-from .core import BENCHES, run_benches, write_bench
+from .core import BENCHES, LaunchSink, run_benches, write_bench
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,13 +96,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     # hook contract as REPRO_TRACE/REPRO_PROFILE (env-only, no new flag).
     record_path, record_draws = record_settings()
     recorder = None
+    launches = LaunchSink()
     if record_path:
         from ..obs.record import RunRecorder, recording_scope
 
         recorder = RunRecorder(draws=record_draws)
-        telemetry = Telemetry(sink=recorder.sink, collect_metrics=True)
+        telemetry = Telemetry(sink=TeeSink(recorder.sink, launches))
     else:
-        telemetry = Telemetry(collect_metrics=True)
+        telemetry = Telemetry(sink=launches)
     try:
         with ExitStack() as stack:
             stack.enter_context(telemetry_session(telemetry))

@@ -22,10 +22,10 @@ percentages) and ``info`` is recorded but never gated (counts, coverage).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from contextlib import ExitStack
 from typing import Callable, Dict, List, Optional
 
 from ..config import geometric_mean
@@ -35,8 +35,8 @@ from ..experiments.common import (
     thresholded_compile_seconds,
 )
 from ..pipeline.stats import improvement_statistics
-from ..profile import attribution, get_profiler
-from ..telemetry import get_telemetry
+from ..profile import NullProfiler, attribution, get_profiler, profile_session
+from ..telemetry import MemorySink, Telemetry, telemetry_session
 from .fingerprint import environment_fingerprint
 
 #: Version of the BENCH_*.json layout.
@@ -51,6 +51,30 @@ def metric(value: float, unit: str, direction: str = "info") -> Dict[str, object
     if direction not in ("lower", "higher", "info"):
         raise BenchError("bad metric direction %r" % direction)
     return {"value": float(value), "unit": unit, "direction": direction}
+
+
+def isolated(bench):
+    """Run a bench that builds its own workload apart from the run-wide state.
+
+    :func:`bench_profile` reconciles the run-wide span profile and kernel
+    launches against the context's compile runs, so nothing else may add
+    to them. The bench gets an inert profiler, inert process-wide
+    telemetry, and a fresh context of the same configuration whose
+    schedulers and pipelines follow that telemetry.
+    """
+
+    @functools.wraps(bench)
+    def run(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
+        own = ExperimentContext(
+            context.scale,
+            machine=context.machine,
+            verify=context.verify,
+            resilience=context.resilience,
+        )
+        with profile_session(NullProfiler()), telemetry_session(Telemetry()):
+            return bench(own)
+
+    return run
 
 
 # -- bench extractors ----------------------------------------------------------
@@ -202,6 +226,7 @@ def _construct_stats(context: ExperimentContext, backend: str):
     return construct, iterations, orders
 
 
+@isolated
 def bench_backend(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     """Backend duel: vectorized vs. loop ant construction on Table-2-scale
     regions — same decisions, different simulated kernels.
@@ -235,6 +260,7 @@ def bench_backend(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     }
 
 
+@isolated
 def bench_resilience(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     """Resilience: chaos-sweep recovery rate and retry overhead.
 
@@ -274,6 +300,7 @@ def bench_resilience(context: ExperimentContext) -> Dict[str, Dict[str, object]]
     }
 
 
+@isolated
 def bench_obs(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     """Observability: aggregation overhead and trace-context coverage.
 
@@ -282,19 +309,14 @@ def bench_obs(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     modeled seconds — the aggregator has no wall clock) and what it
     *covered* (every region one trace, every event stamped). The gate is
     the overhead ratio: aggregation must stay well under the telemetry
-    emit cost it piggybacks on (<5% is the design target).
-
-    Runs under an inert profiler on a fresh pipeline: the bench must not
-    charge spans into the run-wide profiler that ``bench_profile``
-    reconciles, nor disturb the context's cached runs.
+    emit cost it piggybacks on (<5% is the design target). The pipeline
+    reports to the aggregator; its scheduler follows the inert telemetry.
     """
     from ..obs.aggregate import AggregatingSink, MetricsAggregator
     from ..pipeline.compiler import CompilePipeline
-    from ..profile import NullProfiler, profile_session
-    from ..telemetry import Telemetry
 
     aggregator = MetricsAggregator()
-    telemetry = Telemetry(sink=AggregatingSink(aggregator), collect_metrics=False)
+    telemetry = Telemetry(sink=AggregatingSink(aggregator))
     pipeline = CompilePipeline(
         context.machine,
         scheduler=context.parallel_scheduler(),
@@ -302,8 +324,7 @@ def bench_obs(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
         baseline=context.baseline_scheduler(),
         telemetry=telemetry,
     )
-    with profile_session(NullProfiler()):
-        pipeline.compile_suite(context.suite)
+    pipeline.compile_suite(context.suite)
 
     snapshot_bytes = len(aggregator.snapshot_json().encode("utf-8"))
     updates_per_event = (
@@ -334,6 +355,7 @@ _SCENARIO_REGIONS = (
 )
 
 
+@isolated
 def bench_scenarios(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     """Scenario diversity: hostile-workload families under AS and MMAS.
 
@@ -383,6 +405,7 @@ def bench_scenarios(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     return out
 
 
+@isolated
 def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     """Fleet sharding: scaling efficiency, chaos recovery, bit-identity.
 
@@ -393,10 +416,6 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     makespan at the same shard count). ``identical_to_single_device`` is
     the headline gate: every fleet merge — fault-free or chaotic — must
     be bit-identical to the single-device run.
-
-    Isolated under an inert profiler and a private telemetry session so
-    the fleet runs don't perturb the cumulative counters ``bench_profile``
-    reconciles.
     """
     from ..config import FleetParams
     from ..fleet import FleetSupervisor
@@ -408,41 +427,35 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
         fleet_scheduler,
     )
     from ..resilience.chaos import chaos_sweep
-    from ..profile import NullProfiler, profile_session
-    from ..telemetry import Telemetry, telemetry_session
 
     machine = context.machine
     out: Dict[str, Dict[str, object]] = {}
-    with ExitStack() as stack:
-        stack.enter_context(profile_session(NullProfiler()))
-        stack.enter_context(telemetry_session(Telemetry(collect_metrics=False)))
+    items = fleet_items(machine)
+    single = fleet_scheduler(machine).schedule_batch(items)
+    out["regions"] = metric(len(items), "regions")
+    out["single_device_seconds"] = metric(single.seconds, "s", "lower")
 
-        items = fleet_items(machine)
-        single = fleet_scheduler(machine).schedule_batch(items)
-        out["regions"] = metric(len(items), "regions")
-        out["single_device_seconds"] = metric(single.seconds, "s", "lower")
-
-        identical = True
-        faultfree_makespans: Dict[int, float] = {}
-        for num_shards in DEFAULT_SHARDS:
-            fleet = FleetSupervisor(
-                fleet_scheduler(machine), FleetParams(num_shards=num_shards)
-            ).schedule_batch(items)
-            identical = identical and batches_identical(single, fleet.batch)
-            faultfree_makespans[num_shards] = fleet.fleet_seconds
-            out["shards%d_makespan_seconds" % num_shards] = metric(
-                fleet.fleet_seconds, "s", "lower"
-            )
-            out["shards%d_scaling_efficiency" % num_shards] = metric(
-                fleet.scaling_efficiency, "ratio", "higher"
-            )
-
-        sweep = chaos_sweep(FLEET, seeds=(11, 23), machine=machine)
-        identical = identical and sweep.all_ok
-        overhead = sum(
-            max(0.0, t.fleet_seconds - faultfree_makespans[t.num_shards])
-            for t in sweep.trials
+    identical = True
+    faultfree_makespans: Dict[int, float] = {}
+    for num_shards in DEFAULT_SHARDS:
+        fleet = FleetSupervisor(
+            fleet_scheduler(machine), FleetParams(num_shards=num_shards)
+        ).schedule_batch(items)
+        identical = identical and batches_identical(single, fleet.batch)
+        faultfree_makespans[num_shards] = fleet.fleet_seconds
+        out["shards%d_makespan_seconds" % num_shards] = metric(
+            fleet.fleet_seconds, "s", "lower"
         )
+        out["shards%d_scaling_efficiency" % num_shards] = metric(
+            fleet.scaling_efficiency, "ratio", "higher"
+        )
+
+    sweep = chaos_sweep(FLEET, seeds=(11, 23), machine=machine)
+    identical = identical and sweep.all_ok
+    overhead = sum(
+        max(0.0, t.fleet_seconds - faultfree_makespans[t.num_shards])
+        for t in sweep.trials
+    )
     out["chaos_trials"] = metric(len(sweep.trials), "runs")
     out["worker_faults_injected"] = metric(
         sum(sweep.faults_by_class.values()), "faults"
@@ -458,42 +471,71 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     return out
 
 
+class LaunchSink(MemorySink):
+    """Keeps only the ``kernel_launch`` records (a few dozen per test-scale
+    run): the simulated-device totals :func:`bench_profile` folds."""
+
+    def write(self, record: Dict) -> None:
+        if record["event"] == "kernel_launch":
+            self.records.append(record)
+
+
+def _launch_records(context: ExperimentContext) -> List[Dict]:
+    """The launches a :class:`LaunchSink` on the context's telemetry kept."""
+    sink = context.telemetry.sink
+    for candidate in getattr(sink, "sinks", (sink,)):
+        if isinstance(candidate, LaunchSink):
+            return candidate.records
+    return []
+
+
 def bench_profile(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     """Profiler self-check plus kernel cost attribution rollups.
 
-    Runs last: it reads the span profiler and telemetry metrics the runner
-    installed before the other benches populated the context, and reconciles
-    the profiled seconds against the compile runs that actually executed.
+    Runs last: it reads the span profiler and the kernel launches the
+    runner recorded before the other benches populated the context, and
+    reconciles the profiled seconds against the compile runs that actually
+    executed.
     """
     prof = get_profiler()
+    runs = context.computed_runs().values()
     out: Dict[str, Dict[str, object]] = {}
     if prof.enabled:
         att = attribution(prof.root)
-        run_seconds = sum(
-            run.total_seconds for run in context.computed_runs().values()
-        )
+        run_seconds = sum(run.total_seconds for run in runs)
         out["profiled_total_seconds"] = metric(att.total_seconds, "s")
         out["leaf_attribution_fraction"] = metric(att.fraction, "ratio", "higher")
         if run_seconds > 0:
             out["profile_coverage_fraction"] = metric(
                 att.total_seconds / run_seconds, "ratio", "higher"
             )
-    tele = get_telemetry()
-    if tele.collect_metrics:
-        for name in (
-            "gpusim.launches",
-            "gpusim.kernel_us",
-            "gpusim.transfer_us",
-            "gpusim.launch_us",
-            "gpusim.compute_cycles",
-            "gpusim.memory_cycles",
-            "gpusim.uniform_cycles",
-            "seq.steps",
-            "seq.ready_scans",
-        ):
-            m = tele.metrics.get(name)
-            if m is not None:
-                out[name.replace(".", "_")] = metric(m.value, "count")
+    launches = _launch_records(context)
+    if launches:
+        totals = dict.fromkeys(
+            ("kernel_us", "transfer_us", "launch_us", "compute_cycles",
+             "memory_cycles", "uniform_cycles"),
+            0.0,
+        )
+        for record in launches:
+            totals["kernel_us"] += record["kernel_seconds"] * 1e6
+            totals["transfer_us"] += record["transfer_seconds"] * 1e6
+            totals["launch_us"] += record["launch_seconds"] * 1e6
+            for name in ("compute_cycles", "memory_cycles", "uniform_cycles"):
+                totals[name] += record[name]
+        out["gpusim_launches"] = metric(len(launches), "count")
+        for name, value in totals.items():
+            out["gpusim_" + name] = metric(value, "count")
+    # The CPU engine's construction counts (the GPU engine reports none).
+    steps = ready_scans = 0
+    for run in runs:
+        for _kernel, outcome in run.all_regions():
+            for result in (outcome.pass1, outcome.pass2):
+                if result is not None:
+                    steps += result.stats.steps
+                    ready_scans += result.stats.ready_scans
+    if steps:
+        out["seq_steps"] = metric(steps, "count")
+        out["seq_ready_scans"] = metric(ready_scans, "count")
     return out
 
 

@@ -13,7 +13,8 @@ travels through the process environment.
 Observability: ``--trace PATH`` streams every telemetry event (regions,
 ACO iterations, simulated kernel launches — the schema of
 :mod:`repro.telemetry.schema`) to a JSONL file and prints its profile;
-``--metrics`` collects and prints the metrics registry; ``--profile``
+``--metrics`` prints the counters, gauges and histogram quantiles folded
+from the run's event stream (see :mod:`repro.obs.aggregate`); ``--profile``
 renders the hierarchical span profile of the run's simulated time and
 ``--profile-stacks PATH`` writes it in collapsed-stack format for
 flamegraph/speedscope tooling (see :mod:`repro.profile`). The
@@ -66,6 +67,7 @@ def main(argv: List[str] = None) -> int:
     from .config import ResilienceParams, record_settings, replace_params
     from .errors import ConfigError
     from .experiments import EXPERIMENTS, SCALES, ExperimentContext
+    from .obs.slo import DEFAULT_SLO_TARGET, slo_target_arg
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -102,8 +104,8 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--metrics",
         action="store_true",
-        help="collect telemetry metrics during the run and print them at "
-        "the end",
+        help="fold the run's event stream into counters, gauges and "
+        "histograms (see repro.obs.aggregate) and print them at the end",
     )
     parser.add_argument(
         "--record",
@@ -216,10 +218,10 @@ def main(argv: List[str] = None) -> int:
     parser.add_argument(
         "--slo-target",
         metavar="FRACTION",
-        type=float,
-        default=None,
+        type=slo_target_arg,
+        default=DEFAULT_SLO_TARGET,
         help="region-success SLO target for the dashboard/exports "
-        "(default 0.99; a region violates by tripping its deadline or "
+        "(default %(default)s; a region violates by tripping its deadline or "
         "shipping degraded/unrecoverable)",
     )
     args = parser.parse_args(argv)
@@ -264,7 +266,8 @@ def main(argv: List[str] = None) -> int:
     from contextlib import ExitStack
 
     obs_requested = bool(
-        args.watch or args.openmetrics or args.obs_snapshot or args.perfetto
+        args.metrics or args.watch or args.openmetrics or args.obs_snapshot
+        or args.perfetto
     )
     record_path, record_draws = record_settings(args.record)
     stack = ExitStack()
@@ -277,7 +280,7 @@ def main(argv: List[str] = None) -> int:
 
         recorder = RunRecorder(draws=record_draws)
         stack.enter_context(recording_scope(recorder))
-    if args.trace or args.metrics or obs_requested or recorder is not None:
+    if args.trace or obs_requested or recorder is not None:
         from .telemetry import (
             JSONLSink,
             MemorySink,
@@ -290,14 +293,9 @@ def main(argv: List[str] = None) -> int:
         if args.trace:
             sinks.append(JSONLSink(args.trace))
         if obs_requested:
-            from .obs import DEFAULT_SLO_TARGET, AggregatingSink, MetricsAggregator
+            from .obs import AggregatingSink, MetricsAggregator
 
-            aggregator = MetricsAggregator(
-                slo_target=(
-                    args.slo_target if args.slo_target is not None
-                    else DEFAULT_SLO_TARGET
-                )
-            )
+            aggregator = MetricsAggregator(slo_target=args.slo_target)
             sinks.append(AggregatingSink(aggregator))
             if args.perfetto:
                 perfetto_sink = MemorySink()
@@ -309,7 +307,7 @@ def main(argv: List[str] = None) -> int:
             sink = sinks[0]
         elif sinks:
             sink = TeeSink(*sinks)
-        telemetry = Telemetry(sink=sink, collect_metrics=args.metrics or None)
+        telemetry = Telemetry(sink=sink)
         stack.enter_context(telemetry_session(telemetry))
 
     profiler = None
@@ -337,16 +335,16 @@ def main(argv: List[str] = None) -> int:
                     print("[wrote %s]" % path)
             print("[%s finished in %.1fs]\n" % (name, time.time() - started))
 
-    if telemetry is not None and args.metrics:
-        from .telemetry.report import render_metrics
-
-        print(render_metrics(telemetry.metrics))
     if args.trace:
         from .telemetry.report import summarize_trace
 
         print("[trace written to %s]" % args.trace)
         print(summarize_trace(args.trace))
     if aggregator is not None:
+        if args.metrics:
+            from .obs import render_metrics
+
+            print(render_metrics(aggregator))
         if args.watch:
             from .obs import render_dashboard
 

@@ -28,9 +28,9 @@ class KernelAccounting:
     time, the accounting keeps a public per-*category* breakdown —
     ``compute_cycles``, ``memory_cycles``, ``alloc_cycles`` and
     ``uniform_cycles``, each summed across all wavefronts — which the
-    telemetry layer exports (``kernel_launch`` events and the ``gpusim.*``
-    metrics) so profiles can attribute simulated time to ALU work,
-    memory traffic, dynamic allocation and synchronization.
+    telemetry layer exports on ``kernel_launch`` events so profiles can
+    attribute simulated time to ALU work, memory traffic, dynamic
+    allocation and synchronization.
     """
 
     def __init__(self, device: GPUDevice, num_wavefronts: int, coalesced: bool,

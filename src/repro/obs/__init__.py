@@ -14,8 +14,8 @@ event bus. Four pieces:
   byte-stable snapshots (p50/p95/p99 region latency, kernel seconds by
   pass/backend, fault/retry/degrade rates, deadline-budget consumption).
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text (plus an offline
-  format linter), JSON snapshots, and a Perfetto/Chrome trace-event
-  export of the simulated timeline.
+  format linter), JSON snapshots, the ``--metrics`` text table, and a
+  Perfetto/Chrome trace-event export of the simulated timeline.
 * :mod:`repro.obs.dashboard` — the terminal dashboard (``--watch`` on
   runs, or ``python -m repro.obs.dashboard TRACE.jsonl``) with the
   deadline-SLO/error-budget panel (:mod:`repro.obs.slo`).
@@ -46,6 +46,7 @@ _LAZY = {
     "lint_openmetrics": "export",
     "to_openmetrics": "export",
     "to_perfetto": "export",
+    "render_metrics": "export",
     "to_snapshot_json": "export",
     "write_perfetto": "export",
     "render_dashboard": "dashboard",
@@ -77,6 +78,7 @@ __all__ = [
     "to_snapshot_json",
     "to_perfetto",
     "write_perfetto",
+    "render_metrics",
     "lint_openmetrics",
     "render_dashboard",
 ]

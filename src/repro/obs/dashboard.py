@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .aggregate import MetricsAggregator
-from .slo import DEFAULT_SLO_TARGET
+from .slo import DEFAULT_SLO_TARGET, slo_target_arg
 
 _WIDTH = 66
 _BAR = 24
@@ -209,7 +209,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument("trace", help="path to a JSONL telemetry trace")
     parser.add_argument(
-        "--slo-target", type=float, default=DEFAULT_SLO_TARGET,
+        "--slo-target", type=slo_target_arg, default=DEFAULT_SLO_TARGET,
         help="deadline-SLO target fraction (default %(default)s)",
     )
     parser.add_argument(

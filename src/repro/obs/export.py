@@ -1,6 +1,6 @@
 """Exporters: OpenMetrics text, JSON snapshots, and Perfetto traces.
 
-Three consumers, three formats, one deterministic source (the
+Several consumers, one deterministic source (the
 :class:`~repro.obs.aggregate.MetricsAggregator` and the raw event
 records):
 
@@ -11,6 +11,8 @@ records):
 * :meth:`~repro.obs.aggregate.MetricsAggregator.snapshot_json` — the
   byte-stable JSON snapshot the golden diff gates (re-exported here as
   :func:`to_snapshot_json` for symmetry).
+* :func:`render_metrics` — an aligned text table of the same counters,
+  gauges and histogram quantiles (the CLI's ``--metrics``).
 * :func:`to_perfetto` — a Chrome trace-event JSON (open in Perfetto or
   ``chrome://tracing``) laying each trace's region out on a simulated
   timeline: passes as duration slices, faults as slices of the seconds
@@ -31,6 +33,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .aggregate import REPORTED_QUANTILES, MetricsAggregator
+from .slo import DEFAULT_SLO_TARGET, slo_target_arg
 
 #: Prefix of every exported metric family.
 METRIC_PREFIX = "repro"
@@ -180,6 +183,35 @@ def to_openmetrics(aggregator: MetricsAggregator) -> str:
 def to_snapshot_json(aggregator: MetricsAggregator) -> str:
     """The byte-stable JSON snapshot (sorted keys, trailing newline)."""
     return aggregator.snapshot_json()
+
+
+def render_metrics(aggregator: MetricsAggregator) -> str:
+    """An aligned text table of the aggregated metrics (the CLI's ``--metrics``).
+
+    One line per counter and gauge, and per histogram its count, sum and
+    reported quantiles, sorted by metric name.
+    """
+    rows = [
+        (name, "counter", "%.6g" % value)
+        for name, value in aggregator.counters.items()
+    ]
+    rows += [
+        (name, "gauge", "%.6g" % value) for name, value in aggregator.gauges.items()
+    ]
+    for name, hist in aggregator.histograms.items():
+        quantiles = " ".join(
+            "%s=%.6g" % (label, hist.quantile(q)) for label, q in REPORTED_QUANTILES
+        )
+        rows.append(
+            (name, "histogram", "count=%d sum=%.6g %s" % (hist.count, hist.sum, quantiles))
+        )
+    if not rows:
+        return "(no metrics collected)\n"
+    width = max(len(name) for name, _kind, _value in rows)
+    return "".join(
+        "%s  %-9s  %s\n" % (name.ljust(width), kind, value)
+        for name, kind, value in sorted(rows)
+    )
 
 
 # -- format linting ------------------------------------------------------------
@@ -469,8 +501,8 @@ def main(argv=None) -> int:
     parser.add_argument("--snapshot", metavar="PATH", default=None)
     parser.add_argument("--perfetto", metavar="PATH", default=None)
     parser.add_argument(
-        "--slo-target", type=float, default=None,
-        help="SLO target fraction (default 0.99)",
+        "--slo-target", type=slo_target_arg, default=DEFAULT_SLO_TARGET,
+        help="SLO target fraction (default %(default)s)",
     )
     args = parser.parse_args(argv)
 
@@ -493,11 +525,9 @@ def main(argv=None) -> int:
     if not args.source:
         parser.error("a trace source (or --lint) is required")
     from .aggregate import aggregate_trace
-    from .slo import DEFAULT_SLO_TARGET
 
-    target = args.slo_target if args.slo_target is not None else DEFAULT_SLO_TARGET
     try:
-        aggregator, skipped = aggregate_trace(args.source, slo_target=target)
+        aggregator, skipped = aggregate_trace(args.source, slo_target=args.slo_target)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -21,11 +21,29 @@ a report is deterministic and byte-stable like the snapshot it lives in:
 
 from __future__ import annotations
 
+import argparse
 from dataclasses import dataclass
 from typing import Dict
 
 #: Default objective: 99% of regions meet their deadline un-degraded.
 DEFAULT_SLO_TARGET = 0.99
+
+
+def slo_target_arg(text: str) -> float:
+    """argparse ``type=`` for ``--slo-target``: a fraction in (0, 1].
+
+    A bad value is a usage error (exit 2), not a traceback from the
+    aggregator after the run.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(
+            "SLO target must be a fraction in (0, 1], got %r" % text
+        )
+    return value
 
 
 @dataclass(frozen=True)

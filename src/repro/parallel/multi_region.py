@@ -326,8 +326,6 @@ class MultiRegionScheduler:
                 seconds=exc.seconds,
                 backend=scheduler.backend,
             )
-            if tele.collect_metrics:
-                tele.metrics.counter("resilience.faults." + exc.fault_class).inc()
             return SlotOutcome(
                 result=None,
                 error="%s: %s" % (exc.fault_class, exc),
@@ -489,7 +487,7 @@ class MultiRegionScheduler:
         return batch
 
     def _publish_batch(self, tele: Telemetry, batch: BatchResult) -> None:
-        """Export one batch outcome (batch_end event + batch.* metrics)."""
+        """Export one batch outcome as a ``batch_end`` event."""
         if not tele.active:
             return
         tele.emit(
@@ -500,10 +498,3 @@ class MultiRegionScheduler:
             amortization_speedup=batch.amortization_speedup,
             failed_regions=batch.failed_regions,
         )
-        if tele.collect_metrics:
-            m = tele.metrics
-            m.counter("batch.launches").inc()
-            m.counter("batch.regions").inc(len(batch.results))
-            m.counter("batch.batched_us").inc(batch.seconds * 1e6)
-            m.counter("batch.unbatched_us").inc(batch.unbatched_seconds * 1e6)
-            m.gauge("batch.amortization_speedup").set(batch.amortization_speedup)

@@ -43,7 +43,7 @@ from ..machine.model import MachineModel
 from ..obs.record import get_recorder
 from ..profile import get_profiler
 from ..resilience.checkpoint import RegionCheckpoint
-from ..telemetry import OCCUPANCY_PCT_BUCKETS, Telemetry
+from ..telemetry import Telemetry
 from .colony import Colony, resolve_backend
 from .divergence import DivergencePolicy
 from .layouts import RegionDeviceData
@@ -228,8 +228,8 @@ class _DevicePass(PassEngine):
                 prof.charge_leaf("uniform", attributed["uniform"], "kernel")
 
     def publish(self, iterations: int) -> None:
-        """Export the launch: kernel/transfer events + gpusim.* and
-        parallel.* metrics (divergence, dead ants, ready-list bound)."""
+        """Export the launch as ``kernel_launch`` and ``transfer`` events
+        (cost split, divergence, dead ants, ready-list bound)."""
         tele = self.scheduler.telemetry
         if not tele.active:
             return
@@ -278,26 +278,6 @@ class _DevicePass(PassEngine):
             calls=self.transfer.array_count,
             seconds=transfer_seconds,
         )
-        if tele.collect_metrics:
-            m = tele.metrics
-            m.counter("gpusim.launches").inc()
-            m.counter("gpusim.kernel_us").inc(kernel_seconds * 1e6)
-            m.counter("gpusim.transfer_us").inc(transfer_seconds * 1e6)
-            m.counter("gpusim.launch_us").inc(launch_seconds * 1e6)
-            m.counter("gpusim.transfer_bytes").inc(self.transfer.total_bytes)
-            for name, value in totals.items():
-                m.counter("gpusim." + name).inc(value)
-            m.counter("parallel.constructions").inc(colony.constructions_total)
-            m.counter("parallel.dead_ants").inc(colony.dead_ants_total)
-            m.counter("parallel.serialized_selection_waves").inc(
-                colony.serialized_selection_waves
-            )
-            m.counter("parallel.serialized_stall_waves").inc(
-                colony.serialized_stall_waves
-            )
-            m.histogram(
-                "parallel.ready_occupancy_pct", OCCUPANCY_PCT_BUCKETS
-            ).observe(100.0 * colony.ready_peak / data.ready_capacity)
 
 
 class ParallelACOScheduler(TwoPassDriver):

@@ -133,9 +133,9 @@ class VectorizedColony:
         self.stall_allowed_ant = np.repeat(self.stall_wavefronts, self.wavefront_size)
 
         # Launch-lifetime observability counters, exported through the
-        # telemetry layer by the scheduler (kernel_launch events and the
-        # parallel.* metrics). Pure observation: nothing here feeds back
-        # into selection, accounting or the RNG stream.
+        # telemetry layer by the scheduler (kernel_launch events). Pure
+        # observation: nothing here feeds back into selection, accounting
+        # or the RNG stream.
         self.serialized_selection_waves = 0
         self.serialized_stall_waves = 0
         self.ready_peak = 0

@@ -250,7 +250,7 @@ class CompilePipeline:
         report.raise_if_failed()
 
     def _publish_region(self, tele: Telemetry, outcome: RegionOutcome) -> None:
-        """Export one region's outcome (region_end event + pipeline.* metrics)."""
+        """Export one region's outcome as a ``region_end`` event."""
         decision = outcome.decision.name.lower()
         tele.emit(
             "region_end",
@@ -264,14 +264,6 @@ class CompilePipeline:
             final_occupancy=outcome.final.occupancy,
             scheduling_seconds=outcome.scheduling_seconds,
         )
-        if tele.collect_metrics:
-            m = tele.metrics
-            m.counter("pipeline.regions").inc()
-            m.counter("pipeline.decision." + decision).inc()
-            m.counter("pipeline.scheduling_us").inc(outcome.scheduling_seconds * 1e6)
-            if outcome.aco_invoked:
-                m.counter("pipeline.aco_invocations").inc()
-                m.counter("pipeline.aco_us").inc(outcome.aco_seconds * 1e6)
 
     def _compile_region(self, ddg: DDG, seed: int) -> RegionOutcome:
         region = ddg.region
@@ -402,8 +394,4 @@ class CompilePipeline:
                 scheduling_seconds=run.scheduling_seconds,
                 base_seconds=run.base_seconds,
             )
-            if tele.collect_metrics:
-                from .stats import publish_run_metrics
-
-                publish_run_metrics(run, tele)
         return run

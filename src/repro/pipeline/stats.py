@@ -6,10 +6,6 @@
 * :func:`improvement_statistics` — the Table 2 rows: overall and maximum
   occupancy increase (kernel level) and schedule-length reduction (region
   level) of an ACO build relative to the baseline build.
-* :func:`publish_run_metrics` — the same rollups pushed into a telemetry
-  metrics registry under ``suite.<scheduler>.*`` (called by
-  :meth:`repro.pipeline.compiler.CompilePipeline.compile_suite` when metric
-  collection is on).
 """
 
 from __future__ import annotations
@@ -120,30 +116,3 @@ def improvement_statistics(aco_run: CompileRun) -> ImprovementStatistics:
         ),
         max_length_reduction_pct=max_len_reduction,
     )
-
-
-def publish_run_metrics(run: CompileRun, telemetry) -> None:
-    """Push one compile run's suite-level rollups into the metrics registry.
-
-    Gauges live under ``suite.<scheduler>.*`` so runs of different
-    scheduler configurations within one process (the experiment context
-    compiles the suite under several) stay distinguishable.
-    """
-    stats = suite_statistics(run, num_benchmarks=0)
-    m = telemetry.metrics
-    prefix = "suite.%s." % run.scheduler_name
-    m.gauge(prefix + "regions").set(stats.num_regions)
-    m.gauge(prefix + "pass1_regions").set(stats.pass1_regions)
-    m.gauge(prefix + "pass2_regions").set(stats.pass2_regions)
-    m.gauge(prefix + "max_pass1_size").set(stats.max_pass1_size)
-    m.gauge(prefix + "max_pass2_size").set(stats.max_pass2_size)
-    m.gauge(prefix + "scheduling_us").set(run.scheduling_seconds * 1e6)
-    m.gauge(prefix + "total_us").set(run.total_seconds * 1e6)
-    if run.scheduler_name != "baseline":
-        improvement = improvement_statistics(run)
-        m.gauge(prefix + "occupancy_gain_pct").set(
-            improvement.overall_occupancy_increase_pct
-        )
-        m.gauge(prefix + "length_reduction_pct").set(
-            improvement.overall_length_reduction_pct
-        )

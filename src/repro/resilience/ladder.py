@@ -30,10 +30,10 @@ across all attempts — failed attempts burn real budget, so a region that
 keeps faulting runs out of road and degrades instead of retrying forever;
 an exhausted budget skips straight to the heuristic rung.
 
-Every fault, retry and degrade step is recorded three ways: a telemetry
-event (``fault``/``retry``/``degrade``), a ``resilience.*`` metric, and
-the process-wide :class:`~repro.resilience.log.ResilienceLog` the CLI's
-exit code reads.
+Every fault, retry and degrade step is recorded twice: a telemetry
+event (``fault``/``retry``/``degrade``, which the metrics aggregator
+folds into ``resilience.*`` counters) and the process-wide
+:class:`~repro.resilience.log.ResilienceLog` the CLI's exit code reads.
 """
 
 from __future__ import annotations
@@ -232,10 +232,6 @@ def _run_ladder(
                     backend=rung,
                     **attempt_span("attempt%d" % state.number),
                 )
-                if tele.collect_metrics:
-                    tele.metrics.counter("resilience.retries").inc()
-                    if resumed:
-                        tele.metrics.counter("resilience.resumes").inc()
             try:
                 result = engine.schedule(
                     ddg,
@@ -261,10 +257,6 @@ def _run_ladder(
                     backend=rung,
                     **attempt_span("attempt%d" % state.number),
                 )
-                if tele.collect_metrics:
-                    tele.metrics.counter(
-                        "resilience.faults." + exc.fault_class
-                    ).inc()
                 if exc.checkpoint is not None and resilience.checkpoint:
                     # A hang leaves the host-side search state intact;
                     # every later attempt resumes from the newest snapshot.
@@ -282,8 +274,6 @@ def _run_ladder(
         # Rung exhausted (all retries faulted, or the budget ran dry).
         if not resilience.degrade:
             log.unrecoverable_regions.append(region_name)
-            if tele.collect_metrics:
-                tele.metrics.counter("resilience.unrecoverable_regions").inc()
             raise RegionUnrecoverable(
                 "region %r: rung %r exhausted after %d attempt(s) with "
                 "degradation disabled" % (region_name, rung, state.number),
@@ -302,15 +292,11 @@ def _run_ladder(
             attempt=state.number,
             **attempt_span("rung%d" % rung_index),
         )
-        if tele.collect_metrics:
-            tele.metrics.counter("resilience.degrades").inc()
         if exhausted_budget:
             break
 
     # Heuristic rung: no search, the caller ships the baseline schedule.
     log.degraded_regions.append(region_name)
-    if tele.collect_metrics:
-        tele.metrics.counter("resilience.heuristic_regions").inc()
     return LadderOutcome(
         result=None,
         rung=HEURISTIC_RUNG,

@@ -1,4 +1,4 @@
-"""Structured telemetry: metrics, typed trace events and pluggable sinks.
+"""Structured telemetry: typed trace events and pluggable sinks.
 
 The observability layer of the reproduction (see the "Observability"
 sections of README.md and DESIGN.md). The paper's speedup story lives in
@@ -6,14 +6,18 @@ sections of README.md and DESIGN.md). The paper's speedup story lives in
 launch/copy overheads, ready-list occupancy against the transitive-closure
 bound — and this package makes them visible without perturbing them:
 
-* :class:`Telemetry` — one metrics registry + one event tracer, installed
-  process-wide with :func:`set_telemetry` / :func:`telemetry_session` or
-  injected per component;
+* :class:`Telemetry` — the event tracer, installed process-wide with
+  :func:`set_telemetry` / :func:`telemetry_session` or injected per
+  component;
 * sinks — :class:`NullSink` (inert default), :class:`MemorySink` (tests),
   :class:`JSONLSink` (the ``--trace`` file format, schema-versioned in
   :mod:`repro.telemetry.schema`);
-* :mod:`repro.telemetry.report` — human-readable profiles from traces and
-  metric registries.
+* :mod:`repro.telemetry.report` — human-readable profiles from traces.
+
+There is no second metrics engine: counters, gauges and histograms are
+views of the event stream, folded by :class:`repro.obs.MetricsAggregator`
+(live through :class:`repro.obs.AggregatingSink`, or offline from a
+trace).
 
 Disabled telemetry (the default) is a single attribute check per
 instrumentation site and never touches an RNG or a cost model, so seeded
@@ -21,15 +25,6 @@ runs are bit-identical with it on or off.
 """
 
 from .core import PassScope, Telemetry, get_telemetry, set_telemetry, telemetry_session
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    ITERATION_BUCKETS,
-    MICROSECOND_BUCKETS,
-    MetricsRegistry,
-    OCCUPANCY_PCT_BUCKETS,
-)
 from .schema import (
     EVENT_TYPES,
     SCHEMA_VERSION,
@@ -46,13 +41,6 @@ __all__ = [
     "get_telemetry",
     "set_telemetry",
     "telemetry_session",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "ITERATION_BUCKETS",
-    "OCCUPANCY_PCT_BUCKETS",
-    "MICROSECOND_BUCKETS",
     "Sink",
     "NullSink",
     "MemorySink",

@@ -1,14 +1,16 @@
-"""The :class:`Telemetry` object: one tracer + one metrics registry.
+"""The :class:`Telemetry` object: one structured event tracer.
 
 Process-wide but injectable: every instrumented component resolves its
 telemetry at *use* time — an explicitly injected instance wins, otherwise
 the process-wide instance installed with :func:`set_telemetry` /
 :func:`telemetry_session` (default: an inert one). With the default
-:class:`~repro.telemetry.sinks.NullSink` and metric collection off, the
-whole layer reduces to one boolean attribute check per instrumentation
-site, and — crucially for reproducibility — it never touches an RNG or a
-cost model, so enabling it cannot change schedules, costs or simulated
-timings.
+:class:`~repro.telemetry.sinks.NullSink` the whole layer reduces to one
+boolean attribute check per instrumentation site, and — crucially for
+reproducibility — it never touches an RNG or a cost model, so enabling
+it cannot change schedules, costs or simulated timings. Metrics are
+views of the event stream: fold it with
+:class:`repro.obs.MetricsAggregator` (live via
+:class:`repro.obs.AggregatingSink`).
 """
 
 from __future__ import annotations
@@ -18,39 +20,21 @@ from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.context import current_trace, current_worker
-from .metrics import ITERATION_BUCKETS, MetricsRegistry
 from .schema import SCHEMA_VERSION, validate_event
 from .sinks import NullSink, Sink
 
 
 class Telemetry:
-    """A structured event tracer plus a metrics registry.
+    """A structured event tracer writing schema-v1 records to one sink."""
 
-    ``collect_metrics`` defaults to the sink's enabled-ness: a live sink
-    implies live metrics, the NullSink default leaves both off. Pass
-    ``collect_metrics=True`` with a NullSink for metrics-only profiling
-    (the CLI's bare ``--metrics``).
-    """
-
-    def __init__(self, sink: Optional[Sink] = None, collect_metrics: Optional[bool] = None):
+    def __init__(self, sink: Optional[Sink] = None):
         self.sink = sink or NullSink()
-        self.collect_metrics = (
-            bool(self.sink.enabled) if collect_metrics is None else collect_metrics
-        )
-        self.metrics = MetricsRegistry()
         self._seq = 0
-
-    # -- liveness -----------------------------------------------------------
-
-    @property
-    def tracing(self) -> bool:
-        """True when emitted events reach a live sink."""
-        return self.sink.enabled
 
     @property
     def active(self) -> bool:
-        """True when instrumentation sites should do any work at all."""
-        return self.sink.enabled or self.collect_metrics
+        """True when emitted events reach a live sink (sites may skip work)."""
+        return self.sink.enabled
 
     # -- events -------------------------------------------------------------
 
@@ -175,9 +159,8 @@ class PassScope:
         seconds: float,
         **extra,
     ) -> None:
-        """Close the scope: emit ``pass_end`` and update the pass metrics."""
-        telemetry = self.telemetry
-        telemetry.emit(
+        """Close the scope: emit ``pass_end``."""
+        self.telemetry.emit(
             "pass_end",
             region=self.region,
             pass_index=self.pass_index,
@@ -189,20 +172,9 @@ class PassScope:
             **self._trace_fields,
             **extra,
         )
-        if telemetry.collect_metrics and invoked:
-            m = telemetry.metrics
-            prefix = "aco.pass%d" % self.pass_index
-            m.histogram(prefix + ".iterations", ITERATION_BUCKETS).observe(iterations)
-            m.counter(prefix + ".regions").inc()
-            if hit_lower_bound:
-                m.counter(prefix + ".hit_lower_bound").inc()
-            m.counter(prefix + ".simulated_us").inc(seconds * 1e6)
-            dead = sum(1 for e in self.events if e["winner_cost"] is None)
-            if dead:
-                m.counter(prefix + ".dead_iterations").inc(dead)
 
 
-#: The process-wide default: inert (NullSink, metrics off).
+#: The process-wide default: inert (NullSink).
 _GLOBAL = Telemetry()
 
 

@@ -1,11 +1,9 @@
-"""Human-readable profiles from traces and metric registries.
+"""Human-readable profiles from traces.
 
 :func:`summarize_trace` turns a JSONL trace (or an in-memory record list)
 into the profile a perf investigation starts from: top regions by
 simulated scheduling time, the kernel/transfer/launch split, the
 divergence breakdown and iterations-to-convergence histograms.
-:func:`render_metrics` dumps a :class:`~repro.telemetry.metrics.MetricsRegistry`
-as an aligned text table.
 
 Also runnable as ``python -m repro.telemetry.report TRACE.jsonl`` to
 profile a recorded trace from the shell.
@@ -17,7 +15,6 @@ from collections import defaultdict
 from typing import Dict, Iterable, List, Union
 
 from ..errors import TelemetryError
-from .metrics import MetricsRegistry
 from .schema import read_trace_lenient, validate_event
 
 _BAR_WIDTH = 30
@@ -150,35 +147,6 @@ def summarize_trace(source: Union[str, Iterable[Dict]], top: int = 10) -> str:
         for name in sorted(decisions):
             lines.append("  %-20s %6d" % (name, decisions[name]))
 
-    return "\n".join(lines) + "\n"
-
-
-def render_metrics(registry: MetricsRegistry) -> str:
-    """An aligned text dump of every metric in the registry."""
-    if not len(registry):
-        return "(no metrics collected)\n"
-    lines: List[str] = []
-    width = max(len(name) for name in registry.names())
-    for name in registry.names():
-        metric = registry.get(name)
-        pad = name.ljust(width)
-        if metric.kind == "counter":
-            lines.append("%s  counter    %14.6g" % (pad, metric.value))
-        elif metric.kind == "gauge":
-            lines.append(
-                "%s  gauge      %14.6g  (min %.6g, max %.6g)"
-                % (pad, metric.value, metric.min, metric.max)
-            )
-        else:
-            lines.append(
-                "%s  histogram  count=%d mean=%.6g min=%s max=%s"
-                % (pad, metric.count, metric.mean, metric.min, metric.max)
-            )
-            for bound, count in zip(
-                list(metric.buckets) + [float("inf")], metric.counts
-            ):
-                if count:
-                    lines.append("%s    <= %-8g %6d" % (" " * width, bound, count))
     return "\n".join(lines) + "\n"
 
 

@@ -150,6 +150,24 @@ class TestRunBenches:
         assert metrics["overall_length_reduction_pct"]["direction"] == "higher"
         assert metrics["pass2_regions"]["value"] > 0
 
+    def test_self_contained_bench_leaves_run_wide_state_alone(self):
+        # bench_profile reconciles the run-wide profile and launches against
+        # the context's compile runs; a bench with its own workload (here
+        # the cheapest, resilience) must add nothing to either.
+        from repro.profile import SpanProfiler, profile_session
+        from repro.telemetry import MemorySink, Telemetry, telemetry_session
+
+        profiler = SpanProfiler()
+        sink = MemorySink()
+        telemetry = Telemetry(sink=sink)
+        context = ExperimentContext(SCALES["test"], telemetry=telemetry)
+        with profile_session(profiler), telemetry_session(telemetry):
+            metrics = bench_core.bench_resilience(context)
+        assert metrics["faults_injected"]["value"] > 0
+        assert profiler.root.children == {}
+        assert profiler.root.total_seconds == 0.0
+        assert sink.records == []
+
 
 class TestMain:
     def test_list(self, capsys, fake_benches):

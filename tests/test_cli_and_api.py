@@ -101,7 +101,9 @@ class TestRunConfiguration:
     def probe(self, monkeypatch):
         """Register a ``probe`` experiment that records what it was given."""
         from repro.config import FilterParams
+        from repro.ddg import DDG
         from repro.experiments import EXPERIMENTS, ExperimentTable
+        from repro.ir.builder import figure1_region
 
         seen = {}
 
@@ -109,6 +111,7 @@ class TestRunConfiguration:
             seen["parallel"] = context.parallel_scheduler()
             seen["sequential"] = context.sequential_scheduler()
             seen["pipeline"] = context._pipeline("parallel", FilterParams())
+            seen["pipeline"].compile_region(DDG(figure1_region()))
             return ExperimentTable("probe", ("A",))
 
         monkeypatch.setitem(EXPERIMENTS, "probe", run)
@@ -155,6 +158,18 @@ class TestRunConfiguration:
         assert probe["pipeline"].resilience == ResilienceParams(
             deadline_seconds=0.5, max_retries=5, chaos_seed=9, degrade=False
         )
+
+    def test_metrics_prints_aggregated_events(self, probe, capsys):
+        assert self._main("--metrics") == 0
+        out = capsys.readouterr().out
+        assert "regions.total" in out
+        assert "region.latency_seconds" in out and "p99=" in out
+
+    def test_no_metrics_block_without_flag(self, probe, capsys):
+        assert self._main() == 0
+        out = capsys.readouterr().out
+        assert "regions.total" not in out
+        assert "no metrics collected" not in out
 
     def test_environment_unchanged(self, probe, monkeypatch):
         for name in [n for n in os.environ if n.startswith("REPRO_")]:

@@ -136,6 +136,35 @@ class TestExportCLI:
         assert out.endswith("# EOF\n")
 
 
+class TestSLOTargetFlag:
+    """Every ``--slo-target`` parser rejects values outside (0, 1] as a
+    usage error (exit 2) instead of a traceback."""
+
+    @pytest.mark.parametrize("value", ["2", "0", "1.5", "-0.5", "nan", "high"])
+    def test_bad_value_exits_two(self, trace_path, capsys, value):
+        from repro.cli import main as cli_main
+
+        path, _ = trace_path
+        entry_points = (
+            lambda: cli_main(["table1", "--scale", "test", "--watch",
+                              "--slo-target", value]),
+            lambda: dashboard_main([path, "--slo-target", value]),
+            lambda: export_main([path, "--slo-target", value]),
+        )
+        for entry_point in entry_points:
+            with pytest.raises(SystemExit) as exc:
+                entry_point()
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "SLO target must be a fraction in (0, 1]" in err
+            assert "Traceback" not in err
+
+    def test_boundary_one_is_accepted(self, trace_path, capsys):
+        path, _ = trace_path
+        assert export_main([path, "--slo-target", "1"]) == 0
+        assert "repro_slo_target 1" in capsys.readouterr().out
+
+
 class TestWatchFlag:
     def test_cli_watch_renders_dashboard(self, tmp_path, capsys):
         from repro.cli import main as cli_main

@@ -1,7 +1,7 @@
 """Tests for the structured telemetry layer.
 
-Covers the metrics registry, the sinks, the event schema and JSONL
-round-trip, the pass scopes, the report renderers — and the layer's core
+Covers the sinks, the event schema and JSONL round-trip, the pass
+scopes, the report renderers — and the layer's core
 guarantee: with telemetry enabled, seeded results are bit-identical to the
 disabled default (which in turn matches the values recorded from the seed
 commit, embedded below as goldens).
@@ -20,11 +20,10 @@ from repro.ddg import DDG
 from repro.errors import TelemetryError
 from repro.machine import simple_test_target
 from repro.parallel import ParallelACOScheduler
+from repro.obs import AggregatingSink, MetricsAggregator, render_metrics
 from repro.telemetry import (
-    ITERATION_BUCKETS,
     JSONLSink,
     MemorySink,
-    MetricsRegistry,
     NullSink,
     TeeSink,
     Telemetry,
@@ -35,78 +34,24 @@ from repro.telemetry import (
     validate_event,
     validate_trace,
 )
-from repro.telemetry.report import render_metrics, summarize_trace
+from repro.telemetry.report import summarize_trace
 
 from conftest import make_region
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "convergence_trace.jsonl")
 
 
-class TestMetrics:
-    def test_counter(self):
-        registry = MetricsRegistry()
-        c = registry.counter("a")
-        c.inc()
-        c.inc(2.5)
-        assert registry.counter("a").value == 3.5
-        with pytest.raises(TelemetryError):
-            c.inc(-1)
-
-    def test_gauge_extremes(self):
-        g = MetricsRegistry().gauge("g")
-        for v in (5, 1, 3):
-            g.set(v)
-        assert (g.value, g.min, g.max) == (3, 1, 5)
-
-    def test_histogram_buckets(self):
-        h = MetricsRegistry().histogram("h", (1, 2, 4))
-        for v in (0.5, 1, 2, 3, 100):
-            h.observe(v)
-        assert h.counts == [2, 1, 1, 1]
-        assert h.count == 5
-        assert h.min == 0.5 and h.max == 100
-
-    def test_histogram_nonfinite_goes_to_overflow(self):
-        h = MetricsRegistry().histogram("h", (1, 2))
-        h.observe(float("inf"))
-        h.observe(1)
-        assert h.counts == [1, 0, 1]
-        assert h.mean == 1  # non-finite observations excluded from the mean
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("x")
-        with pytest.raises(TelemetryError):
-            registry.gauge("x")
-
-    def test_bucket_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.histogram("h", (1, 2))
-        with pytest.raises(TelemetryError):
-            registry.histogram("h", (1, 3))
-
-    def test_snapshot_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(7)
-        registry.histogram("h", (1,)).observe(0.5)
-        snap = registry.snapshot()
-        assert snap["c"] == {"kind": "counter", "value": 2}
-        assert snap["g"]["value"] == 7
-        assert snap["h"]["counts"] == [1, 0]
-
-
 class TestSinksAndSchema:
     def test_null_sink_disables_everything(self):
         tele = Telemetry()
-        assert not tele.tracing and not tele.active
+        assert not tele.active
         tele.emit("iteration", region="r", pass_index=1, iteration=0,
                   winner_cost=1.0, best_cost=1.0)  # silently dropped
 
     def test_memory_sink_records_and_validates(self):
         sink = MemorySink()
         tele = Telemetry(sink=sink)
-        assert tele.tracing and tele.active and tele.collect_metrics
+        assert tele.active
         tele.emit("region_start", region="r", size=3, scheduler="s")
         tele.emit("region_start", region="q", size=4, scheduler="s")
         assert [r["seq"] for r in sink.records] == [0, 1]
@@ -214,18 +159,17 @@ class TestSessionAndScope:
         scope.iteration(float("inf"), 4.0)
         assert scope.trace == (4.0, float("inf"), float("inf"))
 
-    def test_pass_scope_end_updates_metrics(self):
-        tele = Telemetry(collect_metrics=True)
+    def test_pass_scope_end_feeds_aggregator(self):
+        aggregator = MetricsAggregator()
+        tele = Telemetry(sink=AggregatingSink(aggregator))
         scope = tele.pass_scope("r", 1, "seq", 1.0, 5.0)
         scope.iteration(None, 5.0)
         scope.iteration(3.0, 3.0)
         scope.end(invoked=True, iterations=2, final_cost=3.0,
                   hit_lower_bound=True, seconds=2e-6)
-        m = tele.metrics
-        assert m.counter("aco.pass1.regions").value == 1
-        assert m.counter("aco.pass1.hit_lower_bound").value == 1
-        assert m.counter("aco.pass1.dead_iterations").value == 1
-        assert m.histogram("aco.pass1.iterations", ITERATION_BUCKETS).count == 1
+        assert aggregator.counters["pass1.regions"] == 1
+        assert aggregator.counters["pass1.iterations"] == 2
+        assert aggregator.histograms["pass1.latency_seconds"].count == 1
 
 
 class TestReport:
@@ -240,13 +184,22 @@ class TestReport:
         assert "trace summary" in text
 
     def test_render_metrics(self):
-        registry = MetricsRegistry()
-        assert render_metrics(registry) == "(no metrics collected)\n"
-        registry.counter("c").inc(3)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h", (1, 2)).observe(1)
-        text = render_metrics(registry)
-        assert "counter" in text and "gauge" in text and "histogram" in text
+        aggregator = MetricsAggregator()
+        assert render_metrics(aggregator) == "(no metrics collected)\n"
+        aggregator.consume_many(read_trace(FIXTURE))
+        aggregator.gauges["fleet.shards"] = 2.0
+        lines = render_metrics(aggregator).splitlines()
+        names = [line.split()[0] for line in lines]
+        assert names == sorted(
+            list(aggregator.counters)
+            + list(aggregator.gauges)
+            + list(aggregator.histograms)
+        )
+        assert {line.split()[1] for line in lines} == {"counter", "gauge", "histogram"}
+        assert lines[names.index("fleet.shards")].split()[1:] == ["gauge", "2"]
+        latency = lines[names.index("pass1.latency_seconds")]
+        assert "count=" in latency and "sum=" in latency
+        assert "p50=" in latency and "p95=" in latency and "p99=" in latency
 
     def test_summarize_empty_file_is_friendly(self, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -354,7 +307,7 @@ class TestDeterminism:
     def test_enabled_is_bit_identical_to_disabled(self, tmp_path):
         base_seq, base_par = _schedule_both(None)
         sink = TeeSink(MemorySink(), JSONLSink(str(tmp_path / "t.jsonl")))
-        tele = Telemetry(sink=sink, collect_metrics=True)
+        tele = Telemetry(sink=sink)
         traced_seq, traced_par = _schedule_both(tele)
         tele.close()
 
