@@ -28,10 +28,10 @@ from ..heuristics.base import PreparedHeuristic, SchedulingState
 from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..rp.cost import rp_cost
-from ..rp.tracker import PressureTracker
+from ..rp.tracker import PressureTracker, RegisterTable
 from .pheromone import PheromoneTable
 from .selection import select_index
-from .stalls import OptionalStallHeuristic, pressure_excess
+from .stalls import OptionalStallHeuristic
 
 #: Decides explore (False) vs. exploit (True) for one construction step.
 ExploitDecider = Callable[[int], bool]
@@ -96,13 +96,17 @@ def construct_order(
     params: ACOParams,
     rng: random.Random,
     exploit_decider: Optional[ExploitDecider] = None,
+    table: Optional[RegisterTable] = None,
 ) -> AntResult:
-    """Pass-1 construction: an instruction order minimizing RP cost."""
+    """Pass-1 construction: an instruction order minimizing RP cost.
+
+    ``table`` is the region's register table, shared by a pass's ants.
+    """
     if exploit_decider is None:
         exploit_decider = _default_decider(params, rng)
     region = ddg.region
     n = ddg.num_instructions
-    tracker = PressureTracker(region)
+    tracker = PressureTracker(region, table)
     state = SchedulingState(ddg, tracker)
     stats = ConstructionStats()
     unscheduled_preds = list(ddg.num_predecessors)
@@ -146,11 +150,13 @@ def construct_cycles(
     stall_heuristic: Optional[OptionalStallHeuristic] = None,
     exploit_decider: Optional[ExploitDecider] = None,
     max_length: Optional[int] = None,
+    table: Optional[RegisterTable] = None,
 ) -> AntResult:
     """Pass-2 construction: a cycle-accurate schedule under the RP target.
 
     Returns a dead result (``alive=False``) if the ant exceeds the target
-    pressure or overruns ``max_length`` cycles.
+    pressure or overruns ``max_length`` cycles. ``table`` is the region's
+    register table, shared by a pass's ants.
     """
     if exploit_decider is None:
         exploit_decider = _default_decider(params, rng)
@@ -160,7 +166,7 @@ def construct_cycles(
     n = ddg.num_instructions
     if max_length is None:
         max_length = 4 * n + 64
-    tracker = PressureTracker(region)
+    tracker = PressureTracker(region, table)
     state = SchedulingState(ddg, tracker)
     stats = ConstructionStats()
     unscheduled_preds = list(ddg.num_predecessors)
@@ -205,14 +211,7 @@ def construct_cycles(
         # Candidates that would push the peak past the target doom the ant
         # with certainty (the peak never recedes); restrict selection to the
         # safe ones — a pure pruning of the terminate-on-violation rule.
-        safe = [
-            i
-            for i in ready
-            if pressure_excess(
-                tracker.pressure_if_scheduled(region[i]), target_pressure
-            )
-            <= 0
-        ]
+        safe = [i for i in ready if tracker.excess_if_scheduled(i, target_pressure) <= 0]
         stall_capable = (
             allow_optional_stalls
             and pending
@@ -228,11 +227,10 @@ def construct_cycles(
             return dead()
 
         if stall_capable:
-            semi_ready = [region[i] for _r, i in pending]
             if stall_heuristic.should_stall(
                 tracker,
-                [region[i] for i in ready],
-                semi_ready,
+                ready,
+                [i for _r, i in pending],
                 target_pressure,
                 stats.optional_stalls,
                 rng,
@@ -264,9 +262,8 @@ def construct_cycles(
             if unscheduled_preds[succ] == 0:
                 pending.append((earliest[succ], succ))
         # The constraint-violation rule: terminate on exceeding the target.
-        for cls, limit in target_pressure.items():
-            if tracker.peak.get(cls, 0) > limit:
-                return dead()
+        if tracker.peak_exceeds(target_pressure):
+            return dead()
         cycle += 1
 
     peak = tracker.peak_pressure()

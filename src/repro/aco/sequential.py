@@ -30,6 +30,7 @@ from ..heuristics.base import GuidingHeuristic
 from ..heuristics.critical_path import CriticalPathHeuristic
 from ..machine.model import MachineModel
 from ..profile import get_profiler
+from ..rp.tracker import RegisterTable
 from ..telemetry import Telemetry
 from ..timing import DEFAULT_CPU_COST, CPUCostModel, HostSecondsLedger
 from .ant import ConstructionStats, construct_cycles, construct_order
@@ -63,6 +64,8 @@ class _SequentialPass(PassEngine):
         self.prof = get_profiler()
         self.prof.push("pass%d" % pass_index, "pass")
         self.prof.charge_leaf("overhead", cost_model.region_overhead, "overhead")
+        # One register table per pass, shared by every ant's tracker.
+        self.table = RegisterTable(ddg.region)
         if pass_index == 1:
             self.prepared = scheduler.rp_heuristic.prepare(ddg)
         else:
@@ -78,7 +81,13 @@ class _SequentialPass(PassEngine):
         for _ant in range(params.sequential_ants):
             if self.pass_index == 1:
                 result = construct_order(
-                    self.ddg, scheduler.machine, pheromone, self.prepared, params, self.rng
+                    self.ddg,
+                    scheduler.machine,
+                    pheromone,
+                    self.prepared,
+                    params,
+                    self.rng,
+                    table=self.table,
                 )
                 better = winner is None or result.rp_cost_value < winner.rp_cost_value
             else:
@@ -93,6 +102,7 @@ class _SequentialPass(PassEngine):
                     allow_optional_stalls=True,
                     stall_heuristic=self.stall_heuristic,
                     max_length=self.max_length,
+                    table=self.table,
                 )
                 better = result.alive and (winner is None or result.length < winner.length)
             self.stats.merge(result.stats)

@@ -16,26 +16,11 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Sequence
 
 from ..config import ACOParams
-from ..ir.instructions import Instruction
 from ..ir.registers import RegisterClass
 from ..rp.tracker import PressureTracker
-
-
-def pressure_excess(
-    pressure: Mapping[RegisterClass, int], target: Mapping[RegisterClass, int]
-) -> int:
-    """Worst per-class overshoot of ``pressure`` relative to ``target``.
-
-    Positive: some class exceeds its target; zero: at the target; negative:
-    strictly below it everywhere.
-    """
-    worst = -(10**9)
-    for cls, limit in target.items():
-        worst = max(worst, pressure.get(cls, 0) - limit)
-    return worst if worst != -(10**9) else 0
 
 
 class OptionalStallHeuristic:
@@ -53,29 +38,27 @@ class OptionalStallHeuristic:
     def should_stall(
         self,
         tracker: PressureTracker,
-        ready: Sequence[Instruction],
-        semi_ready: Sequence[Instruction],
+        ready: Sequence[int],
+        semi_ready: Sequence[int],
         target: Dict[RegisterClass, int],
         stalls_so_far: int,
         rng: random.Random,
     ) -> bool:
-        """True if the ant should burn this cycle waiting (optional stall)."""
+        """True if the ant should burn this cycle waiting (optional stall).
+
+        ``ready`` and ``semi_ready`` are instruction indices; pressure
+        impact is :meth:`PressureTracker.excess_if_scheduled` over ``target``.
+        """
         if not ready or not semi_ready:
             return False  # nothing to trade off (empty ready = necessary stall)
 
-        best_ready = min(
-            pressure_excess(tracker.pressure_if_scheduled(inst), target)
-            for inst in ready
-        )
+        best_ready = min(tracker.excess_if_scheduled(i, target) for i in ready)
         if best_ready < 0:
             return False  # something schedulable stays strictly under target
 
         # Waiting only helps if a semi-ready instruction relieves pressure
         # relative to the best ready option.
-        best_semi = min(
-            pressure_excess(tracker.pressure_if_scheduled(inst), target)
-            for inst in semi_ready
-        )
+        best_semi = min(tracker.excess_if_scheduled(i, target) for i in semi_ready)
         if best_semi >= best_ready:
             return False
 

@@ -34,6 +34,7 @@ from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..rp.cost import rp_cost, rp_cost_lower_bound
 from ..rp.liveness import peak_pressure
+from ..rp.tracker import RegisterTable
 from ..schedule.schedule import Schedule
 from ..timing import DEFAULT_CPU_COST, CPUCostModel, HostSecondsLedger
 from .ant import AntResult, ConstructionStats, construct_cycles
@@ -121,6 +122,7 @@ class WeightedSumACOScheduler:
         lower_bound = float(bounds.length)
 
         prepared = self.heuristic.prepare(ddg)
+        table = RegisterTable(region)
         pheromone = PheromoneTable(ddg.num_instructions, self.params)
         tracker = TerminationTracker(
             lower_bound=lower_bound,
@@ -157,6 +159,7 @@ class WeightedSumACOScheduler:
                     target_pressure=tighter if ant % 2 == 0 else looser,
                     allow_optional_stalls=True,
                     max_length=max_length,
+                    table=table,
                 )
                 stats.merge(result.stats)
                 ledger.charge(

@@ -103,10 +103,7 @@ def min_pressure_order(
         # earlier mean more pruning later).
         ready.sort(key=lambda i: tracker.pressure_delta(region[i]))
         for candidate in ready:
-            saved_current = dict(tracker.current)
-            saved_peak = dict(tracker.peak)
-            saved_live = dict(tracker._live)
-            saved_remaining = dict(tracker._remaining_uses)
+            saved = tracker.snapshot()
             tracker.schedule(region[candidate])
             order.append(candidate)
             for succ, _lat in ddg.successors[candidate]:
@@ -115,10 +112,7 @@ def min_pressure_order(
             for succ, _lat in ddg.successors[candidate]:
                 pred_left[succ] += 1
             order.pop()
-            tracker.current = saved_current
-            tracker.peak = saved_peak
-            tracker._live = saved_live
-            tracker._remaining_uses = saved_remaining
+            tracker.restore(saved)
 
     dfs()
     assert best_cost[0] is not None
@@ -182,10 +176,7 @@ def min_register_order(
         ready = [i for i in range(n) if pred_left[i] == 0 and not (mask >> i) & 1]
         ready.sort(key=lambda i: tracker.pressure_delta(region[i]))
         for candidate in ready:
-            saved_current = dict(tracker.current)
-            saved_peak = dict(tracker.peak)
-            saved_live = dict(tracker._live)
-            saved_remaining = dict(tracker._remaining_uses)
+            saved = tracker.snapshot()
             tracker.schedule(region[candidate])
             order.append(candidate)
             for succ, _lat in ddg.successors[candidate]:
@@ -194,10 +185,7 @@ def min_register_order(
             for succ, _lat in ddg.successors[candidate]:
                 pred_left[succ] += 1
             order.pop()
-            tracker.current = saved_current
-            tracker.peak = saved_peak
-            tracker._live = saved_live
-            tracker._remaining_uses = saved_remaining
+            tracker.restore(saved)
 
     dfs()
     assert best_count[0] is not None
@@ -232,12 +220,6 @@ def min_length_schedule(
     cycles = [0] * n
     pred_left = list(ddg.num_predecessors)
     earliest = [0] * n
-
-    def violates_target() -> bool:
-        for cls, limit in target.items():
-            if tracker.peak.get(cls, 0) > limit:
-                return True
-        return False
 
     def suffix_bound(cycle: int, mask: int) -> int:
         """cycle + the critical path of the unscheduled suffix."""
@@ -282,21 +264,14 @@ def min_length_schedule(
         ready.sort(key=lambda i: -cp.height[i])
         progressed = False
         for candidate in ready:
-            preview = tracker.pressure_if_scheduled(region[candidate])
-            if any(preview.get(cls, 0) > limit for cls, limit in target.items()):
+            if tracker.excess_if_scheduled(candidate, target) > 0:
                 continue
             progressed = True
-            saved_current = dict(tracker.current)
-            saved_peak = dict(tracker.peak)
-            saved_live = dict(tracker._live)
-            saved_remaining = dict(tracker._remaining_uses)
+            saved = tracker.snapshot()
             saved_earliest = list(earliest)
             tracker.schedule(region[candidate])
-            if violates_target():
-                tracker.current = saved_current
-                tracker.peak = saved_peak
-                tracker._live = saved_live
-                tracker._remaining_uses = saved_remaining
+            if tracker.peak_exceeds(target):
+                tracker.restore(saved)
                 continue
             cycles[candidate] = cycle
             for succ, lat in ddg.successors[candidate]:
@@ -306,10 +281,7 @@ def min_length_schedule(
             for succ, _lat in ddg.successors[candidate]:
                 pred_left[succ] += 1
             earliest[:] = saved_earliest
-            tracker.current = saved_current
-            tracker.peak = saved_peak
-            tracker._live = saved_live
-            tracker._remaining_uses = saved_remaining
+            tracker.restore(saved)
 
         # Stalling is only ever useful when something is pending (waiting on
         # latency or on pressure relief from a pending closer).

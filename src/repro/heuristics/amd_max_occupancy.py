@@ -73,10 +73,10 @@ class _PreparedMaxOccupancy(PreparedHeuristic):
         self._critical = False
 
     def score(self, index: int, state: SchedulingState) -> float:
-        current = state.tracker.current
-        pressure = tuple(current.items())
+        pressure = state.tracker.pressure_key()
         if pressure != self._pressure:
             self._pressure = pressure
+            current = state.tracker.current
             self._critical = any(
                 current.get(cls, 0) > limit for cls, limit in self._limits
             )

@@ -26,8 +26,9 @@ def pressure_profile(schedule: Schedule) -> Dict[RegisterClass, List[int]]:
     profile: Dict[RegisterClass, List[int]] = {cls: [] for cls in tracker.classes}
     for index in schedule.order:
         tracker.schedule(region[index])
+        current = tracker.current
         for cls in tracker.classes:
-            profile[cls].append(tracker.current[cls])
+            profile[cls].append(current[cls])
     return profile
 
 

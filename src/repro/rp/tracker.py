@@ -26,132 +26,324 @@ instruction); for regions with redefinitions the tracker treats all uses of
 a register name as one live range, which over-approximates pressure — the
 same conservative choice LLVM's pre-RA scheduler makes for un-renamed
 registers.
+
+The tracker runs over dense register ids, not :class:`VirtualRegister`
+values: a :class:`RegisterTable` interns a region's registers to ``0..r-1``
+once, so a scheduling step indexes lists instead of hashing frozen
+dataclasses. An ACO pass builds one table and hands it to every ant's
+tracker; a one-shot tracker builds its own. The registers themselves only
+reappear in the dict views (``current``, ``peak``,
+:meth:`PressureTracker.pressure_if_scheduled`) and in
+:meth:`PressureTracker.live_registers`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..errors import ScheduleError
 from ..ir.block import SchedulingRegion
 from ..ir.instructions import Instruction
 from ..ir.registers import RegisterClass, VirtualRegister
 
+#: A pressure target compiled against one table: ``(class index, limit)``
+#: per target class the region has, and the worst excess of the classes it
+#: lacks (their pressure is 0), or ``None`` when it lacks none.
+_Limits = Tuple[Tuple[Tuple[int, int], ...], Optional[int]]
 
-class PressureTracker:
-    """Running per-class register pressure over a partial schedule."""
+
+class RegisterTable:
+    """A region's registers interned to dense ids, with the static liveness
+    facts every tracker step needs.
+
+    Ids follow first appearance in program order (uses before defs), then
+    live-ins no instruction touches. Per id: the register, its class index
+    into ``classes``, whether it is live-out, and its total use count. Per
+    instruction: its use and def ids, ``closers`` (the uses whose range the
+    instruction may close: not live-out and not redefined by the same
+    instruction, the kill-before-def guard), ``closable`` (the uses that
+    count toward the LUC last-use count: not live-out) and ``dying_defs``
+    (the defs that are not live-out, so they die at once when unread).
+    """
 
     __slots__ = (
         "region",
         "classes",
-        "_remaining_uses",
-        "_live",
-        "current",
-        "peak",
-        "_total_use_counts",
+        "registers",
+        "class_of",
+        "live_out",
+        "use_counts",
+        "live_in",
+        "uses",
+        "defs",
+        "closers",
+        "closable",
+        "dying_defs",
     )
 
     def __init__(self, region: SchedulingRegion):
         self.region = region
-        self.classes: Tuple[RegisterClass, ...] = region.register_classes()
-        self._total_use_counts: Dict[VirtualRegister, int] = {}
+        classes = self.classes = region.register_classes()
+        ids: Dict[VirtualRegister, int] = {}
+        intern = ids.setdefault
+        uses: List[Tuple[int, ...]] = []
+        defs: List[Tuple[int, ...]] = []
         for inst in region:
-            for reg in inst.uses:
-                self._total_use_counts[reg] = self._total_use_counts.get(reg, 0) + 1
+            uses.append(tuple([intern(reg, len(ids)) for reg in inst.uses]))
+            defs.append(tuple([intern(reg, len(ids)) for reg in inst.defs]))
+        for reg in sorted(region.live_in.difference(ids)):
+            ids[reg] = len(ids)
+        self.registers: Tuple[VirtualRegister, ...] = tuple(ids)
+        # tuple.index compares by identity first: no dataclass hashing.
+        self.class_of: Tuple[int, ...] = tuple(
+            [classes.index(reg.reg_class) for reg in self.registers]
+        )
+        flags = [False] * len(ids)
+        for reg in region.live_out:
+            flags[ids[reg]] = True
+        self.live_out: Tuple[bool, ...] = tuple(flags)
+        counts = [0] * len(ids)
+        for inst_uses in uses:
+            for reg in inst_uses:
+                counts[reg] += 1
+        self.use_counts: Tuple[int, ...] = tuple(counts)
+        self.live_in: Tuple[int, ...] = tuple([ids[reg] for reg in region.live_in])
+        self.uses: Tuple[Tuple[int, ...], ...] = tuple(uses)
+        self.defs: Tuple[Tuple[int, ...], ...] = tuple(defs)
+        closable = [tuple([r for r in inst_uses if not flags[r]]) for inst_uses in uses]
+        self.closable: Tuple[Tuple[int, ...], ...] = tuple(closable)
+        self.closers: Tuple[Tuple[int, ...], ...] = tuple(
+            [
+                tuple([r for r in candidates if r not in inst_defs]) if inst_defs else candidates
+                for candidates, inst_defs in zip(closable, defs)
+            ]
+        )
+        self.dying_defs: Tuple[Tuple[int, ...], ...] = tuple(
+            [tuple([r for r in inst_defs if not flags[r]]) for inst_defs in defs]
+        )
+
+
+class PressureTracker:
+    """Running per-class register pressure over a partial schedule.
+
+    ``table`` is the region's :class:`RegisterTable`; pass one to share it
+    between trackers of the same region (the ants of an ACO pass).
+    """
+
+    __slots__ = (
+        "region",
+        "table",
+        "classes",
+        "_remaining",
+        "_live",
+        "_current",
+        "_peak",
+        "_limits_source",
+        "_limits",
+    )
+
+    def __init__(self, region: SchedulingRegion, table: Optional[RegisterTable] = None):
+        if table is None:
+            table = RegisterTable(region)
+        elif table.region is not region:
+            raise ValueError("register table of region %r given for %r" % (table.region, region))
+        self.region = region
+        self.table = table
+        self.classes: Tuple[RegisterClass, ...] = table.classes
+        self._limits_source: Optional[Mapping[RegisterClass, int]] = None
+        self._limits: _Limits = ((), None)
         self.reset()
 
     def reset(self) -> None:
         """Restart tracking from the empty schedule."""
-        self._remaining_uses = dict(self._total_use_counts)
-        self._live: Dict[VirtualRegister, bool] = {}
-        self.current: Dict[RegisterClass, int] = {cls: 0 for cls in self.classes}
-        self.peak: Dict[RegisterClass, int] = {cls: 0 for cls in self.classes}
-        for reg in self.region.live_in:
-            self._make_live(reg)
-        self._update_peak()
+        table = self.table
+        self._remaining = list(table.use_counts)
+        self._live = [False] * len(table.registers)
+        self._current = [0] * len(table.classes)
+        class_of = table.class_of
+        for reg in table.live_in:
+            self._live[reg] = True
+            self._current[class_of[reg]] += 1
+        self._peak = list(self._current)
 
     # -- internals -----------------------------------------------------------
 
-    def _make_live(self, reg: VirtualRegister) -> None:
-        if not self._live.get(reg, False):
-            self._live[reg] = True
-            self.current[reg.reg_class] = self.current.get(reg.reg_class, 0) + 1
+    def _index_of(self, inst: Instruction) -> int:
+        """``inst.index``, once ``inst`` is known to be this region's."""
+        index = inst.index
+        instructions = self.region.instructions
+        if index < len(instructions):
+            own = instructions[index]
+            if own is inst or own == inst:
+                return index
+        raise ScheduleError(
+            "instruction %s is not instruction %d of region %r"
+            % (inst.label, index, self.region.name)
+        )
 
-    def _kill(self, reg: VirtualRegister) -> None:
-        if self._live.get(reg, False):
-            self._live[reg] = False
-            self.current[reg.reg_class] -= 1
+    def _compile(self, limits: Mapping[RegisterClass, int]) -> None:
+        """``limits`` against this table's class indices.
 
-    def _update_peak(self) -> None:
-        for cls, value in self.current.items():
-            if value > self.peak.get(cls, 0):
-                self.peak[cls] = value
+        Memoized by identity: the previews run once per ready candidate
+        per step against the same target, so a tracker compiles each
+        mapping once and keeps it alive (its id cannot be reused). A
+        mapping must therefore not change while a tracker uses it.
+        """
+        classes = self.classes
+        pairs = []
+        absent: Optional[int] = None
+        for cls, limit in limits.items():
+            if cls in classes:
+                pairs.append((classes.index(cls), limit))
+            elif absent is None or -limit > absent:
+                absent = -limit
+        self._limits_source = limits
+        self._limits = (tuple(pairs), absent)
+
+    def _preview(self, index: int) -> List[int]:
+        """Per-class pressure right after instruction ``index`` would issue."""
+        table = self.table
+        live = self._live
+        remaining = self._remaining
+        class_of = table.class_of
+        result = list(self._current)
+        for reg in table.defs[index]:
+            if not live[reg]:
+                result[class_of[reg]] += 1
+        for reg in table.closers[index]:
+            if remaining[reg] == 1 and live[reg]:
+                result[class_of[reg]] -= 1
+        return result
 
     # -- the scheduling step ---------------------------------------------------
 
     def schedule(self, inst: Instruction) -> None:
         """Account for issuing ``inst`` (exhausted uses close, then defs open)."""
-        for reg in inst.uses:
-            remaining = self._remaining_uses.get(reg, 0) - 1
-            self._remaining_uses[reg] = remaining
-            if remaining == 0 and reg not in self.region.live_out and reg not in inst.defs:
-                self._kill(reg)
-        dead_defs = []
-        for reg in inst.defs:
-            self._make_live(reg)
-            if (
-                self._remaining_uses.get(reg, 0) == 0
-                and reg not in self.region.live_out
-            ):
-                dead_defs.append(reg)
+        index = self._index_of(inst)
+        table = self.table
+        remaining = self._remaining
+        live = self._live
+        current = self._current
+        class_of = table.class_of
+        for reg in table.uses[index]:
+            remaining[reg] -= 1
+        for reg in table.closers[index]:
+            if remaining[reg] == 0 and live[reg]:
+                live[reg] = False
+                current[class_of[reg]] -= 1
+        for reg in table.defs[index]:
+            if not live[reg]:
+                live[reg] = True
+                current[class_of[reg]] += 1
         # The defs are live at this point even if they die immediately.
-        self._update_peak()
-        for reg in dead_defs:
-            self._kill(reg)
+        peak = self._peak
+        for k, value in enumerate(current):
+            if value > peak[k]:
+                peak[k] = value
+        for reg in table.dying_defs[index]:
+            if remaining[reg] == 0 and live[reg]:
+                live[reg] = False
+                current[class_of[reg]] -= 1
 
     def pressure_if_scheduled(self, inst: Instruction) -> Dict[RegisterClass, int]:
         """The per-class pressure right after ``inst`` would issue.
 
-        Used by the ACO guiding heuristics and the optional-stall heuristic
-        to preview an instruction's pressure impact without committing.
+        Previews an instruction's pressure impact without committing; the
+        ACO ants use :meth:`excess_if_scheduled`, which skips the dict.
         """
-        result = dict(self.current)
-        for reg in inst.defs:
-            if not self._live.get(reg, False):
-                result[reg.reg_class] = result.get(reg.reg_class, 0) + 1
-        for reg in inst.uses:
-            if (
-                self._remaining_uses.get(reg, 0) == 1
-                and reg not in self.region.live_out
-                and self._live.get(reg, False)
-                and reg not in inst.defs
-            ):
-                result[reg.reg_class] -= 1
-        return result
+        return dict(zip(self.classes, self._preview(self._index_of(inst))))
+
+    def excess_if_scheduled(self, index: int, limits: Mapping[RegisterClass, int]) -> int:
+        """Worst per-class overshoot of ``limits`` right after instruction
+        ``index`` would issue.
+
+        Positive: some class would exceed its limit; zero: at a limit;
+        negative: strictly below every limit. A class of ``limits`` the
+        region has no register of counts as pressure 0; empty ``limits``
+        give 0.
+        """
+        if limits is not self._limits_source:
+            self._compile(limits)
+        pairs, worst = self._limits
+        if not 0 <= index < len(self.table.defs):
+            raise ScheduleError(
+                "instruction %d is not in region %r" % (index, self.region.name)
+            )
+        if pairs:
+            preview = self._preview(index)
+            for k, limit in pairs:
+                excess = preview[k] - limit
+                if worst is None or excess > worst:
+                    worst = excess
+        return 0 if worst is None else worst
+
+    def peak_exceeds(self, limits: Mapping[RegisterClass, int]) -> bool:
+        """True if the peak so far is above some class's limit."""
+        if limits is not self._limits_source:
+            self._compile(limits)
+        pairs, absent = self._limits
+        if absent is not None and absent > 0:
+            return True
+        peak = self._peak
+        for k, limit in pairs:
+            if peak[k] > limit:
+                return True
+        return False
 
     def pressure_delta(self, inst: Instruction) -> int:
         """Net change in total pressure (all classes) if ``inst`` issued now."""
-        preview = self.pressure_if_scheduled(inst)
-        return sum(preview.values()) - sum(self.current.values())
+        return sum(self._preview(self._index_of(inst))) - sum(self._current)
 
     def closes_ranges(self, inst: Instruction) -> int:
         """How many live ranges ``inst`` would close (the LUC heuristic input)."""
+        live = self._live
+        remaining = self._remaining
         closing = 0
-        # dict.fromkeys, not set(): insertion-ordered dedup keeps the loop
-        # independent of hash order (static analysis rule DET-002).
-        for reg in dict.fromkeys(inst.uses):
-            if (
-                self._remaining_uses.get(reg, 0) == 1
-                and reg not in self.region.live_out
-                and self._live.get(reg, False)
-            ):
+        for reg in self.table.closable[self._index_of(inst)]:
+            if remaining[reg] == 1 and live[reg]:
                 closing += 1
         return closing
 
     # -- results ----------------------------------------------------------------
 
+    @property
+    def current(self) -> Dict[RegisterClass, int]:
+        """Per-class pressure after everything scheduled so far."""
+        return dict(zip(self.classes, self._current))
+
+    @property
+    def peak(self) -> Dict[RegisterClass, int]:
+        """Per-class peak so far (same as :meth:`peak_pressure`)."""
+        return dict(zip(self.classes, self._peak))
+
+    def pressure_key(self) -> Tuple[int, ...]:
+        """The current pressure as a tuple in ``classes`` order: a cheap
+        change detector for callers that cache per-pressure decisions."""
+        return tuple(self._current)
+
     def peak_pressure(self) -> Dict[RegisterClass, int]:
         """Per-class PRP of everything scheduled so far."""
-        return dict(self.peak)
+        return self.peak
 
-    def live_registers(self) -> Iterable[VirtualRegister]:
-        return tuple(reg for reg, live in self._live.items() if live)
+    def live_registers(self) -> Tuple[VirtualRegister, ...]:
+        registers = self.table.registers
+        return tuple(registers[reg] for reg, live in enumerate(self._live) if live)
+
+    # -- save and restore ---------------------------------------------------------
+
+    def snapshot(self) -> Tuple[Tuple[int, ...], ...]:
+        """The tracker's state, for a later :meth:`restore` (any number of times)."""
+        return (
+            tuple(self._remaining),
+            tuple(self._live),
+            tuple(self._current),
+            tuple(self._peak),
+        )
+
+    def restore(self, snapshot: Tuple[Tuple[int, ...], ...]) -> None:
+        """Return to the state :meth:`snapshot` saved."""
+        remaining, live, current, peak = snapshot
+        self._remaining[:] = remaining
+        self._live[:] = live
+        self._current[:] = current
+        self._peak[:] = peak

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.aco import PheromoneTable, roulette_index, select_index
-from repro.aco.stalls import OptionalStallHeuristic, pressure_excess
+from repro.aco.stalls import OptionalStallHeuristic
 from repro.aco.termination import TerminationTracker
 from repro.config import ACOParams
 from repro.errors import ConfigError
+from repro.ir import RegionBuilder
 from repro.ir.registers import SGPR, VGPR
+from repro.rp import PressureTracker
 
 
 class TestPheromoneTable:
@@ -101,21 +103,31 @@ class TestSelection:
             assert 0 <= select_index(scores, rng, exploit) < len(scores)
 
 
+def excess(pressure, target):
+    """``excess_if_scheduled`` of an instruction that opens ``pressure``
+    (class -> count) live-out registers in an otherwise empty region."""
+    names = ["%s%d" % (cls.prefix, i) for cls, count in pressure.items() for i in range(count)]
+    b = RegionBuilder("excess")
+    b.inst("op1", defs=names)
+    region = b.live_out(*names).build()
+    return PressureTracker(region).excess_if_scheduled(0, target)
+
+
 class TestPressureExcess:
     def test_positive_when_over(self):
-        assert pressure_excess({VGPR: 5}, {VGPR: 3}) == 2
+        assert excess({VGPR: 5}, {VGPR: 3}) == 2
 
     def test_zero_at_boundary(self):
-        assert pressure_excess({VGPR: 3}, {VGPR: 3}) == 0
+        assert excess({VGPR: 3}, {VGPR: 3}) == 0
 
     def test_negative_when_under(self):
-        assert pressure_excess({VGPR: 1}, {VGPR: 3}) == -2
+        assert excess({VGPR: 1}, {VGPR: 3}) == -2
 
     def test_worst_class_wins(self):
-        assert pressure_excess({VGPR: 1, SGPR: 9}, {VGPR: 3, SGPR: 4}) == 5
+        assert excess({VGPR: 1, SGPR: 9}, {VGPR: 3, SGPR: 4}) == 5
 
     def test_empty_target(self):
-        assert pressure_excess({VGPR: 7}, {}) == 0
+        assert excess({VGPR: 7}, {}) == 0
 
 
 class TestOptionalStallHeuristic:

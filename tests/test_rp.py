@@ -2,14 +2,18 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import quadratic_reference as reference
 from repro.ddg import DDG, region_bounds
+from repro.errors import ScheduleError
 from repro.heuristics import LastUseCountHeuristic, order_schedule
 from repro.ir.builder import RegionBuilder, figure1_region
 from repro.ir.registers import SGPR, VGPR
 from repro.machine import amd_vega20, simple_test_target
 from repro.rp import (
     PressureTracker,
+    RegisterTable,
     evaluate_schedule,
     peak_pressure,
     pressure_profile,
@@ -19,7 +23,11 @@ from repro.rp import (
 from repro.rp.cost import OCCUPANCY_WEIGHT
 from repro.schedule import Schedule
 
-from strategies import regions
+from strategies import non_ssa_regions, regions
+
+#: Pressure targets: absent classes, negative limits and the empty target
+#: all occur.
+targets = st.dictionaries(st.sampled_from([VGPR, SGPR]), st.integers(-3, 12), max_size=2)
 
 
 class TestTrackerFigure1:
@@ -147,6 +155,124 @@ class TestTrackerMechanics:
         tracker = PressureTracker(fig1_region)
         tracker.schedule(fig1_region[0])
         assert len(tuple(tracker.live_registers())) == 1
+
+
+def assert_same_state(tracker, ref, region, limits):
+    """Every observable of the dense tracker equals the reference's."""
+    assert tracker.current == ref.current
+    assert tracker.peak == ref.peak
+    assert tracker.peak_pressure() == ref.peak_pressure()
+    assert set(tracker.live_registers()) == set(ref.live_registers())
+    for inst in region:
+        preview = ref.pressure_if_scheduled(inst)
+        assert tracker.pressure_if_scheduled(inst) == preview
+        assert tracker.pressure_delta(inst) == ref.pressure_delta(inst)
+        assert tracker.closes_ranges(inst) == ref.closes_ranges(inst)
+        for target in limits:
+            expected = reference.pressure_excess(preview, target)
+            assert tracker.excess_if_scheduled(inst.index, target) == expected
+    for target in limits:
+        over = any(ref.peak.get(cls, 0) > limit for cls, limit in target.items())
+        assert tracker.peak_exceeds(target) == over
+
+
+class TestDenseTrackerMatchesReference:
+    """The dense-id tracker against the register-keyed original
+    (``quadratic_reference.PressureTracker``), after every step of any
+    order, including orders no dependence graph would allow."""
+
+    def check(self, region, data):
+        order = data.draw(st.permutations(range(len(region))))
+        limits = [{}] + data.draw(st.lists(targets, max_size=3))
+        tracker = PressureTracker(region)
+        ref = reference.PressureTracker(region)
+        assert_same_state(tracker, ref, region, limits)
+        for index in order:
+            tracker.schedule(region[index])
+            ref.schedule(region[index])
+            assert_same_state(tracker, ref, region, limits)
+
+    @given(regions(max_size=24), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_ssa_regions(self, region, data):
+        self.check(region, data)
+
+    @given(non_ssa_regions(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_non_ssa_regions(self, region, data):
+        self.check(region, data)
+
+    def test_shared_table(self, fig1_region):
+        table = RegisterTable(fig1_region)
+        first = PressureTracker(fig1_region, table)
+        second = PressureTracker(fig1_region, table)
+        first.schedule(fig1_region[0])
+        assert second.current[VGPR] == 0
+        with pytest.raises(ValueError):
+            PressureTracker(figure1_region(), table)
+
+
+class TestSnapshot:
+    @given(non_ssa_regions(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip(self, region, data):
+        """restore() returns to the snapshot's state, however often."""
+        order = data.draw(st.permutations(range(len(region))))
+        split = data.draw(st.integers(0, len(order)))
+        tracker = PressureTracker(region)
+        ref = reference.PressureTracker(region)
+        for index in order[:split]:
+            tracker.schedule(region[index])
+            ref.schedule(region[index])
+        saved = tracker.snapshot()
+        for _round in range(2):
+            for index in order[split:]:
+                tracker.schedule(region[index])
+            tracker.restore(saved)
+            assert_same_state(tracker, ref, region, [{VGPR: 2, SGPR: 1}])
+
+
+class TestForeignInstructions:
+    """Ids are region-local: an instruction of another region must be
+    rejected, not silently read through this region's ids."""
+
+    @pytest.fixture
+    def other(self):
+        b = RegionBuilder("other")
+        b.inst("op1", defs=["v7"])
+        b.inst("op1", defs=["s3"], uses=["v7"])
+        return b.live_out("s3").build()
+
+    def test_schedule_rejects_foreign(self, fig1_region, other):
+        tracker = PressureTracker(fig1_region)
+        with pytest.raises(ScheduleError):
+            tracker.schedule(other[1])
+        assert tracker.current[VGPR] == 0
+
+    def test_previews_reject_foreign(self, fig1_region, other):
+        tracker = PressureTracker(fig1_region)
+        for preview in (
+            tracker.pressure_if_scheduled,
+            tracker.closes_ranges,
+            tracker.pressure_delta,
+        ):
+            with pytest.raises(ScheduleError):
+                preview(other[0])
+
+    def test_index_past_the_region(self, other):
+        tracker = PressureTracker(other)
+        for index in (-1, len(other)):
+            with pytest.raises(ScheduleError):
+                tracker.excess_if_scheduled(index, {VGPR: 1})
+        with pytest.raises(ScheduleError):
+            tracker.schedule(figure1_region()[len(other)])
+
+    def test_equal_instruction_is_accepted(self, fig1_region):
+        """Identity is not required: an equal region's instruction is this
+        region's instruction."""
+        tracker = PressureTracker(fig1_region)
+        tracker.schedule(figure1_region()[0])
+        assert tracker.current[VGPR] == 1
 
 
 class TestPeakInvariance:
