@@ -18,8 +18,8 @@ them from scratch — the ``-verify-machineinstrs`` of this reproduction:
 * :mod:`~repro.analysis.static` — the rule-based static analyzer
   (``python -m repro.analysis.static``): determinism, RNG discipline,
   lockstep-divergence, accounting and import-layering rules, with inline
-  suppressions, a committed baseline and text/JSON/SARIF reports. Its
-  rule ``DET-001`` is the original AST determinism lint.
+  rule-addressed suppressions and text/SARIF reports; the gate is zero
+  findings.
 
 Both ACO schedulers, the compile pipeline and the CLI expose the layer
 behind a ``verify`` flag (``--verify`` on the CLI).

@@ -198,17 +198,21 @@ class ColonySanitizer:
             )
         # Per-ant disjointness and uniqueness: a cross-ant or double write
         # shows up as a duplicate id within one ant's issued+available set.
-        marks = np.zeros((colony.num_ants, n), dtype=np.int32)
-        ants = np.nonzero(issued_valid)[0]
-        np.add.at(marks, (ants, order_buf[issued_valid]), 1)
-        vants = np.nonzero(valid)[0]
-        np.add.at(marks, (vants, avail_ids[valid]), 1)
+        # One bincount over flat (ant, instruction) keys ant * n + id.
+        keys = np.concatenate(
+            (
+                np.nonzero(issued_valid)[0] * n + order_buf[issued_valid],
+                np.nonzero(valid)[0] * n + ids,
+            )
+        )
+        marks = np.bincount(keys, minlength=colony.num_ants * n)
         if marks.max() > 1:
-            ant, inst = np.unravel_index(int(np.argmax(marks)), marks.shape)
+            worst = int(np.argmax(marks))
+            ant, inst = divmod(worst, n)
             raise SanitizerError(
                 "instruction %d appears %d times in ant %d's issued/"
                 "available state (cross-ant aliasing or duplicate issue)"
-                % (int(inst), int(marks[ant, inst]), int(ant))
+                % (inst, int(marks[worst]), ant)
             )
         if np.asarray(colony.pred_remaining).min() < 0:
             raise SanitizerError("negative unscheduled-predecessor counter")

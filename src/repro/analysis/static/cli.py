@@ -1,21 +1,20 @@
 """Command line front end: ``python -m repro.analysis.static``.
 
-Exit codes: 0 — clean (no unbaselined findings); 1 — findings; 2 — usage
-or configuration error (bad rule id, unreadable baseline).
+Exit codes: 0 — clean (no findings); 1 — findings; 2 — usage or
+configuration error (bad rule id, a scan path that does not exist, or no
+Python file to scan).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
 from ...errors import AnalysisError
-from .baseline import Baseline, assert_shrunk, discover_baseline
 from .core import all_rules, default_target, rule_ids
 from .engine import SYNTAX_RULE_ID, analyze_paths
-from .reporters import render_json, render_sarif, render_text
+from .reporters import render_sarif, render_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,41 +32,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="files or directories to scan (default: the repro package)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="primary report format (default: text)",
-    )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        help="write the primary report to FILE instead of stdout",
-    )
-    parser.add_argument(
         "--sarif",
         metavar="FILE",
-        help="additionally write a SARIF 2.1.0 report to FILE",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file to match findings against (default: discover "
-            ".repro-static-baseline.json upward from the first scan path)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "snapshot all current findings into the baseline file and exit "
-            "0; stale entries are dropped"
-        ),
+        help="also write a SARIF 2.1.0 report to FILE",
     )
     parser.add_argument(
         "--select",
@@ -85,19 +52,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--list-rules",
         action="store_true",
         help="print the rule catalog (id, severity, summary, rationale)",
-    )
-    parser.add_argument(
-        "--assert-shrunk-from",
-        metavar="OLD_BASELINE",
-        help=(
-            "fail (exit 1) if the current baseline contains entries absent "
-            "from OLD_BASELINE — the CI ratchet check"
-        ),
-    )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="also list baseline-matched findings in text output",
     )
     return parser
 
@@ -152,86 +106,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             print("error: unknown rule id %r" % unknown, file=sys.stderr)
             return 2
 
-    paths = args.paths or [default_target()]
-
-    baseline: Optional[Baseline] = None
-    baseline_path: Optional[str] = None
-    if not args.no_baseline:
-        baseline_path = args.baseline or discover_baseline(paths[0])
-        if baseline_path is not None and not (
-            args.write_baseline and not os.path.isfile(baseline_path)
-        ):
-            try:
-                baseline = Baseline.load(baseline_path)
-            except AnalysisError as exc:
-                print("error: %s" % exc, file=sys.stderr)
-                return 2
-
     try:
         report = analyze_paths(
-            paths,
-            baseline=None if args.write_baseline else baseline,
-            select=select,
-            ignore=ignore,
+            args.paths or [default_target()], select=select, ignore=ignore
         )
     except AnalysisError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
-    if args.write_baseline:
-        target = args.baseline or baseline_path
-        if target is None:
-            print(
-                "error: no baseline file found to write; pass --baseline FILE",
-                file=sys.stderr,
-            )
-            return 2
-        snapshot = Baseline.from_findings(report.all_raw_findings(), path=target)
-        snapshot.save()
-        print(
-            "wrote %d finding(s) to %s" % (len(snapshot), target),
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.assert_shrunk_from:
-        try:
-            old = Baseline.load(args.assert_shrunk_from)
-        except AnalysisError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        current = (
-            baseline
-            if baseline is not None
-            else Baseline.from_findings(report.all_raw_findings())
-        )
-        grown = assert_shrunk(old, current)
-        if grown:
-            for entry in grown:
-                print(
-                    "baseline grew: %s %s %s:%d"
-                    % (entry.fingerprint, entry.rule, entry.path, entry.line),
-                    file=sys.stderr,
-                )
-            return 1
-
-    if args.format == "json":
-        rendered = render_json(report)
-    elif args.format == "sarif":
-        rendered = render_sarif(report)
-    else:
-        rendered = render_text(report, verbose=args.verbose)
-
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered if rendered.endswith("\n") else rendered + "\n")
-    else:
-        print(rendered, end="" if rendered.endswith("\n") else "\n")
-
+    print(render_text(report))
     if args.sarif:
         with open(args.sarif, "w", encoding="utf-8") as handle:
             handle.write(render_sarif(report))
-
     return report.exit_code
 
 

@@ -13,7 +13,7 @@ Three concepts:
   (``scope = "project"`` — e.g. the import-layering contract);
 * the registry maps stable rule ids to rule classes. Rule ids are part of
   the repo's public contract: suppressions (``# repro: noqa[DET-002]``)
-  and baseline entries refer to them, so an id is never renamed or reused.
+  and SARIF uploads refer to them, so an id is never renamed or reused.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
 SEVERITIES: Tuple[str, ...] = ("error", "warning", "advice")
 
 #: Package sub-paths whose code runs inside kernel/ant construction and is
-#: held to the strictest determinism discipline (mirrors the legacy lint).
+#: held to the strictest determinism discipline.
 KERNEL_PATHS: Tuple[str, ...] = (
     "aco", "parallel", "gpusim", "rp", "schedule", "ddg", "heuristics",
 )
@@ -50,11 +50,9 @@ def dotted_name(node: ast.AST) -> str:
 class Finding:
     """One diagnostic: a rule firing at a source location.
 
-    ``code`` carries a sub-code within a composite rule (the migrated
-    legacy lint reports its historical RNG001..TIME001 codes through
-    DET-001); for single-check rules it equals the rule id. The engine
-    fills ``fingerprint`` (see :mod:`repro.analysis.static.baseline`) after
-    the rule returns.
+    The engine fills ``fingerprint`` (see
+    :func:`repro.analysis.static.engine.finding_fingerprint`) after the
+    rule returns.
     """
 
     rule_id: str
@@ -64,12 +62,7 @@ class Finding:
     col: int
     message: str
     severity: str = "error"
-    code: str = ""
     fingerprint: str = ""
-
-    def __post_init__(self) -> None:
-        if not self.code:
-            self.code = self.rule_id
 
     def __str__(self) -> str:
         return "%s:%d:%d: %s %s" % (
@@ -128,7 +121,6 @@ class FileContext:
         rule: "Rule",
         node: ast.AST,
         message: str,
-        code: str = "",
     ) -> Finding:
         return Finding(
             rule_id=rule.rule_id,
@@ -138,7 +130,6 @@ class FileContext:
             col=getattr(node, "col_offset", 0),
             message=message,
             severity=rule.severity,
-            code=code or rule.rule_id,
         )
 
 
@@ -221,10 +212,9 @@ def _load_builtin_rules() -> None:
 def iter_python_files(paths: Iterable[str]) -> Iterator[Tuple[str, str]]:
     """Yield ``(file, root)`` pairs under each requested path.
 
-    Mirrors the legacy lint's walk: a file argument is its own root's
-    child; a directory argument anchors the relative paths of everything
-    under it. Deterministic order (sorted names) so reports, fingerprints
-    and baselines are byte-stable.
+    A file argument is its own root's child; a directory argument anchors
+    the relative paths of everything under it. Deterministic order (sorted
+    names) so reports and fingerprints are byte-stable.
     """
     for path in paths:
         if os.path.isfile(path):

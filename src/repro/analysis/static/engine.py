@@ -6,36 +6,45 @@ suppressions. Pass 2 (**file rules**) runs every file-scoped rule over
 every parsed file. Pass 3 (**project rules**) runs project-scoped rules
 (the import-layering contract) over the whole index, so they can resolve
 relative imports and see the module graph at once. Pass 4 (**triage**)
-fingerprints each finding, drops suppressed ones, and splits the rest into
-*new* versus *baselined* (plus *stale* baseline entries that no longer
-match anything — the signal that debt was paid and the baseline can
-shrink).
+fingerprints each finding and drops the suppressed ones; every finding
+left fails the scan.
 
 Suppressions
 ------------
 
 A finding is suppressed when its physical line carries::
 
-    # repro: noqa             (suppresses every rule on the line)
     # repro: noqa[DET-002]    (suppresses the listed rule ids only)
 
-The legacy ``# lint: allow`` marker keeps working, but only for the
-migrated legacy rule (``DET-001``) — new rules require the explicit,
-rule-addressed form so suppressions stay auditable.
+There is no blanket form: every suppression names the rules it silences,
+so each one stays auditable.
+
+Fingerprints
+------------
+
+A finding's fingerprint is ``sha256(rule id | relative path | stripped
+source line | occurrence ordinal)``, not a line number: inserting or
+deleting unrelated lines above a violation keeps it, editing the violating
+line changes it. SARIF carries it as ``partialFingerprints`` so uploads
+correlate across commits.
 
 Unparsable files are reported through the reserved engine rule ``SYN-001``
 (severity error): an analyzer that silently skips what it cannot parse
-would report "clean" exactly when the tree is most broken.
+would report "clean" exactly when the tree is most broken. For the same
+reason a scan path that does not exist, or a scan that finds no ``*.py``
+file, raises :class:`~repro.errors.AnalysisError` instead of passing.
 """
 
 from __future__ import annotations
 
 import ast
+import hashlib
+import os
 import re
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .baseline import Baseline, BaselineEntry, finding_fingerprint
+from ...errors import AnalysisError
 from .core import (
     Finding,
     FileContext,
@@ -48,28 +57,18 @@ from .core import (
 #: Reserved rule id for unparsable files (emitted by the engine itself).
 SYNTAX_RULE_ID = "SYN-001"
 
-_NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[([A-Za-z0-9_\-,\s]+)\])?")
-_LEGACY_ALLOW_RE = re.compile(r"#\s*lint:\s*allow\s*$")
-
-#: Rules the legacy ``# lint: allow`` marker still silences.
-_LEGACY_ALLOW_RULES = frozenset({"DET-001", SYNTAX_RULE_ID})
+_NOQA_RE = re.compile(r"#\s*repro:\s*noqa\[([A-Za-z0-9_\-,\s]+)\]")
 
 
 @dataclass
 class Suppressions:
     """Per-line suppression state of one file."""
 
-    #: line -> None (suppress all rules) or the set of suppressed rule ids.
-    noqa: Dict[int, Optional[Set[str]]] = field(default_factory=dict)
-    legacy_allow: Set[int] = field(default_factory=set)
+    #: line -> the rule ids its ``# repro: noqa[...]`` comment lists.
+    noqa: Dict[int, Set[str]] = field(default_factory=dict)
 
     def suppresses(self, finding: Finding) -> bool:
-        if finding.line in self.legacy_allow and finding.rule_id in _LEGACY_ALLOW_RULES:
-            return True
-        if finding.line not in self.noqa:
-            return False
-        rules = self.noqa[finding.line]
-        return rules is None or finding.rule_id in rules
+        return finding.rule_id in self.noqa.get(finding.line, ())
 
 
 def scan_suppressions(source: str) -> Suppressions:
@@ -77,54 +76,38 @@ def scan_suppressions(source: str) -> Suppressions:
     for lineno, line in enumerate(source.splitlines(), start=1):
         match = _NOQA_RE.search(line)
         if match:
-            listed = match.group(1)
-            if listed is None:
-                sup.noqa[lineno] = None
-            else:
-                ids = {part.strip().upper() for part in listed.split(",") if part.strip()}
-                existing = sup.noqa.get(lineno)
-                if lineno in sup.noqa and existing is None:
-                    pass  # blanket noqa already wins
-                else:
-                    merged = set(existing or ())
-                    merged.update(ids)
-                    sup.noqa[lineno] = merged
-        if _LEGACY_ALLOW_RE.search(line):
-            sup.legacy_allow.add(lineno)
+            sup.noqa[lineno] = {
+                part.strip().upper() for part in match.group(1).split(",") if part.strip()
+            }
     return sup
+
+
+def finding_fingerprint(finding: Finding, line_text: str, ordinal: int) -> str:
+    """Stable content hash for one finding (see module docstring)."""
+    payload = "|".join(
+        [finding.rule_id, finding.rel, line_text.strip(), str(ordinal)]
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass
 class AnalysisReport:
     """Outcome of one analyzer run."""
 
-    #: Findings not covered by the baseline — these fail the scan.
+    #: Findings that fail the scan.
     findings: List[Finding]
-    #: Findings matched (and silenced) by baseline entries.
-    baselined: List[Finding]
-    #: Findings silenced by ``# repro: noqa`` / ``# lint: allow``.
+    #: Findings silenced by ``# repro: noqa[RULE-ID]``.
     suppressed: List[Finding]
-    #: Baseline entries that matched nothing — ready to be removed.
-    stale_baseline: List[BaselineEntry]
     files_scanned: int
     rules_run: List[str]
-    baseline_path: Optional[str] = None
 
     @property
     def exit_code(self) -> int:
         return 1 if self.findings else 0
 
-    def all_raw_findings(self) -> List[Finding]:
-        """New + baselined (what ``--write-baseline`` snapshots)."""
-        merged = list(self.findings) + list(self.baselined)
-        merged.sort(key=Finding.sort_key)
-        return merged
-
 
 def parse_file(path: str, root: str) -> Tuple[Optional[FileContext], Optional[Finding]]:
     """Parse one file into a context, or a SYN-001 finding on failure."""
-    import os
-
     rel = os.path.relpath(path, root).replace(os.sep, "/")
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -133,7 +116,6 @@ def parse_file(path: str, root: str) -> Tuple[Optional[FileContext], Optional[Fi
         return None, Finding(
             rule_id=SYNTAX_RULE_ID, path=path, rel=rel, line=0, col=0,
             message="unreadable file: %s" % exc, severity="error",
-            code="SYN001",
         )
     try:
         tree = ast.parse(source, filename=path)
@@ -142,7 +124,6 @@ def parse_file(path: str, root: str) -> Tuple[Optional[FileContext], Optional[Fi
             rule_id=SYNTAX_RULE_ID, path=path, rel=rel,
             line=exc.lineno or 0, col=exc.offset or 0,
             message="syntax error: %s" % exc.msg, severity="error",
-            code="SYN001",
         )
     ctx = FileContext(
         path=path, root=root, rel=rel, source=source, tree=tree,
@@ -169,11 +150,17 @@ def _select_rules(
 def analyze_paths(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Baseline] = None,
     select: Optional[Sequence[str]] = None,
     ignore: Optional[Sequence[str]] = None,
 ) -> AnalysisReport:
     """Run the full multi-pass analysis over ``paths``."""
+    for path in paths:
+        if not os.path.exists(path):
+            raise AnalysisError("scan path does not exist: %s" % path)
+    sources = list(iter_python_files(paths))
+    if not sources:
+        raise AnalysisError("no Python files under %s" % ", ".join(paths))
+
     active = _select_rules(rules, select, ignore)
     file_rules = [r for r in active if r.scope == "file"]
     project_rules = [r for r in active if r.scope == "project"]
@@ -182,7 +169,7 @@ def analyze_paths(
     contexts: List[FileContext] = []
     raw_findings: List[Finding] = []
     suppressions: Dict[str, Suppressions] = {}
-    for path, root in iter_python_files(paths):
+    for path, root in sources:
         ctx, syn = parse_file(path, root)
         if syn is not None:
             if _syntax_rule_active(select, ignore):
@@ -202,20 +189,18 @@ def analyze_paths(
         for rule in project_rules:
             raw_findings.extend(rule.check_project(index))
 
-    # Pass 4: triage (fingerprint, suppress, baseline-match).
+    # Pass 4: triage (fingerprint, suppress).
     raw_findings.sort(key=Finding.sort_key)
     lines_by_path = {ctx.path: ctx.lines for ctx in contexts}
-    ordinals: Dict[Tuple[str, str, str, str], int] = {}
-    new: List[Finding] = []
-    matched: List[Finding] = []
+    ordinals: Dict[Tuple[str, str, str], int] = {}
+    findings: List[Finding] = []
     suppressed: List[Finding] = []
-    seen_fingerprints: Set[str] = set()
     for finding in raw_findings:
         lines = lines_by_path.get(finding.path, [])
         line_text = (
             lines[finding.line - 1] if 0 < finding.line <= len(lines) else ""
         )
-        key = (finding.rule_id, finding.rel, finding.code, line_text.strip())
+        key = (finding.rule_id, finding.rel, line_text.strip())
         ordinal = ordinals.get(key, 0)
         ordinals[key] = ordinal + 1
         finding.fingerprint = finding_fingerprint(finding, line_text, ordinal)
@@ -223,29 +208,14 @@ def analyze_paths(
         sup = suppressions.get(finding.path)
         if sup is not None and sup.suppresses(finding):
             suppressed.append(finding)
-            continue
-        seen_fingerprints.add(finding.fingerprint)
-        if baseline is not None and finding.fingerprint in baseline:
-            matched.append(finding)
         else:
-            new.append(finding)
-
-    stale: List[BaselineEntry] = []
-    if baseline is not None:
-        stale = [
-            entry
-            for entry in baseline.entries
-            if entry.fingerprint not in seen_fingerprints
-        ]
+            findings.append(finding)
 
     return AnalysisReport(
-        findings=new,
-        baselined=matched,
+        findings=findings,
         suppressed=suppressed,
-        stale_baseline=stale,
         files_scanned=len(contexts),
         rules_run=[r.rule_id for r in active],
-        baseline_path=baseline.path if baseline is not None else None,
     )
 
 

@@ -1,16 +1,16 @@
-"""Report renderers: human text, machine JSON, and SARIF 2.1.0.
+"""Report renderers: human text and SARIF 2.1.0.
 
-All three render the same :class:`~repro.analysis.static.engine.AnalysisReport`.
-The JSON and SARIF forms are deterministic (sorted findings, sorted keys)
-so CI artifacts diff cleanly between runs on the same tree.
+Both render the same :class:`~repro.analysis.static.engine.AnalysisReport`.
+The SARIF form is deterministic (sorted findings, sorted keys) so CI
+artifacts diff cleanly between runs on the same tree.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List
+from typing import List
 
-from .core import Finding, all_rules
+from .core import all_rules
 from .engine import AnalysisReport
 
 #: SARIF has no "advice"; map to its nearest level.
@@ -23,85 +23,29 @@ SARIF_SCHEMA = (
 )
 
 
-def render_text(report: AnalysisReport, verbose: bool = False) -> str:
+def render_text(report: AnalysisReport) -> str:
     """The default terminal report: findings then a one-line summary."""
-    out: List[str] = []
-    for finding in report.findings:
-        out.append(str(finding))
-    if verbose and report.baselined:
-        out.append("")
-        out.append("baselined (matched %s):" % (report.baseline_path or "baseline"))
-        for finding in report.baselined:
-            out.append("  " + str(finding))
-    if report.stale_baseline:
-        out.append("")
-        out.append(
-            "stale baseline entries (fixed findings — remove them with "
-            "--write-baseline):"
-        )
-        for entry in report.stale_baseline:
-            out.append(
-                "  %s %s %s:%d" % (entry.fingerprint, entry.rule, entry.path, entry.line)
-            )
+    out: List[str] = [str(finding) for finding in report.findings]
     out.append("")
     if report.findings:
         out.append(
-            "%d finding(s) in %d file(s) [%d baselined, %d suppressed]"
-            % (
-                len(report.findings),
-                report.files_scanned,
-                len(report.baselined),
-                len(report.suppressed),
-            )
+            "%d finding(s) in %d file(s) [%d suppressed]"
+            % (len(report.findings), report.files_scanned, len(report.suppressed))
         )
     else:
         out.append(
-            "static analysis: clean (%d file(s), %d rule(s), %d baselined, "
-            "%d suppressed)"
-            % (
-                report.files_scanned,
-                len(report.rules_run),
-                len(report.baselined),
-                len(report.suppressed),
-            )
+            "static analysis: clean (%d file(s), %d rule(s), %d suppressed)"
+            % (report.files_scanned, len(report.rules_run), len(report.suppressed))
         )
     return "\n".join(out).lstrip("\n")
-
-
-def _finding_json(finding: Finding) -> Dict[str, object]:
-    return {
-        "rule": finding.rule_id,
-        "code": finding.code,
-        "severity": finding.severity,
-        "path": finding.rel,
-        "line": finding.line,
-        "col": finding.col,
-        "message": finding.message,
-        "fingerprint": finding.fingerprint,
-    }
-
-
-def render_json(report: AnalysisReport) -> str:
-    payload = {
-        "tool": "repro.analysis.static",
-        "files_scanned": report.files_scanned,
-        "rules_run": list(report.rules_run),
-        "baseline": report.baseline_path,
-        "findings": [_finding_json(f) for f in report.findings],
-        "baselined": [_finding_json(f) for f in report.baselined],
-        "suppressed": [_finding_json(f) for f in report.suppressed],
-        "stale_baseline": [e.to_json() for e in report.stale_baseline],
-        "exit_code": report.exit_code,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def render_sarif(report: AnalysisReport) -> str:
     """SARIF 2.1.0 with the full rule catalog in the tool descriptor.
 
-    Only *new* (unbaselined, unsuppressed) findings become results —
-    matching what fails the scan — and each carries its baseline
-    fingerprint so uploads correlate across commits.
+    Only unsuppressed findings become results — matching what fails the
+    scan — and each carries its fingerprint so uploads correlate across
+    commits.
     """
     rules_meta = [
         {
@@ -130,7 +74,6 @@ def render_sarif(report: AnalysisReport) -> str:
                 }
             ],
             "partialFingerprints": {"reproStatic/v1": finding.fingerprint},
-            "properties": {"code": finding.code},
         }
         for finding in report.findings
     ]
@@ -152,9 +95,3 @@ def render_sarif(report: AnalysisReport) -> str:
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
-
-RENDERERS = {
-    "text": render_text,
-    "json": render_json,
-    "sarif": render_sarif,
-}

@@ -9,15 +9,20 @@ Rule id scheme — a stable family prefix plus a number that is never
 reused:
 
 ========  ============================================================
-``DET-``  determinism hazards (wall clock, global RNG state, unordered
-          iteration, environment reads)
-``RNG-``  RNG stream discipline (all draws via AntRngStreams)
+``DET-``  determinism hazards (wall clock, unordered iteration,
+          environment reads)
+``RNG-``  RNG discipline (all draws via AntRngStreams, no global RNG
+          state)
 ``DIV-``  lockstep-divergence hazards in the vectorized hot path
 ``ACC-``  simulated-time accounting discipline
 ``LAY-``  import-layering contract between packages
 ``OBS-``  observability discipline (all events via Telemetry.emit)
 ``SYN-``  reserved for the engine (unparsable files)
 ========  ============================================================
+
+Retired ids: ``DET-001``, the original composite determinism lint. Its
+checks live on in ``RNG-103`` (global RNG state), ``DET-004`` (wall-clock
+reads) and ``LAY-401`` (telemetry importing scheduler state).
 """
 
 from . import (
@@ -25,7 +30,6 @@ from . import (
     determinism,
     divergence,
     layering,
-    legacy,
     observability,
     rng_discipline,
 )
@@ -35,7 +39,6 @@ __all__ = [
     "determinism",
     "divergence",
     "layering",
-    "legacy",
     "observability",
     "rng_discipline",
 ]

@@ -1,9 +1,8 @@
-"""``DET-002`` / ``DET-003`` / ``DET-004`` — determinism hazards beyond
-the legacy lint.
+"""``DET-002`` … ``DET-005`` — determinism hazards.
 
 The sequential and parallel schedulers must replay bit-for-bit from a
-seed, across backends, shards, and fault retries. Three hazard classes
-the legacy lint never covered:
+seed, across backends, shards, and fault retries. The hazard classes
+(global RNG state is the RNG family's, ``RNG-103``):
 
 * **unordered iteration** (``DET-002``): iterating a ``set`` in a
   kernel/ant path makes downstream decisions depend on hash order — for
@@ -12,9 +11,11 @@ the legacy lint never covered:
 * **environment reads** (``DET-003``): ``os.environ`` consulted outside
   ``repro.config`` creates hidden inputs the seed does not capture, so
   two runs with equal seeds can diverge because a shell exported a var;
-* **wall-clock dates** (``DET-004``): ``datetime.now()`` and friends
+* **wall-clock reads** (``DET-004``): ``datetime.now()`` and friends
   anywhere in the library leak real time into outputs that must be
-  byte-stable (bench fingerprints, baselines, goldens);
+  byte-stable (bench fingerprints, baselines, goldens), and
+  ``time.time()`` and friends in a kernel/ant path let real time steer
+  scheduling decisions the cost models must own;
 * **unordered merges** (``DET-005``): a function named like
   ``merge``/``reduce``/``combine`` iterating an unordered collection —
   the exact hazard class that would silently break the fleet layer's
@@ -119,21 +120,24 @@ class EnvironmentReadRule(Rule):
 
 _WALL_CLOCK_TAILS = frozenset({"now", "utcnow", "today"})
 _WALL_CLOCK_HEADS = frozenset({"datetime", "date"})
+_CLOCK_READS = frozenset({"time", "monotonic", "perf_counter", "time_ns"})
 
 
 @register
-class WallClockDateRule(Rule):
+class WallClockReadRule(Rule):
     rule_id = "DET-004"
-    name = "wall-clock-datetime"
+    name = "wall-clock-read"
     severity = "error"
-    summary = "datetime.now()/utcnow()/date.today() anywhere in the library"
+    summary = (
+        "datetime.now()/utcnow()/date.today() anywhere in the library, or "
+        "time.time()/monotonic()/perf_counter()/time_ns() in a kernel/ant path"
+    )
     rationale = (
         "All simulated time comes from the deterministic cost models and "
         "all artifacts (bench JSON, baselines, goldens, traces) must be "
         "byte-stable across runs; a wall-clock date embedded anywhere "
-        "breaks byte-for-byte reproducibility. The legacy TIME001 only "
-        "guarded time.time() in kernel paths — this covers datetime "
-        "everywhere."
+        "breaks byte-for-byte reproducibility, and a clock read in a "
+        "kernel/ant path lets real time steer a scheduling decision."
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
@@ -152,6 +156,18 @@ class WallClockDateRule(Rule):
                     node,
                     "wall-clock %s(); deterministic artifacts must not "
                     "embed real dates" % name,
+                )
+            elif (
+                ctx.in_kernel_path
+                and len(parts) == 2
+                and parts[0] == "time"
+                and parts[1] in _CLOCK_READS
+            ):
+                yield ctx.finding(
+                    self,
+                    node,
+                    "wall-clock %s() in a kernel/ant path; use the "
+                    "deterministic cost models" % name,
                 )
 
 

@@ -5,10 +5,9 @@ substrate every scheduler stacks on, so it must never reach up into
 ``aco``/``parallel``; the observation packages (``telemetry``, ``obs``,
 ``profile``) must observe without steering, so they may not import
 scheduler or pipeline state; ``analysis`` recertifies schedules
-independently, so it must not import the engines it checks. ROADMAP item
-5's ``ExecutionSubstrate`` refactor only stays tractable if these edges
-stay one-directional — this rule is its enforcement arm, the static twin
-of the legacy TEL002 check generalized to every package.
+independently, so it must not import the engines it checks. The two-pass
+driver (``aco/driver.py``) can swap its construction engines only while
+these edges stay one-directional.
 
 The contract below lists, per package head, the heads it must never
 import (absolute ``repro.x`` or relative ``..x`` spellings both resolve).
@@ -176,9 +175,9 @@ class ImportLayeringRule(Rule):
         "packages (telemetry/obs/profile) must observe without steering, "
         "and repro.analysis recertifies results independently of the "
         "engines it checks. Each of those properties is an import "
-        "direction; once one back-edge lands, the ExecutionSubstrate "
-        "seam (ROADMAP item 5) and the observation-neutrality guarantees "
-        "rot silently. The contract table lists the forbidden edges."
+        "direction; once one back-edge lands, the driver/engine seam "
+        "and the observation-neutrality guarantees rot silently. The "
+        "contract table lists the forbidden edges."
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Finding]:

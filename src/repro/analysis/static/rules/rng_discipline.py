@@ -1,4 +1,4 @@
-"""``RNG-101`` / ``RNG-102`` — the spawn-indexed stream discipline.
+"""``RNG-101`` / ``RNG-102`` / ``RNG-103`` — the RNG discipline.
 
 PR 4's backend-equivalence proof rests on one invariant: every random
 decision in the colonies comes from :class:`repro.parallel.rng.AntRngStreams`,
@@ -11,12 +11,17 @@ where it can silently drift from the one the checkpoints serialize.
 Designated owners (exempt): ``parallel/rng.py`` (the stream family) and
 ``aco/seeding.py`` (the sequential engine's single sanctioned
 ``random.Random`` construction point).
+
+``RNG-103`` guards the hidden process-wide streams every seeded stream
+would otherwise share: module-level ``random.*`` draws and unseeded
+``default_rng()`` in kernel/ant paths, legacy ``numpy.random.*`` draws
+and global reseeding anywhere, and RNG imports in telemetry.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Set
+from typing import Iterable, Iterator, Set, Tuple
 
 from ..core import Finding, FileContext, Rule, dotted_name, register
 
@@ -122,3 +127,108 @@ class StreamSpawnOutsideOwnerRule(Rule):
                     ".spawn() outside parallel/rng.py; stream topology is "
                     "owned by AntRngStreams",
                 )
+
+
+#: Module-level ``random`` functions that draw from the hidden global stream.
+_STDLIB_GLOBAL_DRAWS = frozenset(
+    {
+        "random", "randint", "randrange", "choice", "choices", "shuffle",
+        "sample", "uniform", "triangular", "gauss", "normalvariate",
+        "expovariate", "betavariate", "getrandbits", "vonmisesvariate",
+        "paretovariate", "weibullvariate", "lognormvariate",
+    }
+)
+
+#: Legacy ``numpy.random`` functions that draw from the hidden global stream.
+_NUMPY_GLOBAL_DRAWS = frozenset(
+    {
+        "rand", "randn", "randint", "random", "random_sample", "ranf",
+        "sample", "choice", "shuffle", "permutation", "uniform", "normal",
+        "standard_normal", "exponential", "poisson", "beta", "binomial",
+    }
+)
+
+
+def _numpy_aliases(tree: ast.AST) -> Set[str]:
+    aliases = {"numpy"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "numpy":
+                    aliases.add(alias.asname or "numpy")
+    return aliases
+
+
+def _global_state_calls(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
+    numpy_aliases = _numpy_aliases(ctx.tree)
+    for node in ast.walk(ctx.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts = dotted_name(node.func).split(".")
+        if len(parts) == 2 and parts[0] == "random":
+            func = parts[1]
+            if func == "seed":
+                yield node, "global random.seed() reseeds every module's draws"
+            elif func in _STDLIB_GLOBAL_DRAWS and ctx.in_kernel_path:
+                yield node, (
+                    "module-level random.%s() in a kernel/ant path; draw "
+                    "from an injected random.Random" % func
+                )
+        elif len(parts) >= 3 and parts[0] in numpy_aliases and parts[1] == "random":
+            func = parts[2]
+            if func == "seed":
+                yield node, "global numpy.random.seed() reseeds every module's draws"
+            elif func in _NUMPY_GLOBAL_DRAWS:
+                yield node, (
+                    "legacy global numpy.random.%s(); use "
+                    "numpy.random.default_rng(seed)" % func
+                )
+            elif (
+                func == "default_rng"
+                and ctx.in_kernel_path
+                and not node.args
+                and not node.keywords
+            ):
+                yield node, (
+                    "numpy.random.default_rng() without a seed in a "
+                    "kernel/ant path"
+                )
+
+
+def _telemetry_rng_imports(ctx: FileContext) -> Iterator[Tuple[ast.AST, str]]:
+    if ctx.package_head != "telemetry":
+        return
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "random" for alias in node.names):
+                yield node, "telemetry imports the random module"
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.split(".")[0] == "random" or module.startswith("numpy.random"):
+                yield node, "telemetry imports an RNG module"
+
+
+@register
+class GlobalRngStateRule(Rule):
+    rule_id = "RNG-103"
+    name = "global-rng-state"
+    severity = "error"
+    summary = (
+        "Draw from or reseed process-wide RNG state (module-level random.*, "
+        "legacy numpy.random.*, unseeded default_rng, telemetry RNG imports)"
+    )
+    rationale = (
+        "Bit-identical seeded schedules hold because every draw comes from "
+        "a stream derived from the run's seed. The module-level random and "
+        "numpy.random generators are one hidden stream shared by every "
+        "caller: a draw from it in a kernel path depends on what ran "
+        "before, a global reseed perturbs every other module's draws, an "
+        "unseeded default_rng() reads OS entropy, and a telemetry module "
+        "holding an RNG can steer what it should only observe."
+    )
+
+    def check_file(self, ctx: FileContext) -> Iterable[Finding]:
+        for node, message in _global_state_calls(ctx):
+            yield ctx.finding(self, node, message)
+        for node, message in _telemetry_rng_imports(ctx):
+            yield ctx.finding(self, node, message)

@@ -18,7 +18,7 @@ times, and the heuristic/ACO/final schedule qualities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 from ..analysis.ddg_lint import lint_ddg
@@ -41,7 +41,7 @@ from ..schedule.schedule import Schedule
 from ..suite.rocprim import KernelSpec, Suite
 from ..suite.rng import derive_seed
 from ..telemetry import Telemetry, get_telemetry
-from ..timing import DEFAULT_COMPILE_TIME, CompileTimeModel
+from ..timing import DEFAULT_COMPILE_TIME, CompileTimeModel, HostSecondsLedger
 from .filters import FilterDecision, InvocationFilter, PostSchedulingFilter
 
 ACOScheduler = Union[SequentialACOScheduler, ParallelACOScheduler]
@@ -62,7 +62,11 @@ class RegionOutcome:
     pass1: Optional[PassResult] = None
     pass2: Optional[PassResult] = None
     #: Modelled scheduling time: heuristic + (when invoked) ACO.
-    scheduling_seconds: float = 0.0
+    ledger: HostSecondsLedger = field(default_factory=HostSecondsLedger)
+
+    @property
+    def scheduling_seconds(self) -> float:
+        return self.ledger.total
 
     @property
     def aco_invoked(self) -> bool:
@@ -283,7 +287,7 @@ class CompilePipeline:
             final=heuristic_quality,
             decision=FilterDecision.SKIPPED_OPTIMAL,
             schedule=heuristic_schedule,
-            scheduling_seconds=heuristic_seconds,
+            ledger=HostSecondsLedger(heuristic_seconds),
         )
         if self.scheduler is None:
             return outcome
@@ -320,11 +324,11 @@ class CompilePipeline:
                 )
             except RegionUnrecoverable as exc:
                 outcome.decision = FilterDecision.UNRECOVERABLE
-                outcome.scheduling_seconds = heuristic_seconds + exc.spent_seconds
+                outcome.ledger.charge(exc.spent_seconds)
                 return outcome
             if ladder.result is None:
                 outcome.decision = FilterDecision.DEGRADED
-                outcome.scheduling_seconds = heuristic_seconds + ladder.spent_seconds
+                outcome.ledger.charge(ladder.spent_seconds)
                 return outcome
             aco_result = ladder.result
             aco_seconds = ladder.spent_seconds
@@ -341,7 +345,7 @@ class CompilePipeline:
         outcome.aco = aco_quality
         outcome.pass1 = aco_result.pass1
         outcome.pass2 = aco_result.pass2
-        outcome.scheduling_seconds = heuristic_seconds + aco_seconds
+        outcome.ledger.charge(aco_seconds)
 
         if self.post_filter.keep_aco(
             aco_quality.occupancy,

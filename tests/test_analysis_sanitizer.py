@@ -163,6 +163,21 @@ class TestFaultInjection:
         with pytest.raises(SanitizerError, match="aliasing|appears"):
             colony.sanitizer.check_step(colony)
 
+    def test_duplicate_report_names_first_ant_and_instruction(self, fig1_ddg, vega):
+        """With duplicates in two ants, the lowest (ant, instruction) is named."""
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        avail = np.asarray(colony.avail_ids)
+        first = int(avail[1, 0])
+        avail[2, 0] = avail[2, 1]
+        avail[1, 1] = first
+        with pytest.raises(SanitizerError) as info:
+            colony.sanitizer.check_step(colony)
+        assert str(info.value) == (
+            "instruction %d appears 2 times in ant 1's issued/available state "
+            "(cross-ant aliasing or duplicate issue)" % first
+        )
+
     def test_negative_pred_counter(self, fig1_ddg, vega):
         colony, _, _ = _make_colony(fig1_ddg, vega)
         colony._reset()

@@ -20,30 +20,39 @@ def _scan(tmp_path, files):
     return [(f.rule_id, f.rel) for f in report.findings]
 
 
-def _legacy_codes(paths):
-    """Sub-codes of the DET-001 (and unparsable-file SYN-001) findings."""
+#: The rules that absorbed the retired DET-001's sub-codes, plus the
+#: engine's unparsable-file rule.
+_FOLDED_RULES = ("RNG-103", "DET-004", "LAY-401", "SYN-001")
+
+
+def _folded_rule_ids(paths):
+    """Rule ids of the findings that DET-001 used to report."""
     report = analyze_paths(paths)
-    return [f.code for f in report.findings if f.rule_id in ("DET-001", "SYN-001")]
+    return [f.rule_id for f in report.findings if f.rule_id in _FOLDED_RULES]
 
 
 class TestDET001Legacy:
+    """The retired DET-001's cases, each re-targeted to the rule that now
+    owns its hazard: RNG001-004 and TEL001 to RNG-103, TEL002 to LAY-401,
+    TIME001 to DET-004."""
+
     def test_positive_global_random_in_kernel_path(self, tmp_path):
         hits = _scan(tmp_path, {"aco/bad.py": "import random\nx = random.random()\n"})
-        assert ("DET-001", "aco/bad.py") in hits
+        assert ("RNG-103", "aco/bad.py") in hits
 
     def test_negative_outside_kernel_path(self, tmp_path):
         hits = _scan(tmp_path, {"viz/ok.py": "import random\nx = random.random()\n"})
-        assert all(rule != "DET-001" for rule, _ in hits)
+        assert hits == []
 
     @pytest.mark.parametrize(
         "rel, source, codes",
         [
             pytest.param(
-                "aco/bad.py", "import random\nx = random.random()\n", ["RNG001"],
+                "aco/bad.py", "import random\nx = random.random()\n", ["RNG-103"],
                 id="RNG001-kernel-path",
             ),
             pytest.param(
-                "rp/bad.py", "import random\nrandom.shuffle([1])\n", ["RNG001"],
+                "rp/bad.py", "import random\nrandom.shuffle([1])\n", ["RNG-103"],
                 id="RNG001-shuffle",
             ),
             pytest.param(
@@ -57,13 +66,13 @@ class TestDET001Legacy:
                 id="RNG001-injected-instance-allowed",
             ),
             pytest.param(
-                "viz/bad.py", "import numpy as np\nx = np.random.rand(3)\n", ["RNG002"],
+                "viz/bad.py", "import numpy as np\nx = np.random.rand(3)\n", ["RNG-103"],
                 id="RNG002-legacy-numpy-anywhere",
             ),
             pytest.param(
                 "parallel/bad.py",
                 "import numpy as np\nrng = np.random.default_rng()\n",
-                ["RNG003"],
+                ["RNG-103"],
                 id="RNG003-unseeded-default-rng",
             ),
             pytest.param(
@@ -75,15 +84,15 @@ class TestDET001Legacy:
             pytest.param(
                 "viz/bad.py",
                 "import random\nimport numpy as np\nrandom.seed(0)\nnp.random.seed(0)\n",
-                ["RNG004", "RNG004"],
+                ["RNG-103", "RNG-103"],
                 id="RNG004-global-seeding",
             ),
             pytest.param(
-                "telemetry/bad.py", "import random\n", ["TEL001"],
+                "telemetry/bad.py", "import random\n", ["RNG-103"],
                 id="TEL001-telemetry-imports-rng",
             ),
             pytest.param(
-                "telemetry/bad.py", "from ..parallel.colony import Colony\n", ["TEL002"],
+                "telemetry/bad.py", "from ..parallel.colony import Colony\n", ["LAY-401"],
                 id="TEL002-telemetry-imports-scheduler-state",
             ),
             pytest.param(
@@ -91,7 +100,7 @@ class TestDET001Legacy:
                 id="TEL002-telemetry-imports-errors-allowed",
             ),
             pytest.param(
-                "gpusim/bad.py", "import time\nt = time.time()\n", ["TIME001"],
+                "gpusim/bad.py", "import time\nt = time.time()\n", ["DET-004"],
                 id="TIME001-kernel-path",
             ),
             pytest.param(
@@ -99,21 +108,22 @@ class TestDET001Legacy:
                 id="TIME001-cli-allowed",
             ),
             pytest.param(
+                # The retired DET-001 marker silences nothing any more.
                 "aco/excused.py",
                 "import random\nx = random.random()  # lint: allow\n",
-                [],
+                ["RNG-103"],
                 id="lint-allow-comment",
             ),
-            pytest.param("aco/broken.py", "def f(:\n", ["SYN001"], id="syntax-error"),
+            pytest.param("aco/broken.py", "def f(:\n", ["SYN-001"], id="syntax-error"),
         ],
     )
     def test_subcode(self, tmp_path, rel, source, codes):
         _write(tmp_path, {rel: source})
-        assert _legacy_codes([str(tmp_path)]) == codes
+        assert _folded_rule_ids([str(tmp_path)]) == codes
 
     def test_single_file_target(self, tmp_path):
         _write(tmp_path, {"loose.py": "import numpy as np\nnp.random.seed(1)\n"})
-        assert _legacy_codes([str(tmp_path / "loose.py")]) == ["RNG004"]
+        assert _folded_rule_ids([str(tmp_path / "loose.py")]) == ["RNG-103"]
 
 
 class TestDET002UnorderedIteration:
