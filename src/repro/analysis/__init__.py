@@ -13,7 +13,8 @@ them from scratch — the ``-verify-machineinstrs`` of this reproduction:
   ready-list bound audit (:func:`lint_ddg`, :func:`lint_closure`,
   :func:`audit_ready_bound`);
 * :mod:`~repro.analysis.sanitizer` — the gpusim sanitizer mode
-  (``--verify``): checked SoA accessors, poison discipline,
+  (``--verify``): both-bound checks on computed per-ant state offsets,
+  poison discipline,
   cross-ant aliasing and wavefront-uniformity checks;
 * :mod:`~repro.analysis.static` — the rule-based static analyzer
   (``python -m repro.analysis.static``): determinism, RNG discipline,
@@ -27,7 +28,7 @@ behind a ``verify`` flag (``--verify`` on the CLI).
 
 from .ddg_lint import audit_ready_bound, lint_closure, lint_ddg, max_antichain_size
 from .report import VerificationReport, Violation
-from .sanitizer import CheckedArray, ColonySanitizer, checked
+from .sanitizer import ColonySanitizer
 from .verifier import (
     classify_stalls,
     recompute_peak_pressure,
@@ -48,7 +49,5 @@ __all__ = [
     "lint_closure",
     "audit_ready_bound",
     "max_antichain_size",
-    "CheckedArray",
     "ColonySanitizer",
-    "checked",
 ]

@@ -1,4 +1,4 @@
-"""The gpusim sanitizer: checked SoA accessors and lockstep invariants.
+"""The gpusim sanitizer: bounds-checked SoA offsets and lockstep invariants.
 
 Section V-A replaces device-side dynamic allocation with fixed-capacity
 structure-of-arrays buffers indexed by computed offsets — exactly the kind
@@ -8,9 +8,14 @@ When sanitize mode is on (``--verify``, or an explicit ``verify=True`` on
 the parallel scheduler, which hands the colony a :class:`ColonySanitizer`),
 the colony:
 
-* wraps its per-ant state arrays in :class:`CheckedArray`, which rejects
-  *negative* computed indices (numpy would silently wrap them to the end
-  of the buffer — the Python analogue of an out-of-bounds device read);
+* checks every computed per-ant state index with
+  :meth:`ColonySanitizer.check_index` before the access: the ant row and
+  the column, each against both bounds. The vectorized engine checks
+  where it folds ``(ant, column)`` into a flat offset, the loop engine at
+  its scalar writes. A column of ``-1`` or of the row width would
+  otherwise land in the neighbouring ant's row (numpy would also wrap a
+  ``-1`` to the end of a row): the Python analogue of an out-of-bounds
+  device access;
 * runs :meth:`ColonySanitizer.check_step` after every lockstep step,
   which audits the available-list bound of Section V-A, the ``-1`` poison
   discipline on uninitialized slots, per-ant consistency between the
@@ -30,75 +35,6 @@ from typing import Optional
 import numpy as np
 
 from ..errors import SanitizerError
-
-
-# -- checked arrays ----------------------------------------------------------
-
-
-class CheckedArray(np.ndarray):
-    """An ndarray that refuses negative computed indices.
-
-    Negative indices are Python sugar, but in SoA kernel code a computed
-    index of ``-1`` is an uninitialized-slot read that numpy would quietly
-    wrap to the *last* element. The sanitizer's arrays raise instead.
-    Slices, masks and ``None`` axes pass through untouched.
-    """
-
-    _name = "array"
-
-    def __array_finalize__(self, obj):
-        if obj is not None:
-            self._name = getattr(obj, "_name", "array")
-
-    def _check_key(self, key) -> None:
-        parts = key if isinstance(key, tuple) else (key,)
-        for part in parts:
-            if part is None or part is Ellipsis or isinstance(part, slice):
-                continue
-            if isinstance(part, (bool, np.bool_)):
-                continue
-            if isinstance(part, (int, np.integer)):
-                if part < 0:
-                    raise SanitizerError(
-                        "negative index %d into %s (uninitialized-slot read?)"
-                        % (int(part), self._name)
-                    )
-                continue
-            arr = np.asarray(part)
-            if arr.dtype == bool or arr.size == 0:
-                continue
-            if np.issubdtype(arr.dtype, np.integer) and int(arr.min()) < 0:
-                raise SanitizerError(
-                    "negative index %d into %s (uninitialized-slot read?)"
-                    % (int(arr.min()), self._name)
-                )
-
-    def __getitem__(self, key):
-        self._check_key(key)
-        return super().__getitem__(key)
-
-    def __setitem__(self, key, value):
-        self._check_key(key)
-        super().__setitem__(key, value)
-
-
-def checked(array: np.ndarray, name: str) -> CheckedArray:
-    """Wrap ``array`` (shared memory, no copy) in a named CheckedArray."""
-    view = array.view(CheckedArray)
-    view._name = name
-    return view
-
-
-def flat_offsets(array: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Offsets of ``array[rows, cols]`` into ``array.reshape(-1)``.
-
-    Folding a 2-D key into one offset would hide a ``-1`` column inside
-    the previous row, out of the guard's sight, so a CheckedArray checks
-    the 2-D key first.
-    """
-    if isinstance(array, CheckedArray):
-        array._check_key((rows, cols))
-    return rows * array.shape[1] + cols
 
 
 # -- the colony sanitizer ----------------------------------------------------
@@ -134,6 +70,29 @@ class ColonySanitizer:
                 "available-list width %d does not match the declared "
                 "capacity %d" % (colony.avail_ids.shape[1], cap)
             )
+
+    # -- per-access bounds ---------------------------------------------------
+
+    def check_index(self, name: str, shape, rows, cols) -> None:
+        """Every ``(rows, cols)`` pair must lie inside a ``shape`` array.
+
+        ``rows`` is the ant axis, ``cols`` the column; both may be scalars
+        or integer arrays. Checked against both bounds before the access:
+        numpy wraps a ``-1`` column to the end of the row, and once the pair
+        is folded into a flat offset, a column of ``-1`` or of the row width
+        lands in the neighbouring ant's row without any error.
+        """
+        for axis, index, bound in (("ant", rows, shape[0]), ("column", cols, shape[1])):
+            index = np.asarray(index)
+            if not index.size:
+                return
+            low, high = int(index.min()), int(index.max())
+            if low < 0 or high >= bound:
+                raise SanitizerError(
+                    "%s index %d outside [0, %d) of %s (uninitialized slot "
+                    "or neighbouring ant's state)"
+                    % (axis, low if low < 0 else high, bound, name)
+                )
 
     # -- divergence uniformity ----------------------------------------------
 

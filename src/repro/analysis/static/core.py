@@ -139,9 +139,6 @@ class ProjectIndex:
 
     files: List[FileContext]
 
-    def by_module(self) -> Dict[str, FileContext]:
-        return {ctx.module_rel: ctx for ctx in self.files}
-
 
 class Rule:
     """Base class for rule plugins.
@@ -209,16 +206,30 @@ def _load_builtin_rules() -> None:
     from . import rules  # noqa: F401  (import for side effect)
 
 
+def _package_root(path: str) -> str:
+    """The topmost package directory holding file ``path`` (walking up
+    while ``__init__.py`` exists), or the file's own directory."""
+    root = os.path.dirname(os.path.abspath(path))
+    while os.path.isfile(os.path.join(root, "__init__.py")):
+        parent = os.path.dirname(root)
+        if parent == root or not os.path.isfile(os.path.join(parent, "__init__.py")):
+            break
+        root = parent
+    return root
+
+
 def iter_python_files(paths: Iterable[str]) -> Iterator[Tuple[str, str]]:
     """Yield ``(file, root)`` pairs under each requested path.
 
-    A file argument is its own root's child; a directory argument anchors
-    the relative paths of everything under it. Deterministic order (sorted
-    names) so reports and fingerprints are byte-stable.
+    A directory argument anchors the relative paths of everything under
+    it. A file argument is rooted at its topmost package directory, so
+    its relative path, and with it every path-scoped rule, matches a scan
+    of that package. Deterministic order (sorted names) so reports and
+    fingerprints are byte-stable.
     """
     for path in paths:
         if os.path.isfile(path):
-            yield path, os.path.dirname(path) or "."
+            yield path, _package_root(path)
         else:
             for dirpath, dirnames, filenames in os.walk(path):
                 dirnames.sort()

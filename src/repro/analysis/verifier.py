@@ -94,15 +94,14 @@ def recompute_peak_pressure(
     entry = {cls: 0 for cls in classes}
     delta = {cls: [0] * (n + 1) for cls in classes}
     live_in, live_out = region.live_in, region.live_out
-    for reg in region.all_registers:
+    # Only live-ins and defined registers can become live.
+    for reg in live_in.union(def_positions):
         defs = def_positions.get(reg, ())
         if reg in live_in:
             entry[reg.reg_class] += 1
             first = 0
-        elif defs:
-            first = min(defs)
         else:
-            continue  # never defined, never live-in: cannot become live
+            first = min(defs)
         if reg in live_out:
             last = n - 1
         elif reg in last_use:

@@ -37,8 +37,9 @@ best-only deposit, stagnation restarts; see :mod:`repro.aco.strategy`).
 
 Verification: ``--verify`` turns on the scheduler sanitizer
 (:mod:`repro.analysis`) — every shipped schedule is independently
-rechecked, DDGs are linted, and the GPU simulation runs with checked SoA
-accessors. Results stay bit-identical; the run only gets slower.
+rechecked, DDGs are linted, and the GPU simulation bounds-checks every
+computed per-ant state index. Results stay bit-identical; the run only gets
+slower.
 
 Resilience: ``--deadline SECONDS`` caps each region's scheduling budget,
 ``--chaos SEED`` injects deterministic GPU faults, and ``--max-retries N``
@@ -184,8 +185,8 @@ def main(argv: List[str] = None) -> int:
         "--verify",
         action="store_true",
         help="run the scheduler sanitizer: independent verification of "
-        "every shipped schedule, DDG/closure linting and checked SoA "
-        "accessors in the GPU simulation (see repro.analysis)",
+        "every shipped schedule, DDG/closure linting and bounds checks on "
+        "per-ant state indices in the GPU simulation (see repro.analysis)",
     )
     parser.add_argument(
         "--watch",

@@ -245,13 +245,6 @@ class ExperimentContext:
                 )
         return records
 
-    def processed_regions(self):
-        """(kernel, outcome) pairs whose regions the parallel run ACO'd."""
-        par = self.run("parallel")
-        for kernel, outcome in par.all_regions():
-            if outcome.aco_invoked:
-                yield kernel, outcome
-
 
 def threshold_pick(context: ExperimentContext, threshold: int):
     """A region-outcome picker that re-applies a cycle threshold post hoc.

@@ -9,11 +9,16 @@ the ready/available list is sized by the transitive-closure bound
 (:meth:`repro.ddg.closure.TransitiveClosure.ready_list_upper_bound`) when
 the ``tight_ready_list_bound`` optimization is on, or by the trivial bound
 ``n`` otherwise.
+
+Registers are numbered by the region's :class:`~repro.rp.tracker.RegisterTable`
+(first appearance in program order), the same dense ids the CPU ants'
+pressure trackers use; the use counts, live-in/live-out facts and the
+kill-before-def "closers" come from that table too.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -22,15 +27,14 @@ from ..ddg.analysis import critical_path_info
 from ..ddg.graph import DDG
 from ..ir.registers import RegisterClass, VirtualRegister
 from ..machine.model import MachineModel
+from ..rp.tracker import RegisterTable
 
 
 def _pad_lists(lists, pad_value=-1, dtype=np.int32, min_width=1):
     width = max(min_width, max((len(l) for l in lists), default=0))
-    out = np.full((len(lists), width), pad_value, dtype=dtype)
-    for row, items in enumerate(lists):
-        for col, value in enumerate(items):
-            out[row, col] = value
-    return out
+    return np.array(
+        [list(items) + [pad_value] * (width - len(items)) for items in lists], dtype=dtype
+    )
 
 
 class RegionDeviceData:
@@ -43,48 +47,41 @@ class RegionDeviceData:
         n = ddg.num_instructions
         self.num_instructions = n
 
-        # Dense register universe.
-        registers: Tuple[VirtualRegister, ...] = tuple(sorted(region.all_registers))
-        self.registers = registers
-        self.reg_index: Dict[VirtualRegister, int] = {
-            reg: i for i, reg in enumerate(registers)
-        }
-        self.num_registers = len(registers)
+        # Dense register ids: the tracker's own numbering (first appearance).
+        table = RegisterTable(region)
+        self.registers: Tuple[VirtualRegister, ...] = table.registers
+        self.num_registers = len(table.registers)
 
         classes = machine.classes()
         self.classes: Tuple[RegisterClass, ...] = classes
         self.num_classes = len(classes)
         class_index = {cls: i for i, cls in enumerate(classes)}
-        # Registers of classes the machine does not constrain get class -1
-        # and are ignored by the pressure counters.
-        self.reg_class = np.array(
-            [class_index.get(reg.reg_class, -1) for reg in registers], dtype=np.int32
-        )
+        # The table indexes the region's classes; map them onto the
+        # machine's. Registers of classes the machine does not constrain
+        # get class -1 and are ignored by the pressure counters.
+        to_machine = np.array([class_index.get(cls, -1) for cls in table.classes], dtype=np.int32)
+        self.reg_class = to_machine[np.asarray(table.class_of, dtype=np.intp)]
 
         # Operand tables (padded; -1 terminates).
-        self.uses = _pad_lists(
-            [[self.reg_index[r] for r in inst.uses] for inst in region]
-        )
-        self.defs = _pad_lists(
-            [[self.reg_index[r] for r in inst.defs] for inst in region]
-        )
+        self.uses = _pad_lists(table.uses)
+        self.defs = _pad_lists(table.defs)
 
-        # uses_redefined[i, s]: operand slot s of instruction i names a
-        # register i itself redefines (kill-before-def must not free it).
-        self.uses_redefined = np.zeros_like(self.uses, dtype=bool)
-        for inst in region:
-            def_ids = {self.reg_index[r] for r in inst.defs}
-            for slot, reg in enumerate(inst.uses):
-                if self.reg_index[reg] in def_ids:
-                    self.uses_redefined[inst.index, slot] = True
+        # closer_slots[i, s]: use slot s of instruction i names one of the
+        # table's closers, a register whose live range i may close (not
+        # live-out, and not redefined by i: kill-before-def must not free it).
+        closers = table.closers
+        self.closer_slots = _pad_lists(
+            [[reg in closers[i] for reg in inst_uses] for i, inst_uses in enumerate(table.uses)],
+            pad_value=False,
+            dtype=bool,
+        )
 
         # Static per-class def counts (the stall heuristic's "opens" preview).
         self.defs_per_class = np.zeros((n, self.num_classes), dtype=np.int32)
-        for inst in region:
-            for reg in inst.defs:
-                ci = class_index.get(reg.reg_class, -1)
-                if ci >= 0:
-                    self.defs_per_class[inst.index, ci] += 1
+        rows, cols = np.nonzero(self.defs >= 0)
+        def_class = self.reg_class[self.defs[rows, cols]]
+        constrained = def_class >= 0
+        np.add.at(self.defs_per_class, (rows[constrained], def_class[constrained]), 1)
 
         # Dependence structure.
         self.succ_ids = _pad_lists([[s for s, _l in ddg.successors[i]] for i in range(n)])
@@ -109,32 +106,23 @@ class RegionDeviceData:
         self.luc_height = self.heights / self.score_scale
 
         # Liveness inputs.
-        self.total_use_counts = np.zeros(self.num_registers, dtype=np.int32)
-        for inst in region:
-            for reg in inst.uses:
-                self.total_use_counts[self.reg_index[reg]] += 1
-        self.live_out_mask = np.zeros(self.num_registers, dtype=bool)
-        for reg in region.live_out:
-            self.live_out_mask[self.reg_index[reg]] = True
-        self.live_in_ids = np.array(
-            sorted(self.reg_index[reg] for reg in region.live_in), dtype=np.int32
-        )
+        self.total_use_counts = np.array(table.use_counts, dtype=np.int32)
+        self.live_out_mask = np.array(table.live_out, dtype=bool)
+        self.live_in_ids = np.array(sorted(table.live_in), dtype=np.int32)
         live_in_class = self.reg_class[self.live_in_ids]
-        self.live_in_per_class = np.array(
-            [np.count_nonzero(live_in_class == ci) for ci in range(self.num_classes)],
-            dtype=np.int32,
-        )
+        self.live_in_per_class = np.bincount(
+            live_in_class[live_in_class >= 0], minlength=self.num_classes
+        ).astype(np.int32)
         # The machine classes the region touches, as (class index, class):
         # the keys of a reported peak (matching rp.liveness.peak_pressure).
-        region_classes = set(region.register_classes())
         self.peak_classes: Tuple[Tuple[int, RegisterClass], ...] = tuple(
-            (ci, cls) for ci, cls in enumerate(classes) if cls in region_classes
+            (ci, cls) for ci, cls in enumerate(classes) if cls in table.classes
         )
 
         # The kill-preview table. Column g*S + s of row i names the register
         # use slot s of instruction i would close, grouped by class g (group
         # num_classes holds unconstrained registers). Padded slots, slots
-        # that i redefines, and slots of another group name the sentinel
+        # that are not closers, and slots of another group name the sentinel
         # column num_registers, which the per-ant killable mask keeps False.
         # A step gathers "would this slot close a live range" for every
         # candidate with one flat take through this table.
@@ -142,7 +130,7 @@ class RegionDeviceData:
         self.kill_table = np.full(
             (n, (self.num_classes + 1) * slots), self.num_registers, dtype=np.intp
         )
-        rows, cols = np.nonzero((self.uses >= 0) & ~self.uses_redefined)
+        rows, cols = np.nonzero(self.closer_slots)
         regs = self.uses[rows, cols]
         groups = np.where(self.reg_class[regs] >= 0, self.reg_class[regs], self.num_classes)
         self.kill_table[rows, groups * slots + cols] = regs

@@ -60,14 +60,9 @@ class LoopColony(VectorizedColony):
         closes = np.zeros(cand.shape, dtype=np.float64)
         for slot in range(d.uses.shape[1]):
             u = d.uses[safe, slot]
-            m = valid & (u >= 0) & ~d.uses_redefined[safe, slot]
+            m = valid & d.closer_slots[safe, slot]
             um = np.where(m, u, 0)
-            pred_kill = (
-                m
-                & (self.remaining_uses[ant, um] == 1)
-                & ~d.live_out_mask[um]
-                & self.live[ant, um]
-            )
+            pred_kill = m & (self.remaining_uses[ant, um] == 1) & self.live[ant, um]
             closes += pred_kill
         net = closes - d.num_defs[safe]
         luc_score = (net + d.num_uses[safe] + 1.0) * d.score_scale + d.heights[safe] / d.score_scale
@@ -129,12 +124,19 @@ class LoopColony(VectorizedColony):
 
     # -- state mutation ------------------------------------------------------
 
+    def _check(self, name: str, ant: int, col: int) -> None:
+        """In sanitize mode, bounds-check ``self.<name>[ant, col]``."""
+        if self.sanitizer is not None:
+            self.sanitizer.check_index(name, getattr(self, name).shape, ant, col)
+
     def _schedule_chosen(self, doers: np.ndarray, chosen: np.ndarray, cycle: int) -> None:
         d = self.data
         for ant in range(self.num_ants):
             if not doers[ant]:
                 continue
             pick = int(chosen[ant])
+            self._check("order_buf", ant, self.scheduled[ant])
+            self._check("cycles_buf", ant, pick)
             self.order_buf[ant, self.scheduled[ant]] = pick
             self.cycles_buf[ant, pick] = cycle
             self.scheduled[ant] += 1
@@ -147,8 +149,7 @@ class LoopColony(VectorizedColony):
                 self.remaining_uses[ant, u] -= 1
                 if (
                     self.remaining_uses[ant, u] == 0
-                    and not d.live_out_mask[u]
-                    and not d.uses_redefined[pick, slot]
+                    and d.closer_slots[pick, slot]
                     and self.live[ant, u]
                 ):
                     self.live[ant, u] = False
@@ -189,6 +190,7 @@ class LoopColony(VectorizedColony):
                 self.pred_remaining[ant, s] -= 1
                 if self.pred_remaining[ant, s] == 0:
                     pos = int(self.avail_len[ant])
+                    self._check("avail_ids", ant, pos)
                     self.avail_ids[ant, pos] = s
                     self.avail_release[ant, pos] = self.earliest[ant, s]
                     self.avail_len[ant] += 1
@@ -199,8 +201,10 @@ class LoopColony(VectorizedColony):
             if not doers[ant]:
                 continue
             col = int(sel[ant])
-            chosen[ant] = int(self.avail_ids[ant, col])
             last = int(self.avail_len[ant]) - 1
+            self._check("avail_ids", ant, col)
+            self._check("avail_ids", ant, last)
+            chosen[ant] = int(self.avail_ids[ant, col])
             self.avail_ids[ant, col] = self.avail_ids[ant, last]
             self.avail_release[ant, col] = self.avail_release[ant, last]
             self.avail_ids[ant, last] = -1
@@ -228,9 +232,8 @@ class LoopColony(VectorizedColony):
                     um = np.where(m, u, 0)
                     pred_kill = (
                         m
+                        & d.closer_slots[safe, slot]
                         & (self.remaining_uses[ant, um] == 1)
-                        & ~d.live_out_mask[um]
-                        & ~d.uses_redefined[safe, slot]
                         & self.live[ant, um]
                     )
                     closes += pred_kill

@@ -243,17 +243,6 @@ class MultiRegionScheduler:
         with region_trace(item.ddg.region.name, item.ddg.num_instructions, item.seed):
             return self._run_slot_traced(item, blocks, fault_plan, resilience)
 
-    # Backward-compatible alias for the pre-fleet internal API.
-    def _region_result(
-        self,
-        item: BatchItem,
-        blocks: int,
-        fault_plan: Optional[FaultPlan] = None,
-        resilience: Optional[ResilienceParams] = None,
-    ) -> Tuple[Optional[ACOResult], Optional[str]]:
-        outcome = self.run_slot(item, blocks, fault_plan=fault_plan, resilience=resilience)
-        return outcome.result, outcome.error
-
     def _run_slot_traced(
         self,
         item: BatchItem,

@@ -47,7 +47,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..analysis.sanitizer import ColonySanitizer, checked, flat_offsets
+from ..analysis.sanitizer import ColonySanitizer
 from ..config import ACOParams
 from ..gpusim.kernel import KernelAccounting
 from ..ir.registers import RegisterClass
@@ -143,17 +143,6 @@ class VectorizedColony:
         self.constructions_total = 0
 
         if self.sanitizer is not None:
-            # Sanitize mode: per-ant SoA state goes behind checked accessors
-            # (a computed index of -1 is an uninitialized-slot read that
-            # plain numpy would silently wrap to the last element).
-            self.avail_ids = checked(self.avail_ids, "avail_ids")
-            self.avail_release = checked(self.avail_release, "avail_release")
-            self.pred_remaining = checked(self.pred_remaining, "pred_remaining")
-            self.earliest = checked(self.earliest, "earliest")
-            self.remaining_uses = checked(self.remaining_uses, "remaining_uses")
-            self.live = checked(self.live, "live")
-            self.order_buf = checked(self.order_buf, "order_buf")
-            self.cycles_buf = checked(self.cycles_buf, "cycles_buf")
             self.sanitizer.audit_layout(self)
 
         # Flat views of the per-ant state that _schedule_chosen and
@@ -214,14 +203,14 @@ class VectorizedColony:
 
         Returns one ``(ants, cols)`` int8 array per class group of
         ``data.kill_table`` (machine classes, then unconstrained registers):
-        the candidate's uses of that group whose remaining use count is 1,
-        that are live and not live-out, and that it does not redefine.
+        the candidate's closers of that group (its uses that are not
+        live-out and that it does not redefine) whose remaining use count
+        is 1 and that are live.
         """
         d = self.data
         killable = self._killable_regs
         np.equal(self.remaining_uses, 1, out=killable)
         np.logical_and(killable, self.live, out=killable)
-        np.logical_and(killable, self._not_live_out, out=killable)
         offsets = d.kill_table.take(safe, axis=0)
         offsets += self._kill_base
         gathered = self._killable.reshape(-1).take(offsets).view(np.int8)
@@ -303,6 +292,18 @@ class VectorizedColony:
 
     # -- state mutation ------------------------------------------------------------
 
+    def _offsets(self, name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Offsets of ``self.<name>[rows, cols]`` into its flat view.
+
+        Folding ``(ant, column)`` into one offset turns an out-of-row column
+        into a valid-looking cell of a neighbouring ant, so sanitize mode
+        checks the pair first.
+        """
+        array = getattr(self, name)
+        if self.sanitizer is not None:
+            self.sanitizer.check_index(name, array.shape, rows, cols)
+        return rows * array.shape[1] + cols
+
     def _schedule_chosen(self, doers: np.ndarray, chosen: np.ndarray, cycle: int) -> None:
         """Apply the scheduling of ``chosen`` for ants where ``doers``.
 
@@ -314,8 +315,8 @@ class VectorizedColony:
         d = self.data
         ants = self._ants[doers]
         picks = chosen[doers]
-        self._order_flat[flat_offsets(self.order_buf, ants, self.scheduled[ants])] = picks
-        self._cycles_flat[flat_offsets(self.cycles_buf, ants, picks)] = cycle
+        self._order_flat[self._offsets("order_buf", ants, self.scheduled[ants])] = picks
+        self._cycles_flat[self._offsets("cycles_buf", ants, picks)] = cycle
         self.scheduled[ants] += 1
         self.prev_inst[ants] = picks
 
@@ -327,31 +328,26 @@ class VectorizedColony:
             u = d.uses[picks, slot]
             m = u >= 0
             au, uu = ants[m], u[m]
-            at = flat_offsets(self.remaining_uses, au, uu)
+            at = self._offsets("remaining_uses", au, uu)
             left = remaining[at] - 1
             remaining[at] = left
-            kill = (
-                (left == 0)
-                & self._not_live_out[uu]
-                & ~d.uses_redefined[picks[m], slot]
-                & live[at]
-            )
+            kill = (left == 0) & d.closer_slots[picks[m], slot] & live[at]
             live[at[kill]] = False
             cls = d.reg_class[uu[kill]]
             cm = cls >= 0
-            current[flat_offsets(self.current, au[kill][cm], cls[cm])] -= 1
+            current[self._offsets("current", au[kill][cm], cls[cm])] -= 1
         def_slots = []
         for slot in range(d.defs.shape[1]):
             dd = d.defs[picks, slot]
             m = dd >= 0
             ad, rd = ants[m], dd[m]
-            at = flat_offsets(self.live, ad, rd)
+            at = self._offsets("live", ad, rd)
             def_slots.append((ad, rd, at))
             fresh = ~live[at]
             live[at[fresh]] = True
             cls = d.reg_class[rd[fresh]]
             cm = cls >= 0
-            current[flat_offsets(self.current, ad[fresh][cm], cls[cm])] += 1
+            current[self._offsets("current", ad[fresh][cm], cls[cm])] += 1
         self.peak[ants] = np.maximum(self.peak[ants], self.current[ants])
         # Dead defs (no uses, not live-out) die right after the peak sample.
         for ad, rd, at in def_slots:
@@ -359,7 +355,7 @@ class VectorizedColony:
             live[at[dead_def]] = False
             cls = d.reg_class[rd[dead_def]]
             cm = cls >= 0
-            current[flat_offsets(self.current, ad[dead_def][cm], cls[cm])] -= 1
+            current[self._offsets("current", ad[dead_def][cm], cls[cm])] -= 1
 
         # Release successors into the available list.
         earliest = self._earliest_flat
@@ -368,14 +364,14 @@ class VectorizedColony:
             s = d.succ_ids[picks, slot]
             m = s >= 0
             asucc, ss = ants[m], s[m]
-            at = flat_offsets(self.earliest, asucc, ss)
+            at = self._offsets("earliest", asucc, ss)
             release = np.maximum(earliest[at], cycle + d.succ_lat[picks[m], slot])
             earliest[at] = release
             left = pred_remaining[at] - 1
             pred_remaining[at] = left
             newly = left == 0
             an = asucc[newly]
-            pos = flat_offsets(self.avail_ids, an, self.avail_len[an])
+            pos = self._offsets("avail_ids", an, self.avail_len[an])
             self._avail_ids_flat[pos] = ss[newly]
             self._avail_release_flat[pos] = release[newly]
             self.avail_len[an] += 1
@@ -383,8 +379,8 @@ class VectorizedColony:
     def _remove_from_avail(self, doers: np.ndarray, sel: np.ndarray) -> np.ndarray:
         """Swap-remove the selected column; returns the chosen instruction ids."""
         ants = self._ants[doers]
-        at = flat_offsets(self.avail_ids, ants, sel[doers])
-        last = flat_offsets(self.avail_ids, ants, self.avail_len[ants] - 1)
+        at = self._offsets("avail_ids", ants, sel[doers])
+        last = self._offsets("avail_ids", ants, self.avail_len[ants] - 1)
         ids = self._avail_ids_flat
         release = self._avail_release_flat
         chosen_ids = ids[at]

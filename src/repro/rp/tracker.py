@@ -31,7 +31,10 @@ The tracker runs over dense register ids, not :class:`VirtualRegister`
 values: a :class:`RegisterTable` interns a region's registers to ``0..r-1``
 once, so a scheduling step indexes lists instead of hashing frozen
 dataclasses. An ACO pass builds one table and hands it to every ant's
-tracker; a one-shot tracker builds its own. The registers themselves only
+tracker; a one-shot tracker builds its own. The parallel colony's device
+image (:class:`repro.parallel.layouts.RegionDeviceData`) is built from a
+table too, so both colonies number registers the same way. The registers
+themselves only
 reappear in the dict views (``current``, ``peak``,
 :meth:`PressureTracker.pressure_if_scheduled`) and in
 :meth:`PressureTracker.live_registers`.

@@ -1,4 +1,4 @@
-"""Tests for the gpusim sanitizer: checked arrays and colony invariants."""
+"""Tests for the gpusim sanitizer: per-ant index checks and colony invariants."""
 
 import types
 
@@ -6,27 +6,29 @@ import numpy as np
 import pytest
 
 from repro.aco import PheromoneTable
-from repro.analysis import CheckedArray, ColonySanitizer, checked
+from repro.analysis import ColonySanitizer
 from repro.config import ACOParams, GPUParams
 from repro.ddg import DDG
 from repro.errors import SanitizerError
 from repro.gpusim import GPUDevice, KernelAccounting
 from repro.parallel import (
-    Colony,
+    BACKENDS,
     DivergencePolicy,
     ParallelACOScheduler,
     RegionDeviceData,
 )
 
 
-def _make_colony(ddg, machine, blocks=1, seed=0, sanitize=True, **gpu_overrides):
+def _make_colony(
+    ddg, machine, blocks=1, seed=0, sanitize=True, backend="vectorized", **gpu_overrides
+):
     gpu = GPUParams(blocks=blocks, **gpu_overrides)
     params = ACOParams()
     policy = DivergencePolicy.from_params(gpu)
     data = RegionDeviceData(ddg, machine, tight_ready_bound=gpu.tight_ready_list_bound)
     accounting = KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True)
     sanitizer = ColonySanitizer() if sanitize else None
-    colony = Colony(
+    colony = BACKENDS[backend](
         data,
         params,
         policy,
@@ -37,45 +39,30 @@ def _make_colony(ddg, machine, blocks=1, seed=0, sanitize=True, **gpu_overrides)
     return colony, data, params
 
 
-class TestCheckedArray:
+class TestCheckIndex:
+    """The one bounds check: ant row and column, each against both bounds."""
+
     def test_negative_scalar_index_rejected(self):
-        arr = checked(np.arange(8), "buf")
-        with pytest.raises(SanitizerError, match="buf"):
-            arr[-1]
+        with pytest.raises(SanitizerError, match="column index -1 .* of buf"):
+            ColonySanitizer().check_index("buf", (2, 8), 1, -1)
 
     def test_negative_array_index_rejected(self):
-        arr = checked(np.arange(8), "buf")
-        with pytest.raises(SanitizerError):
-            arr[np.array([0, 2, -1])]
+        with pytest.raises(SanitizerError, match="ant index -1"):
+            ColonySanitizer().check_index("buf", (2, 8), np.array([0, -1]), np.array([0, 0]))
 
-    def test_negative_write_index_rejected(self):
-        arr = checked(np.arange(8), "buf")
-        with pytest.raises(SanitizerError):
-            arr[np.array([-3])] = 7
+    def test_index_at_bound_rejected(self):
+        sanitizer = ColonySanitizer()
+        with pytest.raises(SanitizerError, match=r"column index 8 outside \[0, 8\) of buf"):
+            sanitizer.check_index("buf", (2, 8), np.array([0, 1]), np.array([3, 8]))
+        with pytest.raises(SanitizerError, match=r"ant index 2 outside \[0, 2\)"):
+            sanitizer.check_index("buf", (2, 8), 2, 0)
 
-    def test_positive_and_fancy_indexing_pass(self):
-        arr = checked(np.arange(12).reshape(3, 4), "buf")
-        assert arr[2, 3] == 11
-        assert (arr[1] == [4, 5, 6, 7]).all()
-        assert (arr[np.array([0, 2]), np.array([1, 2])] == [1, 10]).all()
-        assert arr[arr > 100].size == 0  # boolean masks pass
-
-    def test_slices_untouched(self):
-        arr = checked(np.arange(8), "buf")
-        assert (arr[2:5] == [2, 3, 4]).all()
-        assert (arr[:-1] == np.arange(7)).all()  # slice negatives are fine
-
-    def test_view_shares_memory(self):
-        base = np.zeros(4, dtype=np.int32)
-        view = checked(base, "buf")
-        view[1] = 9
-        assert base[1] == 9
-        assert isinstance(view, CheckedArray)
-
-    def test_name_survives_finalize(self):
-        arr = checked(np.arange(6).reshape(2, 3), "state")
-        with pytest.raises(SanitizerError, match="state"):
-            arr[0][-1]
+    def test_in_bounds_indices_pass(self):
+        sanitizer = ColonySanitizer()
+        sanitizer.check_index("buf", (3, 4), 2, 3)
+        sanitizer.check_index("buf", (3, 4), np.array([0, 2]), np.array([1, 2]))
+        empty = np.zeros(0, dtype=np.int64)
+        sanitizer.check_index("buf", (3, 4), empty, empty)
 
 
 def _scheduler_colony(ddg, machine, **kw):
@@ -250,11 +237,55 @@ class TestFaultInjection:
         with pytest.raises(SanitizerError, match="cycles_buf"):
             colony._schedule_chosen(doers, chosen, cycle=0)
 
-    def test_uninitialized_slot_read_caught_live(self, fig1_ddg, vega):
-        """The CheckedArray wrapping catches a computed -1 index on the
-        colony's own state arrays."""
-        colony, _, _ = _make_colony(fig1_ddg, vega)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_pick_at_row_width_caught_before_neighbour_write(self, fig1_ddg, vega, backend):
+        """Mutation: ant 0 issues instruction n. Folded into a flat offset,
+        column n of ant 0 is column 0 of ant 1, so the check must see the
+        column against the row width before the write."""
+        colony, data, _ = _make_colony(fig1_ddg, vega, backend=backend)
         colony._reset()
-        bogus = int(colony.avail_len[1]) - 99  # a negative computed offset
+        doers = np.zeros(colony.num_ants, dtype=bool)
+        doers[0] = True
+        chosen = np.zeros(colony.num_ants, dtype=np.int32)
+        chosen[0] = data.num_instructions
+        neighbour = colony.cycles_buf[1].copy()
+        with pytest.raises(SanitizerError, match="cycles_buf"):
+            colony._schedule_chosen(doers, chosen, cycle=5)
+        assert (colony.cycles_buf[1] == neighbour).all()
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_selection_past_available_list_caught(self, fig1_ddg, vega, backend):
+        """Mutation: ant 0 selects the column one past its available list's
+        capacity, which is ant 1's first entry once folded."""
+        colony, data, _ = _make_colony(fig1_ddg, vega, backend=backend)
+        colony._reset()
+        doers = np.zeros(colony.num_ants, dtype=bool)
+        doers[0] = True
+        sel = np.zeros(colony.num_ants, dtype=np.int64)
+        sel[0] = data.ready_capacity
+        neighbour = colony.avail_ids[1].copy()
         with pytest.raises(SanitizerError, match="avail_ids"):
-            colony.avail_ids[1, bogus]
+            colony._remove_from_avail(doers, sel)
+        assert (colony.avail_ids[1] == neighbour).all()
+
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_remove_from_empty_available_list(self, fig1_ddg, vega, backend):
+        """Mutation: an ant removes from an empty available list, so its
+        last entry is column -1 (numpy would wrap it to the row's end, a
+        flat offset to the previous ant's last slot)."""
+        colony, _, _ = _make_colony(fig1_ddg, vega, backend=backend)
+        colony._reset()
+        colony.avail_ids[1] = -1
+        colony.avail_len[1] = 0
+        doers = np.zeros(colony.num_ants, dtype=bool)
+        doers[1] = True
+        with pytest.raises(SanitizerError, match="avail_ids"):
+            colony._remove_from_avail(doers, np.zeros(colony.num_ants, dtype=np.int64))
+
+    def test_state_arrays_print_in_sanitize_mode(self, fig1_ddg, vega):
+        """Debugging a sanitized colony prints its state like any array."""
+        colony, _, params = _make_colony(fig1_ddg, vega)
+        colony.run_rp_iteration(PheromoneTable(7, params).tau)
+        for name in ("avail_ids", "cycles_buf", "order_buf", "remaining_uses", "live"):
+            text = repr(getattr(colony, name))
+            assert text.startswith("array(")

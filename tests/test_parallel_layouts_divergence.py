@@ -9,7 +9,7 @@ from repro.ddg import DDG, TransitiveClosure
 from repro.machine import amd_vega20
 from repro.parallel import DivergencePolicy, RegionDeviceData
 
-from strategies import ddgs
+from strategies import ddgs, non_ssa_regions
 
 
 class TestRegionDeviceData:
@@ -69,6 +69,32 @@ class TestRegionDeviceData:
             assert sorted(map(str, uses)) == sorted(map(str, inst.uses))
             defs = [data.registers[r] for r in data.defs[inst.index] if r >= 0]
             assert sorted(map(str, defs)) == sorted(map(str, inst.defs))
+
+    @given(non_ssa_regions())
+    @settings(max_examples=25, deadline=None)
+    def test_liveness_arrays_match_the_region(self, region):
+        """The arrays derived from the register table, recomputed per
+        register from the region (redefinitions included)."""
+        data = RegionDeviceData(DDG(region), amd_vega20())
+        ids = {reg: i for i, reg in enumerate(data.registers)}
+        class_index = {cls: i for i, cls in enumerate(data.classes)}
+        assert sorted(ids) == sorted(region.live_in | region.defined_registers | region.used_registers)
+        opens = np.zeros((len(region), data.num_classes), dtype=np.int32)
+        for inst in region:
+            for reg in inst.defs:
+                if reg.reg_class in class_index:
+                    opens[inst.index, class_index[reg.reg_class]] += 1
+            closers = [reg not in region.live_out and reg not in inst.defs for reg in inst.uses]
+            assert data.closer_slots[inst.index, : len(closers)].tolist() == closers
+            assert not data.closer_slots[inst.index, len(closers) :].any()
+        assert (data.defs_per_class == opens).all()
+        for reg, i in ids.items():
+            assert data.total_use_counts[i] == sum(inst.uses.count(reg) for inst in region)
+            assert data.live_out_mask[i] == (reg in region.live_out)
+            assert data.reg_class[i] == class_index.get(reg.reg_class, -1)
+        assert sorted(data.live_in_ids.tolist()) == sorted(ids[reg] for reg in region.live_in)
+        live_in = [sum(1 for reg in region.live_in if reg.reg_class is cls) for cls in data.classes]
+        assert data.live_in_per_class.tolist() == live_in
 
 
 class TestDivergencePolicy:

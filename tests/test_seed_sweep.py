@@ -61,7 +61,7 @@ def test_sweep_backends_bit_identical_and_aprp_clean(medium_ddg):
 
 def test_loop_backend_survives_the_verifier(medium_ddg):
     # Direct spot check: the scalar engine under the verifier + sanitizer
-    # (checked SoA accessors), not just by transitivity.
+    # (index checks at its scalar writes), not just by transitivity.
     for seed in (0, 17, 49):
         _run("loop", medium_ddg, seed, verify=True)
 

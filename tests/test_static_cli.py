@@ -49,6 +49,27 @@ class TestExitCodes:
         assert "no Python files" in capsys.readouterr().err
 
 
+class TestSingleFileScan:
+    def test_file_in_package_scans_like_the_package(self, tmp_path, capsys):
+        # A file argument is rooted at its topmost package, so path-scoped
+        # rules (DET-002 covers aco/) see the same relative path.
+        for rel in ("pkg/__init__.py", "pkg/aco/__init__.py"):
+            _write(tmp_path, rel, "")
+        bad = _write(tmp_path, "pkg/aco/bad.py", BAD)
+        assert main([str(tmp_path / "pkg")]) == 1
+        package_report = capsys.readouterr().out
+        assert main([str(bad)]) == 1
+        file_report = capsys.readouterr().out
+        assert "DET-002" in file_report
+        finding_line = next(line for line in file_report.splitlines() if "DET-002" in line)
+        assert finding_line in package_report
+
+    def test_file_outside_a_package_keeps_its_directory(self, tmp_path, capsys):
+        bad = _write(tmp_path, "loose/bad.py", BAD)
+        assert main([str(bad)]) == 0
+        assert "clean" in capsys.readouterr().out
+
+
 class TestFormats:
     def test_sarif_format_and_side_file(self, tmp_path, capsys):
         _write(tmp_path, "aco/bad.py", BAD)
