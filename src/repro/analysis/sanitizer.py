@@ -11,16 +11,19 @@ the colony:
 * checks every computed per-ant state index with
   :meth:`ColonySanitizer.check_index` before the access: the ant row and
   the column, each against both bounds. The vectorized engine checks
-  where it folds ``(ant, column)`` into a flat offset, the loop engine at
-  its scalar writes. A column of ``-1`` or of the row width would
-  otherwise land in the neighbouring ant's row (numpy would also wrap a
-  ``-1`` to the end of a row): the Python analogue of an out-of-bounds
-  device access;
+  every doer's real column against the real width before its dense
+  writes, the loop engine at its scalar writes. Folded into a flat offset,
+  a column of ``-1`` or past the row would otherwise land in the
+  neighbouring ant's row, and one of the row width in the row's sentinel
+  column (numpy would also wrap a ``-1`` to the end of a row): the Python
+  analogue of an out-of-bounds device access;
 * runs :meth:`ColonySanitizer.check_step` after every lockstep step,
   which audits the available-list bound of Section V-A, the ``-1`` poison
   discipline on uninitialized slots, per-ant consistency between the
   available list and the issued prefix (a cross-ant write would break
-  these with overwhelming probability), and non-negative counters;
+  these with overwhelming probability), non-negative counters, and that
+  every per-ant sentinel column (where the vectorized engine's idle lanes
+  and padded slots write) still holds its reset value;
 * asserts wavefront-uniform explore/exploit draws whenever the
   wavefront-level-choice divergence optimization claims uniformity.
 
@@ -79,8 +82,9 @@ class ColonySanitizer:
         ``rows`` is the ant axis, ``cols`` the column; both may be scalars
         or integer arrays. Checked against both bounds before the access:
         numpy wraps a ``-1`` column to the end of the row, and once the pair
-        is folded into a flat offset, a column of ``-1`` or of the row width
-        lands in the neighbouring ant's row without any error.
+        is folded into a flat offset, a column outside the row lands in
+        another cell (a neighbouring ant's row, or the row's sentinel
+        column) without any error.
         """
         for axis, index, bound in (("ant", rows, shape[0]), ("column", cols, shape[1])):
             index = np.asarray(index)
@@ -130,39 +134,36 @@ class ColonySanitizer:
                 "available list grew to %d entries; the Section V-A bound "
                 "sized the buffer at %d" % (peak, cap)
             )
-        cols = np.arange(avail_ids.shape[1])[None, :]
-        valid = cols < avail_len[:, None]
+        # Each cell as a flat (ant, instruction) key ant * n + id; the
+        # uniqueness audit below counts them with one bincount.
+        ant_keys = np.arange(colony.num_ants)[:, None] * n
+        valid = np.arange(avail_ids.shape[1]) < avail_len[:, None]
         ids = avail_ids[valid]
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise SanitizerError(
                 "available list holds instruction id outside [0, %d)" % n
             )
-        poison = avail_ids[~valid]
-        if poison.size and (poison != -1).any():
+        if (avail_ids[~valid] != -1).any():
             raise SanitizerError(
                 "slot beyond the available-list length is not poisoned "
                 "(-1): stale or cross-ant write"
             )
         if scheduled.min() < 0 or scheduled.max() > n:
             raise SanitizerError("scheduled-instruction counter out of range")
-        issued_valid = np.arange(order_buf.shape[1])[None, :] < scheduled[:, None]
-        issued = np.where(issued_valid, order_buf, -1)
-        if (np.where(issued_valid, issued, 0) < 0).any() or issued.max() >= n:
+        issued_valid = np.arange(order_buf.shape[1]) < scheduled[:, None]
+        issued = order_buf[issued_valid]
+        if issued.size and (issued.min() < 0 or issued.max() >= n):
             raise SanitizerError(
                 "issued prefix of order_buf holds an invalid instruction id"
             )
-        if (np.where(issued_valid, -1, order_buf) != -1).any():
+        if (order_buf[~issued_valid] != -1).any():
             raise SanitizerError(
                 "order_buf beyond the issued prefix is not poisoned (-1)"
             )
         # Per-ant disjointness and uniqueness: a cross-ant or double write
         # shows up as a duplicate id within one ant's issued+available set.
-        # One bincount over flat (ant, instruction) keys ant * n + id.
         keys = np.concatenate(
-            (
-                np.nonzero(issued_valid)[0] * n + order_buf[issued_valid],
-                np.nonzero(valid)[0] * n + ids,
-            )
+            ((ant_keys + order_buf)[issued_valid], (ant_keys + avail_ids)[valid])
         )
         marks = np.bincount(keys, minlength=colony.num_ants * n)
         if marks.max() > 1:
@@ -177,6 +178,18 @@ class ColonySanitizer:
             raise SanitizerError("negative unscheduled-predecessor counter")
         if np.asarray(colony.current).min() < 0:
             raise SanitizerError("negative register-pressure counter")
+        # Idle lanes and padded slots write into the sentinel columns; each
+        # write must leave its column at the reset value, or a real value
+        # landed there (and is missing from a real column).
+        for name, column, reset in colony.sentinel_columns:
+            moved = column != reset
+            if moved.any():
+                ant = int(np.argmax(moved))
+                raise SanitizerError(
+                    "sentinel column of %s holds %r in ant %d, not its reset "
+                    "value %r: a lane's write there was not inert"
+                    % (name, column[ant].item(), ant, reset)
+                )
 
     # -- end of iteration ----------------------------------------------------
 

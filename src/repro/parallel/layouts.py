@@ -14,6 +14,12 @@ Registers are numbered by the region's :class:`~repro.rp.tracker.RegisterTable`
 (first appearance in program order), the same dense ids the CPU ants'
 pressure trackers use; the use counts, live-in/live-out facts and the
 kill-before-def "closers" come from that table too.
+
+The vectorized colony also reads host-side index tables derived from these:
+per-instruction kill-preview columns, and slot-major copies of the operand
+and successor tables whose padding and extra instruction column name the
+per-ant state arrays' sentinel columns. They are not part of the transferred
+image (:meth:`RegionDeviceData.device_arrays`).
 """
 
 from __future__ import annotations
@@ -35,6 +41,12 @@ def _pad_lists(lists, pad_value=-1, dtype=np.int32, min_width=1):
     return np.array(
         [list(items) + [pad_value] * (width - len(items)) for items in lists], dtype=dtype
     )
+
+
+def _slot_major(table, sentinel):
+    """``table`` transposed to ``(slots, n + 1)``; column ``n`` is all ``sentinel``."""
+    column = np.full((table.shape[1], 1), sentinel, dtype=table.dtype)
+    return np.concatenate((table.T, column), axis=1)
 
 
 class RegionDeviceData:
@@ -119,21 +131,41 @@ class RegionDeviceData:
             (ci, cls) for ci, cls in enumerate(classes) if cls in table.classes
         )
 
-        # The kill-preview table. Column g*S + s of row i names the register
-        # use slot s of instruction i would close, grouped by class g (group
-        # num_classes holds unconstrained registers). Padded slots, slots
-        # that are not closers, and slots of another group name the sentinel
-        # column num_registers, which the per-ant killable mask keeps False.
-        # A step gathers "would this slot close a live range" for every
-        # candidate with one flat take through this table.
-        slots = self.uses.shape[1]
-        self.kill_table = np.full(
-            (n, (self.num_classes + 1) * slots), self.num_registers, dtype=np.intp
-        )
-        rows, cols = np.nonzero(self.closer_slots)
-        regs = self.uses[rows, cols]
-        groups = np.where(self.reg_class[regs] >= 0, self.reg_class[regs], self.num_classes)
-        self.kill_table[rows, groups * slots + cols] = regs
+        # Per-instruction kill-preview columns: kill_cols[g, s, i] names the
+        # register use slot s of instruction i would close, grouped by class
+        # g (group num_classes holds unconstrained registers). Slots that
+        # are padded, not closers, or of another group name the sentinel
+        # register num_registers, which an ant's killable mask keeps False.
+        # One take through this table scores every instruction for every
+        # ant; candidates then gather their row entries.
+        R = self.num_registers
+        groups = np.where(self.reg_class >= 0, self.reg_class, self.num_classes)
+        slot_regs = np.where(self.closer_slots, self.uses, R).T  # (slots, n)
+        slot_groups = np.append(groups, -1)[slot_regs]
+        self.kill_cols = np.stack(
+            [np.where(slot_groups == g, slot_regs, R) for g in range(self.num_classes + 1)]
+        ).astype(np.intp)
+
+        # Slot-major operand and successor tables for the vectorized colony's
+        # dense updates, with one extra column n: the sentinel instruction an
+        # idle lane issues. Padded slots (and every slot of column n) name the
+        # sentinel register R or sentinel instruction n, which address the
+        # per-ant state arrays' sentinel columns.
+        # Index tables are intp, the dtype numpy's take indexes with.
+        self.use_cols = _slot_major(np.where(self.uses >= 0, self.uses, R), R).astype(np.intp)
+        self.closer_cols = _slot_major(self.closer_slots, False)
+        self.def_cols = _slot_major(np.where(self.defs >= 0, self.defs, R), R).astype(np.intp)
+        # A def that dies at once when its register has no uses left: a real
+        # def slot whose register is not live-out.
+        self.def_dies = np.append(~self.live_out_mask, False)[self.def_cols]
+        self.succ_cols = _slot_major(
+            np.where(self.succ_ids >= 0, self.succ_ids, n), n
+        ).astype(np.intp)
+        self.succ_lat_cols = _slot_major(self.succ_lat, 0)
+        self.succ_count_cols = np.append(self.succ_count, 0)
+        # Register -> class column; unconstrained registers and the sentinel
+        # register name the sentinel class num_classes.
+        self.reg_class_cols = np.append(groups, self.num_classes).astype(np.intp)
 
         # Occupancy / APRP lookup tables, one row per class; index = pressure
         # clamped to the table width (beyond-table pressure -> occupancy 0).

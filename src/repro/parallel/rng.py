@@ -36,13 +36,28 @@ ants' unused roulette draws and inactive lanes' draws — exactly like the
 paper's kernel, where a masked-off lane still executes the wavefront's
 RNG instructions.
 
+**Batch derivation.** Spawn child ``i`` is the PCG64 generator seeded by
+``SeedSequence(seed, spawn_key=(i,))``. Building 192 such objects per
+launch costs milliseconds of Python, so :func:`spawn_states` runs the
+SeedSequence hash itself: the launch seed's words are mixed once, the
+spawn index (the only per-child word) is mixed for every ant at once in
+NumPy arrays (32-bit arithmetic, masked), and the PCG64 seeding is done on
+128-bit Python ints. A launch seed must be a non-negative int.
+The result is each child's PCG64 ``(state, inc)`` pair, value for value
+what NumPy's own spawn produces (pinned by a test against
+``SeedSequence(seed).spawn(n)`` over two-word and wider seeds). A stream
+set then keeps one bit generator and per-ant states instead of one
+``Generator`` per ant.
+
 **Draw-ahead.** A Python call per ant per draw would cost more than the
 step that consumes it, so each stream is read ahead in blocks: ant ``i``'s
-next values come from a buffer row filled by one
-``generators[i].random(DRAW_BLOCK)`` call, refilled (that row only) when
-it runs out. This changes no value, because a block of ``k`` draws equals
-``k`` scalar ``random()`` calls on the same generator, value for value
-and in the state it leaves behind. The invariant every primitive keeps:
+next values come from a buffer row filled by loading ant ``i``'s state
+into the shared bit generator and drawing ``DRAW_BLOCK`` values, refilled
+(that row only) when it runs out. This changes no value, because a block
+of ``k`` draws equals ``k`` scalar ``random()`` calls on the same
+generator, value for value, and every double advances PCG64 by exactly one
+step, so the state after a block is computed by LCG jump-ahead instead of
+read back. The invariant every primitive keeps:
 
 * ant ``i``'s ``j``-th consumed value is the ``j``-th scalar draw of
   spawn child ``i``, whatever mix of primitives consumed the ones before
@@ -56,50 +71,169 @@ and in the state it leaves behind. The invariant every primitive keeps:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigError
 from ..obs import record as _record
 
-SeedLike = Union[int, np.random.Generator, "AntRngStreams"]
+SeedLike = Union[int, "AntRngStreams"]
 
 #: Values each stream draws ahead per refill of its buffer row.
 DRAW_BLOCK = 128
 
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx).
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_XSHIFT = 16
+
+# PCG64's 128-bit LCG: state' = state * _PCG_MULT + inc (mod 2**128).
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _jump_table(steps: int) -> Tuple[Tuple[int, int], ...]:
+    """``(a_k, c_k)`` with ``advance(s, k) = s * a_k + inc * c_k`` for k <= steps."""
+    table = [(1, 0)]
+    for _ in range(steps):
+        a, c = table[-1]
+        table.append(((a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128))
+    return tuple(table)
+
+
+_JUMP = _jump_table(DRAW_BLOCK)
+
+
+def _advance(state: int, inc: int, steps: int) -> int:
+    """A PCG64 state after ``steps`` outputs (``steps <= DRAW_BLOCK``)."""
+    a, c = _JUMP[steps]
+    return (state * a + inc * c) & _MASK128
+
+
+def _pcg64_state(state: int, inc: int) -> dict:
+    """The ``bit_generator.state`` dict of a PCG64 that has drawn only doubles."""
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
+def check_seed(seed) -> int:
+    """A launch seed as an int; :class:`ConfigError` unless a non-negative int."""
+    if isinstance(seed, (bool, np.bool_)) or not isinstance(seed, (int, np.integer)):
+        raise ConfigError("ant stream seed must be a non-negative int, got %r" % (seed,))
+    if seed < 0:
+        raise ConfigError("ant stream seed must be non-negative, got %d" % seed)
+    return int(seed)
+
+
+def spawn_states(seed: int, num_ants: int) -> List[Tuple[int, int]]:
+    """PCG64 ``(state, inc)`` of spawn child ``i`` of ``seed``, for every ant.
+
+    Equal to ``PCG64(SeedSequence(seed).spawn(num_ants)[i]).state`` for
+    each ``i``, computed in one batch. The children's entropy is the seed's
+    ``uint32`` words (zero-padded to the pool size) followed by the spawn
+    index; the hash constant advances once per mixed word whatever its
+    value, so the seed words are mixed once as Python ints and only the
+    spawn index is mixed per ant, as arrays.
+    """
+    words = []
+    rest = check_seed(seed)
+    while True:
+        words.append(rest & _MASK32)
+        rest >>= 32
+        if not rest:
+            break
+    words += [0] * (_POOL_SIZE - len(words))
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> _XSHIFT)
+
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # The spawn index, per ant. uint64 holds every product below 2**64
+    # before the mask, so the arithmetic is exact.
+    index = np.arange(num_ants, dtype=np.uint64)
+    pools = [mix(np.uint64(pool[dst]), hashmix(index)) for dst in range(_POOL_SIZE)]
+
+    # generate_state(4, uint64): eight uint32 words, paired little-endian.
+    hash_const = _INIT_B
+    out = []
+    for word in range(2 * _POOL_SIZE):
+        value = pools[word % _POOL_SIZE] ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        out.append(value ^ (value >> _XSHIFT))
+    seed_hi, seed_lo, inc_hi, inc_lo = (
+        (out[2 * k] | (out[2 * k + 1] << 32)).tolist() for k in range(4)
+    )
+    # pcg64_set_seed: inc = 2*initseq + 1; state = (inc + initstate) * M + inc.
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(seed_hi, seed_lo, inc_hi, inc_lo):
+        inc = ((((i_hi << 64) | i_lo) << 1) | 1) & _MASK128
+        state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+        states.append((state, inc))
+    return states
+
 
 class AntRngStreams:
-    """One independent ``numpy.random.Generator`` per ant slot.
+    """One independent PCG64 stream per ant slot.
 
-    ``seed`` may be an integer launch seed or an already-seeded
-    :class:`numpy.random.Generator` (its spawn children are used, which
-    for ``default_rng(s)`` equals spawning ``SeedSequence(s)`` directly).
+    Stream ``i`` is spawn child ``i`` of the integer launch ``seed``
+    (spawn-indexed: the first ``k`` streams are identical for every
+    population size >= k). The set keeps one bit generator and loads each
+    ant's state into it only to refill that ant's draw-ahead row.
     """
 
-    def __init__(self, seed: SeedLike, num_ants: int):
+    def __init__(self, seed: int, num_ants: int):
         if num_ants < 1:
             raise ConfigError("need at least one ant stream")
-        if isinstance(seed, np.random.Generator):
-            root = seed
-        else:
-            root = np.random.default_rng(seed)
+        states = spawn_states(seed, num_ants)
         self.num_ants = num_ants
-        #: Stream ``i`` belongs to ant slot ``i`` (spawn-indexed: the first
-        #: ``k`` streams are identical for every population size >= k).
-        self.generators = tuple(root.spawn(num_ants))
-        self._all = np.arange(num_ants)
-        # Draw-ahead buffers: row i holds stream i's current block, of which
-        # _used[i] values are consumed; _block_start[i] is the stream's state
-        # before that block (None until the first refill). Rows start empty,
-        # so nothing is drawn before the first consumer asks.
+        self._bit_generator = np.random.PCG64(0)
+        self._generator = np.random.Generator(self._bit_generator)
+        # Per ant: the increment, the state the next refill starts from,
+        # and the start state of the buffered block (None until the first
+        # refill). Row i of _buffer holds that block, of which _used[i]
+        # values are consumed; rows start empty, so nothing is drawn before
+        # the first consumer asks.
+        self._inc = [inc for _state, inc in states]
+        self._next = [state for state, _inc in states]
+        self._block_start: List[Optional[int]] = [None] * num_ants
         self._buffer = np.empty((num_ants, DRAW_BLOCK), dtype=np.float64)
+        self._flat = self._buffer.reshape(-1)
+        self._row_offset = np.arange(num_ants) * DRAW_BLOCK
         self._used = np.full(num_ants, DRAW_BLOCK, dtype=np.intp)
-        self._block_start: list = [None] * num_ants
+        self._all = np.arange(num_ants)
 
     @classmethod
     def coerce(cls, rng: SeedLike, num_ants: int) -> "AntRngStreams":
-        """Wrap a seed or generator; pass an existing stream set through."""
+        """Wrap an integer seed; pass an existing stream set through."""
         if isinstance(rng, AntRngStreams):
             if rng.num_ants != num_ants:
                 raise ConfigError(
@@ -118,21 +252,16 @@ class AntRngStreams:
         of ints), so a checkpoint can round-trip it losslessly; restoring
         it with :meth:`restore` continues each ant's draw sequence exactly
         where it stopped. Each state is the one after the *consumed*
-        draws: the block's start state, advanced by replaying the consumed
-        count on the same bit generator (exact for any bit generator).
+        draws: the block's start state, advanced by the consumed count.
         """
         states = []
-        for ant, generator in enumerate(self.generators):
-            bit_generator = generator.bit_generator
+        for ant, inc in enumerate(self._inc):
             start = self._block_start[ant]
             if start is None:
-                states.append(bit_generator.state)
-                continue
-            ahead = bit_generator.state
-            bit_generator.state = start
-            np.random.Generator(bit_generator).random(int(self._used[ant]))
-            states.append(bit_generator.state)
-            bit_generator.state = ahead
+                position = self._next[ant]
+            else:
+                position = _advance(start, inc, int(self._used[ant]))
+            states.append(_pcg64_state(position, inc))
         return states
 
     def restore(self, states: list) -> None:
@@ -142,33 +271,46 @@ class AntRngStreams:
                 "checkpoint has %d ant streams, launch needs %d"
                 % (len(states), self.num_ants)
             )
-        for generator, state in zip(self.generators, states):
-            generator.bit_generator.state = state
+        try:
+            pairs = [
+                (int(entry["state"]["state"]), int(entry["state"]["inc"]))
+                for entry in states
+                if entry["bit_generator"] == "PCG64"
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError("malformed ant stream state: %s" % exc) from exc
+        if len(pairs) != self.num_ants:
+            raise ConfigError("checkpoint holds a non-PCG64 ant stream state")
+        self._next = [state for state, _inc in pairs]
+        self._inc = [inc for _state, inc in pairs]
         self._used[:] = DRAW_BLOCK
         self._block_start = [None] * self.num_ants
 
     # -- draw-ahead buffers ---------------------------------------------------
 
     def _refill(self, ant: int) -> None:
-        generator = self.generators[ant]
-        self._block_start[ant] = generator.bit_generator.state
-        self._buffer[ant] = generator.random(DRAW_BLOCK)
+        start, inc = self._next[ant], self._inc[ant]
+        self._bit_generator.state = _pcg64_state(start, inc)
+        self._generator.random(out=self._buffer[ant])
+        self._block_start[ant] = start
+        self._next[ant] = _advance(start, inc, DRAW_BLOCK)
         self._used[ant] = 0
 
-    def _draw(self, ants: np.ndarray) -> np.ndarray:
-        """The next value of each listed (distinct) stream, in list order."""
-        for ant in ants[self._used[ants] == DRAW_BLOCK]:
-            self._refill(int(ant))
-        used = self._used[ants]
-        values = self._buffer[ants, used]
-        self._used[ants] = used + 1
+    def _draw(self, rows: slice) -> np.ndarray:
+        """The next value of each stream in ``rows``, in row order."""
+        used = self._used[rows]
+        if used.max() == DRAW_BLOCK:
+            for ant in self._all[rows][used == DRAW_BLOCK]:
+                self._refill(int(ant))
+        values = self._flat.take(self._row_offset[rows] + used)
+        used += 1
         return values
 
     # -- draw primitives (the only ways the colonies consume randomness) ----
 
     def uniform_ants(self) -> np.ndarray:
         """One U[0,1) draw from every ant's stream, in ant-slot order."""
-        values = self._draw(self._all)
+        values = self._draw(slice(None))
         recorder = _record.get_recorder()
         if recorder is not None:
             # Observed *after* the streams advanced, so the recorded
@@ -201,7 +343,7 @@ class AntRngStreams:
                 "wavefront geometry %dx%d does not cover %d ant streams"
                 % (num_wavefronts, wavefront_size, self.num_ants)
             )
-        values = self._draw(self._all[::wavefront_size])
+        values = self._draw(slice(None, None, wavefront_size))
         recorder = _record.get_recorder()
         if recorder is not None:
             for w in range(num_wavefronts):

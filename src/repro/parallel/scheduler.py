@@ -47,7 +47,7 @@ from ..telemetry import Telemetry
 from .colony import Colony, resolve_backend
 from .divergence import DivergencePolicy
 from .layouts import RegionDeviceData
-from .rng import AntRngStreams
+from .rng import AntRngStreams, check_seed
 
 
 class _DeviceRegion(NamedTuple):
@@ -362,6 +362,8 @@ class ParallelACOScheduler(TwoPassDriver):
     def _open_region(
         self, ddg: DDG, seed: int, fault_plan: Optional[FaultPlan], attempt: int
     ) -> _DeviceRegion:
+        # Both passes' streams derive from the seed (pass 2 from seed + 1).
+        seed = check_seed(seed)
         data = RegionDeviceData(
             ddg, self.machine, tight_ready_bound=self.gpu_params.tight_ready_list_bound
         )

@@ -43,7 +43,7 @@ finishes or early termination retires it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -99,27 +99,59 @@ class VectorizedColony:
         self.num_ants = policy.num_ants
         self.num_wavefronts = policy.num_wavefronts
         self.wavefront_size = policy.wavefront_size
-        #: Per-ant spawn-indexed RNG streams (accepts a seed, a Generator,
-        #: or a prebuilt stream set — see repro.parallel.rng).
+        #: Per-ant spawn-indexed RNG streams (accepts an integer seed or a
+        #: prebuilt stream set — see repro.parallel.rng).
         self.streams = AntRngStreams.coerce(rng, self.num_ants)
 
         d = data
         a = self.num_ants
+        n, cap = d.num_instructions, d.ready_capacity
+        regs, classes = d.num_registers, d.num_classes
         self._ants = np.arange(a)
         self._max_stalls = max(1, int(np.ceil(params.optional_stall_budget * d.num_instructions)))
 
-        # Persistent per-ant state (reset each iteration).
-        self.avail_ids = np.zeros((a, d.ready_capacity), dtype=np.int32)
-        self.avail_release = np.zeros((a, d.ready_capacity), dtype=np.int32)
+        # Persistent per-ant state (reset each iteration). Each array has
+        # one trailing sentinel column (list slot cap, instruction n,
+        # register R, class C) where idle lanes and padded slots write
+        # instead of being compacted away; the attribute is the view of the
+        # real columns, the _flat view addresses ``ant * (width + 1) + column``.
+        def state(width, dtype):
+            full = np.zeros((a, width + 1), dtype=dtype)
+            return full[:, :width], full.reshape(-1), full[:, width]
+
+        self.avail_ids, self._avail_ids_flat, avail_ids_s = state(cap, np.int32)
+        self.avail_release, self._avail_release_flat, avail_release_s = state(cap, np.int32)
+        self.pred_remaining, self._pred_remaining_flat, pred_remaining_s = state(n, np.int32)
+        self.earliest, self._earliest_flat, earliest_s = state(n, np.int32)
+        self.remaining_uses, self._remaining_uses_flat, remaining_uses_s = state(regs, np.int32)
+        self.live, self._live_flat, live_s = state(regs, bool)
+        self.current, self._current_flat, current_s = state(classes, np.int32)
+        self.order_buf, self._order_flat, order_s = state(n, np.int32)
+        self.cycles_buf, self._cycles_flat, cycles_s = state(n, np.int32)
+        #: (array name, sentinel column, reset value). Every idle-lane or
+        #: padded-slot write leaves the column at its reset value: removals
+        #: copy -1 over -1, appends write -1 / 0, predecessor and use
+        #: counters are decremented by 0 there (so they never reach 0 or 1),
+        #: a release never exceeds INT32_MAX, only real constrained slots
+        #: move a class counter, and an idle lane issues -1 at cycle 0.
+        #: The sanitizer checks them after every step.
+        self.sentinel_columns = (
+            ("avail_ids", avail_ids_s, -1),
+            ("avail_release", avail_release_s, 0),
+            ("pred_remaining", pred_remaining_s, 1),
+            ("earliest", earliest_s, np.iinfo(np.int32).max),
+            ("remaining_uses", remaining_uses_s, 0),
+            ("live", live_s, False),
+            ("current", current_s, 0),
+            ("order_buf", order_s, -1),
+            ("cycles_buf", cycles_s, 0),
+        )
+        self._list_base = self._ants * (cap + 1)
+        self._inst_base = self._ants * (n + 1)
+        self._reg_base = self._ants * (regs + 1)
+        self._class_base = self._ants * (classes + 1)
         self.avail_len = np.zeros(a, dtype=np.int32)
-        self.pred_remaining = np.zeros((a, d.num_instructions), dtype=np.int32)
-        self.earliest = np.zeros((a, d.num_instructions), dtype=np.int32)
-        self.remaining_uses = np.zeros((a, d.num_registers), dtype=np.int32)
-        self.live = np.zeros((a, d.num_registers), dtype=bool)
-        self.current = np.zeros((a, d.num_classes), dtype=np.int32)
-        self.peak = np.zeros((a, d.num_classes), dtype=np.int32)
-        self.order_buf = np.full((a, d.num_instructions), -1, dtype=np.int32)
-        self.cycles_buf = np.zeros((a, d.num_instructions), dtype=np.int32)
+        self.peak = np.zeros((a, classes), dtype=np.int32)
         self.prev_inst = np.zeros(a, dtype=np.int32)
         self.scheduled = np.zeros(a, dtype=np.int32)
         self.active = np.zeros(a, dtype=bool)
@@ -131,6 +163,15 @@ class VectorizedColony:
         self.heuristic_of_ant = np.repeat(self.heuristic_of_wavefront, self.wavefront_size)
         self.stall_wavefronts = policy.stall_wavefront_mask()
         self.stall_allowed_ant = np.repeat(self.stall_wavefronts, self.wavefront_size)
+        # Lanes guided by LUC, per pass primary ("luc" for pass 1, "cp" for
+        # pass 2): with heuristic diversity, assignment-1 wavefronts use the
+        # other heuristic. None when no lane uses LUC.
+        self._luc_lanes = {}
+        for primary, luc in (("luc", self.heuristic_of_ant == 0), ("cp", self.heuristic_of_ant != 0)):
+            self._luc_lanes[primary] = luc if luc.any() else None
+        #: cp_eta ** beta: CP's heuristic term is static.
+        self._cp_eta_beta = d.cp_eta ** params.heuristic_weight
+        self._slot_ops = (d.uses.shape[1] + d.defs.shape[1]) * 2.0
 
         # Launch-lifetime observability counters, exported through the
         # telemetry layer by the scheduler (kernel_launch events). Pure
@@ -145,30 +186,22 @@ class VectorizedColony:
         if self.sanitizer is not None:
             self.sanitizer.audit_layout(self)
 
-        # Flat views of the per-ant state that _schedule_chosen and
-        # _remove_from_avail address as ``ant * width + column``.
-        self._avail_ids_flat = self.avail_ids.reshape(-1)
-        self._avail_release_flat = self.avail_release.reshape(-1)
-        self._pred_remaining_flat = self.pred_remaining.reshape(-1)
-        self._earliest_flat = self.earliest.reshape(-1)
-        self._remaining_uses_flat = self.remaining_uses.reshape(-1)
-        self._live_flat = self.live.reshape(-1)
-        self._current_flat = self.current.reshape(-1)
-        self._order_flat = self.order_buf.reshape(-1)
-        self._cycles_flat = self.cycles_buf.reshape(-1)
-
-        # Kill-preview scratch: killable[a, r] says ant a's next use of r
-        # closes r's live range; the last column is the kill table's
-        # sentinel and stays False. One flat take through
-        # data.kill_table reads it for every candidate use slot.
-        self._killable = np.zeros((a, d.num_registers + 1), dtype=bool)
-        self._killable_regs = self._killable[:, : d.num_registers]
-        self._kill_base = (self._ants * (d.num_registers + 1))[:, None, None]
-        self._not_live_out = ~d.live_out_mask
-        #: The current pass-2 step's per-group closes, computed by
-        #: _candidate_excess and reused by _eta in the same step (every
-        #: pass-2 step calls _candidate_excess first; _reset clears it).
-        self._preview: Optional[List[np.ndarray]] = None
+        # Score rows are instruction-major, (n, ants), so each row operation
+        # runs along the ant axis, the long contiguous one. Kill-preview
+        # scratch: killable[r, a] says ant a's next use of r closes r's live
+        # range (the sentinel register's row stays False).
+        self._killable = np.zeros((regs + 1, a), dtype=bool)
+        self._remaining_uses_rows = self._remaining_uses_flat.reshape(a, regs + 1).T
+        self._live_rows = self._live_flat.reshape(a, regs + 1).T
+        self._defs_per_class = d.defs_per_class.T[:, :, None].astype(np.int64)
+        self._luc_base = d.luc_base[:, None]
+        self._luc_height = d.luc_height[:, None]
+        self._cp_eta_beta_rows = self._cp_eta_beta[:, None]
+        #: The current pass-2 step's per-group closes and candidate gather
+        #: index, computed by _candidate_excess and reused by _eta in the
+        #: same step (every pass-2 step calls _candidate_excess first, on
+        #: the same available lists; _reset clears it).
+        self._preview: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- per-iteration reset ---------------------------------------------------
 
@@ -189,6 +222,8 @@ class VectorizedColony:
         self.peak[:] = self.current
         self.order_buf[:] = -1
         self.cycles_buf[:] = 0
+        for _name, column, value in self.sentinel_columns:
+            column[:] = value
         self.prev_inst[:] = d.num_instructions  # virtual start row
         self.scheduled[:] = 0
         self.active[:] = True
@@ -198,68 +233,73 @@ class VectorizedColony:
 
     # -- score computation -------------------------------------------------------
 
-    def _kill_preview(self, safe: np.ndarray) -> List[np.ndarray]:
-        """Per-candidate count of live ranges each use-slot group would close.
+    def _kill_preview(self) -> np.ndarray:
+        """Per-instruction count of live ranges each use-slot group would close.
 
-        Returns one ``(ants, cols)`` int8 array per class group of
-        ``data.kill_table`` (machine classes, then unconstrained registers):
-        the candidate's closers of that group (its uses that are not
-        live-out and that it does not redefine) whose remaining use count
-        is 1 and that are live.
+        Returns ``(groups, n, ants)`` int8: for each class group of
+        ``data.kill_cols`` (machine classes, then unconstrained registers),
+        instruction and ant, the instruction's closers of that group (its
+        uses that are not live-out and that it does not redefine) whose
+        remaining use count is 1 and that are live.
         """
         d = self.data
-        killable = self._killable_regs
-        np.equal(self.remaining_uses, 1, out=killable)
-        np.logical_and(killable, self.live, out=killable)
-        offsets = d.kill_table.take(safe, axis=0)
-        offsets += self._kill_base
-        gathered = self._killable.reshape(-1).take(offsets).view(np.int8)
-        slots = d.uses.shape[1]
-        closes = []
-        for group in range(d.num_classes + 1):
-            # A short loop over slots: a .sum over a 2-3 long axis costs
-            # far more than these few adds at this size.
-            total = gathered[:, :, group * slots]
-            for slot in range(1, slots):
-                total = total + gathered[:, :, group * slots + slot]
-            closes.append(total)
+        killable = self._killable
+        np.equal(self._remaining_uses_rows, 1, out=killable)
+        np.logical_and(killable, self._live_rows, out=killable)
+        gathered = killable.take(d.kill_cols, axis=0).view(np.int8)
+        # A short loop over slots: a .sum over a 2-3 long axis costs far
+        # more than these few adds at this size.
+        closes = gathered[:, 0]
+        for slot in range(1, d.uses.shape[1]):
+            closes = closes + gathered[:, slot]
         return closes
 
-    def _eta(self, safe: np.ndarray, primary: str) -> np.ndarray:
-        """Per-candidate eta for each ant's assigned heuristic.
+    def _gather_index(self, cand: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Candidate ids (any valid id in masked columns) and their offsets
+        into an ``(n, ants)`` score row."""
+        safe = np.maximum(cand, 0)
+        return safe, safe * self.num_ants + self._ants[:, None]
 
-        ``safe`` holds the candidate ids (0 in invalid columns).
+    def _eta(
+        self, index: np.ndarray, safe: np.ndarray, closes: Optional[np.ndarray], primary: str
+    ) -> np.ndarray:
+        """Per-candidate ``eta ** heuristic_weight`` for each ant's heuristic.
+
         ``primary`` is the pass's base heuristic (``"luc"`` for pass 1,
         ``"cp"`` for pass 2); with heuristic diversity on, wavefronts with
-        assignment 1 use the other heuristic.
+        assignment 1 use the other heuristic. LUC lanes score every
+        instruction once per ant, then gather the candidates' entries.
         """
         d = self.data
-        cp_eta = d.cp_eta.take(safe)
-        need_luc = primary == "luc" or bool(self.heuristic_of_ant.any())
-        if not need_luc:
-            return cp_eta
-        # Pass 2 previewed every available candidate this step already;
-        # the columns scored here (the safe ready ones) are a subset, and
-        # _scores zeroes the others.
-        groups = self._preview if self._preview is not None else self._kill_preview(safe)
-        closes = groups[0]
-        for group in groups[1:]:
-            closes = closes + group
-        luc_score = (closes + d.luc_base.take(safe)) * d.score_scale + d.luc_height.take(safe)
-        luc_eta = np.maximum(1e-6, 1.0 + luc_score)
-        if primary == "luc":
-            return np.where((self.heuristic_of_ant == 0)[:, None], luc_eta, cp_eta)
-        return np.where((self.heuristic_of_ant == 0)[:, None], cp_eta, luc_eta)
+        luc_lanes = self._luc_lanes[primary]
+        if luc_lanes is None:
+            return self._cp_eta_beta.take(safe)
+        if closes is None:
+            closes = self._kill_preview()
+        total = closes[0]
+        for group in range(1, closes.shape[0]):
+            total = total + closes[group]
+        luc_score = (total + self._luc_base) * d.score_scale + self._luc_height
+        rows = np.maximum(1e-6, 1.0 + luc_score) ** self.params.heuristic_weight
+        if not luc_lanes.all():
+            rows = np.where(luc_lanes, rows, self._cp_eta_beta_rows)
+        return rows.take(index)
 
     def _scores(
         self, tau: np.ndarray, cand: np.ndarray, valid: np.ndarray, primary: str
     ) -> np.ndarray:
-        safe = np.where(valid, cand, 0)
-        tau_vals = tau.take(self.prev_inst[:, None] * tau.shape[1] + safe)
-        eta = self._eta(safe, primary)
-        scores = tau_vals * eta**self.params.heuristic_weight
-        scores[~valid] = 0.0
-        return scores
+        """``tau[prev, c] * eta[c] ** beta`` per candidate column, 0 where not ``valid``.
+
+        A pass-2 step reuses the closes and gather index its
+        :meth:`_candidate_excess` computed over the same available lists.
+        """
+        if self._preview is not None:
+            closes, safe, index = self._preview
+        else:
+            closes = None
+            safe, index = self._gather_index(cand)
+        tau_vals = tau.take((self.prev_inst * tau.shape[1])[:, None] + safe)
+        return np.where(valid, tau_vals * self._eta(index, safe, closes, primary), 0.0)
 
     def _select(self, scores: np.ndarray, doers: np.ndarray) -> np.ndarray:
         """Pick a candidate column per ant (exploit argmax / explore roulette)."""
@@ -270,14 +310,18 @@ class VectorizedColony:
             self.sanitizer.check_exploit_uniform(
                 exploit, self.num_wavefronts, self.wavefront_size
             )
-        sel_exploit = np.argmax(scores, axis=1)
-        cum = np.cumsum(scores, axis=1)
-        total = cum[:, -1]
-        draws = self.streams.uniform_ants() * np.maximum(total, 1e-300)
-        sel_explore = np.minimum(
-            (cum <= draws[:, None]).sum(axis=1), scores.shape[1] - 1
-        )
-        sel = np.where(exploit, sel_exploit, sel_explore)
+        sel = np.argmax(scores, axis=1)
+        # Every ant draws its roulette value every step; the roulette itself
+        # runs only when some lane explores (with wavefront-level choice,
+        # most steps every lane exploits).
+        draws = self.streams.uniform_ants()
+        if not exploit.all():
+            cum = np.cumsum(scores, axis=1)
+            draws = draws * np.maximum(cum[:, -1], 1e-300)
+            sel_explore = np.minimum(
+                (cum <= draws[:, None]).sum(axis=1), scores.shape[1] - 1
+            )
+            sel = np.where(exploit, sel, sel_explore)
         # Divergence accounting: thread-level draws serialize the two
         # selection formulas whenever a wavefront holds both kinds of lane.
         if not self.policy.wavefront_level_choice:
@@ -292,104 +336,124 @@ class VectorizedColony:
 
     # -- state mutation ------------------------------------------------------------
 
-    def _offsets(self, name: str, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Offsets of ``self.<name>[rows, cols]`` into its flat view.
+    def _check_columns(self, name: str, mask: np.ndarray, cols: np.ndarray) -> None:
+        """Sanitize mode: ``self.<name>[ant, cols]`` is in bounds where ``mask``.
 
-        Folding ``(ant, column)`` into one offset turns an out-of-row column
-        into a valid-looking cell of a neighbouring ant, so sanitize mode
-        checks the pair first.
+        ``mask`` and ``cols`` are ``(ants,)`` or ``(slots, ants)``. Folded
+        into a flat offset, a column of the row width would land in the
+        sentinel column and one past it in the neighbouring ant's row, so
+        each real column is checked against the real width before the write.
         """
-        array = getattr(self, name)
-        if self.sanitizer is not None:
-            self.sanitizer.check_index(name, array.shape, rows, cols)
-        return rows * array.shape[1] + cols
+        rows = np.nonzero(mask)[-1]  # the ant axis is the last one
+        self.sanitizer.check_index(name, getattr(self, name).shape, rows, cols[mask])
 
     def _schedule_chosen(self, doers: np.ndarray, chosen: np.ndarray, cycle: int) -> None:
         """Apply the scheduling of ``chosen`` for ants where ``doers``.
 
-        Per-ant state is read and written through flat ``ant * width +
-        column`` offsets. Each per-slot pass touches every ant at most once,
-        and the slots run in order, so a register an instruction uses twice
-        is closed once.
+        ``chosen`` is -1 for the other ants, as :meth:`_remove_from_avail`
+        returns it. Every lane runs every update, like the paper's lockstep
+        lanes: a non-doer issues the sentinel instruction n, and its writes
+        and those of padded operand and successor slots land in the
+        sentinel columns without changing them (see ``sentinel_columns``).
+        Operand slots run in order, so a register an instruction uses twice
+        is closed once; one instruction's successors are distinct, so the
+        successor slots update at once.
         """
         d = self.data
-        ants = self._ants[doers]
-        picks = chosen[doers]
-        self._order_flat[self._offsets("order_buf", ants, self.scheduled[ants])] = picks
-        self._cycles_flat[self._offsets("cycles_buf", ants, picks)] = cycle
-        self.scheduled[ants] += 1
-        self.prev_inst[ants] = picks
+        n, regs = d.num_instructions, d.num_registers
+        picks = np.where(doers, chosen, n)
+        uses = d.use_cols.take(picks, axis=1)
+        defs = d.def_cols.take(picks, axis=1)
+        succs = d.succ_cols.take(picks, axis=1)
+        if self.sanitizer is not None:
+            self._check_columns("order_buf", doers, self.scheduled)
+            self._check_columns("cycles_buf", doers, chosen)
+            self._check_columns("remaining_uses", uses < regs, uses)
+            self._check_columns("live", defs < regs, defs)
+            self._check_columns("pred_remaining", succs < n, succs)
+        self._order_flat[self._inst_base + np.where(doers, self.scheduled, n)] = chosen
+        self._cycles_flat[self._inst_base + picks] = doers * cycle
+        self.scheduled += doers
+        np.copyto(self.prev_inst, chosen, where=doers)
 
         remaining = self._remaining_uses_flat
         live = self._live_flat
         current = self._current_flat
+        num_classes = d.num_classes
         # Kill-before-def pressure update (mirrors rp.tracker semantics).
-        for slot in range(d.uses.shape[1]):
-            u = d.uses[picks, slot]
-            m = u >= 0
-            au, uu = ants[m], u[m]
-            at = self._offsets("remaining_uses", au, uu)
-            left = remaining[at] - 1
+        closers = d.closer_cols.take(picks, axis=1)
+        use_class = d.reg_class_cols.take(uses)
+        use_counted = use_class < num_classes
+        use_at = self._reg_base + uses
+        use_class_at = self._class_base + use_class
+        use_real = uses < regs
+        for slot in range(uses.shape[0]):
+            at = use_at[slot]
+            left = remaining.take(at) - use_real[slot]
             remaining[at] = left
-            kill = (left == 0) & d.closer_slots[picks[m], slot] & live[at]
-            live[at[kill]] = False
-            cls = d.reg_class[uu[kill]]
-            cm = cls >= 0
-            current[self._offsets("current", au[kill][cm], cls[cm])] -= 1
-        def_slots = []
-        for slot in range(d.defs.shape[1]):
-            dd = d.defs[picks, slot]
-            m = dd >= 0
-            ad, rd = ants[m], dd[m]
-            at = self._offsets("live", ad, rd)
-            def_slots.append((ad, rd, at))
-            fresh = ~live[at]
-            live[at[fresh]] = True
-            cls = d.reg_class[rd[fresh]]
-            cm = cls >= 0
-            current[self._offsets("current", ad[fresh][cm], cls[cm])] += 1
-        self.peak[ants] = np.maximum(self.peak[ants], self.current[ants])
+            was_live = live.take(at)
+            kill = (left == 0) & closers[slot] & was_live
+            live[at] = was_live ^ kill
+            at = use_class_at[slot]
+            current[at] = current.take(at) - (kill & use_counted[slot])
+        def_class = d.reg_class_cols.take(defs)
+        def_counted = def_class < num_classes
+        def_at = self._reg_base + defs
+        def_class_at = self._class_base + def_class
+        def_real = defs < regs
+        for slot in range(defs.shape[0]):
+            at = def_at[slot]
+            was_live = live.take(at)
+            fresh = def_real[slot] > was_live
+            live[at] = was_live | fresh
+            at = def_class_at[slot]
+            current[at] = current.take(at) + (fresh & def_counted[slot])
+        # Idle lanes' counters are unchanged since their last sample.
+        np.maximum(self.peak, self.current, out=self.peak)
         # Dead defs (no uses, not live-out) die right after the peak sample.
-        for ad, rd, at in def_slots:
-            dead_def = (remaining[at] == 0) & self._not_live_out[rd] & live[at]
-            live[at[dead_def]] = False
-            cls = d.reg_class[rd[dead_def]]
-            cm = cls >= 0
-            current[self._offsets("current", ad[dead_def][cm], cls[cm])] -= 1
+        dies = d.def_dies.take(picks, axis=1)
+        for slot in range(defs.shape[0]):
+            at = def_at[slot]
+            was_live = live.take(at)
+            dead = (remaining.take(at) == 0) & dies[slot] & was_live
+            live[at] = was_live ^ dead
+            at = def_class_at[slot]
+            current[at] = current.take(at) - (dead & def_counted[slot])
 
-        # Release successors into the available list.
-        earliest = self._earliest_flat
-        pred_remaining = self._pred_remaining_flat
-        for slot in range(d.succ_ids.shape[1]):
-            s = d.succ_ids[picks, slot]
-            m = s >= 0
-            asucc, ss = ants[m], s[m]
-            at = self._offsets("earliest", asucc, ss)
-            release = np.maximum(earliest[at], cycle + d.succ_lat[picks[m], slot])
-            earliest[at] = release
-            left = pred_remaining[at] - 1
-            pred_remaining[at] = left
-            newly = left == 0
-            an = asucc[newly]
-            pos = self._offsets("avail_ids", an, self.avail_len[an])
-            self._avail_ids_flat[pos] = ss[newly]
-            self._avail_release_flat[pos] = release[newly]
-            self.avail_len[an] += 1
+        # Release successors into the available list, in slot order.
+        at = self._inst_base + succs
+        release = np.maximum(
+            self._earliest_flat.take(at), cycle + d.succ_lat_cols.take(picks, axis=1)
+        )
+        self._earliest_flat[at] = release
+        left = self._pred_remaining_flat.take(at) - (succs < n)
+        self._pred_remaining_flat[at] = left
+        newly = left == 0
+        rank = np.cumsum(newly, axis=0)
+        pos = np.where(newly, self.avail_len + rank - 1, d.ready_capacity)
+        if self.sanitizer is not None:
+            self._check_columns("avail_ids", newly, pos)
+        at = self._list_base + pos
+        self._avail_ids_flat[at] = np.where(newly, succs, -1)
+        self._avail_release_flat[at] = release * newly
+        self.avail_len += rank[-1]
 
     def _remove_from_avail(self, doers: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        """Swap-remove the selected column; returns the chosen instruction ids."""
-        ants = self._ants[doers]
-        at = self._offsets("avail_ids", ants, sel[doers])
-        last = self._offsets("avail_ids", ants, self.avail_len[ants] - 1)
+        """Swap-remove the selected column; returns the chosen instruction ids
+        (-1 for non-doers, whose removal runs on the sentinel slot)."""
+        if self.sanitizer is not None:
+            self._check_columns("avail_ids", doers, sel)
+            self._check_columns("avail_ids", doers, self.avail_len - 1)
+        cap = self.data.ready_capacity
+        at = self._list_base + np.where(doers, sel, cap)
+        last = self._list_base + np.where(doers, self.avail_len - 1, cap)
         ids = self._avail_ids_flat
         release = self._avail_release_flat
-        chosen_ids = ids[at]
-        ids[at] = ids[last]
-        release[at] = release[last]
+        chosen = ids.take(at)
+        ids[at] = ids.take(last)
+        release[at] = release.take(last)
         ids[last] = -1
-        self.avail_len[ants] -= 1
-        chosen = np.full(self.num_ants, -1, dtype=np.int32)
-        chosen[doers] = chosen_ids
+        self.avail_len -= doers
         return chosen
 
     # -- accounting helpers -----------------------------------------------------------
@@ -408,24 +472,25 @@ class VectorizedColony:
         stalling: Optional[np.ndarray] = None,
     ) -> None:
         d = self.data
+        waves = self.num_wavefronts
         scan_max = self._wave_max(scan, active)
-        succ = np.zeros(self.num_ants, dtype=np.int64)
-        succ[doers] = d.succ_count[chosen[doers]]
-        succ_max = self._wave_max(succ, doers)
-        wave_active = active.reshape(self.num_wavefronts, -1).any(axis=1)
+        # Non-doers count the sentinel instruction's zero successors.
+        succ = d.succ_count_cols.take(np.where(doers, chosen, d.num_instructions))
+        succ_max = succ.reshape(waves, -1).max(axis=1).astype(np.float64)
+        wave_active = active.reshape(waves, -1).any(axis=1)
 
         ops = np.where(
             wave_active,
             _BASE_STEP_OPS
             + scan_max * _SELECT_OPS_PER_CANDIDATE
             + succ_max * _UPDATE_OPS_PER_SUCCESSOR
-            + (d.uses.shape[1] + d.defs.shape[1]) * 2.0,
+            + self._slot_ops,
             0.0,
         )
         ops += scan_max * _SELECT_OPS_PER_CANDIDATE * self._divergent_selection
         if stalling is not None:
-            wave_stall = stalling.reshape(self.num_wavefronts, -1).any(axis=1)
-            wave_sched = doers.reshape(self.num_wavefronts, -1).any(axis=1)
+            wave_stall = stalling.reshape(waves, -1).any(axis=1)
+            wave_sched = doers.reshape(waves, -1).any(axis=1)
             serialized = wave_stall & wave_sched
             ops += _STALL_PATH_OPS * serialized
             self.serialized_stall_waves += int(serialized.sum())
@@ -503,17 +568,22 @@ class VectorizedColony:
         the pass-2 pressure target. Mirrors
         :meth:`repro.rp.tracker.PressureTracker.pressure_if_scheduled`
         (up to the redefinition of a live register: ``defs_per_class``
-        counts that def as opening a range, the tracker does not).
+        counts that def as opening a range, the tracker does not). Every
+        instruction's overshoot is computed once per ant, then each
+        candidate column gathers its entry (masked columns gather any).
         """
         d = self.data
-        safe = np.where(any_cand, self.avail_ids, 0)
-        closes = self._kill_preview(safe)
-        self._preview = closes
-        excess = np.full(safe.shape, -(10**9), dtype=np.int64)
-        for ci in range(d.num_classes):
-            after = self.current[:, ci : ci + 1] + d.defs_per_class[:, ci].take(safe) - closes[ci]
-            excess = np.maximum(excess, after - target[ci])
-        return excess
+        closes = self._kill_preview()
+        safe, index = self._gather_index(self.avail_ids)
+        self._preview = (closes, safe, index)
+        base = (self.current - target).T
+        excess = self._defs_per_class[0] + base[0]
+        excess -= closes[0]
+        for ci in range(1, d.num_classes):
+            after = self._defs_per_class[ci] + base[ci]
+            after -= closes[ci]
+            np.maximum(excess, after, out=excess)
+        return excess.take(index)
 
     def _stall_decisions(
         self,
@@ -553,8 +623,9 @@ class VectorizedColony:
         while self.active.any() and cycle <= max_length:
             self.ready_peak = max(self.ready_peak, int(self.avail_len.max()))
             valid = col < self.avail_len[:, None]
-            ready_mask = valid & (self.avail_release <= cycle)
-            semi_mask = valid & (self.avail_release > cycle)
+            released = self.avail_release <= cycle
+            ready_mask = valid & released
+            semi_mask = valid & ~released
             have_ready = ready_mask.any(axis=1)
             have_semi = semi_mask.any(axis=1)
 
@@ -562,30 +633,30 @@ class VectorizedColony:
             # ant with certainty (the peak never recedes), so selection is
             # restricted to *safe* candidates — a pure pruning of the
             # paper's terminate-on-violation rule.
-            excess = self._candidate_excess(ready_mask | semi_mask, target)
+            excess = self._candidate_excess(valid, target)
             safe_ready = ready_mask & (excess <= 0)
             has_safe = safe_ready.any(axis=1)
 
             budget_ok = self.optional_stalls < self._max_stalls
             stall_capable = self.stall_allowed_ant & budget_ok & have_semi
-            considering = self.active & have_ready & has_safe & stall_capable
+            ready_lanes = self.active & have_ready
+            considering = ready_lanes & has_safe & stall_capable
             opt_stall = self._stall_decisions(considering, ready_mask, semi_mask, excess)
             # Ants whose every ready candidate violates must stall or die.
-            forced_stall = self.active & have_ready & ~has_safe & stall_capable
-            doomed = self.active & have_ready & ~has_safe & ~stall_capable
+            stuck = ready_lanes & ~has_safe
+            doomed = stuck & ~stall_capable
             self.dead |= doomed
             self.active &= ~doomed
-            stalls = opt_stall | forced_stall
-            self.optional_stalls[stalls] += 1
+            self.optional_stalls += opt_stall | (stuck & stall_capable)
 
-            doers = self.active & have_ready & has_safe & ~opt_stall
+            doers = ready_lanes & has_safe & ~opt_stall
             stalling = self.active & ~doers  # necessary + optional stalls
 
             scores = self._scores(tau, self.avail_ids, safe_ready, primary="cp")
             # Lanes with no safe ready candidate keep a zero score row; they
             # are excluded from doers so their (arbitrary) pick is discarded.
             sel = self._select(scores, doers)
-            scan = ready_mask.sum(axis=1).astype(np.int64)
+            scan = np.count_nonzero(ready_mask, axis=1)
             chosen = self._remove_from_avail(doers, sel)
             self._schedule_chosen(doers, chosen, cycle=cycle)
             self._charge_step(self.active, scan, doers, chosen, stalling=stalling)

@@ -33,7 +33,7 @@ def _make_colony(
         params,
         policy,
         accounting,
-        np.random.default_rng(seed),
+        seed,
         sanitizer=sanitizer,
     )
     return colony, data, params
@@ -281,6 +281,39 @@ class TestFaultInjection:
         doers[1] = True
         with pytest.raises(SanitizerError, match="avail_ids"):
             colony._remove_from_avail(doers, np.zeros(colony.num_ants, dtype=np.int64))
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "avail_ids", "avail_release", "pred_remaining", "earliest",
+            "remaining_uses", "live", "current", "order_buf", "cycles_buf",
+        ],
+    )
+    def test_write_into_sentinel_column_caught(self, fig1_ddg, vega, name):
+        """Mutation: a real write lands in an array's sentinel column (a
+        column equal to the row width, folded into a flat offset)."""
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        colony.sanitizer.check_step(colony)
+        column, reset = {
+            entry: (col, value) for entry, col, value in colony.sentinel_columns
+        }[name]
+        column[3] = not reset if column.dtype == bool else reset - 1
+        with pytest.raises(SanitizerError, match="sentinel column of %s .* ant 3" % name):
+            colony.sanitizer.check_step(colony)
+
+    def test_idle_lane_issuing_a_real_pick_caught(self, fig1_ddg, vega):
+        """Mutation: a non-doer lane carries a real pick instead of -1, so
+        its lockstep order write into the sentinel slot is not inert."""
+        colony, _, _ = _make_colony(fig1_ddg, vega)
+        colony._reset()
+        doers = np.ones(colony.num_ants, dtype=bool)
+        doers[5] = False
+        chosen = colony._remove_from_avail(doers, np.zeros(colony.num_ants, dtype=np.int64))
+        chosen[5] = colony.avail_ids[5, 0]
+        colony._schedule_chosen(doers, chosen, cycle=0)
+        with pytest.raises(SanitizerError, match="sentinel column of order_buf .* ant 5"):
+            colony.sanitizer.check_step(colony)
 
     def test_state_arrays_print_in_sanitize_mode(self, fig1_ddg, vega):
         """Debugging a sanitized colony prints its state like any array."""

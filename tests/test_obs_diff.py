@@ -2,8 +2,8 @@
 
 Two acceptance demos from the differential-observability issue:
 
-* two runs differing only in **one injected RNG perturbation** (a wrapped
-  generator flips a single draw of a single ant) must be localized to the
+* two runs differing only in **one injected RNG perturbation** (a perturbed
+  stream set flips a single draw of a single ant) must be localized to the
   exact first divergent iteration / ant / draw index, with both values in
   the report;
 * the vectorized engine vs. the loop engine with a **deliberately broken
@@ -35,7 +35,7 @@ from repro.obs.diff import (
 from repro.obs.record import RunRecorder, recording_scope
 from repro.parallel import ParallelACOScheduler
 from repro.parallel.loop import LoopColony
-from repro.parallel.rng import AntRngStreams
+from repro.parallel.rng import DRAW_BLOCK, AntRngStreams
 from repro.telemetry import Telemetry
 from strategies import make_region
 
@@ -61,44 +61,25 @@ def _record(tmp_path, name, backend="vectorized", draws="full"):
     return recorder.save(str(tmp_path / name))
 
 
-class _FlippedGen:
-    """Wraps one ant's generator; flips exactly one U[0,1) draw.
-
-    Counts drawn *values*, not calls: the streams read ahead in blocks, so
-    the ``flip_at``-th value (1-based) may sit inside a block draw.
-    """
-
-    def __init__(self, inner, flip_at):
-        self._inner = inner
-        self._flip_at = flip_at
-        self._drawn = 0
-
-    def random(self, size=None):
-        value = self._inner.random(size)
-        count = 1 if size is None else int(np.prod(size))
-        index = self._flip_at - 1 - self._drawn  # the target's place in this call
-        self._drawn += count
-        if not 0 <= index < count:
-            return value
-        if size is None:
-            return 1.0 - value
-        value.flat[index] = 1.0 - value.flat[index]
-        return value
-
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
 class _PerturbedStreams(AntRngStreams):
-    """AntRngStreams with the target ant's lane wrapped in _FlippedGen."""
+    """AntRngStreams that flips exactly one U[0,1) draw of the target ant.
+
+    Counts the target stream's drawn *values*: the streams read ahead in
+    blocks, so the flipped value sits inside one refill of its row.
+    """
 
     def __init__(self, seed, num_ants):
         super().__init__(seed, num_ants)
-        generators = list(self.generators)
-        generators[TARGET_ANT] = _FlippedGen(
-            generators[TARGET_ANT], TARGET_DRAW + 1
-        )
-        self.generators = tuple(generators)
+        self._target_drawn = 0
+
+    def _refill(self, ant):
+        super()._refill(ant)
+        if ant != TARGET_ANT:
+            return
+        index = TARGET_DRAW - self._target_drawn  # the target's place in this block
+        self._target_drawn += DRAW_BLOCK
+        if 0 <= index < DRAW_BLOCK:
+            self._buffer[ant, index] = 1.0 - self._buffer[ant, index]
 
 
 class TestBisection:

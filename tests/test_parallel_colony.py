@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.aco import PheromoneTable, SequentialACOScheduler
 from repro.config import ACOParams, GPUParams
 from repro.ddg import DDG
+from repro.errors import ConfigError
 from repro.gpusim import GPUDevice, KernelAccounting
 from repro.ir.registers import VGPR
 from repro.machine import amd_vega20, simple_test_target
@@ -24,7 +25,7 @@ def _make_colony(ddg, machine, blocks=2, seed=0, aco=None, **gpu_overrides):
     policy = DivergencePolicy.from_params(gpu)
     data = RegionDeviceData(ddg, machine, tight_ready_bound=gpu.tight_ready_list_bound)
     accounting = KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True)
-    colony = Colony(data, params, policy, accounting, np.random.default_rng(seed))
+    colony = Colony(data, params, policy, accounting, seed)
     return colony, data, params
 
 
@@ -217,6 +218,12 @@ class TestPressurePreview:
 
 
 class TestParallelScheduler:
+    @pytest.mark.parametrize("seed", [None, -1, 2.5])
+    def test_seed_must_be_a_non_negative_int(self, fig1_ddg, vega, seed):
+        scheduler = ParallelACOScheduler(vega, gpu_params=GPUParams(blocks=1))
+        with pytest.raises(ConfigError, match="seed"):
+            scheduler.schedule(fig1_ddg, seed=seed)
+
     def test_matches_sequential_quality_on_figure1(self, fig1_ddg, tiny_machine):
         par = ParallelACOScheduler(
             tiny_machine, gpu_params=GPUParams(blocks=2)

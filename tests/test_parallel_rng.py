@@ -35,12 +35,6 @@ class TestDrawSequenceGolden:
         streams = AntRngStreams(2024, 4)
         assert tuple(streams.uniform_ants()) == GOLDEN_FIRST_DRAWS
 
-    def test_generator_seed_equals_integer_seed(self):
-        # default_rng(s).spawn(n) and AntRngStreams(s, n) must agree, so the
-        # scheduler may hand over either form.
-        from_int = AntRngStreams(2024, 4)
-        from_gen = AntRngStreams(np.random.default_rng(2024), 4)
-        assert tuple(from_int.uniform_ants()) == tuple(from_gen.uniform_ants())
 
 
 class TestSpawnIndexing:
@@ -49,8 +43,9 @@ class TestSpawnIndexing:
         # a wider launch must not change any existing ant's draw sequence.
         narrow = AntRngStreams(7, 4)
         wide = AntRngStreams(7, 64)
-        for i in range(4):
-            assert narrow.generators[i].random() == wide.generators[i].random()
+        assert narrow.state() == wide.state()[:4]
+        for _step in range(DRAW_BLOCK + 2):
+            assert list(narrow.uniform_ants()) == list(wide.uniform_ants()[:4])
 
     def test_batch_draw_equals_scalar_draws(self):
         batch = AntRngStreams(7, 8)
@@ -75,11 +70,31 @@ class TestCoercion:
         streams = AntRngStreams(7, 4)
         assert AntRngStreams.coerce(streams, 4) is streams
 
-    def test_coerce_wraps_seeds_and_generators(self):
+    def test_coerce_wraps_integer_seeds(self):
         assert isinstance(AntRngStreams.coerce(7, 4), AntRngStreams)
-        assert isinstance(
-            AntRngStreams.coerce(np.random.default_rng(7), 4), AntRngStreams
-        )
+        assert isinstance(AntRngStreams.coerce(np.int64(7), 4), AntRngStreams)
+
+    @pytest.mark.parametrize(
+        "seed", [None, -1, -(2**70), 1.0, True, "7", np.random.default_rng(7)]
+    )
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            AntRngStreams(seed, 4)
+        with pytest.raises(ConfigError, match="seed"):
+            AntRngStreams.coerce(seed, 4)
+
+    @pytest.mark.parametrize(
+        "states",
+        [
+            [{"bit_generator": "MT19937", "state": {"key": [], "pos": 0}}] * 2,
+            [{"bit_generator": "PCG64"}] * 2,
+            [{"bit_generator": "PCG64", "state": {"state": "x", "inc": 1}}] * 2,
+            [None, None],
+        ],
+    )
+    def test_restore_rejects_malformed_states(self, states):
+        with pytest.raises(ConfigError, match="ant stream state"):
+            AntRngStreams(7, 2).restore(states)
 
     def test_coerce_rejects_mismatched_population(self):
         streams = AntRngStreams(7, 4)
@@ -130,18 +145,38 @@ def _apply(streams, reference, op, geometry):
         assert got == want
 
 
+#: Launch seeds: derive_seed yields 63-bit seeds and pass 2 uses seed + 1,
+#: so multi-word entropy is the case the scheduler actually hits.
+_SEEDS = st.integers(0, 2**128 - 1)
+
+
+def _numpy_spawn(seed, num_ants):
+    """The reference streams: NumPy's own spawn children of ``seed``."""
+    return [
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(seed).spawn(num_ants)
+    ]
+
+
 class TestDrawAhead:
-    @given(seed=st.integers(0, 2**32 - 1), geometry=_GEOMETRIES, ops=_OPS)
+    @given(seed=_SEEDS, num_ants=st.integers(1, 200))
+    @settings(max_examples=40, deadline=None)
+    def test_initial_states_equal_numpy_spawn(self, seed, num_ants):
+        streams = AntRngStreams(seed, num_ants)
+        reference = _numpy_spawn(seed, num_ants)
+        assert streams.state() == [g.bit_generator.state for g in reference]
+
+    @given(seed=_SEEDS, geometry=_GEOMETRIES, ops=_OPS)
     @settings(max_examples=40, deadline=None)
     def test_any_interleaving_equals_scalar_spawn_draws(self, seed, geometry, ops):
         num_ants = geometry[0] * geometry[1]
         streams = AntRngStreams(seed, num_ants)
-        reference = np.random.default_rng(seed).spawn(num_ants)
+        reference = _numpy_spawn(seed, num_ants)
         for op in ops:
             _apply(streams, reference, op, geometry)
 
     @given(
-        seed=st.integers(0, 2**32 - 1),
+        seed=_SEEDS,
         geometry=_GEOMETRIES,
         before=_OPS,
         after=_OPS,
@@ -150,7 +185,7 @@ class TestDrawAhead:
     def test_state_mid_block_restores_draw_for_draw(self, seed, geometry, before, after):
         num_ants = geometry[0] * geometry[1]
         streams = AntRngStreams(seed, num_ants)
-        reference = np.random.default_rng(seed).spawn(num_ants)
+        reference = _numpy_spawn(seed, num_ants)
         for op in before:
             _apply(streams, reference, op, geometry)
         captured = streams.state()
@@ -160,7 +195,7 @@ class TestDrawAhead:
         # where the scalar streams are, as does the captured set itself.
         resumed = AntRngStreams(seed + 1, num_ants)
         resumed.restore(captured)
-        twin = np.random.default_rng(seed + 2).spawn(num_ants)
+        twin = _numpy_spawn(seed + 2, num_ants)
         for generator, state in zip(twin, captured):
             generator.bit_generator.state = state
         for op in after:
@@ -169,11 +204,19 @@ class TestDrawAhead:
 
     def test_refills_one_row_at_a_time(self):
         streams = AntRngStreams(7, 8)
+        initial = streams.state()
         leaders = 0
         while leaders <= DRAW_BLOCK:
             streams.uniform_wavefront_leaders(2, 4)
             leaders += 1
-        # Leader rows crossed into their second block; the rest never drew.
-        assert [start is not None for start in streams._block_start] == [
-            True, False, False, False, True, False, False, False,
-        ]
+        # Leader streams crossed into their second block; the rest never
+        # drew, so their states and next draws are the fresh streams'.
+        after = streams.state()
+        moved = [a != b for a, b in zip(initial, after)]
+        assert moved == [True, False, False, False, True, False, False, False]
+        reference = _numpy_spawn(7, 8)
+        for lane in (1, 2, 3, 5, 6, 7):
+            assert streams.uniform_ant(lane) == reference[lane].random()
+        for leader in (0, 4):
+            reference[leader].random(leaders)
+            assert streams.uniform_ant(leader) == reference[leader].random()
