@@ -22,7 +22,8 @@ Set ``REPRO_CHAOS=<seed>`` to run the whole bench session under the
 deterministic fault model: the session context hands its pipelines
 ``ResilienceParams(chaos_seed=<seed>)``, so every region passes through the
 retry ladder, and the session prints the resilience summary (faults,
-retries, degrades) at the end. The benches must still complete — recovery
+retries, degrades) at the end, rendered from the session's event stream
+by an aggregator on the context's telemetry. The benches must still complete — recovery
 is the point — but their numbers are *not* comparable to fault-free
 baselines (retries burn budget), so chaos sessions are for robustness
 checking, not regression gating.
@@ -38,8 +39,9 @@ import pytest
 from repro.config import ResilienceParams
 from repro.experiments import SCALES
 from repro.experiments.common import ExperimentContext
+from repro.obs import AggregatingSink, render_resilience
 from repro.profile import SpanProfiler, profile_session, render_tree, write_collapsed
-from repro.telemetry import JSONLSink, Telemetry, telemetry_session
+from repro.telemetry import JSONLSink, TeeSink, Telemetry
 
 
 @pytest.fixture(scope="session")
@@ -56,23 +58,23 @@ def context():
     stacks_path = os.environ.get("REPRO_PROFILE")
     chaos = os.environ.get("REPRO_CHAOS", "").strip()
     resilience = None
+    sinks = [JSONLSink(trace_path)] if trace_path else []
     with ExitStack() as stack:
         if chaos:
-            from repro.resilience.log import reset_resilience_log
-
             resilience = ResilienceParams(chaos_seed=int(chaos))
-            resilience_log = reset_resilience_log()
+            aggregating = AggregatingSink()
+            sinks.append(aggregating)
             print("\n[chaos] bench session under REPRO_CHAOS=%s" % chaos)
 
             def _report() -> None:
-                print("\n[chaos] resilience summary: %s" % resilience_log.summary())
+                summary = render_resilience(aggregating.aggregator) or "clean"
+                print("\n[chaos] resilience summary: %s" % summary)
 
             stack.callback(_report)
         telemetry = None
-        if trace_path:
-            telemetry = Telemetry(sink=JSONLSink(trace_path))
+        if sinks:
+            telemetry = Telemetry(sink=TeeSink(*sinks))
             stack.callback(telemetry.close)
-            stack.enter_context(telemetry_session(telemetry))
         profiler = None
         if stacks_path:
             profiler = SpanProfiler()

@@ -27,6 +27,7 @@ from repro import (
 )
 from repro.config import GPUParams
 from repro.ir.builder import figure1_region
+from repro.telemetry import JSONLSink, Telemetry
 
 
 def build_custom_region():
@@ -56,7 +57,8 @@ def show(name, schedule, machine):
     )
 
 
-def main():
+def main(telemetry=None):
+    """Schedule both regions; every ACO scheduler reports to ``telemetry``."""
     # The tiny test target makes the RP/ILP trade-off visible on a
     # 7-instruction example (occupancy steps at 3/4/6/8 VGPRs).
     machine = simple_test_target()
@@ -67,7 +69,7 @@ def main():
     amd = AMDMaxOccupancyScheduler(machine)
     show("AMD max-occupancy baseline", amd.schedule(ddg), machine)
 
-    seq = SequentialACOScheduler(machine).schedule(ddg, seed=42)
+    seq = SequentialACOScheduler(machine, telemetry=telemetry).schedule(ddg, seed=42)
     show("Sequential two-pass ACO (CPU)", seq.schedule, machine)
     print(
         "pass 1: invoked=%s iterations=%d | pass 2: invoked=%s iterations=%d | "
@@ -82,7 +84,7 @@ def main():
     )
 
     par = ParallelACOScheduler(
-        machine, gpu_params=GPUParams(blocks=4)
+        machine, gpu_params=GPUParams(blocks=4), telemetry=telemetry
     ).schedule(ddg, seed=42)
     show("Parallel ACO (256 ants on the simulated GPU)", par.schedule, machine)
     print(
@@ -99,9 +101,9 @@ def main():
     vega = amd_vega20()
     custom = DDG(build_custom_region())
     show("AMD baseline", AMDMaxOccupancyScheduler(vega).schedule(custom), vega)
-    result = ParallelACOScheduler(vega, gpu_params=GPUParams(blocks=4)).schedule(
-        custom, seed=0
-    )
+    result = ParallelACOScheduler(
+        vega, gpu_params=GPUParams(blocks=4), telemetry=telemetry
+    ).schedule(custom, seed=0)
     show("Parallel ACO", result.schedule, vega)
 
 
@@ -118,11 +120,13 @@ if __name__ == "__main__":
     args = parser.parse_args()
 
     if args.trace:
-        from repro.telemetry import JSONLSink, Telemetry, telemetry_session
         from repro.telemetry.report import summarize_trace
 
-        with telemetry_session(Telemetry(sink=JSONLSink(args.trace))):
-            main()
+        telemetry = Telemetry(sink=JSONLSink(args.trace))
+        try:
+            main(telemetry)
+        finally:
+            telemetry.close()
         print("=== Telemetry trace (%s) ===\n" % args.trace)
         print(summarize_trace(args.trace))
     else:

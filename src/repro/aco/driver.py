@@ -46,12 +46,11 @@ from ..machine.model import MachineModel
 from ..obs.context import region_trace
 from ..obs.record import get_recorder
 from ..resilience.checkpoint import RegionCheckpoint
-from ..resilience.log import get_resilience_log
 from ..resilience.watchdog import DeadlineBudget
 from ..rp.cost import rp_cost, rp_cost_lower_bound
 from ..rp.liveness import peak_pressure
 from ..schedule.schedule import Schedule
-from ..telemetry import Telemetry, get_telemetry
+from ..telemetry import Telemetry
 from .ant import ConstructionStats
 from .pheromone import PheromoneTable
 from .strategy import make_strategy, publish_reinit, resolve_strategy
@@ -264,17 +263,12 @@ class TwoPassDriver(ABC):
         self.params.validate()
         #: Orders the default initial schedule.
         self.rp_heuristic = rp_heuristic or LastUseCountHeuristic()
-        self._telemetry = telemetry
+        self.telemetry = telemetry or Telemetry()
         #: Recheck every pass result with the independent verifier.
         self.verify_enabled = bool(verify)
         #: Pheromone-update strategy: the argument, else ``params.strategy``.
         self.strategy_name = strategy or self.params.strategy
         resolve_strategy(self.strategy_name)  # fail fast on unknown names
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The injected telemetry, or the process-wide one (resolved late)."""
-        return self._telemetry if self._telemetry is not None else get_telemetry()
 
     # -- the engine seam -----------------------------------------------------
 
@@ -328,8 +322,7 @@ class TwoPassDriver(ABC):
     def _trip_deadline(
         tele: Telemetry, region_name: str, pass_index: int, budget: DeadlineBudget
     ) -> None:
-        """Record a soft-deadline stop (event + process-wide log)."""
-        get_resilience_log().deadline_trips += 1
+        """Record a soft-deadline stop as a ``deadline`` event."""
         tele.emit(
             "deadline",
             region=region_name,

@@ -23,7 +23,7 @@ from ..config import record_settings
 from ..errors import BenchError, ReproError
 from ..experiments.common import SCALES, ExperimentContext
 from ..profile import SpanProfiler, profile_session
-from ..telemetry import Telemetry, TeeSink, telemetry_session
+from ..telemetry import Telemetry, TeeSink
 from .compare import (
     DEFAULT_THRESHOLD_PCT,
     compare_payloads,
@@ -106,7 +106,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         telemetry = Telemetry(sink=launches)
     try:
         with ExitStack() as stack:
-            stack.enter_context(telemetry_session(telemetry))
             stack.enter_context(profile_session(profiler))
             if recorder is not None:
                 stack.enter_context(recording_scope(recorder))

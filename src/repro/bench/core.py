@@ -36,7 +36,7 @@ from ..experiments.common import (
 )
 from ..pipeline.stats import improvement_statistics
 from ..profile import NullProfiler, attribution, get_profiler, profile_session
-from ..telemetry import MemorySink, Telemetry, telemetry_session
+from ..telemetry import MemorySink, Telemetry
 from .fingerprint import environment_fingerprint
 
 #: Version of the BENCH_*.json layout.
@@ -58,9 +58,9 @@ def isolated(bench):
 
     :func:`bench_profile` reconciles the run-wide span profile and kernel
     launches against the context's compile runs, so nothing else may add
-    to them. The bench gets an inert profiler, inert process-wide
-    telemetry, and a fresh context of the same configuration whose
-    schedulers and pipelines follow that telemetry.
+    to them. The bench gets an inert profiler and a fresh context of the
+    same configuration with its own inert telemetry; a component the
+    bench builds without ``telemetry=`` is inert too.
     """
 
     @functools.wraps(bench)
@@ -71,7 +71,7 @@ def isolated(bench):
             verify=context.verify,
             resilience=context.resilience,
         )
-        with profile_session(NullProfiler()), telemetry_session(Telemetry()):
+        with profile_session(NullProfiler()):
             return bench(own)
 
     return run
@@ -203,7 +203,6 @@ def _construct_stats(context: ExperimentContext, backend: str):
     from ..ddg import DDG
     from ..parallel import ParallelACOScheduler
     from ..suite.patterns import pattern_region
-    from ..telemetry import MemorySink, Telemetry
 
     sink = MemorySink()
     scheduler = ParallelACOScheduler(
@@ -310,7 +309,8 @@ def bench_obs(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     *covered* (every region one trace, every event stamped). The gate is
     the overhead ratio: aggregation must stay well under the telemetry
     emit cost it piggybacks on (<5% is the design target). The pipeline
-    reports to the aggregator; its scheduler follows the inert telemetry.
+    reports to the aggregator; its scheduler keeps the context's inert
+    telemetry.
     """
     from ..obs.aggregate import AggregatingSink, MetricsAggregator
     from ..pipeline.compiler import CompilePipeline

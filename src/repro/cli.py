@@ -13,8 +13,9 @@ travels through the process environment.
 Observability: ``--trace PATH`` streams every telemetry event (regions,
 ACO iterations, simulated kernel launches — the schema of
 :mod:`repro.telemetry.schema`) to a JSONL file and prints its profile;
-``--metrics`` prints the counters, gauges and histogram quantiles folded
-from the run's event stream (see :mod:`repro.obs.aggregate`); ``--profile``
+``--metrics`` prints the counters, gauges and histogram quantiles that
+every run folds from its event stream into one
+:class:`~repro.obs.MetricsAggregator`; ``--profile``
 renders the hierarchical span profile of the run's simulated time and
 ``--profile-stacks PATH`` writes it in collapsed-stack format for
 flamegraph/speedscope tooling (see :mod:`repro.profile`). The
@@ -45,8 +46,11 @@ Resilience: ``--deadline SECONDS`` caps each region's scheduling budget,
 ``--chaos SEED`` injects deterministic GPU faults, and ``--max-retries N``
 sizes the retry ladder (see :mod:`repro.resilience`). Exit codes encode
 the outcome: 0 with a warning summary when every region shipped (even
-degraded to the heuristic), 2 for a bad flag value, 3 when any region was
-unrecoverable.
+degraded to the heuristic), 2 for a bad flag value or an output path that
+cannot be written, 3 when any region was unrecoverable. The
+``[resilience]`` summary and the exit code are read from the run's
+aggregator (:func:`repro.obs.render_resilience`), so replaying a
+``--trace`` file yields the same line.
 """
 
 from __future__ import annotations
@@ -62,6 +66,18 @@ def _render(result) -> str:
     if isinstance(result, list):
         return "\n".join(table.render() for table in result)
     return result.render()
+
+
+def _writable(path: str, directory: bool) -> bool:
+    """Whether the run can write ``path``: a file, or a directory that
+    is made on demand (any missing parents included)."""
+    target = os.path.abspath(path)
+    if os.path.exists(target):
+        return os.path.isdir(target) == directory and os.access(target, os.W_OK)
+    parent = os.path.dirname(target)
+    while directory and not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    return os.path.isdir(parent) and os.access(parent, os.W_OK)
 
 
 def main(argv: List[str] = None) -> int:
@@ -250,7 +266,6 @@ def main(argv: List[str] = None) -> int:
     if args.backend:
         gpu = replace_params(scale.gpu, backend=args.backend)
         scale = replace_params(scale, gpu=gpu)
-    context = ExperimentContext(scale, verify=args.verify, resilience=resilience)
 
     names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     unknown = [n for n in names if n not in EXPERIMENTS]
@@ -259,6 +274,19 @@ def main(argv: List[str] = None) -> int:
         print("available: %s" % ", ".join(sorted(EXPERIMENTS)), file=sys.stderr)
         return 2
 
+    record_path, record_draws = record_settings(args.record)
+    for flag, path, directory in (
+        ("--trace", args.trace, False),
+        ("--openmetrics", args.openmetrics, False),
+        ("--obs-snapshot", args.obs_snapshot, False),
+        ("--perfetto", args.perfetto, False),
+        ("--profile-stacks", args.profile_stacks, False),
+        ("--record", record_path, True),
+        ("--csv", args.csv, True),
+    ):
+        if path and not _writable(path, directory):
+            parser.error("%s: cannot write to %r" % (flag, path))
+
     csv_dir = None
     if args.csv:
         csv_dir = args.csv
@@ -266,50 +294,31 @@ def main(argv: List[str] = None) -> int:
 
     from contextlib import ExitStack
 
-    obs_requested = bool(
-        args.metrics or args.watch or args.openmetrics or args.obs_snapshot
-        or args.perfetto
-    )
-    record_path, record_draws = record_settings(args.record)
-    stack = ExitStack()
-    telemetry = None
-    aggregator = None
+    from .obs import AggregatingSink, MetricsAggregator
+    from .telemetry import JSONLSink, MemorySink, Telemetry, TeeSink
+
+    # Every run folds its event stream into one aggregator: the metrics
+    # exports and the resilience summary are views of it.
+    aggregator = MetricsAggregator(slo_target=args.slo_target)
+    sinks = [JSONLSink(args.trace)] if args.trace else []
+    sinks.append(AggregatingSink(aggregator))
     perfetto_sink = None
+    if args.perfetto:
+        perfetto_sink = MemorySink()
+        sinks.append(perfetto_sink)
+    stack = ExitStack()
     recorder = None
     if record_path:
         from .obs.record import RunRecorder, recording_scope
 
         recorder = RunRecorder(draws=record_draws)
         stack.enter_context(recording_scope(recorder))
-    if args.trace or obs_requested or recorder is not None:
-        from .telemetry import (
-            JSONLSink,
-            MemorySink,
-            Telemetry,
-            TeeSink,
-            telemetry_session,
-        )
-
-        sinks = []
-        if args.trace:
-            sinks.append(JSONLSink(args.trace))
-        if obs_requested:
-            from .obs import AggregatingSink, MetricsAggregator
-
-            aggregator = MetricsAggregator(slo_target=args.slo_target)
-            sinks.append(AggregatingSink(aggregator))
-            if args.perfetto:
-                perfetto_sink = MemorySink()
-                sinks.append(perfetto_sink)
-        if recorder is not None:
-            sinks.append(recorder.sink)
-        sink = None
-        if len(sinks) == 1:
-            sink = sinks[0]
-        elif sinks:
-            sink = TeeSink(*sinks)
-        telemetry = Telemetry(sink=sink)
-        stack.enter_context(telemetry_session(telemetry))
+        sinks.append(recorder.sink)
+    telemetry = Telemetry(sink=sinks[0] if len(sinks) == 1 else TeeSink(*sinks))
+    stack.callback(telemetry.close)
+    context = ExperimentContext(
+        scale, telemetry=telemetry, verify=args.verify, resilience=resilience
+    )
 
     profiler = None
     if args.profile or args.profile_stacks:
@@ -317,10 +326,6 @@ def main(argv: List[str] = None) -> int:
 
         profiler = SpanProfiler()
         stack.enter_context(profile_session(profiler))
-
-    from .resilience.log import reset_resilience_log
-
-    resilience_log = reset_resilience_log()
 
     with stack:
         for name in names:
@@ -336,37 +341,36 @@ def main(argv: List[str] = None) -> int:
                     print("[wrote %s]" % path)
             print("[%s finished in %.1fs]\n" % (name, time.time() - started))
 
+    from .obs import (
+        render_metrics,
+        render_resilience,
+        to_openmetrics,
+        to_snapshot_json,
+        write_perfetto,
+    )
+
     if args.trace:
         from .telemetry.report import summarize_trace
 
         print("[trace written to %s]" % args.trace)
         print(summarize_trace(args.trace))
-    if aggregator is not None:
-        if args.metrics:
-            from .obs import render_metrics
+    if args.metrics:
+        print(render_metrics(aggregator))
+    if args.watch:
+        from .obs import render_dashboard
 
-            print(render_metrics(aggregator))
-        if args.watch:
-            from .obs import render_dashboard
-
-            print(render_dashboard(aggregator))
-        if args.openmetrics:
-            from .obs import to_openmetrics
-
-            with open(args.openmetrics, "w") as handle:
-                handle.write(to_openmetrics(aggregator))
-            print("[openmetrics written to %s]" % args.openmetrics)
-        if args.obs_snapshot:
-            from .obs import to_snapshot_json
-
-            with open(args.obs_snapshot, "w") as handle:
-                handle.write(to_snapshot_json(aggregator))
-            print("[obs snapshot written to %s]" % args.obs_snapshot)
-        if args.perfetto:
-            from .obs import write_perfetto
-
-            write_perfetto(args.perfetto, perfetto_sink.records)
-            print("[perfetto trace written to %s]" % args.perfetto)
+        print(render_dashboard(aggregator))
+    if args.openmetrics:
+        with open(args.openmetrics, "w") as handle:
+            handle.write(to_openmetrics(aggregator))
+        print("[openmetrics written to %s]" % args.openmetrics)
+    if args.obs_snapshot:
+        with open(args.obs_snapshot, "w") as handle:
+            handle.write(to_snapshot_json(aggregator))
+        print("[obs snapshot written to %s]" % args.obs_snapshot)
+    if args.perfetto:
+        write_perfetto(args.perfetto, perfetto_sink.records)
+        print("[perfetto trace written to %s]" % args.perfetto)
     if profiler is not None:
         from .profile import render_tree, write_collapsed
 
@@ -383,11 +387,12 @@ def main(argv: List[str] = None) -> int:
         recorder.save(record_path)
         print("[run bundle written to %s]" % record_path)
 
-    if resilience_log.eventful:
+    summary = render_resilience(aggregator)
+    if summary is not None:
         # Degraded-but-shipped compiles warn and exit 0 (every region got
         # a correct schedule); an unrecoverable region is a real failure.
-        print("[resilience] %s" % resilience_log.summary(), file=sys.stderr)
-        if resilience_log.unrecoverable_regions:
+        print("[resilience] %s" % summary, file=sys.stderr)
+        if aggregator.counters.get("regions.decision.unrecoverable"):
             return 3
     return 0
 

@@ -35,7 +35,7 @@ from ..machine.targets import amd_vega20
 from ..parallel.scheduler import ParallelACOScheduler
 from ..pipeline.compiler import CompilePipeline, CompileRun
 from ..suite.rocprim import Suite, generate_suite
-from ..telemetry import Telemetry, get_telemetry
+from ..telemetry import Telemetry
 
 
 @dataclass(frozen=True)
@@ -108,8 +108,8 @@ class ExperimentContext:
     ``telemetry`` is the observability hook: pass an instance (e.g. one
     with a JSONL sink) and every compile run, scheduler pass and simulated
     kernel launch the context triggers reports through it; leave it None
-    to follow the process-wide telemetry (see
-    :func:`repro.telemetry.set_telemetry`), which is inert by default.
+    for an inert one. The context hands it to every scheduler and pipeline
+    it builds; the caller owns it and closes it.
     """
 
     def __init__(
@@ -123,16 +123,11 @@ class ExperimentContext:
         self.scale = scale
         self.machine = machine or amd_vega20()
         self.filters_for_stats = FilterParams(cycle_threshold=0)
-        self._telemetry = telemetry
+        self.telemetry = telemetry or Telemetry()
         self.verify = verify
         self.resilience = resilience
         self._suite: Optional[Suite] = None
         self._runs: Dict[str, CompileRun] = {}
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The injected telemetry, or the process-wide one (resolved late)."""
-        return self._telemetry if self._telemetry is not None else get_telemetry()
 
     # -- building blocks -------------------------------------------------------
 
@@ -151,7 +146,7 @@ class ExperimentContext:
         return SequentialACOScheduler(
             self.machine,
             params=self.scale.aco,
-            telemetry=self._telemetry,
+            telemetry=self.telemetry,
             verify=self.verify,
         )
 
@@ -162,7 +157,7 @@ class ExperimentContext:
             self.machine,
             params=self.scale.aco,
             gpu_params=gpu or self.scale.gpu,
-            telemetry=self._telemetry,
+            telemetry=self.telemetry,
             verify=self.verify,
         )
 
@@ -186,7 +181,7 @@ class ExperimentContext:
             scheduler=scheduler,
             filters=filters,
             baseline=baseline,
-            telemetry=self._telemetry,
+            telemetry=self.telemetry,
             verify=self.verify,
             resilience=self.resilience,
         )

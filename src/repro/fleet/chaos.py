@@ -20,6 +20,7 @@ from ..machine.model import MachineModel
 from ..parallel.multi_region import BatchItem, BatchResult, MultiRegionScheduler
 from ..resilience import chaos
 from ..schedule.validate import is_legal
+from ..telemetry import Telemetry
 from .supervisor import FleetSupervisor
 
 #: Region sizes of the harness batch — small and uneven on purpose: the
@@ -40,12 +41,15 @@ def fleet_items(
     ]
 
 
-def fleet_scheduler(machine: MachineModel) -> MultiRegionScheduler:
+def fleet_scheduler(
+    machine: MachineModel, telemetry: Optional[Telemetry] = None
+) -> MultiRegionScheduler:
     """Small colony and launch: the same supervision surface, cheaper."""
     return MultiRegionScheduler(
         machine,
         params=ACOParams(max_iterations=8),
         gpu_params=GPUParams(blocks=8),
+        telemetry=telemetry,
     )
 
 
@@ -103,16 +107,17 @@ def _fleet_trials(
     machine: MachineModel,
     sizes: Sequence[int],
     proof: bool,
+    telemetry: Optional[Telemetry],
     shards: Sequence[int] = DEFAULT_SHARDS,
 ) -> chaos.TrialRunner:
     items = fleet_items(machine, sizes)
-    single = fleet_scheduler(machine).schedule_batch(items)
+    single = fleet_scheduler(machine, telemetry).schedule_batch(items)
     # The proofs run each class once, on the smallest fleet.
     shards = (min(shards),) if proof else shards
 
     def trial(num_shards: int, plan: FaultPlan, chaos_seed: int) -> FleetTrial:
         fleet = FleetSupervisor(
-            fleet_scheduler(machine),
+            fleet_scheduler(machine, telemetry),
             FleetParams(num_shards=num_shards),
             worker_faults=plan,
         ).schedule_batch(items)

@@ -114,7 +114,7 @@ class ShardWorker:
             params=scheduler.params,
             gpu_params=scheduler.gpu_params,
             device=replace(scheduler.device),
-            telemetry=scheduler._telemetry,
+            telemetry=scheduler.telemetry,
         )
         self.worker_faults = worker_faults
         self.alive = True

@@ -47,6 +47,7 @@ _LAZY = {
     "to_openmetrics": "export",
     "to_perfetto": "export",
     "render_metrics": "export",
+    "render_resilience": "export",
     "to_snapshot_json": "export",
     "write_perfetto": "export",
     "render_dashboard": "dashboard",
@@ -79,6 +80,7 @@ __all__ = [
     "to_perfetto",
     "write_perfetto",
     "render_metrics",
+    "render_resilience",
     "lint_openmetrics",
     "render_dashboard",
 ]

@@ -188,6 +188,9 @@ class MetricsAggregator:
         self._traces: set = set()
         self._violations: set = set()
         self._regions: set = set()
+        #: Regions that ended unrecoverable, in event order. A name list,
+        #: not a metric: :meth:`snapshot` leaves it out.
+        self.unrecoverable_regions: List[str] = []
 
     # -- primitive updates (each counts toward the overhead model) ----------
 
@@ -240,6 +243,8 @@ class MetricsAggregator:
             self._inc("regions.occupancy_gained", gained)
         if decision in ("degraded", "unrecoverable"):
             self._violations.add(self._region_key(record))
+        if decision == "unrecoverable":
+            self.unrecoverable_regions.append(record["region"])
 
     def _on_pass_end(self, record: Dict) -> None:
         if not record["invoked"]:

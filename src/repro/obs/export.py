@@ -13,6 +13,9 @@ records):
   :func:`to_snapshot_json` for symmetry).
 * :func:`render_metrics` — an aligned text table of the same counters,
   gauges and histogram quantiles (the CLI's ``--metrics``).
+* :func:`render_resilience` — the CLI's one-line ``[resilience]``
+  summary, read from the ``resilience.*`` and ``regions.decision.*``
+  counters.
 * :func:`to_perfetto` — a Chrome trace-event JSON (open in Perfetto or
   ``chrome://tracing``) laying each trace's region out on a simulated
   timeline: passes as duration slices, faults as slices of the seconds
@@ -212,6 +215,51 @@ def render_metrics(aggregator: MetricsAggregator) -> str:
         "%s  %-9s  %s\n" % (name.ljust(width), kind, value)
         for name, kind, value in sorted(rows)
     )
+
+
+def render_resilience(aggregator: MetricsAggregator) -> Optional[str]:
+    """The CLI's one-line resilience summary; None when nothing happened.
+
+    Reports faults per class, retries (and checkpoint resumes), degrade
+    steps, deadline trips, regions shipped heuristic-only and up to five
+    unrecoverable region names.
+    """
+    counters = aggregator.counters
+
+    def count(name: str) -> int:
+        return int(counters.get(name, 0))
+
+    prefix = "resilience.faults."
+    faults = {
+        name[len(prefix):]: int(value)
+        for name, value in counters.items()
+        if name.startswith(prefix) and name != prefix + "total"
+    }
+    retries = count("resilience.retries")
+    degrades = count("resilience.degrades")
+    trips = count("resilience.deadline_trips")
+    degraded = count("regions.decision.degraded")
+    unrecoverable = count("regions.decision.unrecoverable")
+    parts = []
+    if faults:
+        per_class = ", ".join("%s=%d" % item for item in sorted(faults.items()))
+        parts.append("%d fault(s) [%s]" % (sum(faults.values()), per_class))
+    if retries:
+        parts.append("%d retr%s (%d resumed)" % (
+            retries, "y" if retries == 1 else "ies",
+            count("resilience.checkpoint_resumes"),
+        ))
+    if degrades:
+        parts.append("%d degrade step(s)" % degrades)
+    if trips:
+        parts.append("%d deadline trip(s)" % trips)
+    if degraded:
+        parts.append("%d region(s) shipped heuristic-only" % degraded)
+    if unrecoverable:
+        parts.append("%d region(s) UNRECOVERABLE (%s)" % (
+            unrecoverable, ", ".join(aggregator.unrecoverable_regions[:5]),
+        ))
+    return "; ".join(parts) if parts else None
 
 
 # -- format linting ------------------------------------------------------------

@@ -48,6 +48,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..errors import TelemetryError
+from ..telemetry.core import Telemetry
 from ..telemetry.schema import read_trace_lenient
 from ..telemetry.sinks import Sink, _json_safe
 from .context import current_trace
@@ -305,19 +306,17 @@ def recording_scope(recorder: RunRecorder) -> Iterator[RunRecorder]:
 
 
 @contextmanager
-def record_run(path: str, draws: str = "digest") -> Iterator[RunRecorder]:
-    """All-in-one recording scope: telemetry session + hooks + save.
+def record_run(path: str, draws: str = "digest") -> Iterator[Telemetry]:
+    """All-in-one recording scope: hooks + telemetry + save.
 
-    Creates a fresh :class:`~repro.telemetry.Telemetry` backed by the
-    recorder's sink, installs it as the process telemetry, and writes the
-    bundle to ``path`` on clean exit.
+    Installs a fresh recorder and yields a
+    :class:`~repro.telemetry.Telemetry` backed by its sink. Nothing picks
+    that telemetry up ambiently: hand it to every scheduler of the
+    recorded run. The bundle is written to ``path`` on clean exit.
     """
-    from ..telemetry import Telemetry, telemetry_session
-
     recorder = RunRecorder(draws=draws)
-    telemetry = Telemetry(sink=recorder.sink)
-    with telemetry_session(telemetry), recording_scope(recorder):
-        yield recorder
+    with recording_scope(recorder):
+        yield Telemetry(sink=recorder.sink)
     recorder.save(path)
 
 

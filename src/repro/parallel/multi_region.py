@@ -50,9 +50,8 @@ from ..machine.model import MachineModel
 from ..obs.context import region_trace
 from ..obs.record import get_recorder
 from ..profile import get_profiler
-from ..resilience.log import get_resilience_log
 from ..schedule.schedule import Schedule
-from ..telemetry import Telemetry, get_telemetry
+from ..telemetry import Telemetry
 from ..timing import HostSecondsLedger
 from ..aco.driver import ACOResult
 from .scheduler import ParallelACOScheduler
@@ -192,12 +191,7 @@ class MultiRegionScheduler:
         self.device = device or GPUDevice()
         self.gpu_params = gpu_params or GPUParams()
         self.gpu_params.validate(self.device.wavefront_size)
-        self._telemetry = telemetry
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The injected telemetry, or the process-wide one (resolved late)."""
-        return self._telemetry if self._telemetry is not None else get_telemetry()
+        self.telemetry = telemetry or Telemetry()
 
     def _partition_blocks(self, items: Sequence[BatchItem]) -> List[int]:
         """Proportional-to-size split of the launch's blocks, >= 1 each."""
@@ -212,7 +206,7 @@ class MultiRegionScheduler:
             params=self.params,
             gpu_params=gpu,
             device=self.device,
-            telemetry=self._telemetry,
+            telemetry=self.telemetry,
         )
 
     def run_slot(
@@ -305,9 +299,7 @@ class MultiRegionScheduler:
                 seconds=result.seconds,
             )
         except InjectedFault as exc:
-            get_resilience_log().record_fault(exc.fault_class)
-            tele = self.telemetry
-            tele.emit(
+            self.telemetry.emit(
                 "fault",
                 region=region_name,
                 fault_class=exc.fault_class,

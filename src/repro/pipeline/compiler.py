@@ -40,7 +40,7 @@ from ..rp.cost import ScheduleQuality, evaluate_schedule, rp_cost_lower_bound
 from ..schedule.schedule import Schedule
 from ..suite.rocprim import KernelSpec, Suite
 from ..suite.rng import derive_seed
-from ..telemetry import Telemetry, get_telemetry
+from ..telemetry import Telemetry
 from ..timing import DEFAULT_COMPILE_TIME, CompileTimeModel, HostSecondsLedger
 from .filters import FilterDecision, InvocationFilter, PostSchedulingFilter
 
@@ -180,18 +180,13 @@ class CompilePipeline:
         self.post_filter = PostSchedulingFilter(self.filters)
         self.compile_time_model = compile_time_model
         self.baseline = baseline or AMDMaxOccupancyScheduler(machine)
-        self._telemetry = telemetry
+        self.telemetry = telemetry or Telemetry()
         #: Lint every DDG and recheck every shipped schedule.
         self.verify_enabled = bool(verify)
         #: Deadline/retry/chaos settings; the inert defaults leave the direct
         #: scheduling path (and its bit-identical outputs) untouched.
         self.resilience = resilience or ResilienceParams()
         self.resilience.validate()
-
-    @property
-    def telemetry(self) -> Telemetry:
-        """The injected telemetry, or the process-wide one (resolved late)."""
-        return self._telemetry if self._telemetry is not None else get_telemetry()
 
     @property
     def scheduler_name(self) -> str:

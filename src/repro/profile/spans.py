@@ -19,8 +19,8 @@ instead of growing the tree, so a 64-iteration pass is one ``iteration``
 node with ``count == 64``. This keeps profiles bounded by the shape of the
 instrumentation, not by the length of the run.
 
-Like :mod:`repro.telemetry`, the profiler is process-wide but injectable:
-the inert :class:`NullProfiler` is installed by default and costs one
+Unlike :mod:`repro.telemetry` (injected into each component), the
+profiler is process-wide but replaceable: the inert :class:`NullProfiler` is installed by default and costs one
 attribute check per instrumentation site; install a live
 :class:`SpanProfiler` with :func:`set_profiler` / :func:`profile_session`.
 """

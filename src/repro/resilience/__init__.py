@@ -30,12 +30,6 @@ from ..gpusim.faults import (
     FaultyDevice,
 )
 from .checkpoint import CHECKPOINT_VERSION, RegionCheckpoint
-from .log import (
-    ResilienceLog,
-    get_resilience_log,
-    reset_resilience_log,
-    resilience_log_session,
-)
 from .watchdog import DeadlineBudget
 
 __all__ = [
@@ -46,8 +40,4 @@ __all__ = [
     "FaultPlan",
     "FaultyDevice",
     "RegionCheckpoint",
-    "ResilienceLog",
-    "get_resilience_log",
-    "reset_resilience_log",
-    "resilience_log_session",
 ]

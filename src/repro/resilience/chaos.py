@@ -30,8 +30,8 @@ from ..machine.model import MachineModel
 from ..machine.targets import amd_vega20
 from ..schedule.validate import is_legal
 from ..suite.patterns import random_region
+from ..telemetry import Telemetry
 from .ladder import schedule_with_resilience
-from .log import ResilienceLog, resilience_log_session
 
 #: The pinned sweep CI runs (arbitrary but fixed: changing them changes
 #: which faults the sweep sees, so treat edits like baseline updates).
@@ -62,7 +62,7 @@ class ChaosLayer:
     fault_classes: Tuple[str, ...]
     rates: Mapping[str, float]  # the sweep's default mixed rates
     sizes: Tuple[int, ...]
-    trials: Callable[..., TrialRunner]  # (machine, sizes, proof, **options)
+    trials: Callable[..., TrialRunner]  # (machine, sizes, proof, telemetry, **options)
     recorded: str  # what the bitcheck recorded, for its verdict line
     summary: str  # str.format template over the report and its totals
     totals: Tuple[str, ...]  # trial attributes the report sums
@@ -128,9 +128,9 @@ class ChaosReport:
         }
 
 
-def _report(layer, machine, sizes, proof, plans, options) -> ChaosReport:
+def _report(layer, machine, sizes, proof, plans, telemetry, options) -> ChaosReport:
     sizes = layer.sizes if sizes is None else sizes
-    run = layer.trials(machine or amd_vega20(), sizes, proof, **options)
+    run = layer.trials(machine or amd_vega20(), sizes, proof, telemetry, **options)
     report = ChaosReport(layer)
     for plan, chaos_seed in plans:
         report.trials.extend(run(plan, chaos_seed))
@@ -145,7 +145,7 @@ def fault_class_proofs(
 ) -> ChaosReport:
     """Force each fault class at rate 1.0 and demand full recovery."""
     plans = [(FaultPlan(seed=1, rates={c: 1.0}), 1) for c in layer.fault_classes]
-    report = _report(layer, machine, sizes, True, plans, options)
+    report = _report(layer, machine, sizes, True, plans, None, options)
     for trial in report.trials:
         if not any(trial.fault_counts.values()):
             trial.schedules_valid = False  # rate-1.0 must inject
@@ -158,11 +158,15 @@ def chaos_sweep(
     machine: Optional[MachineModel] = None,
     sizes: Optional[Sequence[int]] = None,
     rates: Optional[Dict[str, float]] = None,
+    telemetry: Optional[Telemetry] = None,
     **options,
 ) -> ChaosReport:
-    """Run the layer's cases under every chaos seed at mixed fault rates."""
+    """Run the layer's cases under every chaos seed at mixed fault rates.
+
+    ``telemetry`` reaches every scheduler the trials build (inert if None).
+    """
     plans = [(FaultPlan(seed=s, rates=dict(rates or layer.rates)), s) for s in seeds]
-    return _report(layer, machine, sizes, False, plans, options)
+    return _report(layer, machine, sizes, False, plans, telemetry, options)
 
 
 def bitcheck(
@@ -180,8 +184,8 @@ def bitcheck(
 
     paths = [os.path.join(out_dir, "%s-%s" % (layer.name, x)) for x in "ab"]
     for path in paths:
-        with record_run(path):
-            chaos_sweep(layer, seeds, sizes=sizes, **options)
+        with record_run(path) as telemetry:
+            chaos_sweep(layer, seeds, sizes=sizes, telemetry=telemetry, **options)
     report = diff_bundles(paths[0], paths[1])
     if not report["identical"]:
         write_report(report, os.path.join(out_dir, "first-divergence.json"))
@@ -232,7 +236,10 @@ def chaos_regions(
 
 
 def _ladder_trials(
-    machine: MachineModel, sizes: Sequence[int], proof: bool
+    machine: MachineModel,
+    sizes: Sequence[int],
+    proof: bool,
+    telemetry: Optional[Telemetry],
 ) -> TrialRunner:
     from ..parallel.scheduler import ParallelACOScheduler
 
@@ -248,11 +255,11 @@ def _ladder_trials(
             machine,
             params=ACOParams(max_iterations=12),
             gpu_params=GPUParams(blocks=4),
+            telemetry=telemetry,
         )
-        with resilience_log_session(ResilienceLog()):
-            outcome = schedule_with_resilience(
-                scheduler, ddg, 0, resilience, fault_plan=plan
-            )
+        outcome = schedule_with_resilience(
+            scheduler, ddg, 0, resilience, fault_plan=plan
+        )
         result = outcome.result
         return RegionTrial(
             chaos_seed=chaos_seed,

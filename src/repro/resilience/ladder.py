@@ -30,10 +30,10 @@ across all attempts — failed attempts burn real budget, so a region that
 keeps faulting runs out of road and degrades instead of retrying forever;
 an exhausted budget skips straight to the heuristic rung.
 
-Every fault, retry and degrade step is recorded twice: a telemetry
-event (``fault``/``retry``/``degrade``, which the metrics aggregator
-folds into ``resilience.*`` counters) and the process-wide
-:class:`~repro.resilience.log.ResilienceLog` the CLI's exit code reads.
+Every fault, retry and degrade step is one telemetry event
+(``fault``/``retry``/``degrade``). The metrics aggregator folds them into
+``resilience.*`` counters, and the CLI's resilience summary and exit code
+are read from those counters.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from ..parallel.scheduler import ParallelACOScheduler
 from ..suite.rng import derive_seed
 from ..telemetry import Telemetry
 from .checkpoint import RegionCheckpoint
-from .log import get_resilience_log
 from .watchdog import DeadlineBudget
 
 AnyScheduler = Union[SequentialACOScheduler, ParallelACOScheduler]
@@ -132,7 +131,7 @@ def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
                 params=base.params,
                 gpu_params=base.gpu_params,
                 device=base.device,
-                telemetry=base._telemetry,
+                telemetry=base.telemetry,
                 verify=base.verify_enabled,
                 backend=rung,
                 strategy=base.strategy_name,
@@ -140,7 +139,7 @@ def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
         return SequentialACOScheduler(
             base.machine,
             params=base.params,
-            telemetry=base._telemetry,
+            telemetry=base.telemetry,
             verify=base.verify_enabled,
             strategy=base.strategy_name,
         )
@@ -169,7 +168,6 @@ def schedule_with_resilience(
     """
     resilience.validate()
     tele = telemetry if telemetry is not None else scheduler.telemetry
-    log = get_resilience_log()
     region_name = ddg.region.name
     budget = DeadlineBudget(resilience.deadline_seconds)
     plan = fault_plan
@@ -185,14 +183,13 @@ def schedule_with_resilience(
     with region_trace(region_name, ddg.num_instructions, seed):
         return _run_ladder(
             scheduler, ddg, seed, resilience, initial_order, bounds,
-            reference_schedule, tele, plan, rungs, state, budget, log,
-            region_name,
+            reference_schedule, tele, plan, rungs, state, budget, region_name,
         )
 
 
 def _run_ladder(
     scheduler, ddg, seed, resilience, initial_order, bounds,
-    reference_schedule, tele, plan, rungs, state, budget, log, region_name,
+    reference_schedule, tele, plan, rungs, state, budget, region_name,
 ) -> LadderOutcome:
     context = current_trace()
 
@@ -219,10 +216,7 @@ def _run_ladder(
             else:
                 attempt_seed = derive_seed(seed, "retry", state.number)
             if state.number > 0:
-                log.retries += 1
                 state.resumed += 1 if resumed else 0
-                if resumed:
-                    log.resumes += 1
                 tele.emit(
                     "retry",
                     region=region_name,
@@ -246,7 +240,6 @@ def _run_ladder(
                 )
             except InjectedFault as exc:
                 state.faults.append((exc.fault_class, rung, state.number))
-                log.record_fault(exc.fault_class)
                 tele.emit(
                     "fault",
                     region=region_name,
@@ -273,7 +266,6 @@ def _run_ladder(
             )
         # Rung exhausted (all retries faulted, or the budget ran dry).
         if not resilience.degrade:
-            log.unrecoverable_regions.append(region_name)
             raise RegionUnrecoverable(
                 "region %r: rung %r exhausted after %d attempt(s) with "
                 "degradation disabled" % (region_name, rung, state.number),
@@ -283,7 +275,6 @@ def _run_ladder(
         next_rung = rungs[min(rung_index + 1, len(rungs) - 1)]
         if exhausted_budget:
             next_rung = HEURISTIC_RUNG
-        log.degrades += 1
         tele.emit(
             "degrade",
             region=region_name,
@@ -296,7 +287,6 @@ def _run_ladder(
             break
 
     # Heuristic rung: no search, the caller ships the baseline schedule.
-    log.degraded_regions.append(region_name)
     return LadderOutcome(
         result=None,
         rung=HEURISTIC_RUNG,

@@ -6,9 +6,8 @@ sections of README.md and DESIGN.md). The paper's speedup story lives in
 launch/copy overheads, ready-list occupancy against the transitive-closure
 bound — and this package makes them visible without perturbing them:
 
-* :class:`Telemetry` — the event tracer, installed process-wide with
-  :func:`set_telemetry` / :func:`telemetry_session` or injected per
-  component;
+* :class:`Telemetry` — the event tracer, injected into each component
+  at construction (``telemetry=``; there is no process-wide instance);
 * sinks — :class:`NullSink` (inert default), :class:`MemorySink` (tests),
   :class:`JSONLSink` (the ``--trace`` file format, schema-versioned in
   :mod:`repro.telemetry.schema`);
@@ -24,7 +23,7 @@ instrumentation site and never touches an RNG or a cost model, so seeded
 runs are bit-identical with it on or off.
 """
 
-from .core import PassScope, Telemetry, get_telemetry, set_telemetry, telemetry_session
+from .core import PassScope, Telemetry
 from .schema import (
     EVENT_TYPES,
     SCHEMA_VERSION,
@@ -38,9 +37,6 @@ from .sinks import JSONLSink, MemorySink, NullSink, Sink, TeeSink
 __all__ = [
     "Telemetry",
     "PassScope",
-    "get_telemetry",
-    "set_telemetry",
-    "telemetry_session",
     "Sink",
     "NullSink",
     "MemorySink",

@@ -1,9 +1,8 @@
 """The :class:`Telemetry` object: one structured event tracer.
 
-Process-wide but injectable: every instrumented component resolves its
-telemetry at *use* time — an explicitly injected instance wins, otherwise
-the process-wide instance installed with :func:`set_telemetry` /
-:func:`telemetry_session` (default: an inert one). With the default
+Injected, never ambient: every instrumented component takes its telemetry
+at construction (``telemetry=``) and keeps it; a component built without
+one gets its own inert instance. With the default
 :class:`~repro.telemetry.sinks.NullSink` the whole layer reduces to one
 boolean attribute check per instrumentation site, and — crucially for
 reproducibility — it never touches an RNG or a cost model, so enabling
@@ -16,7 +15,6 @@ views of the event stream: fold it with
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.context import current_trace, current_worker
@@ -173,37 +171,3 @@ class PassScope:
             **extra,
         )
 
-
-#: The process-wide default: inert (NullSink).
-_GLOBAL = Telemetry()
-
-
-def get_telemetry() -> Telemetry:
-    """The currently installed process-wide telemetry."""
-    return _GLOBAL
-
-
-def set_telemetry(telemetry: Optional[Telemetry]) -> Telemetry:
-    """Install ``telemetry`` process-wide (None restores the inert default).
-
-    Returns the previously installed instance so callers can restore it.
-    """
-    global _GLOBAL
-    previous = _GLOBAL
-    _GLOBAL = telemetry if telemetry is not None else Telemetry()
-    return previous
-
-
-@contextmanager
-def telemetry_session(telemetry: Telemetry):
-    """Install ``telemetry`` for the duration of a ``with`` block.
-
-    Closes the telemetry's sink on exit and restores the previous
-    process-wide instance.
-    """
-    previous = set_telemetry(telemetry)
-    try:
-        yield telemetry
-    finally:
-        set_telemetry(previous)
-        telemetry.close()

@@ -21,13 +21,13 @@ from repro.errors import DeviceHangError, ResilienceError
 from repro.heuristics.list_scheduler import schedule_in_order
 from repro.ir.builder import figure1_region
 from repro.machine import simple_test_target
+from repro.obs import AggregatingSink
 from repro.resilience.checkpoint import RegionCheckpoint
-from repro.resilience.log import ResilienceLog, resilience_log_session
 from repro.resilience.watchdog import DeadlineBudget
 from repro.rp.cost import rp_cost_lower_bound
 from repro.rp.liveness import peak_pressure
 from repro.schedule import Schedule
-from repro.telemetry import MemorySink, Telemetry
+from repro.telemetry import MemorySink, TeeSink, Telemetry
 
 #: A small register file, so the region's RP cost sits far above the
 #: cost of zero pressure.
@@ -179,13 +179,13 @@ class TestDeadline:
             2: [ilp_winner(ddg, order, 100 - i) for i in range(10)],
         }
         sink = MemorySink()
+        aggregating = AggregatingSink()
         budget = DeadlineBudget(2.5)
-        with resilience_log_session(ResilienceLog()) as log:
-            result = run(ddg, scripts, sink=sink, budget=budget)
+        result = run(ddg, scripts, sink=TeeSink(sink, aggregating), budget=budget)
         assert (result.pass1.iterations, result.pass1.deadline_hit) == (3, True)
         assert (result.pass2.iterations, result.pass2.deadline_hit) == (0, True)
         assert budget.spent == 3.0
-        assert log.deadline_trips == 2
+        assert aggregating.aggregator.counters["resilience.deadline_trips"] == 2
         trips = sink.by_type("deadline")
         assert [(e["pass_index"], e["spent_seconds"]) for e in trips] == [(1, 3.0), (2, 3.0)]
 

@@ -155,13 +155,13 @@ class TestRunBenches:
         # the context's compile runs; a bench with its own workload (here
         # the cheapest, resilience) must add nothing to either.
         from repro.profile import SpanProfiler, profile_session
-        from repro.telemetry import MemorySink, Telemetry, telemetry_session
+        from repro.telemetry import MemorySink, Telemetry
 
         profiler = SpanProfiler()
         sink = MemorySink()
         telemetry = Telemetry(sink=sink)
         context = ExperimentContext(SCALES["test"], telemetry=telemetry)
-        with profile_session(profiler), telemetry_session(telemetry):
+        with profile_session(profiler):
             metrics = bench_core.bench_resilience(context)
         assert metrics["faults_injected"]["value"] > 0
         assert profiler.root.children == {}

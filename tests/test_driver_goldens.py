@@ -44,7 +44,6 @@ from repro.machine import amd_vega20
 from repro.obs.record import RunRecorder, recording_scope
 from repro.parallel import ParallelACOScheduler
 from repro.profile import SpanProfiler, collapsed_stacks, profile_session
-from repro.resilience.log import ResilienceLog, resilience_log_session
 from repro.resilience.watchdog import DeadlineBudget
 from repro.suite.rocprim import generate_suite
 from repro.telemetry import Telemetry
@@ -106,8 +105,7 @@ def observe(engine, region_name, mode, bundle_dir):
     scheduler = _scheduler(engine, Telemetry(sink=recorder.sink))
     profiler = SpanProfiler()
     hangs = []
-    with profile_session(profiler), recording_scope(recorder), \
-            resilience_log_session(ResilienceLog()):
+    with profile_session(profiler), recording_scope(recorder):
         if mode == "hang":
             plan = FaultPlan(seed=1, rates={"hang": 1.0})
             checkpoint = None

@@ -12,7 +12,6 @@ from repro.parallel import BatchItem, MultiRegionScheduler, ParallelACOScheduler
 from repro.pipeline import CompilePipeline
 from repro.profile import SpanProfiler, profile_session
 from repro.resilience.ladder import schedule_with_resilience
-from repro.resilience.log import ResilienceLog, resilience_log_session
 from repro.telemetry import MemorySink, Telemetry
 from repro.telemetry.schema import TRACE_CONTEXT_FIELDS, validate_event
 
@@ -158,13 +157,12 @@ class TestSchedulerCorrelation:
             gpu_params=GPUParams(blocks=4),
             telemetry=tele,
         )
-        with resilience_log_session(ResilienceLog()):
-            outcome = schedule_with_resilience(
-                scheduler, ddg, 5,
-                ResilienceParams(enabled=True, max_retries=2),
-                telemetry=tele,
-                fault_plan=FaultPlan(seed=3, rates={"launch": 1.0}),
-            )
+        outcome = schedule_with_resilience(
+            scheduler, ddg, 5,
+            ResilienceParams(enabled=True, max_retries=2),
+            telemetry=tele,
+            fault_plan=FaultPlan(seed=3, rates={"launch": 1.0}),
+        )
         assert outcome.faults  # the plan guarantees a chaotic journey
         tids = {r["trace_id"] for r in sink.records if "trace_id" in r}
         assert len(tids) == 1

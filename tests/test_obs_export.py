@@ -19,7 +19,6 @@ from repro.parallel import ParallelACOScheduler
 from repro.pipeline import CompilePipeline
 from repro.aco import SequentialACOScheduler
 from repro.resilience.ladder import schedule_with_resilience
-from repro.resilience.log import ResilienceLog, resilience_log_session
 from repro.suite import generate_suite
 from repro.telemetry import MemorySink, TeeSink, Telemetry
 
@@ -61,13 +60,12 @@ def chaotic():
         gpu_params=GPUParams(blocks=4),
         telemetry=tele,
     )
-    with resilience_log_session(ResilienceLog()):
-        schedule_with_resilience(
-            scheduler, ddg, 5,
-            ResilienceParams(enabled=True, max_retries=1),
-            telemetry=tele,
-            fault_plan=FaultPlan(seed=3, rates={"launch": 1.0}),
-        )
+    schedule_with_resilience(
+        scheduler, ddg, 5,
+        ResilienceParams(enabled=True, max_retries=1),
+        telemetry=tele,
+        fault_plan=FaultPlan(seed=3, rates={"launch": 1.0}),
+    )
     return sink.records
 
 

@@ -209,12 +209,11 @@ class TestEndToEnd:
 
 class TestKernelRollup:
     def test_rollup_from_memory_records(self):
-        from repro.telemetry import MemorySink, Telemetry, telemetry_session
+        from repro.telemetry import MemorySink, Telemetry
 
         sink = MemorySink()
         context = ExperimentContext(SCALES["test"], telemetry=Telemetry(sink=sink))
-        with telemetry_session(context.telemetry):
-            context.run("parallel")
+        context.run("parallel")
         rollups = kernel_phase_rollup(sink.records)
         assert set(rollups) <= {1, 2}
         assert rollups  # the parallel run launches kernels

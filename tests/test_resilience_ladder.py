@@ -8,6 +8,7 @@ from repro.ddg import DDG
 from repro.errors import RegionUnrecoverable
 from repro.gpusim.faults import FaultPlan
 from repro.machine import amd_vega20
+from repro.obs import AggregatingSink, render_resilience
 from repro.parallel import BatchItem, MultiRegionScheduler, ParallelACOScheduler
 from repro.pipeline import CompilePipeline, FilterDecision
 from repro.resilience.ladder import (
@@ -16,9 +17,8 @@ from repro.resilience.ladder import (
     ladder_rungs,
     schedule_with_resilience,
 )
-from repro.resilience.log import ResilienceLog, resilience_log_session
 from repro.schedule import validate_schedule
-from repro.telemetry import MemorySink, Telemetry
+from repro.telemetry import MemorySink, TeeSink, Telemetry
 
 from conftest import make_region
 
@@ -40,6 +40,11 @@ def parallel(machine, **kw):
         gpu_params=GPUParams(blocks=4),
         **kw,
     )
+
+
+def counting():
+    """A telemetry whose events fold into ``telemetry.sink.aggregator``."""
+    return Telemetry(sink=AggregatingSink())
 
 
 class TestRungs:
@@ -82,25 +87,25 @@ class TestRungs:
 
 class TestLadder:
     def test_clean_run_single_attempt(self, machine, ddg):
-        with resilience_log_session(ResilienceLog()) as log:
-            outcome = schedule_with_resilience(
-                parallel(machine), ddg, 5, ResilienceParams(enabled=True)
-            )
+        tele = counting()
+        outcome = schedule_with_resilience(
+            parallel(machine, telemetry=tele), ddg, 5, ResilienceParams(enabled=True)
+        )
         assert outcome.clean
         assert outcome.rung == "vectorized"
         assert outcome.attempts == 1
-        assert not log.eventful
+        assert render_resilience(tele.sink.aggregator) is None
 
     def test_launch_faults_degrade_to_cpu(self, machine, ddg):
         """Rate-1.0 launch failures kill both GPU engines; the CPU rung
         (no device, no fault sites) rescues the region."""
         sink = MemorySink()
-        with resilience_log_session(ResilienceLog()) as log:
-            outcome = schedule_with_resilience(
-                parallel(machine, telemetry=Telemetry(sink=sink)),
-                ddg, 5, ResilienceParams(enabled=True, max_retries=1),
-                fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
-            )
+        aggregating = AggregatingSink()
+        outcome = schedule_with_resilience(
+            parallel(machine, telemetry=Telemetry(sink=TeeSink(sink, aggregating))),
+            ddg, 5, ResilienceParams(enabled=True, max_retries=1),
+            fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
+        )
         assert outcome.result is not None
         assert outcome.rung == "sequential"
         # Two attempts each on the vectorized and loop rungs, all faulted.
@@ -108,47 +113,46 @@ class TestLadder:
         assert [f[1] for f in outcome.faults] == [
             "vectorized", "vectorized", "loop", "loop",
         ]
-        assert log.faults == {"launch": 4}
-        assert log.degrades == 2
+        counters = aggregating.aggregator.counters
+        assert counters["resilience.faults.total"] == 4
+        assert counters["resilience.faults.launch"] == 4
+        assert counters["resilience.degrades"] == 2
         assert len(sink.by_type("fault")) == 4
         assert len(sink.by_type("degrade")) == 2
         assert len(sink.by_type("retry")) == outcome.attempts - 1
         validate_schedule(outcome.result.schedule, ddg, machine)
 
     def test_oom_rescued_by_sequential(self, machine, ddg):
-        with resilience_log_session(ResilienceLog()):
-            outcome = schedule_with_resilience(
-                parallel(machine), ddg, 5,
-                ResilienceParams(enabled=True, max_retries=0),
-                fault_plan=FaultPlan(seed=1, rates={"oom": 1.0}),
-            )
+        outcome = schedule_with_resilience(
+            parallel(machine), ddg, 5,
+            ResilienceParams(enabled=True, max_retries=0),
+            fault_plan=FaultPlan(seed=1, rates={"oom": 1.0}),
+        )
         assert outcome.result is not None
         assert outcome.rung == "sequential"
         assert all(f[0] == "oom" for f in outcome.faults)
 
     def test_hang_recovers_by_resume(self, machine, ddg):
-        with resilience_log_session(ResilienceLog()) as log:
-            outcome = schedule_with_resilience(
-                parallel(machine), ddg, 5,
-                ResilienceParams(enabled=True, max_retries=2),
-                fault_plan=FaultPlan(seed=1, rates={"hang": 1.0}),
-            )
+        tele = counting()
+        outcome = schedule_with_resilience(
+            parallel(machine, telemetry=tele), ddg, 5,
+            ResilienceParams(enabled=True, max_retries=2),
+            fault_plan=FaultPlan(seed=1, rates={"hang": 1.0}),
+        )
         assert outcome.result is not None
         assert outcome.resumed_attempts >= 1
-        assert log.resumes >= 1
+        assert tele.sink.aggregator.counters["resilience.checkpoint_resumes"] >= 1
         validate_schedule(outcome.result.schedule, ddg, machine)
 
     def test_no_degrade_raises_unrecoverable(self, machine, ddg):
         resilience = ResilienceParams(enabled=True, max_retries=1, degrade=False)
-        with resilience_log_session(ResilienceLog()) as log:
-            with pytest.raises(RegionUnrecoverable) as info:
-                schedule_with_resilience(
-                    parallel(machine), ddg, 5, resilience,
-                    fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
-                )
+        with pytest.raises(RegionUnrecoverable) as info:
+            schedule_with_resilience(
+                parallel(machine), ddg, 5, resilience,
+                fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
+            )
         assert len(info.value.causes) == 2  # 1 + max_retries attempts
         assert info.value.spent_seconds > 0.0
-        assert log.unrecoverable_regions == [ddg.region.name]
 
     def test_exhausted_budget_goes_straight_to_heuristic(self, machine, ddg):
         """Faults that burn the whole deadline skip the remaining engine
@@ -157,33 +161,34 @@ class TestLadder:
         resilience = ResilienceParams(
             enabled=True, max_retries=0, deadline_seconds=launch_cost * 0.5
         )
-        with resilience_log_session(ResilienceLog()) as log:
-            outcome = schedule_with_resilience(
-                parallel(machine), ddg, 5, resilience,
-                fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
-            )
+        tele = counting()
+        outcome = schedule_with_resilience(
+            parallel(machine, telemetry=tele), ddg, 5, resilience,
+            fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
+        )
         assert outcome.degraded
         assert outcome.rung == HEURISTIC_RUNG
-        assert log.degraded_regions == [ddg.region.name]
+        counters = tele.sink.aggregator.counters
+        assert counters["resilience.degrade.loop_to_heuristic"] == 1  # skips sequential
 
     def test_seed_rotation_redraws_fault_sites(self, machine, ddg):
         """With a 50% launch rate, retries must eventually pass — the
         attempt number is part of the fault site."""
-        with resilience_log_session(ResilienceLog()):
-            outcome = schedule_with_resilience(
-                parallel(machine), ddg, 5,
-                ResilienceParams(enabled=True, max_retries=3),
-                fault_plan=FaultPlan(seed=12, rates={"launch": 0.5}),
-            )
+        outcome = schedule_with_resilience(
+            parallel(machine), ddg, 5,
+            ResilienceParams(enabled=True, max_retries=3),
+            fault_plan=FaultPlan(seed=12, rates={"launch": 0.5}),
+        )
         assert outcome.result is not None
 
 
 class TestPipeline:
-    def _pipeline(self, machine, resilience=None):
+    def _pipeline(self, machine, resilience=None, telemetry=None):
         return CompilePipeline(
             machine,
-            scheduler=parallel(machine),
+            scheduler=parallel(machine, telemetry=telemetry),
             filters=FilterParams(cycle_threshold=0),
+            telemetry=telemetry,
             resilience=resilience,
         )
 
@@ -192,29 +197,28 @@ class TestPipeline:
         outcome matches the plain pipeline exactly."""
         regions = [DDG(make_region("reduce", s, 12 + s)) for s in range(3)]
         plain = self._pipeline(machine)
-        laddered = self._pipeline(machine, ResilienceParams(enabled=True))
+        tele = counting()
+        laddered = self._pipeline(machine, ResilienceParams(enabled=True), tele)
         for ddg in regions:
             a = plain.compile_region(ddg, seed=7)
-            with resilience_log_session(ResilienceLog()) as log:
-                b = laddered.compile_region(ddg, seed=7)
+            b = laddered.compile_region(ddg, seed=7)
             assert b.decision == a.decision
             assert b.schedule.cycles == a.schedule.cycles
             assert b.scheduling_seconds == pytest.approx(
                 a.scheduling_seconds, rel=1e-9
             )
-            assert not log.eventful
+            assert render_resilience(tele.sink.aggregator) is None
 
     def test_chaos_compile_ships_every_region(self, machine):
         """Under heavy chaos every region still gets a legal schedule."""
         resilience = ResilienceParams(enabled=True, chaos_seed=42, max_retries=2)
         pipeline = self._pipeline(machine, resilience)
-        with resilience_log_session(ResilienceLog()):
-            for s in range(3):
-                ddg = DDG(make_region("sort", s, 12 + s))
-                outcome = pipeline.compile_region(ddg, seed=s)
-                assert outcome.schedule is not None
-                validate_schedule(outcome.schedule, ddg, machine)
-                assert isinstance(outcome.decision, FilterDecision)
+        for s in range(3):
+            ddg = DDG(make_region("sort", s, 12 + s))
+            outcome = pipeline.compile_region(ddg, seed=s)
+            assert outcome.schedule is not None
+            validate_schedule(outcome.schedule, ddg, machine)
+            assert isinstance(outcome.decision, FilterDecision)
 
     def test_degraded_region_ships_heuristic(self, machine, monkeypatch):
         """Guaranteed faults + a budget too small to survive them degrade
@@ -235,12 +239,12 @@ class TestPipeline:
             deadline_seconds=launch_cost * 0.5,
             chaos_seed=1,
         )
-        pipeline = self._pipeline(machine, resilience)
+        tele = counting()
+        pipeline = self._pipeline(machine, resilience, tele)
         ddg = DDG(make_region("stencil", 4, 14))
-        with resilience_log_session(ResilienceLog()) as log:
-            outcome = pipeline.compile_region(ddg, seed=5)
+        outcome = pipeline.compile_region(ddg, seed=5)
         assert outcome.decision is FilterDecision.DEGRADED
-        assert ddg.region.name in log.degraded_regions
+        assert tele.sink.aggregator.counters["regions.decision.degraded"] == 1
         assert outcome.schedule is not None
         validate_schedule(outcome.schedule, ddg, machine)
 
@@ -250,7 +254,8 @@ class TestPipeline:
         resilience = ResilienceParams(
             enabled=True, max_retries=0, degrade=False, chaos_seed=1
         )
-        pipeline = self._pipeline(machine, resilience)
+        tele = counting()
+        pipeline = self._pipeline(machine, resilience, tele)
         # Guarantee the fault: make the ladder's derived plan all-launch.
         import repro.resilience.ladder as ladder_mod
 
@@ -262,12 +267,13 @@ class TestPipeline:
             )),
         )
         ddg = DDG(make_region("stencil", 4, 14))
-        with resilience_log_session(ResilienceLog()) as log:
-            outcome = pipeline.compile_region(ddg, seed=5)
+        outcome = pipeline.compile_region(ddg, seed=5)
         assert outcome.decision is FilterDecision.UNRECOVERABLE
         assert outcome.schedule is not None  # the heuristic still ships
         validate_schedule(outcome.schedule, ddg, machine)
-        assert log.unrecoverable_regions == [ddg.region.name]
+        aggregator = tele.sink.aggregator
+        assert aggregator.counters["regions.decision.unrecoverable"] == 1
+        assert aggregator.unrecoverable_regions == [ddg.region.name]
 
 
 class TestMultiRegionBatches:
@@ -285,25 +291,25 @@ class TestMultiRegionBatches:
 
     def test_failed_region_does_not_abort_batch(self, machine):
         plan = FaultPlan(seed=1, rates={"launch": 1.0})
-        with resilience_log_session(ResilienceLog()) as log:
-            batch = MultiRegionScheduler(machine).schedule_batch(
-                self._items(), fault_plan=plan
-            )
+        tele = counting()
+        batch = MultiRegionScheduler(machine, telemetry=tele).schedule_batch(
+            self._items(), fault_plan=plan
+        )
         assert batch.failed_regions == 3
         assert all(e and e.startswith("launch:") for e in batch.errors)
-        assert log.faults.get("launch") == 3
+        assert tele.sink.aggregator.counters["resilience.faults.launch"] == 3
         assert batch.scheduled == ()
 
     def test_resilient_batch_rescues_every_region(self, machine):
         plan = FaultPlan(seed=1, rates={"launch": 1.0})
         resilience = ResilienceParams(enabled=True, max_retries=1)
-        with resilience_log_session(ResilienceLog()) as log:
-            batch = MultiRegionScheduler(machine).schedule_batch(
-                self._items(), fault_plan=plan, resilience=resilience
-            )
+        tele = counting()
+        batch = MultiRegionScheduler(machine, telemetry=tele).schedule_batch(
+            self._items(), fault_plan=plan, resilience=resilience
+        )
         assert batch.failed_regions == 0
         assert batch.errors == (None, None, None)
-        assert log.degrades >= 3
+        assert tele.sink.aggregator.counters["resilience.degrades"] >= 3
         # CPU rescues count as serial host time.
         assert batch.seconds > 0.0
         for item, result in zip(self._items(), batch.results):
@@ -316,10 +322,9 @@ class TestMultiRegionBatches:
         are pinned to the bit."""
         plan = FaultPlan(seed=1, rates={"oom": 0.6})
         resilience = ResilienceParams(enabled=True, max_retries=0)
-        with resilience_log_session(ResilienceLog()):
-            batch = MultiRegionScheduler(machine).schedule_batch(
-                self._items(), fault_plan=plan, resilience=resilience
-            )
+        batch = MultiRegionScheduler(machine).schedule_batch(
+            self._items(), fault_plan=plan, resilience=resilience
+        )
         assert batch.final_backends == ("sequential", "vectorized", "vectorized")
         assert batch.errors == (None, None, None)
         assert batch.seconds.hex() == "0x1.ab6c7b15539f8p-14"

@@ -8,10 +8,11 @@ from repro.ddg import DDG
 from repro.errors import DeviceHangError
 from repro.gpusim.faults import FaultPlan
 from repro.machine import amd_vega20
+from repro.obs import AggregatingSink
 from repro.parallel import ParallelACOScheduler
-from repro.resilience.log import ResilienceLog, resilience_log_session
 from repro.resilience.watchdog import DeadlineBudget
 from repro.schedule import validate_schedule
+from repro.telemetry import MemorySink, Telemetry
 
 from conftest import make_region
 
@@ -59,26 +60,21 @@ class TestSoftDeadline:
     @pytest.mark.parametrize("build", [parallel, sequential], ids=["parallel", "sequential"])
     def test_tight_budget_trips_cleanly(self, machine, ddg, build):
         """A starved region stops early with a partial-but-legal result."""
-        scheduler = build(machine)
+        aggregating = AggregatingSink()
+        scheduler = build(machine, telemetry=Telemetry(sink=aggregating))
         plain = scheduler.schedule(ddg, seed=5)
         budget = DeadlineBudget(plain.seconds / 10.0)
-        with resilience_log_session(ResilienceLog()) as log:
-            partial = scheduler.schedule(ddg, seed=5, budget=budget)
+        partial = scheduler.schedule(ddg, seed=5, budget=budget)
         assert partial.pass1.deadline_hit or partial.pass2.deadline_hit
-        assert log.deadline_trips >= 1
+        assert aggregating.aggregator.counters["resilience.deadline_trips"] >= 1
         assert partial.seconds <= plain.seconds
         validate_schedule(partial.schedule, ddg, machine)
 
     def test_deadline_emits_telemetry(self, machine, ddg):
-        from repro.telemetry import MemorySink, Telemetry
-
         sink = MemorySink()
         scheduler = parallel(machine, telemetry=Telemetry(sink=sink))
         plain = scheduler.schedule(ddg, seed=5)
-        with resilience_log_session(ResilienceLog()):
-            scheduler.schedule(
-                ddg, seed=5, budget=DeadlineBudget(plain.seconds / 10.0)
-            )
+        scheduler.schedule(ddg, seed=5, budget=DeadlineBudget(plain.seconds / 10.0))
         events = sink.by_type("deadline")
         assert events
         assert all(e["deadline_seconds"] > 0 for e in events)
@@ -90,9 +86,8 @@ class TestWatchdog:
         scheduler = parallel(machine)
         plan = FaultPlan(seed=1, rates={"hang": 1.0})
         budget = DeadlineBudget(1e6)
-        with resilience_log_session(ResilienceLog()):
-            with pytest.raises(DeviceHangError) as info:
-                scheduler.schedule(ddg, seed=5, fault_plan=plan, budget=budget)
+        with pytest.raises(DeviceHangError) as info:
+            scheduler.schedule(ddg, seed=5, fault_plan=plan, budget=budget)
         exc = info.value
         assert exc.checkpoint is not None
         assert exc.checkpoint.region == ddg.region.name

@@ -19,7 +19,8 @@ from repro.config import GPUParams
 from repro.ddg import DDG
 from repro.errors import TelemetryError
 from repro.machine import simple_test_target
-from repro.parallel import ParallelACOScheduler
+from repro.parallel import MultiRegionScheduler, ParallelACOScheduler
+from repro.pipeline import CompilePipeline
 from repro.obs import AggregatingSink, MetricsAggregator, render_metrics
 from repro.telemetry import (
     JSONLSink,
@@ -27,10 +28,7 @@ from repro.telemetry import (
     NullSink,
     TeeSink,
     Telemetry,
-    get_telemetry,
     read_trace,
-    set_telemetry,
-    telemetry_session,
     validate_event,
     validate_trace,
 )
@@ -137,19 +135,20 @@ class TestSinksAndSchema:
 
 
 class TestSessionAndScope:
-    def test_session_installs_and_restores(self):
-        default = get_telemetry()
+    def test_components_without_telemetry_are_inert(self):
+        """A component built without ``telemetry=`` owns an inert one; an
+        injected one is kept as is."""
+        machine = simple_test_target()
+        built = [
+            SequentialACOScheduler(machine),
+            ParallelACOScheduler(machine),
+            MultiRegionScheduler(machine),
+            CompilePipeline(machine),
+        ]
+        assert not any(c.telemetry.active for c in built)
+        assert len({id(c.telemetry) for c in built}) == len(built)
         tele = Telemetry(sink=MemorySink())
-        with telemetry_session(tele) as installed:
-            assert installed is tele
-            assert get_telemetry() is tele
-        assert get_telemetry() is default
-
-    def test_set_telemetry_none_restores_inert_default(self):
-        previous = set_telemetry(Telemetry(sink=MemorySink()))
-        set_telemetry(None)
-        assert not get_telemetry().active
-        set_telemetry(previous)
+        assert CompilePipeline(machine, telemetry=tele).telemetry is tele
 
     def test_pass_scope_trace_derivation(self):
         tele = Telemetry()  # disabled sink: scope still records locally
@@ -233,7 +232,7 @@ class TestReport:
 
 
 def _schedule_both(telemetry):
-    """The two golden scenarios, run under ``telemetry`` (None = default)."""
+    """The two golden scenarios, run under ``telemetry`` (None = inert)."""
     machine = simple_test_target()
     seq = SequentialACOScheduler(machine, telemetry=telemetry).schedule(
         DDG(make_region("reduce", 3, 30)), seed=7
@@ -318,9 +317,3 @@ class TestDeterminism:
         assert {r["event"] for r in records} >= {
             "pass_start", "iteration", "pass_end", "kernel_launch", "transfer",
         }
-
-    def test_global_session_is_bit_identical_too(self):
-        base = [_fingerprint(r) for r in _schedule_both(None)]
-        with telemetry_session(Telemetry(sink=MemorySink())):
-            traced = [_fingerprint(r) for r in _schedule_both(None)]
-        assert traced == base
