@@ -44,7 +44,6 @@ from ..heuristics.luc import LastUseCountHeuristic
 from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..obs.context import region_trace
-from ..obs.record import get_recorder
 from ..resilience.checkpoint import RegionCheckpoint
 from ..resilience.watchdog import DeadlineBudget
 from ..rp.cost import rp_cost, rp_cost_lower_bound
@@ -605,7 +604,7 @@ class TwoPassDriver(ABC):
             pass1=pass1,
             pass2=pass2,
         )
-        recorder = get_recorder()
+        recorder = self.telemetry.recorder
         if recorder is not None:
             recorder.record_schedule(
                 "search",

@@ -8,8 +8,8 @@ seed, across backends, shards, and fault retries. The hazard classes
   kernel/ant path makes downstream decisions depend on hash order — for
   strings that order changes per process (hash randomization), the exact
   failure mode that makes parallel ACO runs "work on my machine";
-* **environment reads** (``DET-003``): ``os.environ`` consulted outside
-  ``repro.config`` creates hidden inputs the seed does not capture, so
+* **environment reads** (``DET-003``): the process environment consulted
+  anywhere in the library creates hidden inputs the seed does not capture, so
   two runs with equal seeds can diverge because a shell exported a var;
 * **wall-clock reads** (``DET-004``): ``datetime.now()`` and friends
   anywhere in the library leak real time into outputs that must be
@@ -80,20 +80,18 @@ class UnorderedIterationRule(Rule):
 @register
 class EnvironmentReadRule(Rule):
     rule_id = "DET-003"
-    name = "environment-read-outside-config"
+    name = "environment-read"
     severity = "warning"
-    summary = "os.environ read outside repro.config"
+    summary = "Environment read in the library"
     rationale = (
         "Environment variables are inputs the seed does not capture. "
-        "Every sanctioned runtime knob flows through repro.config (or a "
-        "documented gateway carrying an explicit suppression); scattered "
-        "os.environ reads make a run's behaviour depend on shell state "
-        "that no fingerprint or checkpoint records."
+        "Every runtime knob is a command-line flag or a repro.config "
+        "field (or a documented gateway carrying an explicit "
+        "suppression); environment reads make a run's behaviour depend on "
+        "shell state that no fingerprint or checkpoint records."
     )
 
     def check_file(self, ctx: FileContext) -> Iterable[Finding]:
-        if ctx.module_rel == "config.py":
-            return
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
@@ -101,8 +99,9 @@ class EnvironmentReadRule(Rule):
                     yield ctx.finding(
                         self,
                         node,
-                        "%s() outside repro.config; route the knob through "
-                        "repro.config or mark a documented gateway" % name,
+                        "%s() in the library; take the knob as a flag or a "
+                        "repro.config field, or mark a documented gateway"
+                        % name,
                     )
             elif isinstance(node, ast.Subscript) and isinstance(
                 node.ctx, ast.Load
@@ -112,9 +111,9 @@ class EnvironmentReadRule(Rule):
                     yield ctx.finding(
                         self,
                         node,
-                        "%s[...] read outside repro.config; route the knob "
-                        "through repro.config or mark a documented gateway"
-                        % name,
+                        "%s[...] read in the library; take the knob as a "
+                        "flag or a repro.config field, or mark a documented "
+                        "gateway" % name,
                     )
 
 

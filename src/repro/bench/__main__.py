@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
 from typing import List, Optional
 
-from ..config import record_settings
+from ..cli import _writable
 from ..errors import BenchError, ReproError
 from ..experiments.common import SCALES, ExperimentContext
 from ..profile import SpanProfiler, profile_session
-from ..telemetry import Telemetry, TeeSink
+from ..telemetry import Telemetry
 from .compare import (
     DEFAULT_THRESHOLD_PCT,
     compare_payloads,
@@ -76,6 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
         "values, no wall clock) to a BENCH_history.jsonl trajectory and "
         "print its trend report",
     )
+    parser.add_argument(
+        "--record",
+        metavar="DIR",
+        default=None,
+        help="record the bench run as a canonical bundle directory "
+        "(events, metrics, spans, schedules, RNG draw digests) diffable "
+        "with python -m repro.obs.diff",
+    )
     return parser
 
 
@@ -89,34 +96,28 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.threshold < 0:
         print("error: --threshold must be >= 0", file=sys.stderr)
         return 2
+    if args.record and not _writable(args.record, directory=True):
+        print("error: --record: cannot write to %r" % args.record, file=sys.stderr)
+        return 2
 
     scale = SCALES[args.scale]
     profiler = SpanProfiler()
-    # REPRO_RECORD captures the bench run as a diffable bundle — the same
-    # hook contract as REPRO_TRACE/REPRO_PROFILE (env-only, no new flag).
-    record_path, record_draws = record_settings()
     recorder = None
-    launches = LaunchSink()
-    if record_path:
-        from ..obs.record import RunRecorder, recording_scope
+    if args.record:
+        from ..obs.record import RunRecorder
 
-        recorder = RunRecorder(draws=record_draws)
-        telemetry = Telemetry(sink=TeeSink(recorder.sink, launches))
-    else:
-        telemetry = Telemetry(sink=launches)
+        recorder = RunRecorder()
+    telemetry = Telemetry(sink=LaunchSink(), recorder=recorder)
     try:
-        with ExitStack() as stack:
-            stack.enter_context(profile_session(profiler))
-            if recorder is not None:
-                stack.enter_context(recording_scope(recorder))
+        with profile_session(profiler):
             context = ExperimentContext(scale, telemetry=telemetry)
             payloads = run_benches(context, names=args.bench)
         if recorder is not None:
             from ..obs.record import span_tree_payload
 
             recorder.set_spans(span_tree_payload(profiler.root))
-            recorder.save(record_path)
-            print("recorded run bundle at %s" % record_path)
+            recorder.save(args.record)
+            print("recorded run bundle at %s" % args.record)
         for payload in payloads:
             path = write_bench(args.out, payload)
             print("wrote %s (%d metrics)" % (path, len(payload["metrics"])))

@@ -81,9 +81,10 @@ def _writable(path: str, directory: bool) -> bool:
 
 
 def main(argv: List[str] = None) -> int:
-    from .config import ResilienceParams, record_settings, replace_params
+    from .config import ResilienceParams, replace_params
     from .errors import ConfigError
     from .experiments import EXPERIMENTS, SCALES, ExperimentContext
+    from .obs.record import DRAW_LEVELS, RunRecorder
     from .obs.slo import DEFAULT_SLO_TARGET, slo_target_arg
 
     parser = argparse.ArgumentParser(
@@ -130,8 +131,14 @@ def main(argv: List[str] = None) -> int:
         default=None,
         help="record the run as a canonical bundle directory (events, "
         "metrics, schedules, RNG draw digests) diffable with "
-        "python -m repro.obs.diff; also honours REPRO_RECORD and "
-        "REPRO_RECORD_DRAWS=digest|full|off",
+        "python -m repro.obs.diff",
+    )
+    parser.add_argument(
+        "--record-draws",
+        choices=DRAW_LEVELS,
+        default="digest",
+        help="how --record captures RNG draws: chained digests (default), "
+        "full raw values, or off",
     )
     parser.add_argument(
         "--profile",
@@ -274,14 +281,13 @@ def main(argv: List[str] = None) -> int:
         print("available: %s" % ", ".join(sorted(EXPERIMENTS)), file=sys.stderr)
         return 2
 
-    record_path, record_draws = record_settings(args.record)
     for flag, path, directory in (
         ("--trace", args.trace, False),
         ("--openmetrics", args.openmetrics, False),
         ("--obs-snapshot", args.obs_snapshot, False),
         ("--perfetto", args.perfetto, False),
         ("--profile-stacks", args.profile_stacks, False),
-        ("--record", record_path, True),
+        ("--record", args.record, True),
         ("--csv", args.csv, True),
     ):
         if path and not _writable(path, directory):
@@ -306,15 +312,11 @@ def main(argv: List[str] = None) -> int:
     if args.perfetto:
         perfetto_sink = MemorySink()
         sinks.append(perfetto_sink)
+    recorder = RunRecorder(draws=args.record_draws) if args.record else None
+    telemetry = Telemetry(
+        sink=sinks[0] if len(sinks) == 1 else TeeSink(*sinks), recorder=recorder
+    )
     stack = ExitStack()
-    recorder = None
-    if record_path:
-        from .obs.record import RunRecorder, recording_scope
-
-        recorder = RunRecorder(draws=record_draws)
-        stack.enter_context(recording_scope(recorder))
-        sinks.append(recorder.sink)
-    telemetry = Telemetry(sink=sinks[0] if len(sinks) == 1 else TeeSink(*sinks))
     stack.callback(telemetry.close)
     context = ExperimentContext(
         scale, telemetry=telemetry, verify=args.verify, resilience=resilience
@@ -384,8 +386,8 @@ def main(argv: List[str] = None) -> int:
             from .obs.record import span_tree_payload
 
             recorder.set_spans(span_tree_payload(profiler.root))
-        recorder.save(record_path)
-        print("[run bundle written to %s]" % record_path)
+        recorder.save(args.record)
+        print("[run bundle written to %s]" % args.record)
 
     summary = render_resilience(aggregator)
     if summary is not None:

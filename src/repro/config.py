@@ -13,7 +13,6 @@ The defaults reproduce the settings reported in the paper:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
@@ -385,22 +384,6 @@ class ReproConfig:
         self.suite.validate()
         self.resilience.validate()
         self.fleet.validate()
-
-
-def record_settings(path: Optional[str] = None) -> Tuple[Optional[str], str]:
-    """Where to write a run bundle, and how to record its RNG draws.
-
-    The bundle directory is ``path`` (the CLI's ``--record``), else
-    ``REPRO_RECORD``, else None (no bundle); the draw mode is
-    ``REPRO_RECORD_DRAWS`` (``digest`` by default, or ``full``/``off``).
-    Both only choose output files, never results, and the bench runner has
-    no flag for them: this is the one place the program reads its
-    environment.
-    """
-    return (
-        path or os.environ.get("REPRO_RECORD") or None,
-        os.environ.get("REPRO_RECORD_DRAWS", "digest"),
-    )
 
 
 def geometric_mean(values: Sequence[float]) -> float:

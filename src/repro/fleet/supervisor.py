@@ -49,7 +49,6 @@ from ..analysis.verifier import verify_schedule
 from ..config import FleetParams, ResilienceParams
 from ..errors import GPUSimError, WorkerCrash, WorkerHang
 from ..gpusim.faults import WORKER_FAULT_CLASSES, FaultPlan
-from ..obs.record import get_recorder
 from ..parallel.multi_region import (
     BatchItem,
     BatchResult,
@@ -174,7 +173,7 @@ class FleetSupervisor:
             ShardWorker(i, self.scheduler, self.worker_faults)
             for i in range(params.num_shards)
         ]
-        recorder = get_recorder()
+        recorder = tele.recorder
         resolved: List[Tuple[int, SlotOutcome]] = []
         redispatches = [0] * len(items)
         pending = list(range(len(items)))

@@ -269,7 +269,7 @@ def _diff_rng(a_entries: List[Dict], b_entries: List[Dict],
         else:
             detail["note"] = (
                 "digest-level bundle: divergence localized to the ant lane; "
-                "record with draws=full for the exact draw index"
+                "record with --record-draws full for the exact draw index"
             )
         break
     return _level("rng-draws", "divergent", detail)

@@ -27,15 +27,19 @@ Draw capture levels:
 ``full``
     additionally stores the raw draw values, localizing to the exact draw
     index with both values in the report. Used by the test fixtures and
-    ``REPRO_RECORD_DRAWS=full``.
+    ``repro --record-draws full``.
 ``off``
     no RNG part (recording of events/schedules only).
 
-Recording rides one ambient hook: the recorder's sink joins the telemetry
-fan-out, while the RNG draw primitives, the scheduler iteration loops and
-the pipeline all consult :func:`get_recorder`. With no recorder installed
-every hook is a single ``None`` check, so recording off keeps runs
-bit-identical.
+Recording rides the run's one injected telemetry:
+``Telemetry(sink=..., recorder=recorder)`` adds the recorder (itself a
+:class:`~repro.telemetry.sinks.Sink`) to the event fan-out and exposes it
+as ``telemetry.recorder``. The pipeline, the scheduler iteration loops and
+the batch/fleet reducers read it there; each GPU scheduler hands it to the
+:class:`~repro.parallel.rng.AntRngStreams` it builds, whose draw primitives
+observe every consumed value. A component built with an unrecorded
+telemetry records nothing, and with no recorder every hook is a single
+``None`` check, so recording off keeps runs bit-identical.
 """
 
 from __future__ import annotations
@@ -44,11 +48,9 @@ import hashlib
 import json
 import os
 import struct
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import TelemetryError
-from ..telemetry.core import Telemetry
 from ..telemetry.schema import read_trace_lenient
 from ..telemetry.sinks import Sink, _json_safe
 from .context import current_trace
@@ -65,7 +67,8 @@ BUNDLE_PARTS = (
     "rng.jsonl",
 )
 
-_DRAW_LEVELS = ("off", "digest", "full")
+#: RNG draw capture levels (see the module docstring).
+DRAW_LEVELS = ("off", "digest", "full")
 
 #: Length of the truncated chained draw digest (hex chars).
 DRAW_DIGEST_LEN = 16
@@ -102,42 +105,35 @@ class _DrawLane:
         return out
 
 
-class RecordingSink(Sink):
-    """Telemetry sink that buffers JSON-safe copies of every record."""
-
-    def __init__(self, recorder: "RunRecorder"):
-        self._recorder = recorder
-
-    def write(self, record: Dict) -> None:
-        self._recorder.events.append(_json_safe(record))
-
-
-class RunRecorder:
+class RunRecorder(Sink):
     """Accumulates one run's bundle parts in memory, then saves them.
 
-    The recorder is passive: install its :attr:`sink` into the telemetry
-    fan-out and enter :func:`recording_scope` (which wires the RNG draw
-    observer and the ambient iteration hooks), run the workload, then call
-    :meth:`save`.
+    The recorder is passive: build the run's telemetry with
+    ``Telemetry(recorder=recorder)`` (which tees the events into it and
+    carries it to every component built with that telemetry), run the
+    workload, then call :meth:`save`.
     """
 
     def __init__(self, draws: str = "digest"):
-        if draws not in _DRAW_LEVELS:
+        if draws not in DRAW_LEVELS:
             raise TelemetryError(
                 "unknown draw level %r (expected one of %s)"
-                % (draws, ", ".join(_DRAW_LEVELS))
+                % (draws, ", ".join(DRAW_LEVELS))
             )
         self.draws = draws
         self.events: List[Dict] = []
         self.schedules: List[Dict] = []
         self.spans: Optional[Dict] = None
-        self.sink = RecordingSink(self)
         #: rng.jsonl entries in begin order; each is the serializable dict
         #: minus the per-ant lanes, which live in ``_lanes`` until flushed.
         self._rng_entries: List[Dict] = []
         self._lanes: Optional[Dict[int, _DrawLane]] = None
 
-    # -- iteration / draw hooks (called via the ambient recorder) -----------
+    def write(self, record: Dict) -> None:
+        """Telemetry sink entry: buffer a JSON-safe copy of the record."""
+        self.events.append(_json_safe(record))
+
+    # -- iteration / draw hooks ---------------------------------------------
 
     def begin_iteration(self, region: str, pass_index: int, iteration: int) -> None:
         """Mark an ACO iteration boundary; subsequent draws key under it."""
@@ -154,7 +150,7 @@ class RunRecorder:
         self._lanes = {}
 
     def observe_draw(self, ant: int, value: float) -> None:
-        """RNG draw callback (the stream primitives call the ambient recorder)."""
+        """RNG draw callback (the stream primitives call their recorder)."""
         if self.draws == "off":
             return
         if self._lanes is None:
@@ -180,7 +176,7 @@ class RunRecorder:
     # -- schedule / span capture --------------------------------------------
 
     def record_schedule(self, kind: str, **fields: object) -> None:
-        """Append one schedule record (``kind`` in search/shipped/batch)."""
+        """Append one schedule record (``kind`` in search/shipped/batch/shard)."""
         trace = current_trace()
         record = {"kind": kind}
         if trace is not None:
@@ -268,56 +264,6 @@ def span_tree_payload(root) -> Dict:
     if children:
         node["children"] = children
     return node
-
-
-# -- ambient recorder ------------------------------------------------------
-
-_RECORDER: Optional[RunRecorder] = None
-
-
-def get_recorder() -> Optional[RunRecorder]:
-    """The ambient recorder, or None when recording is off."""
-    return _RECORDER
-
-
-def set_recorder(recorder: Optional[RunRecorder]) -> Optional[RunRecorder]:
-    """Install (or clear) the ambient recorder; returns the previous one."""
-    global _RECORDER
-    previous = _RECORDER
-    _RECORDER = recorder
-    return previous
-
-
-@contextmanager
-def recording_scope(recorder: RunRecorder) -> Iterator[RunRecorder]:
-    """Install ``recorder`` as the ambient recorder.
-
-    The scheduler loops, the RNG draw primitives and the pipeline all reach
-    the ambient recorder through :func:`get_recorder`. The telemetry sink is
-    *not* installed here — compose the recorder's :attr:`~RunRecorder.sink`
-    into the run's sink fan-out separately (the CLI tees it; tests hand it
-    straight to :class:`~repro.telemetry.Telemetry`).
-    """
-    previous = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)
-
-
-@contextmanager
-def record_run(path: str, draws: str = "digest") -> Iterator[Telemetry]:
-    """All-in-one recording scope: hooks + telemetry + save.
-
-    Installs a fresh recorder and yields a
-    :class:`~repro.telemetry.Telemetry` backed by its sink. Nothing picks
-    that telemetry up ambiently: hand it to every scheduler of the
-    recorded run. The bundle is written to ``path`` on clean exit.
-    """
-    recorder = RunRecorder(draws=draws)
-    with recording_scope(recorder):
-        yield Telemetry(sink=recorder.sink)
-    recorder.save(path)
 
 
 # -- loading ---------------------------------------------------------------

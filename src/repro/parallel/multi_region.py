@@ -48,7 +48,6 @@ from ..gpusim.device import GPUDevice
 from ..gpusim.faults import FaultPlan
 from ..machine.model import MachineModel
 from ..obs.context import region_trace
-from ..obs.record import get_recorder
 from ..profile import get_profiler
 from ..schedule.schedule import Schedule
 from ..telemetry import Telemetry
@@ -390,7 +389,7 @@ class MultiRegionScheduler:
         """
         results = [outcome.result for outcome in outcomes]
         errors = [outcome.error for outcome in outcomes]
-        recorder = get_recorder()
+        recorder = self.telemetry.recorder
         if recorder is not None:
             for item, b, outcome in zip(items, blocks, outcomes):
                 recorder.record_schedule(

@@ -61,22 +61,30 @@ read back. The invariant every primitive keeps:
 
 * ant ``i``'s ``j``-th consumed value is the ``j``-th scalar draw of
   spawn child ``i``, whatever mix of primitives consumed the ones before
-  it (the recorder observes exactly the consumed values, in order);
+  it (a recorder observes exactly the consumed values, in order);
 * :meth:`AntRngStreams.state` reports each stream as if it had drawn only
   the values consumed so far — the block's start state, advanced by the
   consumed count — so a checkpoint restored into a fresh stream set
   continues draw for draw. Values drawn ahead but never consumed are not
   part of any observable state.
+
+**Recording.** A stream set built with ``recorder=`` (a
+:class:`repro.obs.record.RunRecorder`; the GPU scheduler passes the one its
+telemetry carries) reports every consumed value to it, keyed by ant slot.
+Without one each primitive pays a single ``None`` check and the draws are
+untouched.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..obs import record as _record
+
+if TYPE_CHECKING:
+    from ..obs.record import RunRecorder
 
 SeedLike = Union[int, "AntRngStreams"]
 
@@ -208,13 +216,17 @@ class AntRngStreams:
     (spawn-indexed: the first ``k`` streams are identical for every
     population size >= k). The set keeps one bit generator and loads each
     ant's state into it only to refill that ant's draw-ahead row.
+    ``recorder``, when given, observes every consumed draw.
     """
 
-    def __init__(self, seed: int, num_ants: int):
+    def __init__(
+        self, seed: int, num_ants: int, recorder: Optional["RunRecorder"] = None
+    ):
         if num_ants < 1:
             raise ConfigError("need at least one ant stream")
         states = spawn_states(seed, num_ants)
         self.num_ants = num_ants
+        self.recorder = recorder
         self._bit_generator = np.random.PCG64(0)
         self._generator = np.random.Generator(self._bit_generator)
         # Per ant: the increment, the state the next refill starts from,
@@ -311,10 +323,10 @@ class AntRngStreams:
     def uniform_ants(self) -> np.ndarray:
         """One U[0,1) draw from every ant's stream, in ant-slot order."""
         values = self._draw(slice(None))
-        recorder = _record.get_recorder()
+        recorder = self.recorder
         if recorder is not None:
             # Observed *after* the streams advanced, so the recorded
-            # sequence is exactly what the colony consumed; with no ambient
+            # sequence is exactly what the colony consumed; with no
             # recorder the draw path is untouched (recording off stays
             # bit-identical).
             for ant, value in enumerate(values):
@@ -329,7 +341,7 @@ class AntRngStreams:
             used = 0
         self._used[ant] = used + 1
         value = float(self._buffer[ant, used])
-        recorder = _record.get_recorder()
+        recorder = self.recorder
         if recorder is not None:
             recorder.observe_draw(ant, value)
         return value
@@ -344,7 +356,7 @@ class AntRngStreams:
                 % (num_wavefronts, wavefront_size, self.num_ants)
             )
         values = self._draw(slice(None, None, wavefront_size))
-        recorder = _record.get_recorder()
+        recorder = self.recorder
         if recorder is not None:
             for w in range(num_wavefronts):
                 recorder.observe_draw(w * wavefront_size, float(values[w]))

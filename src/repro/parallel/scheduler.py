@@ -40,7 +40,6 @@ from ..gpusim.faults import FaultPlan, FaultyDevice
 from ..gpusim.kernel import KernelAccounting, TransferAccounting
 from ..gpusim.reduction import reduction_cycles
 from ..machine.model import MachineModel
-from ..obs.record import get_recorder
 from ..profile import get_profiler
 from ..resilience.checkpoint import RegionCheckpoint
 from ..telemetry import Telemetry
@@ -118,7 +117,7 @@ class _DevicePass(PassEngine):
     def construct(self, iteration, pheromone, checkpoint):
         if self.hang_at is not None and iteration >= self.hang_at:
             raise self._hang(checkpoint())
-        recorder = get_recorder()
+        recorder = self.scheduler.telemetry.recorder
         if recorder is not None:
             recorder.begin_iteration(self.region_name, self.pass_index, iteration)
         if self.pass_index == 1:
@@ -348,7 +347,7 @@ class ParallelACOScheduler(TwoPassDriver):
             coalesced=self.gpu_params.soa_layout,
             dynamic_alloc=not self.gpu_params.soa_layout,
         )
-        rng = AntRngStreams(seed, policy.num_ants)
+        rng = AntRngStreams(seed, policy.num_ants, recorder=self.telemetry.recorder)
         # In verify mode, sanitize the colony too.
         sanitizer = ColonySanitizer() if self.verify_enabled else None
         colony_cls = resolve_backend(self.backend)

@@ -32,7 +32,6 @@ from ..errors import PipelineError, RegionUnrecoverable
 from ..heuristics.amd_max_occupancy import AMDMaxOccupancyScheduler
 from ..machine.model import MachineModel
 from ..obs.context import region_trace
-from ..obs.record import get_recorder
 from ..parallel.scheduler import ParallelACOScheduler
 from ..profile import get_profiler
 from ..resilience.ladder import schedule_with_resilience
@@ -213,7 +212,7 @@ class CompilePipeline:
                 self._verify_region(tele, ddg, outcome)
             if tele.active:
                 self._publish_region(tele, outcome)
-            recorder = get_recorder()
+            recorder = tele.recorder
             if recorder is not None:
                 recorder.record_schedule(
                     "shipped",

@@ -180,12 +180,14 @@ def bitcheck(
     import os
 
     from ..obs.diff import diff_bundles, write_report
-    from ..obs.record import record_run
+    from ..obs.record import RunRecorder
 
     paths = [os.path.join(out_dir, "%s-%s" % (layer.name, x)) for x in "ab"]
     for path in paths:
-        with record_run(path) as telemetry:
-            chaos_sweep(layer, seeds, sizes=sizes, telemetry=telemetry, **options)
+        recorder = RunRecorder()
+        telemetry = Telemetry(recorder=recorder)
+        chaos_sweep(layer, seeds, sizes=sizes, telemetry=telemetry, **options)
+        recorder.save(path)
     report = diff_bundles(paths[0], paths[1])
     if not report["identical"]:
         write_report(report, os.path.join(out_dir, "first-divergence.json"))

@@ -9,24 +9,38 @@ reproducibility — it never touches an RNG or a cost model, so enabling
 it cannot change schedules, costs or simulated timings. Metrics are
 views of the event stream: fold it with
 :class:`repro.obs.MetricsAggregator` (live via
-:class:`repro.obs.AggregatingSink`).
+:class:`repro.obs.AggregatingSink`). A run bundle rides the same object:
+``Telemetry(recorder=...)`` tees the events into a
+:class:`repro.obs.record.RunRecorder` and carries it, as
+:attr:`Telemetry.recorder`, to the schedule and RNG-draw hooks.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..obs.context import current_trace, current_worker
 from .schema import SCHEMA_VERSION, validate_event
-from .sinks import NullSink, Sink
+from .sinks import NullSink, Sink, TeeSink
+
+if TYPE_CHECKING:
+    from ..obs.record import RunRecorder
 
 
 class Telemetry:
     """A structured event tracer writing schema-v1 records to one sink."""
 
-    def __init__(self, sink: Optional[Sink] = None):
+    def __init__(
+        self,
+        sink: Optional[Sink] = None,
+        recorder: Optional["RunRecorder"] = None,
+    ):
+        if recorder is not None:
+            sink = recorder if sink is None else TeeSink(sink, recorder)
         self.sink = sink or NullSink()
+        #: The run bundle's recorder (schedules and RNG draws), or None.
+        self.recorder = recorder
         self._seq = 0
 
     @property

@@ -56,7 +56,11 @@ def summarize_trace(source: Union[str, Iterable[Dict]], top: int = 10) -> str:
                 skipped += 1
                 continue
             records.append(record)
+    return _render_summary(records, skipped, top)
 
+
+def _render_summary(records: List[Dict], skipped: int, top: int) -> str:
+    """The :func:`summarize_trace` text for already-validated records."""
     if not records:
         line = "trace summary: no valid records"
         if skipped:
@@ -170,16 +174,16 @@ def main(argv=None) -> int:
     import sys
 
     try:
-        print(summarize_trace(args.trace, top=args.top), end="")
+        # One lenient read feeds both the summary and the kernel rollup.
+        records, skipped = read_trace_lenient(args.trace)
+        print(_render_summary(records, skipped, args.top), end="")
         if args.kernels:
             from ..profile.attribution import (
                 fault_loss_rollup,
                 kernel_phase_rollup,
                 render_kernel_rollup,
             )
-            from .schema import read_trace_lenient as _read
 
-            records, _skipped = _read(args.trace)
             print()
             print(
                 render_kernel_rollup(

@@ -205,6 +205,26 @@ class TestMain:
         )
         assert code == 1
 
+    def test_record_writes_the_run_bundle(self, tmp_path, fake_benches):
+        from repro.ddg import DDG
+        from repro.obs.record import load_bundle
+        from strategies import make_region
+
+        def gamma(context):
+            scheduler = context.parallel_scheduler()
+            assert scheduler.telemetry.recorder is context.telemetry.recorder
+            scheduler.schedule(DDG(make_region("reduce", 3, 12)), seed=1)
+            return _fake_metrics(1.0)
+
+        fake_benches["gamma"] = gamma
+        path = tmp_path / "bundle"
+        argv = ["--scale", "test", "--out", str(tmp_path / "o"), "--record", str(path)]
+        assert bench_main.main(argv + ["--bench", "gamma"]) == 0
+        bundle = load_bundle(str(path))
+        assert bundle.warnings == []
+        assert [s["kind"] for s in bundle.schedules] == ["search"]
+        assert bundle.rng and bundle.spans is not None
+
     def test_usage_errors_exit_2(self, tmp_path, fake_benches):
         assert bench_main.main(["--threshold", "-1", "--out", str(tmp_path)]) == 2
         assert (
@@ -214,3 +234,9 @@ class TestMain:
             )
             == 2
         )
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = tmp_path / "unused"
+        argv = ["--out", str(out), "--record", str(blocker / "bundle")]
+        assert bench_main.main(argv) == 2
+        assert not out.exists()  # rejected before any bench ran

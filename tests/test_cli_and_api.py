@@ -159,6 +159,32 @@ class TestRunConfiguration:
             deadline_seconds=0.5, max_retries=5, chaos_seed=9, degrade=False
         )
 
+    def test_record_flags(self, probe, tmp_path, capsys):
+        from repro.obs.record import load_bundle
+
+        path = str(tmp_path / "bundle")
+        assert self._main("--record", path, "--record-draws", "full") == 0
+        assert "[run bundle written to %s]" % path in capsys.readouterr().out
+        # One recorder rides the run's one telemetry into every component.
+        recorder = probe["pipeline"].telemetry.recorder
+        assert recorder is not None and recorder.draws == "full"
+        assert probe["parallel"].telemetry.recorder is recorder
+        assert probe["sequential"].telemetry.recorder is recorder
+        bundle = load_bundle(path)
+        assert bundle.warnings == []
+        assert bundle.manifest["draws"] == "full"
+        assert [s["kind"] for s in bundle.schedules] == ["shipped"]
+
+    def test_bad_record_draws_exits_two(self, probe, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self._main("--record", str(tmp_path / "bundle"), "--record-draws", "bogus")
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "--record-draws: invalid choice: 'bogus'" in err.strip().splitlines()[-1]
+        assert probe == {}  # rejected before anything ran
+        assert not (tmp_path / "bundle").exists()
+
     def test_metrics_prints_aggregated_events(self, probe, capsys):
         assert self._main("--metrics") == 0
         out = capsys.readouterr().out

@@ -93,7 +93,7 @@ def _explain_divergence(a, b, ddg, seed, strategy="as"):
     import tempfile
 
     from repro.obs.diff import diff_bundles, render_report, write_report
-    from repro.obs.record import RunRecorder, recording_scope
+    from repro.obs.record import RunRecorder
 
     out_dir = os.environ.get("REPRO_DIVERGENCE_DIR")
     if out_dir:
@@ -103,11 +103,10 @@ def _explain_divergence(a, b, ddg, seed, strategy="as"):
     paths = []
     for backend in (a, b):
         recorder = RunRecorder(draws="full")
-        with recording_scope(recorder):
-            _run(
-                backend, ddg, seed,
-                telemetry=Telemetry(sink=recorder.sink), strategy=strategy,
-            )
+        _run(
+            backend, ddg, seed,
+            telemetry=Telemetry(recorder=recorder), strategy=strategy,
+        )
         paths.append(
             recorder.save(
                 os.path.join(out_dir, "%s-vs-%s-%s" % (a, b, backend))

@@ -41,7 +41,7 @@ from repro.experiments.common import SCALES
 from repro.gpusim.faults import FaultPlan
 from repro.heuristics.amd_max_occupancy import AMDMaxOccupancyScheduler
 from repro.machine import amd_vega20
-from repro.obs.record import RunRecorder, recording_scope
+from repro.obs.record import RunRecorder
 from repro.parallel import ParallelACOScheduler
 from repro.profile import SpanProfiler, collapsed_stacks, profile_session
 from repro.resilience.watchdog import DeadlineBudget
@@ -102,10 +102,10 @@ def observe(engine, region_name, mode, bundle_dir):
         budget = DeadlineBudget()
 
     recorder = RunRecorder(draws="digest")
-    scheduler = _scheduler(engine, Telemetry(sink=recorder.sink))
+    scheduler = _scheduler(engine, Telemetry(recorder=recorder))
     profiler = SpanProfiler()
     hangs = []
-    with profile_session(profiler), recording_scope(recorder):
+    with profile_session(profiler):
         if mode == "hang":
             plan = FaultPlan(seed=1, rates={"hang": 1.0})
             checkpoint = None

@@ -23,7 +23,7 @@ from repro.fleet.chaos import batches_identical, fleet_items, fleet_scheduler
 from repro.gpusim.faults import DEFAULT_WORKER_CHAOS_RATES, FaultPlan
 from repro.machine import amd_vega20
 from repro.obs.diff import diff_bundles
-from repro.obs.record import RunRecorder, recording_scope
+from repro.obs.record import RunRecorder
 from repro.telemetry import Telemetry
 
 SIZES = (8, 10, 12, 9)
@@ -134,10 +134,9 @@ class TestRngStreams:
                 machine,
                 params=scheduler.params,
                 gpu_params=scheduler.gpu_params,
-                telemetry=Telemetry(sink=recorder.sink),
+                telemetry=Telemetry(recorder=recorder),
             )
-            with recording_scope(recorder):
-                runner(scheduler)
+            runner(scheduler)
             recordings[name] = recorder.save(str(tmp_path / name))
         single_draws = _rng_entries(recordings["single"])
         fleet_draws = _rng_entries(recordings["fleet"])

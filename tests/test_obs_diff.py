@@ -32,7 +32,7 @@ from repro.obs.diff import (
     render_report,
     write_report,
 )
-from repro.obs.record import RunRecorder, recording_scope
+from repro.obs.record import RunRecorder
 from repro.parallel import ParallelACOScheduler
 from repro.parallel.loop import LoopColony
 from repro.parallel.rng import DRAW_BLOCK, AntRngStreams
@@ -53,11 +53,10 @@ def _record(tmp_path, name, backend="vectorized", draws="full"):
         amd_vega20(),
         gpu_params=GPU,
         backend=backend,
-        telemetry=Telemetry(sink=recorder.sink),
+        telemetry=Telemetry(recorder=recorder),
     )
     ddg = DDG(make_region("reduce", 3, 30))
-    with recording_scope(recorder):
-        scheduler.schedule(ddg, seed=SEED)
+    scheduler.schedule(ddg, seed=SEED)
     return recorder.save(str(tmp_path / name))
 
 
@@ -68,8 +67,8 @@ class _PerturbedStreams(AntRngStreams):
     blocks, so the flipped value sits inside one refill of its row.
     """
 
-    def __init__(self, seed, num_ants):
-        super().__init__(seed, num_ants)
+    def __init__(self, seed, num_ants, recorder=None):
+        super().__init__(seed, num_ants, recorder=recorder)
         self._target_drawn = 0
 
     def _refill(self, ant):
@@ -144,7 +143,7 @@ class TestRngPerturbationDemo:
         assert fd["level"] == "rng-draws"
         assert fd["ant"] == TARGET_ANT
         assert "draw_index" not in fd
-        assert "draws=full" in fd["note"]
+        assert "--record-draws full" in fd["note"]
 
 
 class TestBrokenLanePrimitiveDemo:

@@ -1,12 +1,15 @@
-"""Run-bundle recording: round-trip, leniency, and recording-off identity.
+"""Run-bundle recording: round-trip, leniency, isolation and recording-off
+identity.
 
-The recorder must be a pure observer: with no ambient recorder installed
-every hook is a single ``None`` check, so a recorded run and an unrecorded
-run of the same seed produce bit-identical schedules. A saved bundle must
-round-trip through :func:`repro.obs.record.load_bundle` losslessly, two
-recordings of the same seeded run must be byte-for-byte equal on disk, and
-a bundle truncated mid-write (crash) must still load — degrading to
-warnings that the differ surfaces as a partial-diff notice, mirroring
+The recorder must be a pure observer that rides the telemetry it was
+injected with: a component built with an unrecorded telemetry pays a
+single ``None`` check per hook and writes into no bundle, and a recorded
+run and an unrecorded run of the same seed produce bit-identical
+schedules. A saved bundle must round-trip through
+:func:`repro.obs.record.load_bundle` losslessly, two recordings of the
+same seeded run must be byte-for-byte equal on disk, and a bundle
+truncated mid-write (crash) must still load — degrading to warnings that
+the differ surfaces as a partial-diff notice, mirroring
 ``read_trace_lenient``.
 """
 
@@ -26,7 +29,6 @@ from repro.obs.record import (
     BUNDLE_SCHEMA,
     RunRecorder,
     load_bundle,
-    recording_scope,
     span_tree_payload,
 )
 from repro.parallel import ParallelACOScheduler
@@ -54,8 +56,7 @@ def _run(telemetry=None, profiler=None, backend="vectorized"):
 def _record_run(path, draws="digest", with_spans=False):
     recorder = RunRecorder(draws=draws)
     profiler = SpanProfiler() if with_spans else None
-    with recording_scope(recorder):
-        _run(telemetry=Telemetry(sink=recorder.sink), profiler=profiler)
+    _run(telemetry=Telemetry(recorder=recorder), profiler=profiler)
     if profiler is not None:
         recorder.set_spans(span_tree_payload(profiler.root))
     return recorder.save(str(path))
@@ -162,18 +163,52 @@ class TestDiffSelf:
 class TestRecordingOffIdentity:
     def test_recording_does_not_perturb_the_run(self):
         bare = _run()
-        recorder = RunRecorder(draws="full")
-        with recording_scope(recorder):
-            recorded = _run(telemetry=Telemetry(sink=recorder.sink))
+        recorded = _run(telemetry=Telemetry(recorder=RunRecorder(draws="full")))
         assert _fingerprint(bare) == _fingerprint(recorded)
 
-    def test_no_ambient_recorder_outside_scope(self):
-        from repro.obs.record import get_recorder
 
-        recorder = RunRecorder()
-        with recording_scope(recorder):
-            assert get_recorder() is recorder
-        assert get_recorder() is None
+class TestRecorderIsolation:
+    """A bundle holds exactly what its own telemetry's components did."""
+
+    REGIONS = (("reduce", 3, 30), ("reduce", 5, 24))
+    #: Two recorded runs that differ in seed, engine and draw level.
+    RUNS = {"a": (11, "vectorized", "full"), "b": (23, "loop", "digest")}
+
+    @staticmethod
+    def _recorded(seed, backend, draws):
+        recorder = RunRecorder(draws=draws)
+        scheduler = ParallelACOScheduler(
+            amd_vega20(), gpu_params=GPU, backend=backend,
+            telemetry=Telemetry(recorder=recorder),
+        )
+        return recorder, lambda ddg: scheduler.schedule(ddg, seed=seed)
+
+    def test_interleaved_recordings_equal_their_solo_recordings(self, tmp_path):
+        ddgs = [DDG(make_region(*spec)) for spec in self.REGIONS]
+        solo = {}
+        for name, run in self.RUNS.items():
+            recorder, schedule = self._recorded(*run)
+            for ddg in ddgs:
+                schedule(ddg)
+            solo[name] = recorder.save(str(tmp_path / ("solo-" + name)))
+
+        pairs = {name: self._recorded(*run) for name, run in self.RUNS.items()}
+        bare = ParallelACOScheduler(amd_vega20(), gpu_params=GPU)
+        for ddg in ddgs:
+            for _recorder, schedule in pairs.values():
+                schedule(ddg)
+            before = [(len(r.events), len(r.schedules)) for r, _ in pairs.values()]
+            bare.schedule(ddg, seed=SEED)
+            after = [(len(r.events), len(r.schedules)) for r, _ in pairs.values()]
+            assert after == before  # the unrecorded run adds nothing
+
+        for name, (recorder, _schedule) in pairs.items():
+            path = recorder.save(str(tmp_path / ("interleaved-" + name)))
+            assert sorted(os.listdir(path)) == sorted(os.listdir(solo[name]))
+            for part in sorted(os.listdir(path)):
+                with open(os.path.join(path, part), "rb") as mixed:
+                    with open(os.path.join(solo[name], part), "rb") as alone:
+                        assert mixed.read() == alone.read(), (name, part)
 
 
 class TestLenientLoading:

@@ -169,13 +169,18 @@ class TestDET003EnvironmentRead:
             ("DET-003", "experiments/bad.py"),
         ]
 
-    def test_negative_config_module_and_env_write(self, tmp_path):
+    def test_positive_config_module(self, tmp_path):
+        # No module is exempt: repro.config reads no environment either.
         hits = _scan(
             tmp_path,
-            {
-                "config.py": "import os\nx = os.environ.get('REPRO_SCALE')\n",
-                "cli.py": "import os\n\ndef f():\n    os.environ['REPRO_X'] = '1'\n",
-            },
+            {"config.py": "import os\nx = os.environ.get('REPRO_SCALE')\n"},
+        )
+        assert hits == [("DET-003", "config.py")]
+
+    def test_negative_env_write(self, tmp_path):
+        hits = _scan(
+            tmp_path,
+            {"cli.py": "import os\n\ndef f():\n    os.environ['REPRO_X'] = '1'\n"},
         )
         assert hits == []
 
