@@ -7,7 +7,7 @@ and "since the two-pass approach was found to work better on the GPU, we
 use it in this work".
 
 This module implements the rejected alternative so the design choice can be
-reproduced as an ablation (``benchmarks/bench_cost_functions.py``): a
+reproduced as an ablation (``python -m repro.bench --bench extensions``): a
 single ACO pass over cycle-accurate schedules minimizing
 
 ``cost = length + pressure_weight * (rp_cost - rp_cost_lower_bound)``

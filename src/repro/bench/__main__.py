@@ -15,6 +15,7 @@ Typical CI invocation::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import List, Optional
 
@@ -93,8 +94,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             doc = (func.__doc__ or "").strip().splitlines()
             print("%-10s %s" % (name, doc[0] if doc else ""))
         return 0
-    if args.threshold < 0:
-        print("error: --threshold must be >= 0", file=sys.stderr)
+    if not math.isfinite(args.threshold) or args.threshold < 0:
+        print("error: --threshold must be a finite number >= 0", file=sys.stderr)
         return 2
     if args.record and not _writable(args.record, directory=True):
         print("error: --record: cannot write to %r" % args.record, file=sys.stderr)

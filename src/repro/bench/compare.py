@@ -2,8 +2,10 @@
 
 A *regression* is a gated metric (direction ``lower`` or ``higher``) that
 moved in the bad direction by more than ``threshold_pct`` percent of the
-baseline value, or a bench/metric that the baseline has and the current
-run lost. ``info`` metrics are reported when they drift but never gate.
+baseline value or is no longer finite, a bench/metric that the baseline
+has and the current run lost, or a bench the run produced that the
+baseline lacks. ``info`` metrics are reported when they drift but never
+gate.
 
 Because the simulation is deterministic, the threshold is not there to
 absorb noise — it is the *tolerance policy*: how much modelled compile
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import glob
 import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -82,6 +85,10 @@ def compare_metrics(
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
 ) -> List[Delta]:
     """Compare one bench's metric dicts; baseline drives the iteration."""
+    if not math.isfinite(threshold_pct) or threshold_pct < 0:
+        raise BenchError(
+            "threshold must be a finite number >= 0, got %r" % threshold_pct
+        )
     deltas: List[Delta] = []
     for name in sorted(baseline):
         base_value, direction = _metric_value(baseline[name])
@@ -97,7 +104,9 @@ def compare_metrics(
         cur_value, _cur_direction = _metric_value(current[name])
         denom = abs(base_value) if base_value != 0 else 1.0
         delta_pct = 100.0 * (cur_value - base_value) / denom
-        if direction == "lower":
+        if direction != "info" and not math.isfinite(cur_value):
+            regressed = True
+        elif direction == "lower":
             regressed = delta_pct > threshold_pct
         elif direction == "higher":
             regressed = delta_pct < -threshold_pct
@@ -114,7 +123,11 @@ def compare_payloads(
     baseline: List[Dict[str, object]],
     threshold_pct: float = DEFAULT_THRESHOLD_PCT,
 ) -> List[Delta]:
-    """Compare two bench-payload sets (a whole baseline is authoritative)."""
+    """Compare two bench-payload sets (a whole baseline is authoritative).
+
+    A bench the run produced but the baseline lacks is a regression too:
+    it would otherwise pass ungated.
+    """
     current_by_name = {str(p["name"]): p for p in current}
     deltas: List[Delta] = []
     for base in baseline:
@@ -132,6 +145,16 @@ def compare_payloads(
         deltas.extend(
             compare_metrics(name, cur["metrics"], base["metrics"], threshold_pct)
         )
+    baseline_names = {str(p["name"]) for p in baseline}
+    deltas.extend(
+        Delta(
+            name, "*", "info", None, None, None,
+            regression=True,
+            note="bench missing from baseline",
+        )
+        for name in current_by_name
+        if name not in baseline_names
+    )
     return deltas
 
 

@@ -471,6 +471,149 @@ def bench_fleet(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     return out
 
 
+def bench_ablations(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
+    """Ablations: the ready-list bound's state saving and the post filter.
+
+    Reads only the shared suite and the ``parallel`` run ``table2``
+    computed, so it adds no compile run, span or launch. The Section V-A
+    ready-list bound sizes each ant's ready list by the transitive closure
+    instead of the trivial ``n``; the post-scheduling filter reverts ACO
+    schedules that do not pay for themselves.
+    """
+    from ..ddg import DDG
+    from ..parallel import RegionDeviceData
+    from ..pipeline.filters import FilterDecision
+
+    ants = context.scale.gpu.total_threads
+    tight_bytes = trivial_bytes = 0
+    ratios = []
+    for _kernel, region in context.suite.all_regions():
+        ddg = DDG(region)
+        tight = RegionDeviceData(ddg, context.machine, tight_ready_bound=True)
+        trivial = RegionDeviceData(ddg, context.machine, tight_ready_bound=False)
+        tight_bytes += tight.per_ant_state_bytes(ants)
+        trivial_bytes += trivial.per_ant_state_bytes(ants)
+        ratios.append(tight.ready_capacity / max(1, trivial.ready_capacity))
+
+    kept = reverted = 0
+    len_heuristic = len_filtered = len_unfiltered = 0
+    for _kernel, outcome in context.run("parallel").all_regions():
+        len_heuristic += outcome.heuristic.length
+        len_filtered += outcome.final.length
+        if outcome.aco is None:
+            len_unfiltered += outcome.heuristic.length
+            continue
+        len_unfiltered += outcome.aco.length
+        if outcome.decision is FilterDecision.REVERTED:
+            reverted += 1
+        else:
+            kept += 1
+    return {
+        "ready_list_regions": metric(len(ratios), "regions"),
+        "ready_capacity_ratio": metric(sum(ratios) / len(ratios), "ratio"),
+        "tight_bound_state_mb": metric(tight_bytes / 1e6, "MB"),
+        "trivial_bound_state_mb": metric(trivial_bytes / 1e6, "MB"),
+        "ready_list_saving_pct": metric(
+            100.0 * (1 - tight_bytes / trivial_bytes), "pct", "higher"
+        ),
+        "post_filter_kept": metric(kept, "regions"),
+        "post_filter_reverted": metric(reverted, "regions"),
+        "filtered_length_vs_heuristic_pct": metric(
+            100.0 * (len_filtered - len_heuristic) / len_heuristic, "pct"
+        ),
+        "unfiltered_length_vs_heuristic_pct": metric(
+            100.0 * (len_unfiltered - len_heuristic) / len_heuristic, "pct"
+        ),
+    }
+
+
+#: (pattern, seed, size) of the cost-function duel's regions.
+_COST_FUNCTION_REGIONS = (
+    ("reduce", 3, 60), ("reduce", 11, 90), ("gemm_tile", 31, 74),
+    ("sort", 2, 50), ("stencil", 7, 60), ("transform", 5, 70),
+)
+
+
+@isolated
+def bench_extensions(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
+    """Extensions: cost functions, pass-2 convergence, multi-region batching.
+
+    * Section II-A: the two-pass scheduler against weighted-sum scoring at
+      three pressure weights, scored on summed occupancy and length of six
+      pinned regions. ``two_pass_occupancy_margin`` is the gate: two-pass
+      must keep beating the best weighted variant on occupancy.
+    * Convergence: the sequential (10 ants) and parallel (384 ants)
+      colonies on one hard region under relaxed termination.
+    * Section VII: the amortization speedup of batching 2, 4 and 8 small
+      regions into one launch.
+    """
+    import random
+
+    from ..aco import SequentialACOScheduler, WeightedSumACOScheduler
+    from ..config import ACOParams, GPUParams
+    from ..ddg import DDG
+    from ..parallel import BatchItem, MultiRegionScheduler, ParallelACOScheduler
+    from ..suite.patterns import pattern_region
+
+    machine = context.machine
+    out: Dict[str, Dict[str, object]] = {}
+
+    regions = [
+        DDG(pattern_region(pattern, random.Random(seed), size))
+        for pattern, seed, size in _COST_FUNCTION_REGIONS
+    ]
+    schedulers = [("two_pass", SequentialACOScheduler(machine))] + [
+        ("weighted_%s" % label, WeightedSumACOScheduler(machine, pressure_weight=w))
+        for label, w in (("1e-4", 1e-4), ("1e-3", 1e-3), ("1e-2", 1e-2))
+    ]
+    occupancy = {}
+    for name, scheduler in schedulers:
+        results = [
+            scheduler.schedule(ddg, seed=index) for index, ddg in enumerate(regions)
+        ]
+        occupancy[name] = sum(
+            machine.occupancy_for_pressure(r.peak) for r in results
+        )
+        out[name + "_occupancy_sum"] = metric(occupancy[name], "waves")
+        out[name + "_length_sum"] = metric(
+            sum(r.length for r in results), "cycles"
+        )
+    out["two_pass_occupancy_margin"] = metric(
+        occupancy.pop("two_pass") - max(occupancy.values()), "waves", "higher"
+    )
+
+    ddg = DDG(pattern_region("reduce", random.Random(11), 110))
+    relaxed = ACOParams(termination_conditions=(5, 5, 5), max_iterations=8)
+    for name, scheduler in (
+        ("sequential", SequentialACOScheduler(machine, params=relaxed)),
+        (
+            "parallel",
+            ParallelACOScheduler(
+                machine, params=relaxed, gpu_params=GPUParams(blocks=6)
+            ),
+        ),
+    ):
+        result = scheduler.schedule(ddg, seed=1)
+        out["convergence_%s_length" % name] = metric(result.length, "cycles")
+        out["convergence_%s_iterations" % name] = metric(
+            result.pass2.iterations, "iterations"
+        )
+
+    for batch_size in (2, 4, 8):
+        scheduler = MultiRegionScheduler(machine, gpu_params=GPUParams(blocks=8))
+        items = [
+            BatchItem(
+                ddg=DDG(pattern_region("reduce", random.Random(seed), 30)), seed=seed
+            )
+            for seed in range(batch_size)
+        ]
+        batch = scheduler.schedule_batch(items)
+        out["batch%d_amortization_speedup" % batch_size] = metric(
+            batch.amortization_speedup, "x", "higher"
+        )
+    return out
+
+
 class LaunchSink(MemorySink):
     """Keeps only the ``kernel_launch`` records (a few dozen per test-scale
     run): the simulated-device totals :func:`bench_profile` folds."""
@@ -551,6 +694,8 @@ BENCHES: Dict[str, Callable[[ExperimentContext], Dict[str, Dict[str, object]]]] 
     "obs": bench_obs,
     "scenarios": bench_scenarios,
     "fleet": bench_fleet,
+    "ablations": bench_ablations,
+    "extensions": bench_extensions,
     "profile": bench_profile,
 }
 

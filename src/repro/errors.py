@@ -166,18 +166,6 @@ class WorkerHang(InjectedFault):
     fault_class = "worker_hang"
 
 
-class ShardResultCorrupt(InjectedFault):
-    """A shard worker returned a corrupt region result.
-
-    Detected by the supervisor's independent verification (the PR 2
-    schedule verifier) before the result can merge — never silently wrong.
-    The worker survives (corruption is per-result, not per-process); the
-    region is re-dispatched.
-    """
-
-    fault_class = "worker_corrupt"
-
-
 class FleetError(ReproError):
     """Fleet-shard layer misuse (bad shard count, incomplete merge)."""
 

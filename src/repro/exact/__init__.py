@@ -12,9 +12,9 @@ solvers for both objectives:
 
 They enumerate with aggressive pruning and are intended for regions of up
 to ~16 instructions: the test suite uses them as ground truth for the ACO
-and greedy schedulers, and ``benchmarks/bench_optimality.py`` measures how
-often ACO actually reaches the optimum (the paper terminates on a
-*lower bound*, which is weaker than an optimum certificate).
+and greedy schedulers, and ``tests/test_exact_crosscheck.py`` checks that
+ACO reaches the optimum on pinned tiny regions (the paper terminates on
+a *lower bound*, which is weaker than an optimum certificate).
 """
 
 from .bnb import (

@@ -17,8 +17,8 @@ launch:
   kernel times per capacity wave, not their sum.
 
 The trade-off is ants-per-region: a region in a batch of eight gets an
-eighth of the colony, which can cost schedule quality on hard regions. The
-``benchmarks/bench_multi_region.py`` harness measures both sides.
+eighth of the colony, which can cost schedule quality on hard regions.
+``python -m repro.bench --bench extensions`` gates the amortization side.
 
 Sharded execution (``repro.fleet``) rides on two invariants this module
 maintains:

@@ -42,8 +42,10 @@ def summarize_trace(source: Union[str, Iterable[Dict]], top: int = 10) -> str:
     Reading is *lenient*: unparsable or schema-invalid records — a trace
     truncated by a killed run, or a file that is not a trace at all — are
     skipped and counted instead of raising, and an empty trace yields a
-    friendly one-line summary.
+    friendly one-line summary. ``top`` must be at least 1.
     """
+    if top < 1:
+        raise ValueError("top must be >= 1, got %r" % top)
     if isinstance(source, str):
         records, skipped = read_trace_lenient(source)
     else:
@@ -171,6 +173,8 @@ def main(argv=None) -> int:
         help="also print the per-pass kernel cost attribution rollup",
     )
     args = parser.parse_args(argv)
+    if args.top < 1:
+        parser.error("--top must be >= 1, got %d" % args.top)
     import sys
 
     try:

@@ -1,6 +1,7 @@
 """Tests for the continuous-benchmark harness (repro.bench)."""
 
 import json
+import os
 
 import pytest
 
@@ -24,9 +25,29 @@ from repro.errors import BenchError
 from repro.experiments.common import SCALES, ExperimentContext
 
 
+BASELINE_DIR = os.path.join(
+    os.path.dirname(__file__), os.pardir, "benchmarks", "baselines", "test"
+)
+
+
 @pytest.fixture()
 def context():
     return ExperimentContext(SCALES["test"])
+
+
+@pytest.fixture(scope="module")
+def run_wide():
+    """A bench-runner context whose ``parallel`` run is computed, as
+    ``table2`` leaves it, with the run-wide profiler and launch sink."""
+    from repro.profile import SpanProfiler, profile_session
+    from repro.telemetry import Telemetry
+
+    profiler = SpanProfiler()
+    sink = bench_core.LaunchSink()
+    context = ExperimentContext(SCALES["test"], telemetry=Telemetry(sink=sink))
+    with profile_session(profiler):
+        context.run("parallel")
+    return context, profiler, sink
 
 
 def _fake_metrics(value=10.0):
@@ -128,6 +149,31 @@ class TestCompare:
         deltas = compare_payloads([], base)
         assert deltas[0].regression
 
+    def test_bench_missing_from_baseline_is_regression(self, context):
+        alpha = _bench_payload("alpha", context, _fake_metrics())
+        beta = _bench_payload("beta", context, _fake_metrics())
+        deltas = compare_payloads([alpha, beta], [alpha])
+        bad = [d for d in deltas if d.regression]
+        assert [(d.bench, d.note) for d in bad] == [
+            ("beta", "bench missing from baseline")
+        ]
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_threshold_rejected(self, threshold):
+        with pytest.raises(BenchError):
+            compare_metrics("b", _fake_metrics(100.0), _fake_metrics(10.0), threshold)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_gated_value_is_regression(self, value):
+        base = {
+            "time_s": metric(1.0, "s", "lower"),
+            "speedup": metric(2.0, "x", "higher"),
+            "count": metric(7, "items"),
+        }
+        current = {name: dict(entry, value=value) for name, entry in base.items()}
+        deltas = compare_metrics("b", current, base)
+        assert {d.name for d in deltas if d.regression} == {"time_s", "speedup"}
+
     def test_zero_baseline_uses_unit_denominator(self):
         base = {"time_s": metric(0.0, "s", "lower")}
         current = {"time_s": metric(0.05, "s", "lower")}
@@ -145,7 +191,8 @@ class TestRunBenches:
         payloads = run_benches(context, names=["beta", "alpha"])
         assert [p["name"] for p in payloads] == ["alpha", "beta"]  # registry order
 
-    def test_real_table2_extractor(self, context):
+    def test_real_table2_extractor(self, run_wide):
+        context, _profiler, _sink = run_wide
         metrics = bench_core.bench_table2(context)
         assert metrics["overall_length_reduction_pct"]["direction"] == "higher"
         assert metrics["pass2_regions"]["value"] > 0
@@ -167,6 +214,41 @@ class TestRunBenches:
         assert profiler.root.children == {}
         assert profiler.root.total_seconds == 0.0
         assert sink.records == []
+
+    def test_ablations_reads_only_the_shared_runs(self, run_wide):
+        # ablations runs beside the shared compile runs that bench_profile
+        # reconciles: it may read them but must add no run, span or launch.
+        from repro.obs.record import span_tree_payload
+        from repro.profile import profile_session
+
+        context, profiler, sink = run_wide
+        runs = set(context.computed_runs())
+        spans = span_tree_payload(profiler.root)
+        launches = list(sink.records)
+        assert runs == {"parallel@0"} and launches
+        with profile_session(profiler):
+            metrics = bench_core.bench_ablations(context)
+        assert set(context.computed_runs()) == runs
+        assert span_tree_payload(profiler.root) == spans
+        assert sink.records == launches
+        gated = {n: m["direction"] for n, m in metrics.items() if m["direction"] != "info"}
+        assert gated == {"ready_list_saving_pct": "higher"}
+        assert metrics["post_filter_kept"]["value"] + metrics[
+            "post_filter_reverted"
+        ]["value"] > 0
+
+    def test_every_bench_has_a_committed_baseline(self):
+        # compare_payloads fails a bench the baseline lacks; the committed
+        # extensions baseline gates its three design claims upward.
+        baselines = {p["name"]: p for p in load_bench_dir(BASELINE_DIR)}
+        assert set(baselines) == set(bench_core.BENCHES)
+        metrics = baselines["extensions"]["metrics"]
+        gated = {n: m["direction"] for n, m in metrics.items() if m["direction"] != "info"}
+        assert gated == dict.fromkeys(
+            ["two_pass_occupancy_margin"]
+            + ["batch%d_amortization_speedup" % n for n in (2, 4, 8)],
+            "higher",
+        )
 
 
 class TestMain:
@@ -226,7 +308,9 @@ class TestMain:
         assert bundle.rng and bundle.spans is not None
 
     def test_usage_errors_exit_2(self, tmp_path, fake_benches):
-        assert bench_main.main(["--threshold", "-1", "--out", str(tmp_path)]) == 2
+        for threshold in ("-1", "nan", "inf"):
+            argv = ["--threshold", threshold, "--out", str(tmp_path)]
+            assert bench_main.main(argv) == 2
         assert (
             bench_main.main(
                 ["--scale", "test", "--out", str(tmp_path / "o"),

@@ -32,6 +32,7 @@ from repro.telemetry import (
     validate_event,
     validate_trace,
 )
+from repro.telemetry.report import main as report_main
 from repro.telemetry.report import summarize_trace
 
 from conftest import make_region
@@ -177,6 +178,19 @@ class TestReport:
         assert "trace summary" in text
         assert "GPU time split" in text
         assert "iterations-to-convergence" in text
+
+    def test_top_ranks_that_many_regions(self, capsys):
+        assert report_main([FIXTURE, "--top", "1"]) == 0
+        assert "top 1 regions by simulated scheduling time:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("top", [0, -2])
+    def test_top_below_one_rejected(self, top, capsys):
+        with pytest.raises(SystemExit) as info:
+            report_main([FIXTURE, "--top", str(top)])
+        assert info.value.code == 2
+        assert "--top must be >= 1" in capsys.readouterr().err
+        with pytest.raises(ValueError):
+            summarize_trace(FIXTURE, top=top)
 
     def test_summarize_accepts_record_list(self):
         text = summarize_trace(read_trace(FIXTURE))
