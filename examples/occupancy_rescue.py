@@ -21,7 +21,6 @@ import random
 from repro import DDG, AMDMaxOccupancyScheduler, ParallelACOScheduler, amd_vega20, evaluate_schedule
 from repro.config import GPUParams
 from repro.pipeline.filters import PostSchedulingFilter
-from repro.config import FilterParams
 from repro.suite.patterns import reduction_region
 
 
@@ -59,7 +58,7 @@ def main():
         )
     )
 
-    post = PostSchedulingFilter(FilterParams())
+    post = PostSchedulingFilter()
     keep = post.keep_aco(aq.occupancy, aq.length, hq.occupancy, hq.length)
     print(
         "Post-scheduling filter: occupancy %+d for %+d cycles -> %s"

@@ -33,7 +33,7 @@ See ``examples/`` for runnable end-to-end scenarios and ``python -m repro
 all`` for the paper's evaluation.
 """
 
-from .config import ACOParams, FilterParams, GPUParams, ReproConfig, SuiteParams
+from .config import ACOParams, FilterParams, GPUParams, SuiteParams
 from .ddg import DDG, TransitiveClosure, region_bounds
 from .errors import ReproError
 from .heuristics import (
@@ -58,7 +58,6 @@ __all__ = [
     "ACOParams",
     "FilterParams",
     "GPUParams",
-    "ReproConfig",
     "SuiteParams",
     "DDG",
     "TransitiveClosure",

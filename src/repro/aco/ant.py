@@ -33,6 +33,10 @@ from .pheromone import PheromoneTable
 from .selection import select_index
 from .stalls import OptionalStallHeuristic
 
+#: Exponent beta on the guiding-heuristic value in the selection product
+#: ``tau * eta**beta``; no run setting varies it.
+HEURISTIC_WEIGHT = 2.0
+
 #: Decides explore (False) vs. exploit (True) for one construction step.
 ExploitDecider = Callable[[int], bool]
 
@@ -83,9 +87,8 @@ def _scores(
     ready: List[int],
     prepared: PreparedHeuristic,
     state: SchedulingState,
-    beta: float,
 ) -> List[float]:
-    return [pheromone_row[j] * prepared.eta(j, state) ** beta for j in ready]
+    return [pheromone_row[j] * prepared.eta(j, state) ** HEURISTIC_WEIGHT for j in ready]
 
 
 def construct_order(
@@ -115,7 +118,7 @@ def construct_order(
     previous = -1
     for step in range(n):
         row = pheromone.row(previous)
-        scores = _scores(row, ready, prepared, state, params.heuristic_weight)
+        scores = _scores(row, ready, prepared, state)
         stats.ready_scans += len(ready)
         stats.steps += 1
         pick = select_index(scores, rng, exploit_decider(step))
@@ -243,7 +246,7 @@ def construct_cycles(
         state.cycle = cycle
         previous = order[-1] if order else -1
         row = pheromone.row(previous)
-        scores = _scores(row, safe, prepared, state, params.heuristic_weight)
+        scores = _scores(row, safe, prepared, state)
         stats.ready_scans += len(ready)
         pick = select_index(scores, rng, exploit_decider(step))
         step += 1

@@ -52,7 +52,7 @@ from ..schedule.schedule import Schedule
 from ..telemetry import Telemetry
 from .ant import ConstructionStats
 from .pheromone import PheromoneTable
-from .strategy import make_strategy, publish_reinit, resolve_strategy
+from .strategy import make_strategy, publish_reinit
 from .termination import TerminationTracker
 
 
@@ -254,7 +254,6 @@ class TwoPassDriver(ABC):
         params: Optional[ACOParams],
         telemetry: Optional[Telemetry],
         verify: bool,
-        strategy: Optional[str],
         rp_heuristic: Optional[GuidingHeuristic] = None,
     ):
         self.machine = machine
@@ -265,9 +264,6 @@ class TwoPassDriver(ABC):
         self.telemetry = telemetry or Telemetry()
         #: Recheck every pass result with the independent verifier.
         self.verify_enabled = bool(verify)
-        #: Pheromone-update strategy: the argument, else ``params.strategy``.
-        self.strategy_name = strategy or self.params.strategy
-        resolve_strategy(self.strategy_name)  # fail fast on unknown names
 
     # -- the engine seam -----------------------------------------------------
 
@@ -392,7 +388,7 @@ class TwoPassDriver(ABC):
             )
             return PassResult(False, 0, initial_cost, initial_cost, True, 0.0)
 
-        strategy = make_strategy(self.strategy_name, self.params, ddg.num_instructions)
+        strategy = make_strategy(self.params, ddg.num_instructions)
         scope = tele.pass_scope(
             region.name, pass_index, self.name, lower_bound, initial_cost,
             strategy=strategy.name,

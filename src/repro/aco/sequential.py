@@ -172,9 +172,8 @@ class SequentialACOScheduler(TwoPassDriver):
         cost_model: CPUCostModel = DEFAULT_CPU_COST,
         telemetry: Optional[Telemetry] = None,
         verify: bool = False,
-        strategy: Optional[str] = None,
     ):
-        super().__init__(machine, params, telemetry, verify, strategy, rp_heuristic)
+        super().__init__(machine, params, telemetry, verify, rp_heuristic)
         self.ilp_heuristic = ilp_heuristic or CriticalPathHeuristic()
         self.cost_model = cost_model
 

@@ -86,15 +86,6 @@ class MaxMinAntSystem(AntSystemStrategy):
 
     name = "mmas"
 
-    def __init__(self, params: ACOParams, num_instructions: int):
-        super().__init__(params, num_instructions)
-        # Validation covers params.strategy == "mmas"; an override via the
-        # scheduler argument or GPUParams.strategy must be caught here too.
-        if params.decay >= 1.0:
-            raise ConfigError(
-                "mmas needs decay < 1 (tau_max is deposit / (1 - decay))"
-            )
-
     def tau_max(self, best_gap: float) -> float:
         """Fixed point of decaying + depositing the best tour forever.
 
@@ -178,11 +169,13 @@ def resolve_strategy(name: str) -> Type[AntSystemStrategy]:
         ) from None
 
 
-def make_strategy(
-    name: str, params: ACOParams, num_instructions: int
-) -> AntSystemStrategy:
-    """Instantiate the named strategy for one pass on one region."""
-    return resolve_strategy(name)(params, num_instructions)
+def make_strategy(params: ACOParams, num_instructions: int) -> AntSystemStrategy:
+    """Instantiate ``params.strategy`` for one pass on one region.
+
+    ``params.validate`` has already checked the name and, for MMAS, that
+    ``decay < 1``.
+    """
+    return resolve_strategy(params.strategy)(params, num_instructions)
 
 
 def publish_reinit(

@@ -28,7 +28,7 @@ import math
 import os
 from typing import Callable, Dict, List, Optional
 
-from ..config import geometric_mean
+from ..config import geometric_mean, replace_params
 from ..errors import BenchError
 from ..experiments.common import (
     ExperimentContext,
@@ -375,9 +375,8 @@ def bench_scenarios(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     schedulers = {
         name: ParallelACOScheduler(
             context.machine,
-            params=context.scale.aco,
+            params=replace_params(context.scale.aco, strategy=name),
             gpu_params=context.scale.gpu,
-            strategy=name,
         )
         for name in strategies
     }
@@ -481,10 +480,11 @@ def bench_ablations(context: ExperimentContext) -> Dict[str, Dict[str, object]]:
     schedules that do not pay for themselves.
     """
     from ..ddg import DDG
+    from ..gpusim import GPUDevice
     from ..parallel import RegionDeviceData
     from ..pipeline.filters import FilterDecision
 
-    ants = context.scale.gpu.total_threads
+    ants = context.scale.gpu.total_threads(GPUDevice().wavefront_size)
     tight_bytes = trivial_bytes = 0
     ratios = []
     for _kernel, region in context.suite.all_regions():

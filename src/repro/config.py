@@ -2,18 +2,27 @@
 
 The defaults reproduce the settings reported in the paper:
 
-* 180 blocks x 64 threads = 11,520 ants per parallel iteration (Section VI-A),
+* 180 blocks of one wavefront each = 11,520 ants per parallel iteration on
+  the 64-lane device (Section VI-A),
 * pheromone decay factor 0.8 (Section IV-A),
 * termination conditions 1 / 2 / 3 for region-size classes [1-49], [50-99]
   and >= 100 instructions (Section VI-A),
 * 25% of wavefronts allowed to insert optional stalls (Section V-B),
-* cycle-threshold filter of 21 cycles and the post-scheduling revert filter
-  (+3 occupancy vs. +63 cycles, Section VI-D).
+* a cycle-threshold filter of 21 cycles (Section VI-D).
+
+Settings the paper fixes once, and no caller varies, are named constants
+beside their reader instead of fields here: the heuristic
+exponent beta (:data:`repro.aco.ant.HEURISTIC_WEIGHT`), the revert filter's
++3 occupancy vs. +63 cycles price (:mod:`repro.pipeline.filters`), the
+hang watchdog's heartbeat (:data:`repro.parallel.scheduler.HANG_SECONDS`)
+and the fleet supervision timings (:mod:`repro.fleet.supervisor`). The
+pheromone strategy has one home, :attr:`ACOParams.strategy`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError
@@ -46,15 +55,13 @@ class ACOParams:
     The selection rule follows the Ant Colony System of Gambardella and
     Dorigo as adapted by Shobaki et al. (TACO 2022): with probability
     ``exploitation_prob`` an ant greedily picks the candidate maximizing
-    ``tau * eta**heuristic_weight`` (exploitation); otherwise it samples from
-    the distribution proportional to the same product (exploration).
+    ``tau * eta**beta`` (exploitation); otherwise it samples from the
+    distribution proportional to the same product (exploration).
     """
 
     #: Probability q0 of an exploitation (greedy) step. The Ant Colony
     #: System default (Gambardella & Dorigo) is strongly exploitative.
     exploitation_prob: float = 0.9
-    #: Exponent beta applied to the guiding-heuristic value.
-    heuristic_weight: float = 2.0
     #: Pheromone decay factor applied at the end of each iteration.
     decay: float = 0.8
     #: Initial value of every pheromone-table entry.
@@ -83,8 +90,7 @@ class ACOParams:
     #: pass-2 fallback to the stretched pass-1 schedule.
     optional_stall_budget: float = 0.5
     #: Pheromone-update strategy: "as" (the paper's Ant System rules) or
-    #: "mmas" (MAX-MIN Ant System). Overridable per scheduler via the
-    #: constructor argument or GPUParams.strategy.
+    #: "mmas" (MAX-MIN Ant System). Both schedulers read it only from here.
     strategy: str = "as"
     #: MMAS: stagnation-limit multiplier over the paper's 1/2/3 termination
     #: conditions. Restarts need room to fire; with the paper's limits an
@@ -101,36 +107,43 @@ class ACOParams:
         return self.termination_conditions[size_class_index(num_instructions)]
 
     def validate(self) -> None:
+        # Every check is a positive condition, so NaN fails it.
         if not 0.0 <= self.exploitation_prob <= 1.0:
             raise ConfigError("exploitation_prob must be in [0, 1]")
         if not 0.0 < self.decay <= 1.0:
             raise ConfigError("decay must be in (0, 1]")
-        if self.initial_pheromone <= 0.0:
+        if not self.initial_pheromone > 0.0:
             raise ConfigError("initial_pheromone must be positive")
-        if self.min_pheromone <= 0.0 or self.max_pheromone < self.min_pheromone:
+        if not 0.0 < self.min_pheromone <= self.max_pheromone:
             raise ConfigError("need 0 < min_pheromone <= max_pheromone")
+        if not self.deposit > 0.0:
+            raise ConfigError("deposit must be positive")
         if len(self.termination_conditions) != len(SIZE_CLASSES):
             raise ConfigError(
                 "termination_conditions needs %d entries" % len(SIZE_CLASSES)
             )
-        if any(t < 1 for t in self.termination_conditions):
+        if not all(t >= 1 for t in self.termination_conditions):
             raise ConfigError("termination conditions must be >= 1")
-        if self.sequential_ants < 1:
+        if not self.sequential_ants >= 1:
             raise ConfigError("sequential_ants must be >= 1")
-        if self.max_iterations < 1:
+        if not self.max_iterations >= 1:
             raise ConfigError("max_iterations must be >= 1")
+        if not self.optional_stall_prob >= 0.0:
+            raise ConfigError("optional_stall_prob must be >= 0")
+        if not self.optional_stall_budget >= 0.0:
+            raise ConfigError("optional_stall_budget must be >= 0")
         if self.strategy not in STRATEGY_NAMES:
             raise ConfigError(
                 "strategy must be one of %s, got %r"
                 % (", ".join(STRATEGY_NAMES), self.strategy)
             )
-        if self.mmas_patience < 1:
+        if not self.mmas_patience >= 1:
             raise ConfigError("mmas_patience must be >= 1")
-        if self.mmas_reinit_stagnation < 1:
+        if not self.mmas_reinit_stagnation >= 1:
             raise ConfigError("mmas_reinit_stagnation must be >= 1")
-        if self.mmas_tau_min_scale <= 0.0:
+        if not self.mmas_tau_min_scale > 0.0:
             raise ConfigError("mmas_tau_min_scale must be positive")
-        if self.strategy == "mmas" and self.decay >= 1.0:
+        if self.strategy == "mmas" and not self.decay < 1.0:
             raise ConfigError(
                 "mmas needs decay < 1 (tau_max is deposit / (1 - decay))"
             )
@@ -139,13 +152,14 @@ class ACOParams:
 @dataclass(frozen=True)
 class GPUParams:
     """Launch geometry and divergence/memory optimization toggles of the
-    parallel scheduler (Sections IV-B, V-A and V-B)."""
+    parallel scheduler (Sections IV-B, V-A and V-B).
+
+    A block is one wavefront, so it needs no block-level synchronization:
+    its thread count is the device's wavefront size, not a setting.
+    """
 
     #: Blocks per kernel launch. The paper launches 3x the CU count.
     blocks: int = 180
-    #: Threads per block; set to the wavefront size so a block is one
-    #: wavefront and needs no block-level synchronization.
-    threads_per_block: int = 64
 
     # --- Memory optimizations (Section V-A), togglable for Table 4.a ---
     #: Structure-of-arrays layout for per-ant state (coalesced accesses).
@@ -172,37 +186,23 @@ class GPUParams:
     #: schedules; see repro.parallel.colony.BACKENDS.
     backend: str = "vectorized"
 
-    #: Per-device override of the pheromone-update strategy (see
-    #: :data:`STRATEGY_NAMES`); ``None`` inherits ``ACOParams.strategy``.
-    strategy: Optional[str] = None
-
     @property
     def wavefronts(self) -> int:
         """Total wavefronts per launch (one per block by construction)."""
         return self.blocks
 
-    @property
-    def total_threads(self) -> int:
-        return self.blocks * self.threads_per_block
+    def total_threads(self, wavefront_size: int) -> int:
+        """Ants per launch on a device with ``wavefront_size`` lanes."""
+        return self.blocks * wavefront_size
 
-    def validate(self, wavefront_size: int = 64) -> None:
-        if self.blocks < 1:
+    def validate(self) -> None:
+        if not self.blocks >= 1:
             raise ConfigError("blocks must be >= 1")
-        if self.threads_per_block != wavefront_size:
-            raise ConfigError(
-                "threads_per_block (%d) must equal the wavefront size (%d) to "
-                "avoid block-level synchronization" % (self.threads_per_block, wavefront_size)
-            )
         if not 0.0 <= self.stall_wavefront_fraction <= 1.0:
             raise ConfigError("stall_wavefront_fraction must be in [0, 1]")
         if self.backend not in ("loop", "vectorized"):
             raise ConfigError(
                 "backend must be 'loop' or 'vectorized', got %r" % (self.backend,)
-            )
-        if self.strategy is not None and self.strategy not in STRATEGY_NAMES:
-            raise ConfigError(
-                "strategy must be one of %s, got %r"
-                % (", ".join(STRATEGY_NAMES), self.strategy)
             )
 
     def without_memory_opts(self) -> "GPUParams":
@@ -240,29 +240,21 @@ class FilterParams:
     #: Pass-2 ACO runs only when heuristic length exceeds the LB by more than
     #: this many cycles. Table 7 sweeps this; 21 was best.
     cycle_threshold: int = 21
-    #: Post-scheduling revert: if ACO gains at least this much occupancy ...
-    revert_occupancy_gain: int = 3
-    #: ... but lengthens the schedule by more than this many cycles, keep the
-    #: heuristic schedule instead.
-    revert_length_degradation: int = 63
 
     def validate(self) -> None:
-        if self.cycle_threshold < 0:
+        if not self.cycle_threshold >= 0:
             raise ConfigError("cycle_threshold must be >= 0")
-        if self.revert_occupancy_gain < 0 or self.revert_length_degradation < 0:
-            raise ConfigError("revert filter parameters must be >= 0")
 
 
 @dataclass(frozen=True)
 class ResilienceParams:
-    """Fault handling: deadlines, retry ladder, checkpoints, chaos.
+    """Fault handling: deadlines, retry ladder, chaos.
 
     All defaults are inert — no deadline, no chaos seed — and an inert
     configuration leaves every code path bit-identical to a build without
-    the resilience layer (the pipeline only wraps a region in the retry
-    ladder when :attr:`active` is true). ``enabled`` forces the ladder on
-    or off regardless of the other knobs; leave it None for the natural
-    rule "active iff a deadline or a chaos seed is set".
+    the resilience layer: the pipeline only wraps a region in the retry
+    ladder when :attr:`active` is true, that is when a deadline or a chaos
+    seed is set. A retried hang always resumes from its checkpoint.
     """
 
     #: Per-region scheduling deadline in cost-model seconds (both ACO
@@ -274,28 +266,26 @@ class ResilienceParams:
     #: heuristic). With False, a region whose retries are exhausted is
     #: recorded as unrecoverable instead of silently falling back.
     degrade: bool = True
-    #: Resume retried passes from the fault checkpoint when one exists
-    #: (hangs), instead of restarting the search.
-    checkpoint: bool = True
     #: Chaos seed driving the deterministic fault model; None = no faults.
     chaos_seed: Optional[int] = None
-    #: Force the retry ladder on/off; None = active iff deadline or chaos.
-    enabled: Optional[bool] = None
 
     @property
     def active(self) -> bool:
         """Whether the pipeline should route regions through the ladder."""
-        if self.enabled is not None:
-            return bool(self.enabled)
         return self.deadline_seconds is not None or self.chaos_seed is not None
 
     def validate(self) -> None:
         if self.deadline_seconds is not None and not float(self.deadline_seconds) > 0.0:
             raise ConfigError("deadline_seconds must be positive (or None)")
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise ConfigError("max_retries must be >= 0")
-        if self.chaos_seed is not None:
-            int(self.chaos_seed)
+        if self.chaos_seed is not None and (
+            isinstance(self.chaos_seed, bool)
+            or not isinstance(self.chaos_seed, numbers.Integral)
+        ):
+            raise ConfigError(
+                "chaos_seed must be an integer (or None), got %r" % (self.chaos_seed,)
+            )
 
 
 @dataclass(frozen=True)
@@ -303,46 +293,20 @@ class FleetParams:
     """Fleet sharding: how a region batch spreads over simulated workers.
 
     Inert by default (``num_shards = 1`` keeps the historical single-device
-    batch path, byte for byte). All timing knobs are cost-model seconds —
-    like everything else in the reproduction, the fleet has no wall clock.
+    batch path, byte for byte). The supervision timings are constants of
+    :mod:`repro.fleet.supervisor`, and worker faults come from the
+    supervisor's ``worker_faults`` plan
+    (:meth:`repro.gpusim.faults.FaultPlan.worker_plan`).
     """
 
     #: Simulated shard workers a batch is partitioned across. 1 = the
     #: plain single-device :class:`repro.parallel.MultiRegionScheduler`
     #: path (no supervisor, no fleet events).
     num_shards: int = 1
-    #: Supervisor heartbeat interval in cost-model seconds: the detection
-    #: latency charged when a worker crashes or hangs mid-dispatch.
-    heartbeat_seconds: float = 2e-3
-    #: A worker whose epoch busy time exceeds this multiple of the fleet
-    #: median is flagged a straggler (telemetry + dispatch demotion).
-    straggler_factor: float = 2.0
-    #: Restarts granted to a dead worker before it stays dead.
-    max_worker_restarts: int = 1
-    #: Cost-model seconds a restarted worker spends coming back.
-    backoff_seconds: float = 1e-3
-    #: Re-dispatches granted per region across the whole fleet before the
-    #: region falls back to serial host execution (the PR 5 ladder).
-    max_slot_redispatches: int = 4
-    #: Seed of the worker-level fault plan (crash/hang/corrupt sites);
-    #: None = fault-free fleet.
-    chaos_seed: Optional[int] = None
 
     def validate(self) -> None:
-        if self.num_shards < 1:
+        if not self.num_shards >= 1:
             raise ConfigError("num_shards must be >= 1")
-        if self.heartbeat_seconds <= 0.0:
-            raise ConfigError("heartbeat_seconds must be positive")
-        if self.straggler_factor < 1.0:
-            raise ConfigError("straggler_factor must be >= 1")
-        if self.max_worker_restarts < 0:
-            raise ConfigError("max_worker_restarts must be >= 0")
-        if self.backoff_seconds < 0.0:
-            raise ConfigError("backoff_seconds must be >= 0")
-        if self.max_slot_redispatches < 1:
-            raise ConfigError("max_slot_redispatches must be >= 1")
-        if self.chaos_seed is not None:
-            int(self.chaos_seed)
 
 
 @dataclass(frozen=True)
@@ -364,26 +328,6 @@ class SuiteParams:
     def validate(self) -> None:
         if min(self.num_benchmarks, self.num_kernels, self.regions_per_kernel) < 1:
             raise ConfigError("suite parameters must be >= 1")
-
-
-@dataclass(frozen=True)
-class ReproConfig:
-    """Top-level bundle used by the pipeline and the experiment harness."""
-
-    aco: ACOParams = field(default_factory=ACOParams)
-    gpu: GPUParams = field(default_factory=GPUParams)
-    filters: FilterParams = field(default_factory=FilterParams)
-    suite: SuiteParams = field(default_factory=SuiteParams)
-    resilience: ResilienceParams = field(default_factory=ResilienceParams)
-    fleet: FleetParams = field(default_factory=FleetParams)
-
-    def validate(self, wavefront_size: int = 64) -> None:
-        self.aco.validate()
-        self.gpu.validate(wavefront_size)
-        self.filters.validate()
-        self.suite.validate()
-        self.resilience.validate()
-        self.fleet.validate()
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -158,7 +158,8 @@ class WorkerHang(InjectedFault):
     """A simulated shard worker stopped heartbeating (wedged, not dead).
 
     Detected by the supervisor's cost-model-denominated heartbeat: after
-    ``heartbeat_seconds`` of silence the worker is declared hung, killed,
+    ``repro.fleet.supervisor.HEARTBEAT_SECONDS`` of silence the worker is
+    declared hung, killed,
     and its regions re-dispatched. The detection latency is charged to the
     fleet's makespan.
     """

@@ -29,7 +29,7 @@ from typing import Dict, Optional, Sequence, Tuple
 # form — the layering contract forbids aco/heuristics from importing
 # exact — and the solvers in .bnb stay engine-free.
 from ..aco.sequential import SequentialACOScheduler  # repro: noqa[LAY-401]
-from ..config import ACOParams
+from ..config import ACOParams, replace_params
 from ..ddg.graph import DDG
 from ..heuristics.amd_max_occupancy import AMDMaxOccupancyScheduler
 from ..machine.model import MachineModel
@@ -118,7 +118,7 @@ def crosscheck(
 
     for strategy in strategies:
         result = SequentialACOScheduler(
-            machine, params=params, strategy=strategy
+            machine, params=replace_params(params or ACOParams(), strategy=strategy)
         ).schedule(ddg, seed=seed)
         report.outcomes[strategy] = StrategyOutcome(
             strategy=strategy,

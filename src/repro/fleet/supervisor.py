@@ -21,11 +21,16 @@ The loop is an epoch state machine:
    the slot is re-dispatched while the worker survives.
 3. The epoch's fleet time is the *maximum* worker busy time (workers run
    concurrently); a worker whose busy time exceeds
-   ``straggler_factor x median`` is flagged and demoted.
-4. Dead workers restart after ``backoff_seconds`` while they have
-   restarts left. A slot that exhausts ``max_slot_redispatches`` — or a
-   fleet with no revivable worker — falls back to **serial host
-   execution** of the very same slot runner.
+   :data:`STRAGGLER_FACTOR` x median is flagged and demoted.
+4. Dead workers restart after :data:`BACKOFF_SECONDS` while they have
+   restarts left (:data:`MAX_WORKER_RESTARTS`). A slot that exhausts
+   :data:`MAX_SLOT_REDISPATCHES` — or a fleet with no revivable worker —
+   falls back to **serial host execution** of the very same slot runner.
+
+The supervision timings are fixed constants of this module; the only
+fleet setting is :attr:`repro.config.FleetParams.num_shards`, and worker
+faults come from the ``worker_faults`` plan
+(:meth:`repro.gpusim.faults.FaultPlan.worker_plan`).
 
 Correctness rests on one invariant, enforced upstream: a slot's outcome
 is a pure function of ``(ddg, seed, blocks, params, fault_plan,
@@ -64,6 +69,20 @@ __all__ = ["FleetSupervisor", "FleetResult"]
 
 #: Worker id recorded for slots rescued by the serial host fallback.
 HOST_WORKER = -1
+
+#: Supervisor heartbeat interval in cost-model seconds: the detection
+#: latency charged when a worker crashes or hangs mid-dispatch.
+HEARTBEAT_SECONDS = 2e-3
+#: A worker whose epoch busy time exceeds this multiple of the fleet
+#: median is flagged a straggler (telemetry + dispatch demotion).
+STRAGGLER_FACTOR = 2.0
+#: Restarts granted to a dead worker before it stays dead.
+MAX_WORKER_RESTARTS = 1
+#: Cost-model seconds a restarted worker spends coming back.
+BACKOFF_SECONDS = 1e-3
+#: Re-dispatches granted per region across the whole fleet before the
+#: region falls back to serial host execution.
+MAX_SLOT_REDISPATCHES = 4
 
 
 def _median(values: Sequence[float]) -> float:
@@ -125,8 +144,6 @@ class FleetSupervisor:
         self.scheduler = scheduler
         self.params = params or FleetParams()
         self.params.validate()
-        if worker_faults is None and self.params.chaos_seed is not None:
-            worker_faults = FaultPlan.worker_plan(self.params.chaos_seed)
         self.worker_faults = worker_faults
 
     # -- result acceptance ---------------------------------------------------
@@ -236,14 +253,14 @@ class FleetSupervisor:
                         except (WorkerCrash, WorkerHang) as exc:
                             # Detection latency: one missed heartbeat — the
                             # crash is silent, the hang stops answering.
-                            busy += params.heartbeat_seconds
+                            busy += HEARTBEAT_SECONDS
                             fault_counts[exc.fault_class] += 1
                             tele.emit(
                                 "worker_fault",
                                 worker=worker.id,
                                 fault_class=exc.fault_class,
                                 dispatch=worker.dispatches - 1,
-                                seconds=params.heartbeat_seconds,
+                                seconds=HEARTBEAT_SECONDS,
                             )
                             worker.alive = False
                             # The in-flight slot burned a dispatch; the
@@ -287,7 +304,7 @@ class FleetSupervisor:
                 median = _median(busys)
                 if median > 0.0 and len(busys) > 1:
                     for worker, busy in zip(order, busys):
-                        if busy > params.straggler_factor * median:
+                        if busy > STRAGGLER_FACTOR * median:
                             stragglers += 1
                             worker.demoted = True
                             tele.emit(
@@ -300,21 +317,21 @@ class FleetSupervisor:
                 # Bounded restarts: a dead worker comes back next epoch
                 # after its backoff, until its restart budget runs dry.
                 for worker in workers:
-                    if not worker.alive and worker.restarts < params.max_worker_restarts:
+                    if not worker.alive and worker.restarts < MAX_WORKER_RESTARTS:
                         worker.restarts += 1
                         worker.alive = True
-                        worker.head_start = params.backoff_seconds
+                        worker.head_start = BACKOFF_SECONDS
                         restarts += 1
                         tele.emit(
                             "worker_restart",
                             worker=worker.id,
                             restarts=worker.restarts,
-                            backoff_seconds=params.backoff_seconds,
+                            backoff_seconds=BACKOFF_SECONDS,
                         )
                 # Slots out of re-dispatch budget fall back to the host.
                 still_pending: List[int] = []
                 for slot in sorted(pending):
-                    if redispatches[slot] >= params.max_slot_redispatches:
+                    if redispatches[slot] >= MAX_SLOT_REDISPATCHES:
                         host_slots.append(slot)
                     else:
                         still_pending.append(slot)

@@ -25,7 +25,6 @@ from .faults import (
     DEFAULT_CHAOS_RATES,
     FAULT_CLASSES,
     FaultPlan,
-    FaultyDevice,
 )
 from .kernel import KernelAccounting, TransferAccounting
 from .reduction import reduction_cycles
@@ -34,7 +33,6 @@ __all__ = [
     "DEFAULT_CHAOS_RATES",
     "FAULT_CLASSES",
     "FaultPlan",
-    "FaultyDevice",
     "GPUDevice",
     "KernelAccounting",
     "TransferAccounting",

@@ -17,8 +17,7 @@ every run, which is what makes chaos runs replayable and the chaos-sweep
 CI job meaningful. A fault fires when its site draw falls below the
 class's configured rate.
 
-:class:`FaultyDevice` wraps a :class:`~repro.gpusim.device.GPUDevice` with
-a plan and exposes the injection points the parallel scheduler calls:
+A plan exposes the injection points the parallel scheduler calls:
 
 ========================  ===================================================
 ``check_launch``          raises :class:`~repro.errors.KernelLaunchError`
@@ -44,7 +43,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from ..errors import ConfigError, DeviceOOMError, KernelLaunchError
-from .device import GPUDevice
 
 #: The canonical fault taxonomy, in ladder-report order.
 FAULT_CLASSES: Tuple[str, ...] = ("launch", "corruption", "hang", "oom")
@@ -68,20 +66,14 @@ DEFAULT_CHAOS_RATES: Dict[str, float] = {
     "oom": 0.08,
 }
 
-#: Default per-dispatch rates for the fleet's worker chaos mix (a bare
-#: ``FleetParams(chaos_seed=SEED)``). Low enough that a small fleet run mostly
+#: Default per-dispatch rates for the fleet's worker chaos mix
+#: (``FaultPlan.worker_plan(SEED)``). Low enough that a small fleet run mostly
 #: succeeds first try, high enough that a sweep exercises every class.
 DEFAULT_WORKER_CHAOS_RATES: Dict[str, float] = {
     "worker_crash": 0.10,
     "worker_hang": 0.10,
     "worker_corrupt": 0.10,
 }
-
-#: Simulated seconds a hung kernel burns before the watchdog declares it
-#: dead (the heartbeat timeout). Charged to the attempt and to the
-#: region's deadline budget.
-DEFAULT_HANG_SECONDS = 2e-3
-
 
 def _site_draw(seed: int, *identity) -> float:
     """Deterministic U[0,1) draw for one fault site.
@@ -107,8 +99,6 @@ class FaultPlan:
 
     seed: int
     rates: Dict[str, float] = field(default_factory=dict)
-    #: Simulated seconds a hang burns before the watchdog fires.
-    hang_seconds: float = DEFAULT_HANG_SECONDS
 
     def __post_init__(self):
         known = FAULT_CLASSES + WORKER_FAULT_CLASSES
@@ -120,8 +110,6 @@ class FaultPlan:
                 )
             if not 0.0 <= rate <= 1.0:
                 raise ConfigError("fault rate for %r must be in [0, 1]" % name)
-        if self.hang_seconds <= 0.0:
-            raise ConfigError("hang_seconds must be positive")
 
     @classmethod
     def from_seed(
@@ -145,6 +133,13 @@ class FaultPlan:
         return self._fires("oom", region, attempt)
 
     def transfer_corrupted(self, region: str, pass_index: int, attempt: int) -> bool:
+        """Whether this site's host->device transfer is (silently) corrupted.
+
+        Detection is the *caller's* job at copy-back: the integrity check
+        compares checksums and raises
+        :class:`~repro.errors.CorruptionDetected` — the fault itself does
+        not raise, exactly like real bit corruption.
+        """
         return self._fires("corruption", region, pass_index, attempt)
 
     def hang_iteration(
@@ -159,6 +154,35 @@ class FaultPlan:
             return None
         draw = _site_draw(self.seed, "hang-iter", region, pass_index, attempt)
         return int(draw * 3)  # hang during iteration 0, 1 or 2
+
+    # -- device API checks (raise the fault's typed exception) ---------------
+
+    def check_launch(
+        self, region: str, pass_index: int, attempt: int, launch_seconds: float
+    ) -> None:
+        """Simulate the kernel-launch API call; raise on injected failure.
+
+        A failed launch still costs its fixed overhead ``launch_seconds``
+        (the driver round trip happened), carried on the exception for
+        budget accounting.
+        """
+        if self.launch_fails(region, pass_index, attempt):
+            raise KernelLaunchError(
+                "injected launch failure: region %r pass %d attempt %d"
+                % (region, pass_index, attempt),
+                seconds=launch_seconds,
+            )
+
+    def check_preallocation(
+        self, region: str, attempt: int, requested_bytes: int = 0
+    ) -> None:
+        """Simulate the Section V-A preallocation; raise on injected OOM."""
+        if self.preallocation_fails(region, attempt):
+            raise DeviceOOMError(
+                "injected preallocation OOM: region %r attempt %d (%d bytes)"
+                % (region, attempt, requested_bytes),
+                seconds=0.0,
+            )
 
     # -- worker-level sites (fleet shard layer; see repro.fleet) ------------
 
@@ -184,56 +208,3 @@ class FaultPlan:
             rates=dict(DEFAULT_WORKER_CHAOS_RATES if rates is None else rates),
         )
 
-
-class FaultyDevice:
-    """A :class:`GPUDevice` paired with a :class:`FaultPlan`.
-
-    The scheduler calls the ``check_*`` hooks at the simulated hazard
-    points; each either passes silently or raises the fault's typed
-    exception. The wrapped geometry/cost model is reachable as ``device``
-    (the fault layer never alters costs of *successful* operations, which
-    is what keeps fault-free runs bit-identical).
-    """
-
-    def __init__(self, device: GPUDevice, plan: FaultPlan):
-        self.device = device
-        self.plan = plan
-
-    def check_launch(self, region: str, pass_index: int, attempt: int) -> None:
-        """Simulate the kernel-launch API call; raise on injected failure.
-
-        A failed launch still costs its fixed overhead (the driver round
-        trip happened), carried on the exception for budget accounting.
-        """
-        if self.plan.launch_fails(region, pass_index, attempt):
-            raise KernelLaunchError(
-                "injected launch failure: region %r pass %d attempt %d"
-                % (region, pass_index, attempt),
-                seconds=self.device.cost.launch_overhead,
-            )
-
-    def check_preallocation(
-        self, region: str, attempt: int, requested_bytes: int = 0
-    ) -> None:
-        """Simulate the Section V-A preallocation; raise on injected OOM."""
-        if self.plan.preallocation_fails(region, attempt):
-            raise DeviceOOMError(
-                "injected preallocation OOM: region %r attempt %d (%d bytes)"
-                % (region, attempt, requested_bytes),
-                seconds=0.0,
-            )
-
-    def transfer_corrupted(self, region: str, pass_index: int, attempt: int) -> bool:
-        """Whether this site's host->device transfer is (silently) corrupted.
-
-        Detection is the *caller's* job at copy-back: the integrity check
-        compares checksums and raises
-        :class:`~repro.errors.CorruptionDetected` — the fault itself does
-        not raise, exactly like real bit corruption.
-        """
-        return self.plan.transfer_corrupted(region, pass_index, attempt)
-
-    def hang_iteration(
-        self, region: str, pass_index: int, attempt: int
-    ) -> Optional[int]:
-        return self.plan.hang_iteration(region, pass_index, attempt)

@@ -8,7 +8,7 @@ of work, matching an LLVM scheduling region (a basic block or part of one).
 """
 
 from .registers import RegisterClass, VirtualRegister, VGPR, SGPR, register_class_by_prefix
-from .instructions import Opcode, Instruction, OPCODES, opcode, define_opcode
+from .instructions import MAX_LATENCY, Opcode, Instruction, OPCODES, opcode, define_opcode
 from .block import SchedulingRegion
 from .builder import RegionBuilder
 from .printer import format_region, format_schedule
@@ -20,6 +20,7 @@ __all__ = [
     "VGPR",
     "SGPR",
     "register_class_by_prefix",
+    "MAX_LATENCY",
     "Opcode",
     "Instruction",
     "OPCODES",

@@ -18,6 +18,14 @@ from typing import Dict, Iterable, Tuple
 from ..errors import IRError
 from .registers import VirtualRegister
 
+#: Largest latency an opcode or instruction may carry, in cycles. The
+#: built-in table, the suite generators and the tests top out at 24; this
+#: bound sits far above that, yet a schedule that waits only for latencies
+#: spans at most n * (MAX_LATENCY + 1) cycles for n instructions, so the
+#: device image's int32 cycle tables cannot overflow and the verifier's
+#: per-cycle arrays stay proportional to the region.
+MAX_LATENCY = 4096
+
 
 @dataclass(frozen=True)
 class Opcode:
@@ -33,8 +41,10 @@ class Opcode:
     kind: str = "valu"
 
     def __post_init__(self):
-        if self.latency < 0:
-            raise IRError("latency must be >= 0")
+        if not 0 <= self.latency <= MAX_LATENCY:
+            raise IRError(
+                "latency must be in [0, %d], got %d" % (MAX_LATENCY, self.latency)
+            )
         if not self.name:
             raise IRError("opcode name must be non-empty")
 
@@ -122,8 +132,11 @@ class Instruction:
             raise IRError("instruction index must be >= 0")
         if self.latency == -1:
             object.__setattr__(self, "latency", self.op.latency)
-        if self.latency < 0:
-            raise IRError("instruction latency must be >= 0")
+        if not 0 <= self.latency <= MAX_LATENCY:
+            raise IRError(
+                "instruction latency must be in [0, %d], got %d"
+                % (MAX_LATENCY, self.latency)
+            )
         if len(set(self.defs)) != len(self.defs):
             raise IRError("duplicate register in Def set of %s" % self.label)
         if len(set(self.uses)) != len(self.uses):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from typing import List, Optional
 
-from ..errors import ParseError
+from ..errors import IRError, ParseError
 from .block import SchedulingRegion
 from .instructions import Instruction, opcode
 from .registers import VirtualRegister
@@ -83,16 +83,21 @@ def parse_region(text: str) -> SchedulingRegion:
             raise ParseError(str(exc), line_no)
         lat_text = match.group("lat")
         label = match.group("label")
-        instructions.append(
-            Instruction(
-                index=len(instructions),
-                op=op,
-                defs=tuple(_parse_reg_list(match.group("defs"), line_no)),
-                uses=tuple(_parse_reg_list(match.group("uses"), line_no)),
-                latency=int(lat_text) if lat_text is not None else -1,
-                name="" if re.fullmatch(r"i\d+", label) else label,
+        defs = tuple(_parse_reg_list(match.group("defs"), line_no))
+        uses = tuple(_parse_reg_list(match.group("uses"), line_no))
+        try:
+            instructions.append(
+                Instruction(
+                    index=len(instructions),
+                    op=op,
+                    defs=defs,
+                    uses=uses,
+                    latency=int(lat_text) if lat_text is not None else -1,
+                    name="" if re.fullmatch(r"i\d+", label) else label,
+                )
             )
-        )
+        except IRError as exc:
+            raise ParseError(str(exc), line_no)
 
     if name is None:
         raise ParseError("empty input: no 'region' header")

@@ -18,7 +18,7 @@ lockstep execution on the simulated device of :mod:`repro.gpusim`:
   the divergent (serialized-lane) cost model, bit-identical in its
   decisions to the vectorized engine;
 * :mod:`~repro.parallel.colony` — the backend registry
-  (``backend="loop"|"vectorized"``) and the historical ``Colony`` name;
+  (``backend="loop"|"vectorized"``);
 * :mod:`~repro.parallel.scheduler` — the GPU construction engine under
   the shared two-pass driver (:mod:`repro.aco.driver`).
 """
@@ -28,7 +28,7 @@ from .divergence import DivergencePolicy
 from .rng import AntRngStreams
 from .vectorized import VectorizedColony
 from .loop import LoopColony
-from .colony import BACKENDS, Colony, ColonyIterationResult, resolve_backend
+from .colony import BACKENDS, ColonyIterationResult, resolve_backend
 from .scheduler import ParallelACOScheduler
 from .multi_region import (
     BatchItem,
@@ -46,7 +46,6 @@ __all__ = [
     "LoopColony",
     "BACKENDS",
     "resolve_backend",
-    "Colony",
     "ColonyIterationResult",
     "ParallelACOScheduler",
     "BatchItem",

@@ -1,4 +1,4 @@
-"""Backend registry and compatibility façade for the colony engines.
+"""Backend registry of the colony engines.
 
 The ant-construction engine lives in two interchangeable implementations:
 
@@ -11,8 +11,7 @@ Both construct bit-identical seeded schedules (proven by
 ``tests/test_differential.py``); they differ only in execution style and
 in which kernel the cost accounting simulates. ``BACKENDS`` maps the
 public backend names (``GPUParams.backend``, ``--backend``) to engine
-classes; :data:`Colony` keeps the historical name importable and bound to
-the default engine.
+classes.
 """
 
 from __future__ import annotations
@@ -29,10 +28,6 @@ BACKENDS: Dict[str, Type[VectorizedColony]] = {
     "loop": LoopColony,
 }
 
-#: Historical name for the default (vectorized) engine.
-Colony = VectorizedColony
-
-
 def resolve_backend(name: str) -> Type[VectorizedColony]:
     """Map a backend name to its engine class (``ConfigError`` if unknown)."""
     try:
@@ -46,7 +41,6 @@ def resolve_backend(name: str) -> Type[VectorizedColony]:
 
 __all__ = [
     "BACKENDS",
-    "Colony",
     "ColonyIterationResult",
     "LoopColony",
     "VectorizedColony",

@@ -38,14 +38,16 @@ class DivergencePolicy:
     wavefront_size: int
 
     @classmethod
-    def from_params(cls, gpu: GPUParams) -> "DivergencePolicy":
+    def from_params(cls, gpu: GPUParams, wavefront_size: int) -> "DivergencePolicy":
+        """The launch's policy; a block is one wavefront of the device's
+        ``wavefront_size`` lanes."""
         return cls(
             wavefront_level_choice=gpu.wavefront_level_choice,
             stall_wavefront_fraction=gpu.stall_wavefront_fraction,
             early_wavefront_termination=gpu.early_wavefront_termination,
             heuristic_diversity=gpu.heuristic_diversity,
             num_wavefronts=gpu.wavefronts,
-            wavefront_size=gpu.threads_per_block,
+            wavefront_size=wavefront_size,
         )
 
     @property
@@ -69,25 +71,13 @@ class DivergencePolicy:
             return np.zeros(self.num_wavefronts, dtype=np.int32)
         return (np.arange(self.num_wavefronts) % num_heuristics).astype(np.int32)
 
-    def exploit_draw(self, rng: np.random.Generator, q0: float) -> np.ndarray:
-        """Per-ant exploit decisions for one step (shared-generator form).
-
-        Wavefront-level: one draw per wavefront broadcast to its lanes.
-        Thread-level: an independent draw per lane (the divergent baseline).
-        """
-        if self.wavefront_level_choice:
-            per_wave = rng.random(self.num_wavefronts) < q0
-            return np.repeat(per_wave, self.wavefront_size)
-        return rng.random(self.num_ants) < q0
-
     def exploit_draw_streams(self, streams, q0: float) -> np.ndarray:
         """Per-ant exploit decisions drawn from per-ant RNG streams.
 
         Wavefront-level: the wavefront leader's (lane 0) stream decides for
         all its lanes. Thread-level: every ant draws from its own stream.
-        Unlike :meth:`exploit_draw`, the draw order is per-stream, so the
-        scalar and vectorized engines consume identical randomness (see
-        :mod:`repro.parallel.rng`).
+        The draw order is per-stream, so the scalar and vectorized engines
+        consume identical randomness (see :mod:`repro.parallel.rng`).
         """
         if self.wavefront_level_choice:
             per_wave = streams.uniform_wavefront_leaders(

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..aco.ant import HEURISTIC_WEIGHT
 from .vectorized import (
     _BASE_STEP_OPS,
     _SELECT_OPS_PER_CANDIDATE,
@@ -77,7 +78,7 @@ class LoopColony(VectorizedColony):
             safe = np.where(row_valid, cand[ant], 0)
             tau_vals = tau[self.prev_inst[ant], safe]
             eta = self._eta_row(ant, cand[ant], row_valid, primary)
-            row = tau_vals * eta**self.params.heuristic_weight
+            row = tau_vals * eta**HEURISTIC_WEIGHT
             row[~row_valid] = 0.0
             scores[ant] = row
         return scores

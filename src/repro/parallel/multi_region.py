@@ -189,7 +189,7 @@ class MultiRegionScheduler:
         self.params = params or ACOParams()
         self.device = device or GPUDevice()
         self.gpu_params = gpu_params or GPUParams()
-        self.gpu_params.validate(self.device.wavefront_size)
+        self.gpu_params.validate()
         self.telemetry = telemetry or Telemetry()
 
     def _partition_blocks(self, items: Sequence[BatchItem]) -> List[int]:

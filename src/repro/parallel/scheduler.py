@@ -36,24 +36,30 @@ from ..config import ACOParams, GPUParams
 from ..ddg.graph import DDG
 from ..errors import CorruptionDetected, DeviceHangError, KernelLaunchError
 from ..gpusim.device import GPUDevice
-from ..gpusim.faults import FaultPlan, FaultyDevice
+from ..gpusim.faults import FaultPlan
 from ..gpusim.kernel import KernelAccounting, TransferAccounting
 from ..gpusim.reduction import reduction_cycles
 from ..machine.model import MachineModel
 from ..profile import get_profiler
 from ..resilience.checkpoint import RegionCheckpoint
 from ..telemetry import Telemetry
-from .colony import Colony, resolve_backend
+from .colony import resolve_backend
 from .divergence import DivergencePolicy
 from .layouts import RegionDeviceData
 from .rng import AntRngStreams, check_seed
+from .vectorized import VectorizedColony
+
+#: Simulated seconds a hung kernel burns before the watchdog declares it
+#: dead (one missed heartbeat). Charged to the attempt and to the region's
+#: deadline budget.
+HANG_SECONDS = 2e-3
 
 
 class _DeviceRegion(NamedTuple):
     """Per-region state shared by both passes' launches."""
 
     data: RegionDeviceData
-    faulty: Optional[FaultyDevice]
+    faults: Optional[FaultPlan]
     seed: int
     attempt: int
 
@@ -76,14 +82,16 @@ class _DevicePass(PassEngine):
         self.pass_index = pass_index
         self.budget = budget
         self.data = region.data
-        self.faulty = faulty = region.faulty
+        faults = region.faults
         self.attempt = attempt = region.attempt
         self.target = target
         self.max_length = max_length
         self.cost = cost = scheduler.device.cost
-        if faulty is not None:
+        if faults is not None:
             try:
-                faulty.check_launch(region_name, pass_index, attempt)
+                faults.check_launch(
+                    region_name, pass_index, attempt, cost.launch_overhead
+                )
             except KernelLaunchError:
                 # A failed launch still burns its fixed overhead.
                 if budget is not None:
@@ -93,12 +101,12 @@ class _DevicePass(PassEngine):
         self.colony, self.accounting = scheduler._make_colony(self.data, seed)
         self.transfer = scheduler._transfer(self.data)
         self.corrupted = (
-            faulty is not None
-            and faulty.transfer_corrupted(region_name, pass_index, attempt)
+            faults is not None
+            and faults.transfer_corrupted(region_name, pass_index, attempt)
         )
         hang_after = (
-            faulty.hang_iteration(region_name, pass_index, attempt)
-            if faulty is not None
+            faults.hang_iteration(region_name, pass_index, attempt)
+            if faults is not None
             else None
         )
         # Pheromone and tracker state carry over in the driver; the per-ant
@@ -157,7 +165,7 @@ class _DevicePass(PassEngine):
     def _hang(self, checkpoint: RegionCheckpoint) -> DeviceHangError:
         """Build the watchdog's hang error: charge the heartbeat timeout,
         report everything the dead attempt burned, attach the checkpoint."""
-        penalty = self.faulty.plan.hang_seconds
+        penalty = HANG_SECONDS
         if self.budget is not None:
             self.budget.charge(penalty)
         burned = (
@@ -249,7 +257,7 @@ class _DevicePass(PassEngine):
             region=self.region_name,
             pass_index=self.pass_index,
             backend=colony.backend_name,
-            strategy=self.scheduler.strategy_name,
+            strategy=self.scheduler.params.strategy,
             wavefronts=accounting.num_wavefronts,
             ants=colony.num_ants,
             iterations=iterations,
@@ -293,16 +301,11 @@ class ParallelACOScheduler(TwoPassDriver):
         telemetry: Optional[Telemetry] = None,
         verify: bool = False,
         backend: Optional[str] = None,
-        strategy: Optional[str] = None,
     ):
         self.device = device or GPUDevice()
         self.gpu_params = gpu_params or GPUParams()
-        self.gpu_params.validate(self.device.wavefront_size)
-        # The strategy falls back to the gpu_params device override, then
-        # to params.strategy (in the driver).
-        super().__init__(
-            machine, params, telemetry, verify, strategy or self.gpu_params.strategy
-        )
+        self.gpu_params.validate()
+        super().__init__(machine, params, telemetry, verify)
         #: Construction engine: the argument, else ``gpu_params.backend``.
         self.backend = backend or self.gpu_params.backend
         resolve_backend(self.backend)  # fail fast on unknown names
@@ -339,8 +342,10 @@ class ParallelACOScheduler(TwoPassDriver):
 
     def _make_colony(
         self, data: RegionDeviceData, seed: int
-    ) -> Tuple[Colony, KernelAccounting]:
-        policy = DivergencePolicy.from_params(self.gpu_params)
+    ) -> Tuple[VectorizedColony, KernelAccounting]:
+        policy = DivergencePolicy.from_params(
+            self.gpu_params, self.device.wavefront_size
+        )
         accounting = KernelAccounting(
             self.device,
             policy.num_wavefronts,
@@ -366,25 +371,24 @@ class ParallelACOScheduler(TwoPassDriver):
         data = RegionDeviceData(
             ddg, self.machine, tight_ready_bound=self.gpu_params.tight_ready_list_bound
         )
-        faulty = (
-            FaultyDevice(self.device, fault_plan) if fault_plan is not None else None
-        )
-        if faulty is not None:
+        if fault_plan is not None:
             # Section V-A preallocates the whole per-ant state in one block;
             # that is the allocation that can fail.
-            policy = DivergencePolicy.from_params(self.gpu_params)
+            policy = DivergencePolicy.from_params(
+                self.gpu_params, self.device.wavefront_size
+            )
             per_ant_words = (
                 2 * data.ready_capacity
                 + 2 * data.num_instructions
                 + 2 * data.num_registers
                 + 8
             )
-            faulty.check_preallocation(
+            fault_plan.check_preallocation(
                 ddg.region.name,
                 attempt,
                 requested_bytes=4 * per_ant_words * policy.num_ants,
             )
-        return _DeviceRegion(data, faulty, seed, attempt)
+        return _DeviceRegion(data, fault_plan, seed, attempt)
 
     def _open_pass(self, region_state, ddg, pass_index, budget, resume, target, max_length):
         return _DevicePass(

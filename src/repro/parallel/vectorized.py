@@ -47,6 +47,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..aco.ant import HEURISTIC_WEIGHT
 from ..analysis.sanitizer import ColonySanitizer
 from ..config import ACOParams
 from ..gpusim.kernel import KernelAccounting
@@ -170,7 +171,7 @@ class VectorizedColony:
         for primary, luc in (("luc", self.heuristic_of_ant == 0), ("cp", self.heuristic_of_ant != 0)):
             self._luc_lanes[primary] = luc if luc.any() else None
         #: cp_eta ** beta: CP's heuristic term is static.
-        self._cp_eta_beta = d.cp_eta ** params.heuristic_weight
+        self._cp_eta_beta = d.cp_eta ** HEURISTIC_WEIGHT
         self._slot_ops = (d.uses.shape[1] + d.defs.shape[1]) * 2.0
 
         # Launch-lifetime observability counters, exported through the
@@ -263,7 +264,7 @@ class VectorizedColony:
     def _eta(
         self, index: np.ndarray, safe: np.ndarray, closes: Optional[np.ndarray], primary: str
     ) -> np.ndarray:
-        """Per-candidate ``eta ** heuristic_weight`` for each ant's heuristic.
+        """Per-candidate ``eta ** HEURISTIC_WEIGHT`` for each ant's heuristic.
 
         ``primary`` is the pass's base heuristic (``"luc"`` for pass 1,
         ``"cp"`` for pass 2); with heuristic diversity on, wavefronts with
@@ -280,7 +281,7 @@ class VectorizedColony:
         for group in range(1, closes.shape[0]):
             total = total + closes[group]
         luc_score = (total + self._luc_base) * d.score_scale + self._luc_height
-        rows = np.maximum(1e-6, 1.0 + luc_score) ** self.params.heuristic_weight
+        rows = np.maximum(1e-6, 1.0 + luc_score) ** HEURISTIC_WEIGHT
         if not luc_lanes.all():
             rows = np.where(luc_lanes, rows, self._cp_eta_beta_rows)
         return rows.take(index)

@@ -176,7 +176,7 @@ class CompilePipeline:
         self.filters = filters or FilterParams()
         self.filters.validate()
         self.invocation = InvocationFilter(self.filters)
-        self.post_filter = PostSchedulingFilter(self.filters)
+        self.post_filter = PostSchedulingFilter()
         self.compile_time_model = compile_time_model
         self.baseline = baseline or AMDMaxOccupancyScheduler(machine)
         self.telemetry = telemetry or Telemetry()

@@ -9,9 +9,10 @@ benefit is plausible:
   *cycle threshold* (Table 7 sweeps it; 21 was best).
 * :class:`PostSchedulingFilter` — after ACO, keep whichever of the ACO and
   heuristic schedules balances occupancy and ILP better: revert to the
-  heuristic when ACO's occupancy gain is at most ``revert_occupancy_gain``
-  while its length degradation exceeds ``revert_length_degradation``
-  (experimentally +3 occupancy / +63 cycles in the paper).
+  heuristic when ACO's occupancy gain is at most
+  :data:`REVERT_OCCUPANCY_GAIN` while its length degradation exceeds
+  :data:`REVERT_LENGTH_DEGRADATION` (experimentally +3 occupancy / +63
+  cycles in the paper).
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ import enum
 from dataclasses import dataclass
 
 from ..config import FilterParams
+
+#: The post-scheduling filter's exchange rate (Section VI-D): a gain of
+#: this many occupancy steps ...
+REVERT_OCCUPANCY_GAIN = 3
+#: ... pays for at most this many extra cycles of schedule length.
+REVERT_LENGTH_DEGRADATION = 63
 
 
 class FilterDecision(enum.Enum):
@@ -62,11 +69,8 @@ class InvocationFilter:
         return FilterDecision.SKIPPED_THRESHOLD
 
 
-@dataclass(frozen=True)
 class PostSchedulingFilter:
     """Chooses between the final ACO schedule and the heuristic schedule."""
-
-    params: FilterParams
 
     def keep_aco(
         self,
@@ -83,10 +87,8 @@ class PostSchedulingFilter:
             return aco_length < heuristic_length
         if occupancy_gain == 0:
             return length_loss < 0
-        # One occupancy step buys revert_length_degradation /
-        # revert_occupancy_gain cycles of slack (the paper's tuned values,
+        # One occupancy step buys REVERT_LENGTH_DEGRADATION /
+        # REVERT_OCCUPANCY_GAIN cycles of slack (the paper's tuned values,
         # +3 occupancy vs. +63 cycles, price a step at 21 cycles).
-        slack_per_step = (
-            self.params.revert_length_degradation / max(1, self.params.revert_occupancy_gain)
-        )
+        slack_per_step = REVERT_LENGTH_DEGRADATION / REVERT_OCCUPANCY_GAIN
         return length_loss <= occupancy_gain * slack_per_step

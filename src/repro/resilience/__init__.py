@@ -27,7 +27,6 @@ from ..gpusim.faults import (
     DEFAULT_CHAOS_RATES,
     FAULT_CLASSES,
     FaultPlan,
-    FaultyDevice,
 )
 from .checkpoint import CHECKPOINT_VERSION, RegionCheckpoint
 from .watchdog import DeadlineBudget
@@ -38,6 +37,5 @@ __all__ = [
     "DeadlineBudget",
     "FAULT_CLASSES",
     "FaultPlan",
-    "FaultyDevice",
     "RegionCheckpoint",
 ]

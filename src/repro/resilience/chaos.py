@@ -247,7 +247,7 @@ def _ladder_trials(
 
     regions = chaos_regions(machine, sizes)
     # At rate 1.0 one retry reaches the downgrade; the sweep allows two.
-    resilience = ResilienceParams(enabled=True, max_retries=1 if proof else 2)
+    resilience = ResilienceParams(max_retries=1 if proof else 2)
 
     def trial(ddg: DDG, plan: FaultPlan, chaos_seed: int) -> RegionTrial:
         # Small colony: the fault surface (launches, transfers,

@@ -121,7 +121,7 @@ def ladder_rungs(scheduler: AnyScheduler) -> Tuple[str, ...]:
 
 def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
     """An engine for ``rung`` configured like ``base`` (same machine,
-    parameters, device, telemetry, verify and resolved strategy)."""
+    parameters, device, telemetry and verify flag)."""
     if isinstance(base, ParallelACOScheduler):
         if rung == base.backend:
             return base
@@ -134,14 +134,12 @@ def _scheduler_for_rung(base: AnyScheduler, rung: str) -> AnyScheduler:
                 telemetry=base.telemetry,
                 verify=base.verify_enabled,
                 backend=rung,
-                strategy=base.strategy_name,
             )
         return SequentialACOScheduler(
             base.machine,
             params=base.params,
             telemetry=base.telemetry,
             verify=base.verify_enabled,
-            strategy=base.strategy_name,
         )
     return base  # sequential entry: its only engine rung is itself
 
@@ -208,7 +206,7 @@ def _run_ladder(
                 # engine would charge its pass setup and stop at once.
                 exhausted_budget = True
                 break
-            resumed = state.checkpoint is not None and resilience.checkpoint
+            resumed = state.checkpoint is not None
             if resumed:
                 attempt_seed = state.checkpoint.seed
             elif state.number == 0:
@@ -250,7 +248,7 @@ def _run_ladder(
                     backend=rung,
                     **attempt_span("attempt%d" % state.number),
                 )
-                if exc.checkpoint is not None and resilience.checkpoint:
+                if exc.checkpoint is not None:
                     # A hang leaves the host-side search state intact;
                     # every later attempt resumes from the newest snapshot.
                     state.checkpoint = exc.checkpoint

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence
 # can form — the contract forbids every imported head from importing
 # suite back.
 from ..aco.sequential import SequentialACOScheduler  # repro: noqa[LAY-401]
-from ..config import ACOParams
+from ..config import ACOParams, replace_params
 from ..ddg import DDG  # repro: noqa[LAY-401]
 from ..heuristics.amd_max_occupancy import AMDMaxOccupancyScheduler  # repro: noqa[LAY-401]
 from ..ir import format_region, parse_region
@@ -123,9 +123,9 @@ def aco_loss(
     heuristic = evaluate_schedule(
         AMDMaxOccupancyScheduler(machine).schedule(ddg), machine
     )
-    aco = SequentialACOScheduler(machine, params=params, strategy=strategy).schedule(
-        ddg, seed=seed
-    )
+    aco = SequentialACOScheduler(
+        machine, params=replace_params(params or ACOParams(), strategy=strategy)
+    ).schedule(ddg, seed=seed)
     if aco.rp_cost_value >= heuristic.rp_cost and aco.length > heuristic.length:
         return {
             "heuristic_length": heuristic.length,

@@ -24,7 +24,7 @@ def _make_colony(
 ):
     gpu = GPUParams(blocks=blocks, **gpu_overrides)
     params = ACOParams()
-    policy = DivergencePolicy.from_params(gpu)
+    policy = DivergencePolicy.from_params(gpu, GPUDevice().wavefront_size)
     data = RegionDeviceData(ddg, machine, tight_ready_bound=gpu.tight_ready_list_bound)
     accounting = KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True)
     sanitizer = ColonySanitizer() if sanitize else None

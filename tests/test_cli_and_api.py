@@ -128,7 +128,7 @@ class TestRunConfiguration:
         assert self._main() == 0
         assert probe["parallel"].backend == "vectorized"
         for scheduler in (probe["parallel"], probe["sequential"]):
-            assert scheduler.strategy_name == "as"
+            assert scheduler.params.strategy == "as"
             assert not scheduler.verify_enabled
         assert not probe["pipeline"].verify_enabled
         assert probe["pipeline"].resilience == ResilienceParams()
@@ -141,7 +141,7 @@ class TestRunConfiguration:
     def test_strategy(self, probe):
         assert self._main("--strategy", "mmas") == 0
         for scheduler in (probe["parallel"], probe["sequential"]):
-            assert scheduler.strategy_name == "mmas"
+            assert scheduler.params.strategy == "mmas"
 
     def test_verify(self, probe):
         assert self._main("--verify") == 0

@@ -1,12 +1,13 @@
 """Tests for configuration dataclasses and the cost models."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
     ACOParams,
     FilterParams,
     GPUParams,
-    ReproConfig,
+    ResilienceParams,
     SIZE_CLASS_LABELS,
     SuiteParams,
     geometric_mean,
@@ -14,6 +15,8 @@ from repro.config import (
     size_class_index,
 )
 from repro.errors import ConfigError
+from repro.parallel import DivergencePolicy
+from repro.pipeline.filters import REVERT_LENGTH_DEGRADATION, REVERT_OCCUPANCY_GAIN
 from repro.timing import (
     CompileTimeModel,
     CPUCostModel,
@@ -67,6 +70,17 @@ class TestACOParams:
             dict(termination_conditions=(0, 1, 2)),
             dict(sequential_ants=0),
             dict(max_iterations=0),
+            # NaN fails every positive check; these were silently accepted.
+            dict(initial_pheromone=float("nan")),
+            dict(min_pheromone=float("nan")),
+            dict(max_pheromone=float("nan")),
+            dict(mmas_tau_min_scale=float("nan")),
+            dict(deposit=0.0),
+            dict(deposit=-1.0),
+            dict(optional_stall_prob=-0.5),
+            dict(optional_stall_prob=float("nan")),
+            dict(optional_stall_budget=-1.0),
+            dict(optional_stall_budget=float("nan")),
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -78,18 +92,22 @@ class TestGPUParams:
     def test_paper_geometry(self):
         gpu = GPUParams()
         assert gpu.blocks == 180
-        assert gpu.threads_per_block == 64
-        assert gpu.total_threads == 11_520  # Section IV-B
+        assert gpu.total_threads(64) == 11_520  # Section IV-B
         assert gpu.wavefronts == 180
-        gpu.validate(64)
+        gpu.validate()
 
     def test_threads_must_match_wavefront(self):
-        with pytest.raises(ConfigError):
-            GPUParams(threads_per_block=32).validate(64)
+        # A block is one wavefront: its thread count is derived from the
+        # device's wavefront size and cannot disagree with it.
+        gpu = GPUParams(blocks=3)
+        for wavefront_size in (4, 32, 64):
+            policy = DivergencePolicy.from_params(gpu, wavefront_size)
+            assert policy.wavefront_size == wavefront_size
+            assert policy.num_ants == gpu.total_threads(wavefront_size)
 
     def test_bad_fraction(self):
         with pytest.raises(ConfigError):
-            GPUParams(stall_wavefront_fraction=1.5).validate(64)
+            GPUParams(stall_wavefront_fraction=1.5).validate()
 
     def test_replace_params(self):
         gpu = replace_params(GPUParams(), blocks=4)
@@ -101,8 +119,8 @@ class TestFilterAndSuiteParams:
     def test_defaults(self):
         filters = FilterParams()
         assert filters.cycle_threshold == 21  # Table 7's best
-        assert filters.revert_occupancy_gain == 3
-        assert filters.revert_length_degradation == 63
+        assert REVERT_OCCUPANCY_GAIN == 3  # Section VI-D
+        assert REVERT_LENGTH_DEGRADATION == 63
         filters.validate()
 
     def test_invalid(self):
@@ -111,8 +129,16 @@ class TestFilterAndSuiteParams:
         with pytest.raises(ConfigError):
             SuiteParams(num_kernels=0).validate()
 
-    def test_repro_config_validates_all(self):
-        ReproConfig().validate()
+
+class TestResilienceParams:
+    @pytest.mark.parametrize("seed", [0, 42, np.int64(7)])
+    def test_integer_chaos_seed_accepted(self, seed):
+        ResilienceParams(chaos_seed=seed).validate()
+
+    @pytest.mark.parametrize("seed", ["x", 1.7, True, float("nan")])
+    def test_non_integer_chaos_seed_rejected(self, seed):
+        with pytest.raises(ConfigError):
+            ResilienceParams(chaos_seed=seed).validate()
 
 
 class TestGeometricMean:

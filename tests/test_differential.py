@@ -22,7 +22,7 @@ from collections import Counter
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.config import GPUParams
+from repro.config import ACOParams, GPUParams
 from repro.aco.sequential import SequentialACOScheduler
 from repro.ddg import DDG
 from repro.machine import amd_vega20
@@ -53,8 +53,8 @@ GOLDEN_REGIONS = [
 
 def _run(backend, ddg, seed, telemetry=None, strategy="as"):
     scheduler = ParallelACOScheduler(
-        amd_vega20(), gpu_params=GPU, backend=backend, telemetry=telemetry,
-        strategy=strategy,
+        amd_vega20(), params=ACOParams(strategy=strategy), gpu_params=GPU,
+        backend=backend, telemetry=telemetry,
     )
     return scheduler.schedule(ddg, seed=seed)
 

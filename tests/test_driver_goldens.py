@@ -34,7 +34,7 @@ import sys
 import pytest
 
 from repro.aco import SequentialACOScheduler
-from repro.config import GPUParams
+from repro.config import ACOParams, GPUParams
 from repro.ddg import DDG
 from repro.errors import DeviceHangError
 from repro.experiments.common import SCALES
@@ -76,15 +76,15 @@ def _scheduler(engine, telemetry):
     machine = amd_vega20()
     if engine == "sequential":
         return SequentialACOScheduler(
-            machine, telemetry=telemetry, verify=False, strategy="as"
+            machine, params=ACOParams(strategy="as"), telemetry=telemetry, verify=False
         )
     return ParallelACOScheduler(
         machine,
+        params=ACOParams(strategy="as"),
         gpu_params=GPUParams(blocks=1),
         telemetry=telemetry,
         verify=False,
         backend=engine,
-        strategy="as",
     )
 
 

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.config import FleetParams
+from repro.config import FleetParams, replace_params
 from repro.errors import GPUSimError, WorkerCrash, WorkerHang
 from repro.fleet import FleetSupervisor, HOST_WORKER, ShardWorker, outcome_digest
+from repro.fleet.supervisor import HEARTBEAT_SECONDS, MAX_SLOT_REDISPATCHES
 from repro.fleet.chaos import batches_identical, fleet_items, fleet_scheduler
 from repro.fleet.worker import _corrupt
 from repro.gpusim.faults import FaultPlan
@@ -93,10 +94,7 @@ class TestCrashRecovery:
         assert fleet.worker_faults["worker_hang"] == 4
         # Each hanged epoch costs one missed heartbeat on top of the
         # serial host rescue.
-        params = FleetParams()
-        assert fleet.fleet_seconds >= (
-            fleet.serial_seconds + 2 * params.heartbeat_seconds
-        )
+        assert fleet.fleet_seconds >= fleet.serial_seconds + 2 * HEARTBEAT_SECONDS
         assert batches_identical(single, fleet.batch)
 
     def test_straggler_demotion_after_restart_backoff(
@@ -118,12 +116,11 @@ class TestCorruptionRecovery:
     ):
         plan = FaultPlan(seed=1, rates={"worker_corrupt": 1.0})
         fleet = _supervise(machine, items, 2, worker_faults=plan)
-        params = FleetParams()
         # Workers survive corruption, so every slot burns its whole
         # re-dispatch budget before the host rescues it.
         assert fleet.restarts == 0
         assert fleet.worker_faults["worker_corrupt"] == (
-            len(items) * params.max_slot_redispatches
+            len(items) * MAX_SLOT_REDISPATCHES
         )
         assert fleet.host_fallback_regions == len(items)
         assert batches_identical(single, fleet.batch)
@@ -188,3 +185,34 @@ class TestTelemetry:
         assert reassigns
         # The final reassignments hand everything to the host.
         assert reassigns[-1]["from_worker"] == HOST_WORKER
+
+
+class TestMaxMinStrategy:
+    """MMAS reaches the batch and fleet paths through ACOParams alone."""
+
+    @staticmethod
+    def _mmas_scheduler(machine, sink):
+        base = fleet_scheduler(machine)
+        return type(base)(
+            machine,
+            params=replace_params(base.params, strategy="mmas"),
+            gpu_params=base.gpu_params,
+            telemetry=Telemetry(sink=sink),
+        )
+
+    def test_mmas_batch_and_fleet_are_bit_identical(self, machine, items):
+        assert len(items) == 4
+        sink = MemorySink()
+        single = self._mmas_scheduler(machine, sink).schedule_batch(items)
+        launches = sink.by_type("kernel_launch")
+        assert launches and all(r["strategy"] == "mmas" for r in launches)
+
+        fleet_sink = MemorySink()
+        fleet = FleetSupervisor(
+            self._mmas_scheduler(machine, fleet_sink), FleetParams(num_shards=2)
+        ).schedule_batch(items)
+        assert {d["worker"] for d in fleet_sink.by_type("shard_dispatch")} == {0, 1}
+        fleet_launches = fleet_sink.by_type("kernel_launch")
+        assert fleet_launches
+        assert all(r["strategy"] == "mmas" for r in fleet_launches)
+        assert batches_identical(single, fleet.batch)

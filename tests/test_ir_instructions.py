@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import IRError
 from repro.ir.instructions import (
+    MAX_LATENCY,
     OPCODES,
     Instruction,
     Opcode,
@@ -43,6 +44,11 @@ class TestOpcode:
         with pytest.raises(IRError):
             Opcode("bad", -1)
 
+    def test_latency_above_bound_rejected(self):
+        assert Opcode("slowest", MAX_LATENCY).latency == MAX_LATENCY
+        with pytest.raises(IRError):
+            Opcode("bad", MAX_LATENCY + 1)
+
     def test_empty_name_rejected(self):
         with pytest.raises(IRError):
             Opcode("", 1)
@@ -71,6 +77,11 @@ class TestInstruction:
     def test_label(self):
         assert Instruction(3, opcode("v_add")).label == "i3"
         assert Instruction(3, opcode("v_add"), name="X").label == "X"
+
+    @pytest.mark.parametrize("latency", [MAX_LATENCY + 1, 3_000_000_000, 10**20])
+    def test_latency_above_bound_rejected(self, latency):
+        with pytest.raises(IRError):
+            Instruction(0, opcode("v_add"), latency=latency)
 
     def test_negative_index_rejected(self):
         with pytest.raises(IRError):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import ParseError
-from repro.ir import format_region, format_schedule, parse_region
+from repro.ir import MAX_LATENCY, format_region, format_schedule, parse_region
 from repro.ir.builder import figure1_region
 from repro.schedule import Schedule
 
@@ -58,6 +58,11 @@ class TestParseRegion:
             "region t\na: nosuchop defs(v0)\nend",
             "region t\na: op1 defs(zz)\nend",
             "region \nend",
+            # Latencies past MAX_LATENCY once overflowed the int32 device
+            # image or exhausted memory in the verifier's per-cycle arrays.
+            "region t\na: op1 defs(v0) lat=%d\nend" % (MAX_LATENCY + 1),
+            "region t\na: op1 defs(v0)\nb: op1 uses(v0) lat=3000000000\nend",
+            "region t\na: op1 defs(v0) lat=100000000000000000000\nend",
         ],
     )
     def test_errors(self, text):
@@ -71,6 +76,15 @@ class TestParseRegion:
             assert exc.line == 2
         else:
             pytest.fail("expected ParseError")
+
+    def test_latency_bound_carries_line_number(self):
+        text = "region t\na: op1 defs(v0)\nb: op1 uses(v0) lat=3000000000\nend\n"
+        with pytest.raises(ParseError) as info:
+            parse_region(text)
+        assert info.value.line == 3
+        assert str(MAX_LATENCY) in str(info.value)
+        limit = "region t\na: op1 defs(v0)\nb: op1 uses(v0) lat=%d\nend\n" % MAX_LATENCY
+        assert parse_region(limit)[1].latency == MAX_LATENCY
 
     def test_live_in_parsed(self):
         text = "region t\nlive_in: s4\na: op1 defs(v0) uses(s4)\nend\n"

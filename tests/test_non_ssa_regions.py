@@ -18,7 +18,7 @@ from repro.heuristics import AMDMaxOccupancyScheduler, CriticalPathHeuristic, li
 from repro.ir import RegionBuilder
 from repro.ir.registers import VGPR
 from repro.machine import amd_vega20, simple_test_target
-from repro.parallel import Colony, DivergencePolicy, ParallelACOScheduler, RegionDeviceData
+from repro.parallel import DivergencePolicy, ParallelACOScheduler, RegionDeviceData, VectorizedColony
 from repro.rp import PressureTracker, peak_pressure
 from repro.schedule import validate_schedule
 
@@ -103,8 +103,8 @@ class TestPressureOnNonSSA:
         colonies' static def count previews 3."""
         vega = amd_vega20()
         ddg = DDG(redefinition_region)
-        policy = DivergencePolicy.from_params(GPUParams(blocks=1))
-        colony = Colony(
+        policy = DivergencePolicy.from_params(GPUParams(blocks=1), GPUDevice().wavefront_size)
+        colony = VectorizedColony(
             RegionDeviceData(ddg, vega),
             ACOParams(),
             policy,

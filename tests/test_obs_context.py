@@ -159,7 +159,7 @@ class TestSchedulerCorrelation:
         )
         outcome = schedule_with_resilience(
             scheduler, ddg, 5,
-            ResilienceParams(enabled=True, max_retries=2),
+            ResilienceParams(max_retries=2),
             telemetry=tele,
             fault_plan=FaultPlan(seed=3, rates={"launch": 1.0}),
         )

@@ -62,7 +62,7 @@ def chaotic():
     )
     schedule_with_resilience(
         scheduler, ddg, 5,
-        ResilienceParams(enabled=True, max_retries=1),
+        ResilienceParams(max_retries=1),
         telemetry=tele,
         fault_plan=FaultPlan(seed=3, rates={"launch": 1.0}),
     )

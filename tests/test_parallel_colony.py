@@ -12,7 +12,7 @@ from repro.errors import ConfigError
 from repro.gpusim import GPUDevice, KernelAccounting
 from repro.ir.registers import VGPR
 from repro.machine import amd_vega20, simple_test_target
-from repro.parallel import Colony, DivergencePolicy, ParallelACOScheduler, RegionDeviceData
+from repro.parallel import DivergencePolicy, ParallelACOScheduler, RegionDeviceData, VectorizedColony
 from repro.rp import PressureTracker, peak_pressure
 from repro.schedule import Schedule, validate_schedule
 
@@ -22,10 +22,10 @@ from strategies import ddgs
 def _make_colony(ddg, machine, blocks=2, seed=0, aco=None, **gpu_overrides):
     gpu = GPUParams(blocks=blocks, **gpu_overrides)
     params = aco or ACOParams()
-    policy = DivergencePolicy.from_params(gpu)
+    policy = DivergencePolicy.from_params(gpu, GPUDevice().wavefront_size)
     data = RegionDeviceData(ddg, machine, tight_ready_bound=gpu.tight_ready_list_bound)
     accounting = KernelAccounting(GPUDevice(), policy.num_wavefronts, coalesced=True)
-    colony = Colony(data, params, policy, accounting, seed)
+    colony = VectorizedColony(data, params, policy, accounting, seed)
     return colony, data, params
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from repro.config import GPUParams
 from repro.ddg import DDG, TransitiveClosure
 from repro.machine import amd_vega20
-from repro.parallel import DivergencePolicy, RegionDeviceData
+from repro.parallel import AntRngStreams, DivergencePolicy, RegionDeviceData
 
 from strategies import ddgs, non_ssa_regions
 
@@ -100,7 +100,7 @@ class TestRegionDeviceData:
 class TestDivergencePolicy:
     def _policy(self, **overrides):
         gpu = GPUParams(blocks=8, **overrides)
-        return DivergencePolicy.from_params(gpu)
+        return DivergencePolicy.from_params(gpu, wavefront_size=64)
 
     def test_from_params(self):
         policy = self._policy()
@@ -129,14 +129,15 @@ class TestDivergencePolicy:
 
     def test_wavefront_level_draw_uniform_within_wavefront(self):
         policy = self._policy(wavefront_level_choice=True)
-        draw = policy.exploit_draw(np.random.default_rng(0), q0=0.5)
+        draw = policy.exploit_draw_streams(AntRngStreams(0, policy.num_ants), q0=0.5)
         blocks = draw.reshape(8, 64)
+        assert 0 < blocks[:, 0].sum() < 8
         for row in blocks:
             assert row.all() or not row.any()
 
     def test_thread_level_draw_varies_within_wavefront(self):
         policy = self._policy(wavefront_level_choice=False)
-        draw = policy.exploit_draw(np.random.default_rng(0), q0=0.5)
+        draw = policy.exploit_draw_streams(AntRngStreams(0, policy.num_ants), q0=0.5)
         blocks = draw.reshape(8, 64)
         assert any(0 < row.sum() < 64 for row in blocks)
 

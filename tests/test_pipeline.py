@@ -62,7 +62,7 @@ class TestInvocationFilter:
 
 class TestPostSchedulingFilter:
     def _filter(self):
-        return PostSchedulingFilter(FilterParams())
+        return PostSchedulingFilter()
 
     def test_keeps_strict_improvement(self):
         assert self._filter().keep_aco(10, 90, 8, 100)

@@ -18,7 +18,6 @@ from repro.gpusim.faults import (
     DEFAULT_CHAOS_RATES,
     FAULT_CLASSES,
     FaultPlan,
-    FaultyDevice,
 )
 from repro.machine import amd_vega20
 from repro.pipeline import CompilePipeline
@@ -81,35 +80,34 @@ class TestFaultPlan:
         assert FaultPlan.from_seed(7).rates == DEFAULT_CHAOS_RATES
 
 
-class TestFaultyDevice:
-    def _faulty(self, rates):
-        return FaultyDevice(GPUDevice(), FaultPlan(seed=1, rates=rates))
+class TestFaultPlanChecks:
+    LAUNCH_SECONDS = GPUDevice().cost.launch_overhead
 
     def test_launch_failure_costs_the_launch(self):
-        faulty = self._faulty({"launch": 1.0})
+        plan = FaultPlan(seed=1, rates={"launch": 1.0})
         with pytest.raises(KernelLaunchError) as info:
-            faulty.check_launch("r", 1, 0)
-        assert info.value.seconds == faulty.device.cost.launch_overhead
+            plan.check_launch("r", 1, 0, self.LAUNCH_SECONDS)
+        assert info.value.seconds == self.LAUNCH_SECONDS
         assert info.value.fault_class == "launch"
 
     def test_oom_before_any_launch(self):
-        faulty = self._faulty({"oom": 1.0})
+        plan = FaultPlan(seed=1, rates={"oom": 1.0})
         with pytest.raises(DeviceOOMError) as info:
-            faulty.check_preallocation("r", 0, requested_bytes=4096)
+            plan.check_preallocation("r", 0, requested_bytes=4096)
         assert info.value.seconds == 0.0
 
     def test_corruption_is_silent_until_copy_back(self):
-        faulty = self._faulty({"corruption": 1.0})
+        plan = FaultPlan(seed=1, rates={"corruption": 1.0})
         # The fault layer only reports the corruption; raising
         # CorruptionDetected at copy-back is the scheduler's job.
-        assert faulty.transfer_corrupted("r", 1, 0)
+        assert plan.transfer_corrupted("r", 1, 0)
 
     def test_clean_device_passes_everything(self):
-        faulty = self._faulty({})
-        faulty.check_launch("r", 1, 0)
-        faulty.check_preallocation("r", 0)
-        assert not faulty.transfer_corrupted("r", 1, 0)
-        assert faulty.hang_iteration("r", 1, 0) is None
+        plan = FaultPlan(seed=1)
+        plan.check_launch("r", 1, 0, self.LAUNCH_SECONDS)
+        plan.check_preallocation("r", 0)
+        assert not plan.transfer_corrupted("r", 1, 0)
+        assert plan.hang_iteration("r", 1, 0) is None
 
 
 class TestExceptionTaxonomy:
@@ -154,8 +152,7 @@ class TestEnvironment:
         assert not ResilienceParams().active
         assert ResilienceParams(deadline_seconds=1.0).active
         assert ResilienceParams(chaos_seed=1).active
-        assert ResilienceParams(enabled=True).active
-        assert not ResilienceParams(chaos_seed=1, enabled=False).active
+        assert not ResilienceParams(max_retries=5, degrade=False).active
 
 
 class TestDeadlineBudget:

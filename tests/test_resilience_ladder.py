@@ -66,30 +66,32 @@ class TestRungs:
     @pytest.mark.parametrize(
         "base_kw",
         [
-            {"strategy": "mmas"},
-            {"strategy": "mmas", "backend": "loop"},
-            {"gpu_params": GPUParams(blocks=4, strategy="mmas")},
+            {},
+            {"backend": "loop"},
+            {"gpu_params": GPUParams(blocks=4)},
         ],
-        ids=["argument", "loop-entry", "gpu-params"],
+        ids=["vectorized-entry", "loop-entry", "gpu-params"],
     )
     def test_degraded_rungs_keep_the_configuration(self, machine, base_kw):
-        """Every engine rung runs the base scheduler's resolved strategy
-        and verify flag: degrading a region to another engine must not
-        switch MMAS back to the Ant System."""
-        base = ParallelACOScheduler(machine, verify=True, **base_kw)
-        assert base.strategy_name == "mmas"
+        """Every engine rung runs the base scheduler's parameters (and so
+        its strategy), device settings and verify flag: degrading a region
+        to another engine must not switch MMAS back to the Ant System."""
+        params = ACOParams(strategy="mmas")
+        base = ParallelACOScheduler(machine, params=params, verify=True, **base_kw)
         for rung in ladder_rungs(base)[:-1]:
             engine = _scheduler_for_rung(base, rung)
             assert engine.backend == rung
-            assert engine.strategy_name == "mmas", rung
+            assert engine.params is params, rung
             assert engine.verify_enabled, rung
+            if rung != "sequential":
+                assert engine.gpu_params is base.gpu_params, rung
 
 
 class TestLadder:
     def test_clean_run_single_attempt(self, machine, ddg):
         tele = counting()
         outcome = schedule_with_resilience(
-            parallel(machine, telemetry=tele), ddg, 5, ResilienceParams(enabled=True)
+            parallel(machine, telemetry=tele), ddg, 5, ResilienceParams()
         )
         assert outcome.clean
         assert outcome.rung == "vectorized"
@@ -103,7 +105,7 @@ class TestLadder:
         aggregating = AggregatingSink()
         outcome = schedule_with_resilience(
             parallel(machine, telemetry=Telemetry(sink=TeeSink(sink, aggregating))),
-            ddg, 5, ResilienceParams(enabled=True, max_retries=1),
+            ddg, 5, ResilienceParams(max_retries=1),
             fault_plan=FaultPlan(seed=1, rates={"launch": 1.0}),
         )
         assert outcome.result is not None
@@ -125,7 +127,7 @@ class TestLadder:
     def test_oom_rescued_by_sequential(self, machine, ddg):
         outcome = schedule_with_resilience(
             parallel(machine), ddg, 5,
-            ResilienceParams(enabled=True, max_retries=0),
+            ResilienceParams(max_retries=0),
             fault_plan=FaultPlan(seed=1, rates={"oom": 1.0}),
         )
         assert outcome.result is not None
@@ -136,7 +138,7 @@ class TestLadder:
         tele = counting()
         outcome = schedule_with_resilience(
             parallel(machine, telemetry=tele), ddg, 5,
-            ResilienceParams(enabled=True, max_retries=2),
+            ResilienceParams(max_retries=2),
             fault_plan=FaultPlan(seed=1, rates={"hang": 1.0}),
         )
         assert outcome.result is not None
@@ -145,7 +147,7 @@ class TestLadder:
         validate_schedule(outcome.result.schedule, ddg, machine)
 
     def test_no_degrade_raises_unrecoverable(self, machine, ddg):
-        resilience = ResilienceParams(enabled=True, max_retries=1, degrade=False)
+        resilience = ResilienceParams(max_retries=1, degrade=False)
         with pytest.raises(RegionUnrecoverable) as info:
             schedule_with_resilience(
                 parallel(machine), ddg, 5, resilience,
@@ -159,7 +161,7 @@ class TestLadder:
         rungs — no attempt can succeed with an exhausted budget."""
         launch_cost = parallel(machine).device.cost.launch_overhead
         resilience = ResilienceParams(
-            enabled=True, max_retries=0, deadline_seconds=launch_cost * 0.5
+            max_retries=0, deadline_seconds=launch_cost * 0.5
         )
         tele = counting()
         outcome = schedule_with_resilience(
@@ -176,7 +178,7 @@ class TestLadder:
         attempt number is part of the fault site."""
         outcome = schedule_with_resilience(
             parallel(machine), ddg, 5,
-            ResilienceParams(enabled=True, max_retries=3),
+            ResilienceParams(max_retries=3),
             fault_plan=FaultPlan(seed=12, rates={"launch": 0.5}),
         )
         assert outcome.result is not None
@@ -193,12 +195,12 @@ class TestPipeline:
         )
 
     def test_fault_free_ladder_is_bit_identical(self, machine):
-        """Resilience enabled but no faults/deadline: every region's
-        outcome matches the plain pipeline exactly."""
+        """The ladder armed by a deadline that never binds, no faults:
+        every region's outcome matches the plain pipeline exactly."""
         regions = [DDG(make_region("reduce", s, 12 + s)) for s in range(3)]
         plain = self._pipeline(machine)
         tele = counting()
-        laddered = self._pipeline(machine, ResilienceParams(enabled=True), tele)
+        laddered = self._pipeline(machine, ResilienceParams(deadline_seconds=1e9), tele)
         for ddg in regions:
             a = plain.compile_region(ddg, seed=7)
             b = laddered.compile_region(ddg, seed=7)
@@ -211,7 +213,7 @@ class TestPipeline:
 
     def test_chaos_compile_ships_every_region(self, machine):
         """Under heavy chaos every region still gets a legal schedule."""
-        resilience = ResilienceParams(enabled=True, chaos_seed=42, max_retries=2)
+        resilience = ResilienceParams(chaos_seed=42, max_retries=2)
         pipeline = self._pipeline(machine, resilience)
         for s in range(3):
             ddg = DDG(make_region("sort", s, 12 + s))
@@ -234,7 +236,6 @@ class TestPipeline:
         )
         launch_cost = parallel(machine).device.cost.launch_overhead
         resilience = ResilienceParams(
-            enabled=True,
             max_retries=0,
             deadline_seconds=launch_cost * 0.5,
             chaos_seed=1,
@@ -252,7 +253,7 @@ class TestPipeline:
         """degrade=False + guaranteed faults -> UNRECOVERABLE decision,
         heuristic schedule still shipped."""
         resilience = ResilienceParams(
-            enabled=True, max_retries=0, degrade=False, chaos_seed=1
+            max_retries=0, degrade=False, chaos_seed=1
         )
         tele = counting()
         pipeline = self._pipeline(machine, resilience, tele)
@@ -302,7 +303,9 @@ class TestMultiRegionBatches:
 
     def test_resilient_batch_rescues_every_region(self, machine):
         plan = FaultPlan(seed=1, rates={"launch": 1.0})
-        resilience = ResilienceParams(enabled=True, max_retries=1)
+        # The chaos seed arms the ladder; the explicit plan overrides the
+        # seed's default-rate plan.
+        resilience = ResilienceParams(chaos_seed=1, max_retries=1)
         tele = counting()
         batch = MultiRegionScheduler(machine, telemetry=tele).schedule_batch(
             self._items(), fault_plan=plan, resilience=resilience
@@ -321,7 +324,7 @@ class TestMultiRegionBatches:
         serial host time and the device slots batch as usual. The times
         are pinned to the bit."""
         plan = FaultPlan(seed=1, rates={"oom": 0.6})
-        resilience = ResilienceParams(enabled=True, max_retries=0)
+        resilience = ResilienceParams(chaos_seed=1, max_retries=0)
         batch = MultiRegionScheduler(machine).schedule_batch(
             self._items(), fault_plan=plan, resilience=resilience
         )

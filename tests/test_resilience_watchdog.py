@@ -10,6 +10,7 @@ from repro.gpusim.faults import FaultPlan
 from repro.machine import amd_vega20
 from repro.obs import AggregatingSink
 from repro.parallel import ParallelACOScheduler
+from repro.parallel.scheduler import HANG_SECONDS
 from repro.resilience.watchdog import DeadlineBudget
 from repro.schedule import validate_schedule
 from repro.telemetry import MemorySink, Telemetry
@@ -93,7 +94,7 @@ class TestWatchdog:
         assert exc.checkpoint.region == ddg.region.name
         assert exc.seconds > 0.0
         # The hang burned real budget: at least the heartbeat timeout.
-        assert budget.spent >= plan.hang_seconds
+        assert budget.spent >= HANG_SECONDS
 
     def test_hang_checkpoint_names_engine(self, machine, ddg):
         scheduler = parallel(machine)
@@ -103,7 +104,9 @@ class TestWatchdog:
         cp = info.value.checkpoint
         assert cp.backend == scheduler.backend
         assert cp.seed == 5
-        assert cp.num_ants == scheduler.gpu_params.total_threads
+        assert cp.num_ants == scheduler.gpu_params.total_threads(
+            scheduler.device.wavefront_size
+        )
 
     def test_fault_free_run_ignores_plan(self, machine, ddg):
         """An all-zero-rate plan must not perturb the schedule at all."""

@@ -142,11 +142,11 @@ class TestStrategyRegistry:
             resolve_strategy("acs")
 
     def test_mmas_requires_decay_below_one(self):
-        params = ACOParams(decay=1.0)
-        with pytest.raises(ConfigError):
-            make_strategy("mmas", params, 4)
+        # The strategy is read only from ACOParams, so its validation is
+        # the one decay check MMAS needs.
         with pytest.raises(ConfigError):
             ACOParams(strategy="mmas", decay=1.0).validate()
+        ACOParams(decay=1.0).validate()  # the Ant System tolerates no decay
 
     def test_as_params_reject_bad_mmas_knobs(self):
         with pytest.raises(ConfigError):
@@ -159,7 +159,7 @@ class TestStrategyRegistry:
     def test_ant_system_update_matches_decay_plus_deposit(self):
         params = ACOParams()
         n = 6
-        strategy = make_strategy("as", params, n)
+        strategy = make_strategy(params, n)
         table = PheromoneTable(n, params)
         reference = table.copy()
         order = tuple(range(n))
