@@ -214,7 +214,8 @@ def construct_cycles(
         # Candidates that would push the peak past the target doom the ant
         # with certainty (the peak never recedes); restrict selection to the
         # safe ones — a pure pruning of the terminate-on-violation rule.
-        safe = [i for i in ready if tracker.excess_if_scheduled(i, target_pressure) <= 0]
+        excesses = [tracker.excess_if_scheduled(i, target_pressure) for i in ready]
+        safe = [i for i, excess in zip(ready, excesses) if excess <= 0]
         stall_capable = (
             allow_optional_stalls
             and pending
@@ -232,7 +233,7 @@ def construct_cycles(
         if stall_capable:
             if stall_heuristic.should_stall(
                 tracker,
-                ready,
+                min(excesses),
                 [i for _r, i in pending],
                 target_pressure,
                 stats.optional_stalls,

@@ -38,7 +38,7 @@ class OptionalStallHeuristic:
     def should_stall(
         self,
         tracker: PressureTracker,
-        ready: Sequence[int],
+        best_ready: int,
         semi_ready: Sequence[int],
         target: Dict[RegisterClass, int],
         stalls_so_far: int,
@@ -46,13 +46,13 @@ class OptionalStallHeuristic:
     ) -> bool:
         """True if the ant should burn this cycle waiting (optional stall).
 
-        ``ready`` and ``semi_ready`` are instruction indices; pressure
-        impact is :meth:`PressureTracker.excess_if_scheduled` over ``target``.
+        ``best_ready`` is the least pressure impact among the (non-empty)
+        ready list, which the ant has already previewed to find its safe
+        candidates; ``semi_ready`` are instruction indices. Pressure impact
+        is :meth:`PressureTracker.excess_if_scheduled` over ``target``.
         """
-        if not ready or not semi_ready:
-            return False  # nothing to trade off (empty ready = necessary stall)
-
-        best_ready = min(tracker.excess_if_scheduled(i, target) for i in ready)
+        if not semi_ready:
+            return False  # nothing to trade off
         if best_ready < 0:
             return False  # something schedulable stays strictly under target
 

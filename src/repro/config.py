@@ -39,6 +39,20 @@ SIZE_CLASS_LABELS: Tuple[str, ...] = ("1-49", "50-99", ">=100")
 STRATEGY_NAMES: Tuple[str, ...] = ("as", "mmas")
 
 
+def _is_count(value) -> bool:
+    """An integral count: an int or NumPy integer, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_counts(params, *names: str) -> None:
+    """:class:`ConfigError` unless each named field of ``params`` is a count;
+    a float count passes the range checks but crashes where it is used."""
+    for name in names:
+        value = getattr(params, name)
+        if not _is_count(value):
+            raise ConfigError("%s must be an integer, got %r" % (name, value))
+
+
 def size_class_index(num_instructions: int) -> int:
     """Return the index of the size class containing ``num_instructions``."""
     for index, (low, high) in enumerate(SIZE_CLASSES):
@@ -122,8 +136,17 @@ class ACOParams:
             raise ConfigError(
                 "termination_conditions needs %d entries" % len(SIZE_CLASSES)
             )
+        if not all(_is_count(t) for t in self.termination_conditions):
+            raise ConfigError(
+                "termination conditions must be integers, got %r"
+                % (self.termination_conditions,)
+            )
         if not all(t >= 1 for t in self.termination_conditions):
             raise ConfigError("termination conditions must be >= 1")
+        _check_counts(
+            self, "sequential_ants", "max_iterations", "mmas_patience",
+            "mmas_reinit_stagnation",
+        )
         if not self.sequential_ants >= 1:
             raise ConfigError("sequential_ants must be >= 1")
         if not self.max_iterations >= 1:
@@ -196,6 +219,7 @@ class GPUParams:
         return self.blocks * wavefront_size
 
     def validate(self) -> None:
+        _check_counts(self, "blocks")
         if not self.blocks >= 1:
             raise ConfigError("blocks must be >= 1")
         if not 0.0 <= self.stall_wavefront_fraction <= 1.0:
@@ -277,6 +301,7 @@ class ResilienceParams:
     def validate(self) -> None:
         if self.deadline_seconds is not None and not float(self.deadline_seconds) > 0.0:
             raise ConfigError("deadline_seconds must be positive (or None)")
+        _check_counts(self, "max_retries")
         if not self.max_retries >= 0:
             raise ConfigError("max_retries must be >= 0")
         if self.chaos_seed is not None and (
@@ -305,6 +330,7 @@ class FleetParams:
     num_shards: int = 1
 
     def validate(self) -> None:
+        _check_counts(self, "num_shards")
         if not self.num_shards >= 1:
             raise ConfigError("num_shards must be >= 1")
 
@@ -326,6 +352,7 @@ class SuiteParams:
     seed: int = 2024
 
     def validate(self) -> None:
+        _check_counts(self, "num_benchmarks", "num_kernels", "regions_per_kernel")
         if min(self.num_benchmarks, self.num_kernels, self.regions_per_kernel) < 1:
             raise ConfigError("suite parameters must be >= 1")
 

@@ -87,14 +87,14 @@ class KernelAccounting:
 
     # -- per-lane charging (the divergent, serialized execution model) -------
 
-    def _lane_sum(self, lanes) -> np.ndarray:
+    def serialize_lanes(self, lanes) -> np.ndarray:
         """Collapse a ``(wavefronts, lanes)`` charge by serializing lanes.
 
         A fully divergent kernel executes one lane's work while its
         wavefront's other lanes wait, so a wavefront's cost is the *sum* of
-        its lanes — versus the lockstep primitives above, where uniform
-        work costs each wavefront a single (or wave-max) execution. The
-        loop backend charges through these; the ratio between the two
+        its lanes — versus the lockstep charges, where uniform work costs
+        each wavefront a single (or wave-max) execution. The loop backend
+        charges its per-lane work through this; the ratio between the two
         models is the speedup ``BENCH_backend.json`` records.
         """
         lanes = np.asarray(lanes, dtype=np.float64)
@@ -104,18 +104,6 @@ class KernelAccounting:
                 % (lanes.shape,)
             )
         return lanes.sum(axis=1)
-
-    def charge_lane_compute(self, ops) -> None:
-        """Per-lane ALU work, serialized within each wavefront."""
-        self.charge_compute(self._lane_sum(ops))
-
-    def charge_lane_memory(self, words) -> None:
-        """Per-lane state accesses, serialized within each wavefront."""
-        self.charge_memory(self._lane_sum(words))
-
-    def charge_lane_alloc(self, allocations) -> None:
-        """Per-lane dynamic allocations, serialized within each wavefront."""
-        self.charge_alloc(self._lane_sum(allocations))
 
     def charge_uniform_cycles(self, cycles: float) -> None:
         """The same cycle cost on every wavefront (reductions, sync)."""

@@ -21,7 +21,7 @@ Two properties make it the differential-testing reference:
 
 * **Divergent cost model.** The loop engine charges the *unoptimized*
   kernel's cost: every lane's work is serialized within its wavefront
-  (sum over lanes, via ``KernelAccounting.charge_lane_*``) instead of
+  (sum over lanes, via ``KernelAccounting.serialize_lanes``) instead of
   running in lockstep (max over lanes). The committed
   ``BENCH_backend.json`` baseline quantifies the resulting gap — the
   paper's Section V argument, reproduced as a measurement.
@@ -29,7 +29,7 @@ Two properties make it the differential-testing reference:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -273,19 +273,20 @@ class LoopColony(VectorizedColony):
 
     # -- accounting: the divergent serialized-lane model ---------------------
 
-    def _charge_step(
+    def _step_charge(
         self,
         active: np.ndarray,
         scan: np.ndarray,
         doers: np.ndarray,
         chosen: np.ndarray,
-        stalling: Optional[np.ndarray] = None,
-    ) -> None:
-        """Charge every lane's work, serialized within its wavefront.
+        stalling: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every lane's work, serialized within its wavefront.
 
         Same per-lane operation counts as the vectorized engine, but summed
-        over lanes (``charge_lane_*``) instead of wave-maxed: a divergent
-        kernel executes one lane's step while the other 63 wait.
+        over lanes (``KernelAccounting.serialize_lanes``) instead of
+        wave-maxed: a divergent kernel executes one lane's step while the
+        other 63 wait.
         """
         d = self.data
         lane_scan = np.where(active, scan, 0).astype(np.float64)
@@ -306,8 +307,6 @@ class LoopColony(VectorizedColony):
             wave_stall = stalling.reshape(self.num_wavefronts, -1).any(axis=1)
             wave_sched = doers.reshape(self.num_wavefronts, -1).any(axis=1)
             self.serialized_stall_waves += int((wave_stall & wave_sched).sum())
-        self.accounting.charge_lane_compute(ops.reshape(self.num_wavefronts, -1))
-
         words = np.where(
             active,
             _STATE_WORDS_BASE
@@ -317,5 +316,10 @@ class LoopColony(VectorizedColony):
             + d.defs.shape[1],
             0.0,
         )
-        self.accounting.charge_lane_memory(words.reshape(self.num_wavefronts, -1))
-        self.accounting.charge_lane_alloc(succ.reshape(self.num_wavefronts, -1))
+        lanes = self.accounting.serialize_lanes
+        waves = self.num_wavefronts
+        return (
+            lanes(ops.reshape(waves, -1)),
+            lanes(words.reshape(waves, -1)),
+            lanes(succ.reshape(waves, -1)),
+        )

@@ -28,7 +28,9 @@ The per-step draw discipline shared by both backends:
 pass 1 exploit decision (leader stream per wavefront, or every ant's
        stream at thread level), then one roulette draw per ant
 pass 2 one stall draw per ant (only on steps where any ant considers a
-       stall), then the pass-1 sequence
+       stall), then the pass-1 sequence; a cycle the colony jumps because
+       no active ant can issue considers no stall, so it draws only the
+       pass-1 sequence
 ====== =====================================================================
 
 Every ant draws on every step it is charged for — including exploiting

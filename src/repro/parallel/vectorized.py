@@ -38,6 +38,14 @@ Dead ants (pressure-constraint violations) and finished lanes stay in
 lockstep as inactive lanes — they occupy their wavefront's slot without
 contributing, exactly like masked-off GPU lanes — until the wavefront
 finishes or early termination retires it.
+
+A pass-2 cycle in which no active ant holds a released candidate is a
+necessary stall for every lane, and so is each cycle after it until the
+earliest pending release. The driver jumps straight to that release, like
+the sequential ant does. The jumped cycles skip the pressure preview and
+scoring, but each one still consumes its exploit and roulette draws, adds
+its charge, and runs the sanitizer's per-step checks, so draws, modeled
+seconds and step counts are unchanged (see ``_idle_cycles``).
 """
 
 from __future__ import annotations
@@ -472,6 +480,24 @@ class VectorizedColony:
         chosen: np.ndarray,
         stalling: Optional[np.ndarray] = None,
     ) -> None:
+        self._charge(self._step_charge(active, scan, doers, chosen, stalling))
+
+    def _charge(self, charge: Tuple[np.ndarray, np.ndarray, np.ndarray]) -> None:
+        """Add one step's per-wavefront ``(ops, words, allocations)``."""
+        ops, words, allocations = charge
+        self.accounting.charge_compute(ops)
+        self.accounting.charge_memory(words)
+        self.accounting.charge_alloc(allocations)
+
+    def _step_charge(
+        self,
+        active: np.ndarray,
+        scan: np.ndarray,
+        doers: np.ndarray,
+        chosen: np.ndarray,
+        stalling: Optional[np.ndarray],
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One lockstep step's per-wavefront charge: wave-max lane work."""
         d = self.data
         waves = self.num_wavefronts
         scan_max = self._wave_max(scan, active)
@@ -495,8 +521,6 @@ class VectorizedColony:
             serialized = wave_stall & wave_sched
             ops += _STALL_PATH_OPS * serialized
             self.serialized_stall_waves += int(serialized.sum())
-        self.accounting.charge_compute(ops)
-
         words = np.where(
             wave_active,
             _STATE_WORDS_BASE
@@ -506,8 +530,7 @@ class VectorizedColony:
             + d.defs.shape[1],
             0.0,
         )
-        self.accounting.charge_memory(words)
-        self.accounting.charge_alloc(succ_max)
+        return ops, words, succ_max
 
     # -- cost evaluation ------------------------------------------------------------
 
@@ -604,6 +627,37 @@ class VectorizedColony:
         prob = np.where(ready_excess > 0, budget, self.params.optional_stall_prob * budget)
         return helpful & (self.streams.uniform_ants() < prob)
 
+    def _idle_cycles(self, cycles: int) -> None:
+        """Run ``cycles`` pass-2 steps in which no active lane can issue.
+
+        Such a step changes no ant's state. It considers no stall, so it
+        draws no stall value, but it still draws the exploit decisions and
+        the roulette values, and it still charges every active lane a
+        stall. That charge is the same on every one of these steps, so it
+        is computed once, then added step by step (float sums depend on
+        their order). The sanitizer audits every step, as it would have.
+        """
+        self._divergent_selection = np.zeros(self.num_wavefronts, dtype=bool)
+        charge = self._step_charge(
+            self.active,
+            np.zeros(self.num_ants, dtype=np.int64),
+            np.zeros(self.num_ants, dtype=bool),
+            np.full(self.num_ants, -1),
+            stalling=self.active,
+        )
+        for _ in range(cycles):
+            exploit = self.policy.exploit_draw_streams(
+                self.streams, self.params.exploitation_prob
+            )
+            if self.sanitizer is not None and self.policy.wavefront_level_choice:
+                self.sanitizer.check_exploit_uniform(
+                    exploit, self.num_wavefronts, self.wavefront_size
+                )
+            self.streams.uniform_ants()
+            self._charge(charge)
+            if self.sanitizer is not None:
+                self.sanitizer.check_step(self)
+
     def run_ilp_iteration(
         self,
         tau: np.ndarray,
@@ -628,6 +682,21 @@ class VectorizedColony:
             ready_mask = valid & released
             semi_mask = valid & ~released
             have_ready = ready_mask.any(axis=1)
+            # No active lane can issue: every one takes a necessary stall
+            # until the earliest pending release. After the first step no
+            # active lane is finished or over the target, so nothing but
+            # the draws and the charge changes until then; jump there.
+            if cycle and not (self.active & have_ready).any():
+                stop = int(
+                    np.min(
+                        self.avail_release,
+                        where=semi_mask & self.active[:, None],
+                        initial=max_length + 1,
+                    )
+                )
+                self._idle_cycles(stop - cycle)
+                cycle = stop
+                continue
             have_semi = semi_mask.any(axis=1)
 
             # Candidates that would push the peak past the target doom the

@@ -6,6 +6,7 @@ import pytest
 from repro.config import (
     ACOParams,
     FilterParams,
+    FleetParams,
     GPUParams,
     ResilienceParams,
     SIZE_CLASS_LABELS,
@@ -128,6 +129,52 @@ class TestFilterAndSuiteParams:
             FilterParams(cycle_threshold=-1).validate()
         with pytest.raises(ConfigError):
             SuiteParams(num_kernels=0).validate()
+
+
+#: Every count setting, with a valid value (a float count passes the range
+#: checks but crashes with a TypeError where it is used).
+COUNT_FIELDS = [
+    (ACOParams, "sequential_ants", 2),
+    (ACOParams, "max_iterations", 2),
+    (ACOParams, "termination_conditions", (1, 2, 3)),
+    (ACOParams, "mmas_patience", 2),
+    (ACOParams, "mmas_reinit_stagnation", 2),
+    (GPUParams, "blocks", 2),
+    (ResilienceParams, "max_retries", 2),
+    (FleetParams, "num_shards", 2),
+    (SuiteParams, "num_benchmarks", 2),
+    (SuiteParams, "num_kernels", 2),
+    (SuiteParams, "regions_per_kernel", 2),
+]
+
+
+def _fractional(value):
+    if isinstance(value, tuple):
+        return value[:1] + (2.5,) + value[2:]
+    return value + 0.5
+
+
+class TestIntegerCounts:
+    @pytest.mark.parametrize(
+        "cls, field, valid", COUNT_FIELDS, ids=[f for _c, f, _v in COUNT_FIELDS]
+    )
+    def test_fractional_count_rejected(self, cls, field, valid):
+        with pytest.raises(ConfigError, match="must be (an )?integers?"):
+            cls(**{field: _fractional(valid)}).validate()
+
+    @pytest.mark.parametrize(
+        "cls, field, valid", COUNT_FIELDS, ids=[f for _c, f, _v in COUNT_FIELDS]
+    )
+    def test_numpy_integer_count_accepted(self, cls, field, valid):
+        if isinstance(valid, tuple):
+            valid = tuple(np.int64(v) for v in valid)
+        else:
+            valid = np.int64(valid)
+        cls(**{field: valid}).validate()
+
+    def test_bool_count_rejected(self):
+        with pytest.raises(ConfigError, match="blocks must be an integer"):
+            GPUParams(blocks=True).validate()
 
 
 class TestResilienceParams:
