@@ -47,7 +47,7 @@ from ..obs.context import region_trace
 from ..resilience.checkpoint import RegionCheckpoint
 from ..resilience.watchdog import DeadlineBudget
 from ..rp.cost import rp_cost, rp_cost_lower_bound
-from ..rp.liveness import peak_pressure
+from ..rp.liveness import schedule_peak
 from ..schedule.schedule import Schedule
 from ..telemetry import Telemetry
 from .ant import ConstructionStats
@@ -535,8 +535,14 @@ class TwoPassDriver(ABC):
         region = ddg.region
         if bounds is None:
             bounds = region_bounds(ddg)
+        # A schedule issuing ``initial_order`` whose peak may already be
+        # known: the LUC order's, or the reference's when it is that order.
+        initial: Optional[Schedule] = None
         if initial_order is None:
-            initial_order = order_schedule(ddg, heuristic=self.rp_heuristic).order
+            initial = order_schedule(ddg, heuristic=self.rp_heuristic)
+            initial_order = initial.order
+        elif reference_schedule is not None and reference_schedule.order == tuple(initial_order):
+            initial = reference_schedule
         region_state = self._open_region(ddg, seed, fault_plan, attempt)
         if resume is not None:
             if resume.region != region.name:
@@ -554,8 +560,9 @@ class TwoPassDriver(ABC):
             best_order = tuple(resume.best_order)
             best_peak = dict(resume.best_peak)
         else:
-            initial = Schedule.from_order(region, initial_order)
-            peak = peak_pressure(initial)
+            if initial is None:
+                initial = Schedule.from_order(region, initial_order)
+            peak = schedule_peak(initial)
             rp_best = _Best(rp_cost(peak, self.machine), tuple(initial_order), peak)
             pass1 = self._run_pass(
                 region_state, ddg, seed, 1,
@@ -571,7 +578,7 @@ class TwoPassDriver(ABC):
         # the pressure target (always true when pass 1 made no progress), it
         # is a better starting point than the stretched pass-1 order.
         if reference_schedule is not None and reference_schedule.length < initial_schedule.length:
-            ref_peak = peak_pressure(reference_schedule)
+            ref_peak = schedule_peak(reference_schedule)
             if all(ref_peak.get(cls, 0) <= limit for cls, limit in target.items()):
                 initial_schedule = reference_schedule
         length = initial_schedule.length
@@ -592,7 +599,7 @@ class TwoPassDriver(ABC):
             raise
         schedule = ilp_best.schedule
         assert schedule is not None
-        final_peak = peak_pressure(schedule)
+        final_peak = schedule_peak(schedule)
         result = ACOResult(
             schedule=schedule,
             peak=final_peak,

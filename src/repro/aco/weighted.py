@@ -33,7 +33,7 @@ from ..heuristics.list_scheduler import schedule_in_order
 from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..rp.cost import rp_cost, rp_cost_lower_bound
-from ..rp.liveness import peak_pressure
+from ..rp.liveness import schedule_peak
 from ..rp.tracker import RegisterTable
 from ..schedule.schedule import Schedule
 from ..timing import DEFAULT_CPU_COST, CPUCostModel, HostSecondsLedger
@@ -115,8 +115,8 @@ class WeightedSumACOScheduler:
         if reference_schedule is not None and reference_schedule.length < initial.length:
             initial = reference_schedule
         best_schedule = initial
-        best_peak = peak_pressure(initial)
-        best_cost = self._weighted_cost(initial.length, best_peak, rp_lb)
+        best_peak = schedule_peak(initial)
+        initial_cost = best_cost = self._weighted_cost(initial.length, best_peak, rp_lb)
 
         # The scalarized LB: perfect length and pressure simultaneously.
         lower_bound = float(bounds.length)
@@ -191,7 +191,7 @@ class WeightedSumACOScheduler:
         pass_result = PassResult(
             invoked=True,
             iterations=tracker.iterations,
-            initial_cost=self._weighted_cost(initial.length, peak_pressure(initial), rp_lb),
+            initial_cost=initial_cost,
             final_cost=best_cost,
             hit_lower_bound=tracker.hit_lower_bound,
             seconds=ledger.total,

@@ -14,7 +14,7 @@
 from .base import GuidingHeuristic, SchedulingState
 from .critical_path import CriticalPathHeuristic
 from .luc import LastUseCountHeuristic
-from .list_scheduler import list_schedule, order_schedule
+from .list_scheduler import list_schedule, order_schedule, pick_by_priority
 from .amd_max_occupancy import AMDMaxOccupancyScheduler
 
 __all__ = [
@@ -24,5 +24,6 @@ __all__ = [
     "LastUseCountHeuristic",
     "list_schedule",
     "order_schedule",
+    "pick_by_priority",
     "AMDMaxOccupancyScheduler",
 ]

@@ -11,19 +11,24 @@ avoid opening new ones — the same two-mode shape as LLVM's
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ddg.graph import DDG
 from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..rp.cost import rp_cost
 from ..schedule.schedule import Schedule
-from .base import PreparedHeuristic, SchedulingState
+from .base import SchedulingState
 from .list_scheduler import list_schedule, order_schedule
+from .luc import PreparedLastUseCount
 
 
-class _PreparedMaxOccupancy(PreparedHeuristic):
-    """Two-mode greedy policy bound to one region."""
+class _PreparedMaxOccupancy(PreparedLastUseCount):
+    """Two-mode greedy policy bound to one region.
+
+    Pressure mode scores a candidate exactly as the LUC heuristic does (net
+    closed ranges, CP-height ties), so it inherits that score.
+    """
 
     def __init__(
         self,
@@ -43,49 +48,45 @@ class _PreparedMaxOccupancy(PreparedHeuristic):
             if reg.reg_class in base_pressure:
                 base_pressure[reg.reg_class] += 1
         target_occupancy = machine.occupancy_for_pressure(base_pressure)
-        limits = []
+        limits = {}
         for cls in machine.classes():
             table = machine.table_for(cls)
             ceiling = 0
             for max_pressure, occ in table.breakpoints:
                 if occ >= target_occupancy:
                     ceiling = max_pressure
-            limits.append((cls, ceiling - headroom))
-        self._limits: Tuple[Tuple[RegisterClass, int], ...] = tuple(limits)
+            limits[cls] = ceiling - headroom
+        self._limits: Dict[RegisterClass, int] = limits
         # ILP mode: like LLVM's GenericScheduler the policy is partly
         # myopic — critical-path height blended with a source-order
         # preference (the scheduler sees latency locally, not the whole
         # DAG). The imperfection is the gap a global search can close.
-        # Neither term depends on the partial schedule, so the scores are
-        # fixed per instruction.
+        # Neither term depends on the partial schedule, so the scores, and
+        # the pick keys with their index tie-break, are fixed per
+        # instruction.
         height = self.cp_info.height
         n = ddg.num_instructions
         self._ilp_scores = [
             ilp_height_weight * float(height[i]) + ilp_source_weight * float(n - i)
             for i in range(n)
         ]
-        # Pressure mode: the static part of the score, per instruction.
-        self._uses_less_defs = [len(inst.uses) - len(inst.defs) for inst in ddg.region]
-        self._height_ties = [h / self.score_scale for h in height]
-        # The mode depends only on the running pressure, which changes at
-        # most once per issue step: decide it on a change, not per candidate.
-        self._pressure: Optional[Tuple] = None
-        self._critical = False
+        self._ilp_keys: List[Tuple[float, int]] = [
+            (score, -i) for i, score in enumerate(self._ilp_scores)
+        ]
 
     def score(self, index: int, state: SchedulingState) -> float:
-        pressure = state.tracker.pressure_key()
-        if pressure != self._pressure:
-            self._pressure = pressure
-            current = state.tracker.current
-            self._critical = any(
-                current.get(cls, 0) > limit for cls, limit in self._limits
-            )
-        if self._critical:
-            closed = state.tracker.closes_ranges(self.ddg.region[index])
-            return (
-                closed + self._uses_less_defs[index] + 1.0
-            ) * self.score_scale + self._height_ties[index]
+        if state.tracker.current_exceeds(self._limits):
+            return super().score(index, state)
         return self._ilp_scores[index]
+
+    def pick(self, ready: List[int], state: SchedulingState) -> int:
+        """The ready instruction of highest ``(score, -index)``, as
+        ``pick_by_priority(self.score)`` would choose it, with the mode
+        decided once per pick rather than once per candidate."""
+        if state.tracker.current_exceeds(self._limits):
+            luc = super().score
+            return max(ready, key=lambda i: (luc(i, state), -i))
+        return max(ready, key=self._ilp_keys.__getitem__)
 
 
 class AMDMaxOccupancyScheduler:
@@ -121,14 +122,14 @@ class AMDMaxOccupancyScheduler:
     def schedule(self, ddg: DDG) -> Schedule:
         """Produce the final (latency-aware) heuristic schedule."""
         prepared = self._prepared(ddg)
-        return list_schedule(ddg, self.machine, priority=prepared.score)
+        return list_schedule(ddg, self.machine, pick=prepared.pick)
 
     def order_only(self, ddg: DDG) -> Schedule:
         """Latency-blind variant, used as the pass-1 heuristic schedule."""
         prepared = self._prepared(ddg)
-        return order_schedule(ddg, priority=prepared.score)
+        return order_schedule(ddg, pick=prepared.pick)
 
     def rp_cost_of(self, schedule: Schedule) -> int:
-        from ..rp.liveness import peak_pressure
+        from ..rp.liveness import schedule_peak
 
-        return rp_cost(peak_pressure(schedule), self.machine)
+        return rp_cost(schedule_peak(schedule), self.machine)

@@ -11,9 +11,16 @@ Two entry points, matching the two passes of the RP-aware problem:
   pending, the machine stalls. This is the pass-2 (ILP) construction and
   also how heuristic baselines produce final schedules.
 
-Both are deterministic given the priority function; ties break toward the
-lower program-order index, matching the behaviour of LLVM's source-order
-tie-break.
+Both take one ``pick(ready, state)`` hook that chooses the instruction to
+issue next. By default it is :func:`pick_by_priority` over a guiding
+heuristic's score: the best score wins and ties break toward the lower
+program-order index, matching the behaviour of LLVM's source-order
+tie-break. A policy whose choice is cheaper to make over the whole ready
+list (the AMD baseline's static ILP keys) passes its own.
+
+Each returns its schedule with the tracker's peak pressure attached
+(:attr:`Schedule.tracked_peak`) when the tracker issued exactly
+:attr:`Schedule.order`, so evaluating the schedule does not replay it.
 """
 
 from __future__ import annotations
@@ -29,23 +36,38 @@ from .base import GuidingHeuristic, SchedulingState
 
 #: Signature of a priority function: (index, state) -> score, higher wins.
 PriorityFn = Callable[[int, SchedulingState], float]
+#: Signature of a pick hook: (ready list, state) -> the instruction to issue.
+PickFn = Callable[[List[int], SchedulingState], int]
 
 
-def _priority_from_heuristic(heuristic: GuidingHeuristic, ddg: DDG) -> PriorityFn:
-    prepared = heuristic.prepare(ddg)
-    return prepared.score
+def pick_by_priority(priority: PriorityFn) -> PickFn:
+    """The highest ``(priority, -index)`` of the ready list: the best score,
+    ties toward the lower index. Keys are unique, so the choice does not
+    depend on the ready list's order."""
+
+    def pick(ready: List[int], state: SchedulingState) -> int:
+        return max(ready, key=lambda i: (priority(i, state), -i))
+
+    return pick
+
+
+def _resolve_pick(
+    ddg: DDG, heuristic: Optional[GuidingHeuristic], pick: Optional[PickFn], caller: str
+) -> PickFn:
+    if pick is not None:
+        return pick
+    if heuristic is None:
+        raise ScheduleError("%s needs a heuristic or a pick" % caller)
+    return pick_by_priority(heuristic.prepare(ddg).score)
 
 
 def order_schedule(
     ddg: DDG,
     heuristic: Optional[GuidingHeuristic] = None,
-    priority: Optional[PriorityFn] = None,
+    pick: Optional[PickFn] = None,
 ) -> Schedule:
     """Latency-blind greedy scheduling (the shape of a pass-1 schedule)."""
-    if priority is None:
-        if heuristic is None:
-            raise ScheduleError("order_schedule needs a heuristic or a priority")
-        priority = _priority_from_heuristic(heuristic, ddg)
+    pick = _resolve_pick(ddg, heuristic, pick, "order_schedule")
     n = ddg.num_instructions
     region = ddg.region
     tracker = PressureTracker(region)
@@ -54,7 +76,7 @@ def order_schedule(
     ready: List[int] = list(ddg.roots)
     order: List[int] = []
     while ready:
-        best = max(ready, key=lambda i: (priority(i, state), -i))
+        best = pick(ready, state)
         ready.remove(best)
         order.append(best)
         tracker.schedule(region[best])
@@ -64,7 +86,7 @@ def order_schedule(
                 ready.append(succ)
     if len(order) != n:
         raise ScheduleError("DDG is not schedulable (cycle?)")
-    return Schedule.from_order(region, order)
+    return Schedule.from_order(region, order, tracked_peak=tracker.peak_pressure())
 
 
 def schedule_in_order(ddg: DDG, order) -> Schedule:
@@ -93,14 +115,10 @@ def list_schedule(
     ddg: DDG,
     machine: MachineModel,
     heuristic: Optional[GuidingHeuristic] = None,
-    priority: Optional[PriorityFn] = None,
+    pick: Optional[PickFn] = None,
 ) -> Schedule:
     """Latency-aware greedy list scheduling (cycle-accurate, with stalls)."""
-    if priority is None:
-        if heuristic is None:
-            raise ScheduleError("list_schedule needs a heuristic or a priority")
-        priority = _priority_from_heuristic(heuristic, ddg)
-
+    pick = _resolve_pick(ddg, heuristic, pick, "list_schedule")
     n = ddg.num_instructions
     region = ddg.region
     tracker = PressureTracker(region)
@@ -112,9 +130,9 @@ def list_schedule(
     ready: List[int] = list(ddg.roots)
     #: (release_cycle, index) for dependence-satisfied but not-yet-ready insts
     pending: List[Tuple[int, int]] = []
-    scheduled = 0
+    issued: List[int] = []
     cycle = 0
-    while scheduled < n:
+    while len(issued) < n:
         # Move newly released instructions into the ready list.
         still_pending = []
         for release, index in pending:
@@ -129,14 +147,14 @@ def list_schedule(
             cycle = min(release for release, _ in pending)
             continue
         state.cycle = cycle
-        issued = 0
-        while ready and issued < machine.issue_width:
-            best = max(ready, key=lambda i: (priority(i, state), -i))
+        width = machine.issue_width
+        while ready and width:
+            best = pick(ready, state)
             ready.remove(best)
             cycles[best] = cycle
             tracker.schedule(region[best])
-            scheduled += 1
-            issued += 1
+            issued.append(best)
+            width -= 1
             for succ, latency in ddg.successors[best]:
                 release = cycle + latency
                 if release > earliest[succ]:
@@ -147,4 +165,8 @@ def list_schedule(
                     # the current cycle; park it until its operands arrive.
                     pending.append((earliest[succ], succ))
         cycle += 1
-    return Schedule(region, cycles)
+    # Schedule.order sorts a cycle's instructions by index. A multi-issue
+    # cycle may have picked them in another order, and pressure is sampled
+    # between instructions, so the tracker's peak is then not the order's.
+    tracked = issued == sorted(range(n), key=cycles.__getitem__)
+    return Schedule(region, cycles, tracked_peak=tracker.peak_pressure() if tracked else None)

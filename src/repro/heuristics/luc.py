@@ -14,14 +14,17 @@ from .base import GuidingHeuristic, PreparedHeuristic, SchedulingState
 
 
 class PreparedLastUseCount(PreparedHeuristic):
+    def __init__(self, ddg: DDG):
+        super().__init__(ddg)
+        # The static parts of the score, per instruction: its uses less
+        # the ranges it opens (its defs), and the CP-height tie-break.
+        self._uses_less_defs = [len(inst.uses) - len(inst.defs) for inst in ddg.region]
+        self._ties = [h / self.score_scale for h in self.cp_info.height]
+
     def score(self, index: int, state: SchedulingState) -> float:
-        inst = self.ddg.region[index]
-        closes = state.tracker.closes_ranges(inst)
-        opens = len(inst.defs)
         # Tiered score: net closed ranges dominate, CP height breaks ties.
-        net = float(closes - opens)
-        tie = self.cp_info.height[index] / self.score_scale
-        return (net + len(inst.uses) + 1.0) * self.score_scale + tie
+        closes = state.tracker.closes_at(index)
+        return (closes + self._uses_less_defs[index] + 1.0) * self.score_scale + self._ties[index]
 
 
 class LastUseCountHeuristic(GuidingHeuristic):

@@ -57,7 +57,14 @@ class VirtualRegister:
     Virtual registers are values, not objects: two ``VirtualRegister``
     instances with the same class and id are the same register. The textual
     form is ``<prefix><id>`` (``v0``, ``s12``).
+
+    Registers key the sets and dicts of the parser, the DDG builder, the
+    bounds, the linter and the verifier, so the hash is computed once, at
+    construction. It equals the dataclass hash ``hash((reg_class, ident))``,
+    which keeps set iteration order, and with it every output, unchanged.
     """
+
+    __slots__ = ("reg_class", "ident", "_hash")
 
     reg_class: RegisterClass
     ident: int
@@ -65,6 +72,15 @@ class VirtualRegister:
     def __post_init__(self):
         if self.ident < 0:
             raise IRError("register id must be >= 0")
+        object.__setattr__(self, "_hash", hash((self.reg_class, self.ident)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so copies and unpickled registers
+        # re-derive the hash: string hashes differ between processes.
+        return (VirtualRegister, (self.reg_class, self.ident))
 
     def __str__(self) -> str:
         return "%s%d" % (self.reg_class.prefix, self.ident)

@@ -335,7 +335,7 @@ class CompilePipeline:
                 reference_schedule=heuristic_schedule,
             )
             aco_seconds = aco_result.seconds
-        aco_quality = evaluate_schedule(aco_result.schedule, self.machine)
+        aco_quality = evaluate_schedule(aco_result.schedule, self.machine, peak=aco_result.peak)
         outcome.aco = aco_quality
         outcome.pass1 = aco_result.pass1
         outcome.pass2 = aco_result.pass2

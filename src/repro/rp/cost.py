@@ -10,18 +10,24 @@ tie-breaker that rewards moving a file closer to its next occupancy step:
 Because APRP is a step function of PRP, schedules whose pressure differences
 cannot change occupancy compare equal, exactly the property the paper
 introduces APRP for.
+
+:func:`evaluate_schedule` takes a schedule's peak from whoever already
+computed it (the greedy schedulers' tracker, the ACO driver's result) and
+replays the order only when nobody did; :mod:`repro.rp.tracker` lists the
+producers. The verifier never takes a peak from a producer: it replays and
+recounts, and checks the quality's claim against both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 from ..ddg.lower_bounds import RegionBounds
 from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..schedule.schedule import Schedule
-from .liveness import peak_pressure
+from .liveness import schedule_peak
 
 #: Weight of one occupancy step in the scalar RP cost. Larger than any
 #: realistic APRP sum, so occupancy always dominates.
@@ -67,9 +73,18 @@ class ScheduleQuality:
         return self.rp_cost <= other.rp_cost and self.length <= other.length
 
 
-def evaluate_schedule(schedule: Schedule, machine: MachineModel) -> ScheduleQuality:
-    """Compute the full quality record of a schedule."""
-    prp = peak_pressure(schedule)
+def evaluate_schedule(
+    schedule: Schedule,
+    machine: MachineModel,
+    peak: Optional[Mapping[RegisterClass, int]] = None,
+) -> ScheduleQuality:
+    """Compute the full quality record of a schedule.
+
+    The peak pressure is ``peak`` when the caller already holds it (the
+    pipeline passes ``ACOResult.peak``), else
+    :func:`~repro.rp.liveness.schedule_peak`'s.
+    """
+    prp = schedule_peak(schedule) if peak is None else peak
     aprp = machine.aprp(prp)
     occupancy = machine.occupancy_for_pressure(prp)
     return ScheduleQuality(

@@ -3,6 +3,7 @@
 These functions re-derive pressure from a complete :class:`Schedule` (the
 tracker in :mod:`repro.rp.tracker` does the same incrementally during
 construction); the test suite cross-checks the two against each other.
+:func:`peak_pressure` always replays; the verifier relies on that.
 """
 
 from __future__ import annotations
@@ -39,3 +40,10 @@ def peak_pressure(schedule: Schedule) -> Dict[RegisterClass, int]:
     for index in schedule.order:
         tracker.schedule(region[index])
     return tracker.peak_pressure()
+
+
+def schedule_peak(schedule: Schedule) -> Dict[RegisterClass, int]:
+    """Per-class PRP of a complete schedule: the peak its producer tracked,
+    else :func:`peak_pressure`."""
+    tracked = schedule.tracked_peak
+    return tracked if tracked is not None else peak_pressure(schedule)

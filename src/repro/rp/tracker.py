@@ -38,6 +38,26 @@ themselves only
 reappear in the dict views (``current``, ``peak``,
 :meth:`PressureTracker.pressure_if_scheduled`) and in
 :meth:`PressureTracker.live_registers`.
+
+A schedule is evaluated once per compile. The tracker that built it
+already holds its peak, so that peak travels with the result instead of a
+second tracker replaying the order:
+
+* :func:`~repro.heuristics.list_schedule` and
+  :func:`~repro.heuristics.order_schedule` attach theirs as
+  ``Schedule.tracked_peak``. The list scheduler does so only when its
+  tracker issued exactly ``Schedule.order``. A multi-issue cycle may pick
+  its instructions out of index order, and the order sorts them by index,
+  so the tracker's peak is then another order's.
+* The ACO driver's ``ACOResult.peak`` is its final schedule's peak; the
+  pipeline evaluates the ACO schedule with it.
+* :func:`repro.rp.evaluate_schedule` and the driver read a carried peak
+  through :func:`repro.rp.liveness.schedule_peak`, and replay when there
+  is none.
+
+:func:`repro.rp.liveness.peak_pressure` always replays. The verifier calls
+it and recounts intervals on its own, so a wrong carried peak shows up as
+a mismatch with the claim built from it, never as agreement.
 """
 
 from __future__ import annotations
@@ -280,18 +300,25 @@ class PressureTracker:
                     worst = excess
         return 0 if worst is None else worst
 
-    def peak_exceeds(self, limits: Mapping[RegisterClass, int]) -> bool:
-        """True if the peak so far is above some class's limit."""
+    def _exceeds(self, values: List[int], limits: Mapping[RegisterClass, int]) -> bool:
         if limits is not self._limits_source:
             self._compile(limits)
         pairs, absent = self._limits
         if absent is not None and absent > 0:
             return True
-        peak = self._peak
         for k, limit in pairs:
-            if peak[k] > limit:
+            if values[k] > limit:
                 return True
         return False
+
+    def peak_exceeds(self, limits: Mapping[RegisterClass, int]) -> bool:
+        """True if the peak so far is above some class's limit."""
+        return self._exceeds(self._peak, limits)
+
+    def current_exceeds(self, limits: Mapping[RegisterClass, int]) -> bool:
+        """True if the current pressure is above some class's limit (the
+        AMD baseline's switch into pressure mode)."""
+        return self._exceeds(self._current, limits)
 
     def pressure_delta(self, inst: Instruction) -> int:
         """Net change in total pressure (all classes) if ``inst`` issued now."""
@@ -299,10 +326,21 @@ class PressureTracker:
 
     def closes_ranges(self, inst: Instruction) -> int:
         """How many live ranges ``inst`` would close (the LUC heuristic input)."""
+        return self.closes_at(self._index_of(inst))
+
+    def closes_at(self, index: int) -> int:
+        """:meth:`closes_ranges` of instruction ``index``: the greedy picks
+        and the LUC score call this once per ready candidate, so it takes
+        the index and skips the instruction lookup."""
+        closable = self.table.closable
+        if not 0 <= index < len(closable):
+            raise ScheduleError(
+                "instruction %d is not in region %r" % (index, self.region.name)
+            )
         live = self._live
         remaining = self._remaining
         closing = 0
-        for reg in self.table.closable[self._index_of(inst)]:
+        for reg in closable[index]:
             if remaining[reg] == 1 and live[reg]:
                 closing += 1
         return closing
@@ -318,11 +356,6 @@ class PressureTracker:
     def peak(self) -> Dict[RegisterClass, int]:
         """Per-class peak so far (same as :meth:`peak_pressure`)."""
         return dict(zip(self.classes, self._peak))
-
-    def pressure_key(self) -> Tuple[int, ...]:
-        """The current pressure as a tuple in ``classes`` order: a cheap
-        change detector for callers that cache per-pressure decisions."""
-        return tuple(self._current)
 
     def peak_pressure(self) -> Dict[RegisterClass, int]:
         """Per-class PRP of everything scheduled so far."""

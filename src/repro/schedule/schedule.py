@@ -9,18 +9,31 @@ a machine cycle to each instruction"). Cycles with no instruction are
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
 from ..ir.block import SchedulingRegion
+from ..ir.registers import RegisterClass
 
 
 class Schedule:
-    """An immutable cycle assignment for one region."""
+    """An immutable cycle assignment for one region.
 
-    __slots__ = ("region", "cycles", "_order", "_length")
+    ``tracked_peak`` is the per-class peak pressure of issuing
+    :attr:`order`, as the producer's pressure tracker recorded it while
+    building the schedule; :func:`repro.rp.evaluate_schedule` then reads it
+    instead of replaying the order. A producer passes it only when its
+    tracker issued exactly :attr:`order`. It takes no part in equality.
+    """
 
-    def __init__(self, region: SchedulingRegion, cycles: Sequence[int]):
+    __slots__ = ("region", "cycles", "_order", "_length", "_tracked_peak")
+
+    def __init__(
+        self,
+        region: SchedulingRegion,
+        cycles: Sequence[int],
+        tracked_peak: Optional[Mapping[RegisterClass, int]] = None,
+    ):
         if len(cycles) != len(region):
             raise ScheduleError(
                 "schedule has %d cycles for %d instructions"
@@ -37,9 +50,15 @@ class Schedule:
             )
         )
         self._length = max(cycle_tuple) + 1 if cycle_tuple else 0
+        self._tracked_peak = None if tracked_peak is None else dict(tracked_peak)
 
     @classmethod
-    def from_order(cls, region: SchedulingRegion, order: Sequence[int]) -> "Schedule":
+    def from_order(
+        cls,
+        region: SchedulingRegion,
+        order: Sequence[int],
+        tracked_peak: Optional[Mapping[RegisterClass, int]] = None,
+    ) -> "Schedule":
         """A stall-free schedule issuing ``order`` back to back (one per cycle).
 
         This is the natural representation for pass 1, where latencies are
@@ -50,7 +69,7 @@ class Schedule:
         cycles = [0] * len(region)
         for cycle, index in enumerate(order):
             cycles[index] = cycle
-        return cls(region, cycles)
+        return cls(region, cycles, tracked_peak)
 
     # -- accessors -----------------------------------------------------------
 
@@ -63,6 +82,11 @@ class Schedule:
     def order(self) -> Tuple[int, ...]:
         """Instruction indices in issue order (ties broken by index)."""
         return self._order
+
+    @property
+    def tracked_peak(self) -> Optional[Dict[RegisterClass, int]]:
+        """A copy of the peak the producer tracked, or None (see the class)."""
+        return None if self._tracked_peak is None else dict(self._tracked_peak)
 
     @property
     def num_stalls(self) -> int:

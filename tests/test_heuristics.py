@@ -1,5 +1,7 @@
 """Tests for the guiding heuristics and the greedy schedulers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +14,7 @@ from repro.heuristics import (
     SchedulingState,
     list_schedule,
     order_schedule,
+    pick_by_priority,
 )
 from repro.heuristics.base import builtin_heuristics
 from repro.heuristics.cp_scheduler import CriticalPathListScheduler
@@ -20,6 +23,7 @@ from repro.ir.registers import VGPR
 from repro.machine import amd_vega20, simple_test_target
 from repro.rp import PressureTracker, peak_pressure
 from repro.schedule import validate_schedule
+from repro.suite import HOSTILE_NAMES, PATTERN_NAMES, hostile_region, pattern_region
 
 from strategies import ddgs
 
@@ -145,6 +149,41 @@ class TestAMDMaxOccupancy:
     def test_always_legal_property(self, ddg):
         amd = AMDMaxOccupancyScheduler(simple_test_target())
         validate_schedule(amd.schedule(ddg), ddg, simple_test_target())
+
+
+def _equivalence_regions():
+    """Every hostile family and every suite pattern, at a few sizes."""
+    for family in HOSTILE_NAMES:
+        for seed, size in ((1, 32), (2, 96)):
+            yield hostile_region(family, seed, size=size)
+    for k, pattern in enumerate(PATTERN_NAMES):
+        for size in (6, 14, 24):
+            yield pattern_region(pattern, random.Random(100 * k + size), size)
+
+
+class TestAMDPick:
+    """The AMD policy's pick (mode once per pick, static ILP keys) chooses
+    what the generic ``(score, -index)`` maximum over its per-candidate
+    ``score`` chooses, on both machines: the tiny one keeps it in pressure
+    mode much of the time, Vega in ILP mode."""
+
+    @pytest.mark.parametrize("machine", [amd_vega20(), simple_test_target()], ids=["vega", "tiny"])
+    def test_same_schedules_as_the_generic_path(self, machine):
+        amd = AMDMaxOccupancyScheduler(machine)
+        modes = set()
+        for region in _equivalence_regions():
+            ddg = DDG(region)
+            prepared = amd._prepared(ddg)
+
+            def priority(index, state, prepared=prepared):
+                # Which mode the generic path scored this candidate in.
+                modes.add(state.tracker.current_exceeds(prepared._limits))
+                return prepared.score(index, state)
+
+            generic = pick_by_priority(priority)
+            assert amd.schedule(ddg).cycles == list_schedule(ddg, machine, pick=generic).cycles
+            assert amd.order_only(ddg).order == order_schedule(ddg, pick=generic).order
+        assert modes == {False, True}
 
 
 class TestCriticalPathListScheduler:

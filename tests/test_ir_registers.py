@@ -1,8 +1,16 @@
 """Tests for repro.ir.registers."""
 
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.errors import IRError
 from repro.ir.registers import (
     SGPR,
@@ -84,3 +92,49 @@ class TestVirtualRegister:
     def test_helpers(self):
         assert vreg(4).reg_class is VGPR
         assert sreg(4).reg_class is SGPR
+
+
+class TestRegisterHash:
+    """The hash is computed once, at construction, and must be the value
+    the dataclass would compute, so set and dict order does not move."""
+
+    @given(st.integers(min_value=0, max_value=10**6))
+    def test_hash_is_the_dataclass_hash(self, ident):
+        for make in (vreg, sreg):
+            reg = make(ident)
+            assert hash(reg) == hash((reg.reg_class, reg.ident))
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy, lambda reg: pickle.loads(pickle.dumps(reg))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal_and_hash_alike(self, clone):
+        for reg in (vreg(3), sreg(11)):
+            twin = clone(reg)
+            assert twin == reg
+            assert hash(twin) == hash(reg)
+            assert twin in {reg}
+
+    def test_unpickling_rederives_the_hash(self):
+        """A register pickled by a process with other string hashes must
+        hash as this process's registers do once loaded."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        code = (
+            "import pickle, sys\n"
+            "from repro.ir.registers import sreg, vreg\n"
+            "sys.stdout.buffer.write(pickle.dumps([vreg(3), sreg(7)]))\n"
+        )
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            blob = subprocess.run(
+                [sys.executable, "-c", code], env=env, check=True, capture_output=True
+            ).stdout
+            loaded = pickle.loads(blob)
+            assert [hash(reg) for reg in loaded] == [hash(vreg(3)), hash(sreg(7))]
+            assert vreg(3) in set(loaded) and sreg(7) in set(loaded)
+
+    def test_still_frozen(self):
+        reg = vreg(1)
+        with pytest.raises(AttributeError):
+            reg.ident = 2

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import quadratic_reference as reference
 from repro.ddg import DDG, region_bounds
 from repro.errors import ScheduleError
-from repro.heuristics import LastUseCountHeuristic, order_schedule
+from repro.analysis import verify_schedule
+from repro.heuristics import LastUseCountHeuristic, list_schedule, order_schedule
 from repro.ir.builder import RegionBuilder, figure1_region
 from repro.ir.registers import SGPR, VGPR
 from repro.machine import amd_vega20, simple_test_target
@@ -23,7 +24,7 @@ from repro.rp import (
 from repro.rp.cost import OCCUPANCY_WEIGHT
 from repro.schedule import Schedule
 
-from strategies import non_ssa_regions, regions
+from strategies import ddgs, non_ssa_regions, regions
 
 #: Pressure targets: absent classes, negative limits and the empty target
 #: all occur.
@@ -168,12 +169,15 @@ def assert_same_state(tracker, ref, region, limits):
         assert tracker.pressure_if_scheduled(inst) == preview
         assert tracker.pressure_delta(inst) == ref.pressure_delta(inst)
         assert tracker.closes_ranges(inst) == ref.closes_ranges(inst)
+        assert tracker.closes_at(inst.index) == ref.closes_ranges(inst)
         for target in limits:
             expected = reference.pressure_excess(preview, target)
             assert tracker.excess_if_scheduled(inst.index, target) == expected
     for target in limits:
         over = any(ref.peak.get(cls, 0) > limit for cls, limit in target.items())
         assert tracker.peak_exceeds(target) == over
+        over = any(ref.current.get(cls, 0) > limit for cls, limit in target.items())
+        assert tracker.current_exceeds(target) == over
 
 
 class TestDenseTrackerMatchesReference:
@@ -264,6 +268,8 @@ class TestForeignInstructions:
         for index in (-1, len(other)):
             with pytest.raises(ScheduleError):
                 tracker.excess_if_scheduled(index, {VGPR: 1})
+            with pytest.raises(ScheduleError):
+                tracker.closes_at(index)
         with pytest.raises(ScheduleError):
             tracker.schedule(figure1_region()[len(other)])
 
@@ -286,6 +292,45 @@ class TestPeakInvariance:
             region, [c * 3 for c in schedule.cycles]
         )  # same order, stalls everywhere
         assert peak_pressure(schedule) == peak_pressure(stretched)
+
+
+class TestTrackedPeak:
+    """The greedy schedulers hand their tracker's peak to the schedule they
+    return; evaluating reads it, while ``peak_pressure`` and the verifier
+    keep replaying."""
+
+    @given(ddgs(max_size=30))
+    @settings(max_examples=30, deadline=None)
+    def test_carried_peak_is_the_replayed_peak(self, ddg):
+        vega = amd_vega20()
+        for schedule in (
+            order_schedule(ddg, heuristic=LastUseCountHeuristic()),
+            list_schedule(ddg, vega, heuristic=LastUseCountHeuristic()),
+        ):
+            assert schedule.tracked_peak == peak_pressure(schedule)
+            replayed = Schedule(ddg.region, schedule.cycles)
+            assert replayed.tracked_peak is None
+            assert evaluate_schedule(schedule, vega) == evaluate_schedule(replayed, vega)
+
+    def test_carried_peak_takes_no_part_in_equality(self, fig1_region):
+        plain = Schedule.from_order(fig1_region, range(7))
+        carried = Schedule.from_order(fig1_region, range(7), tracked_peak={VGPR: 4})
+        assert plain == carried and hash(plain) == hash(carried)
+
+    def test_the_verifier_does_not_read_it(self, fig1_ddg):
+        """A forged carried peak flows into the claimed quality; the
+        verifier's replay and interval recount reject that claim."""
+        vega = amd_vega20()
+        region = fig1_ddg.region
+        order = [2, 3, 5, 0, 1, 4, 6]
+        forged = Schedule.from_order(region, order, tracked_peak={VGPR: 2})
+        assert peak_pressure(forged) == {VGPR: 3}
+        claim = evaluate_schedule(forged, vega)
+        assert claim.pressure_dict == {VGPR: 2}
+        report = verify_schedule(
+            forged, fig1_ddg, vega, respect_latencies=False, expected_peak=claim.pressure_dict
+        )
+        assert report.codes() == ("claimed-peak",)
 
 
 class TestCost:
