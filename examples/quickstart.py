@@ -120,7 +120,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
 
     if args.trace:
-        from repro.telemetry.report import summarize_trace
+        from repro.obs import summarize_trace
 
         telemetry = Telemetry(sink=JSONLSink(args.trace))
         try:

@@ -152,6 +152,7 @@ class Winner(NamedTuple):
     #: RP cost (pass 1) or schedule length (pass 2).
     cost: float
     order: Tuple[int, ...]
+    #: The per-class peak pressure of issuing ``order``.
     peak: Optional[Dict[RegisterClass, int]] = None
     cycles: Optional[Tuple[int, ...]] = None
 
@@ -229,7 +230,10 @@ class _Best:
             self.cost, self.order, self.peak = winner.cost, winner.order, winner.peak
         else:
             assert winner.cycles is not None
-            self.cost, self.schedule = int(winner.cost), Schedule(region, winner.cycles)
+            self.cost = int(winner.cost)
+            self.schedule = Schedule(
+                region, winner.cycles, tracked_peak=winner.peak, issued=winner.order
+            )
 
     def restore(self, region, checkpoint: RegionCheckpoint) -> None:
         if self.schedule is None:

@@ -119,7 +119,7 @@ class _SequentialPass(PassEngine):
             return None
         if self.pass_index == 1:
             return Winner(winner.rp_cost_value, winner.order, peak=winner.peak)
-        return Winner(winner.length, winner.order, cycles=winner.cycles)
+        return Winner(winner.length, winner.order, peak=winner.peak, cycles=winner.cycles)
 
     def after_update(self, pheromone: PheromoneTable) -> None:
         pheromone_seconds = self.scheduler.cost_model.pheromone_seconds(

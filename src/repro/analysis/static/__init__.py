@@ -13,7 +13,7 @@ Typical use::
     python -m repro.analysis.static --sarif out.sarif    # CI upload
 
 The gate is zero findings. A finding is silenced only inline, by a
-comment naming its rule (``# repro: noqa[RULE-ID]``). See DESIGN.md §13
+comment naming its rule (``# repro: noqa[RULE-ID]``). See DESIGN.md §12
 for the full rule catalog.
 """
 

@@ -28,7 +28,7 @@ _TOP = frozenset({"pipeline", "experiments", "bench", "cli", "exact", "viz"})
 _SCHEDULERS = frozenset({"aco", "parallel"})
 _OBSERVERS = frozenset({"obs", "telemetry", "profile"})
 
-#: head -> heads it must never import. Kept in sync with DESIGN.md §13.
+#: head -> heads it must never import. Kept in sync with DESIGN.md §12.
 CONTRACT: Dict[str, FrozenSet[str]] = {
     # Foundation: IR imports nothing but errors.
     "ir": frozenset(
@@ -202,6 +202,6 @@ class ImportLayeringRule(Rule):
                             self,
                             node,
                             "%s imports %s (%r); the layering contract "
-                            "forbids this edge — see DESIGN.md §13"
+                            "forbids this edge — see DESIGN.md §12"
                             % (head, imported_head, spelled),
                         )

@@ -18,11 +18,12 @@ every run folds from its event stream into one
 :class:`~repro.obs.MetricsAggregator`; ``--profile``
 renders the hierarchical span profile of the run's simulated time and
 ``--profile-stacks PATH`` writes it in collapsed-stack format for
-flamegraph/speedscope tooling (see :mod:`repro.profile`). The
-:mod:`repro.obs` layer adds ``--watch`` (live-style terminal dashboard),
-``--openmetrics PATH`` / ``--obs-snapshot PATH`` (Prometheus text and
-deterministic JSON metric exports), ``--perfetto PATH`` (Chrome
-trace-event JSON, one track per region trace) and ``--slo-target``.
+flamegraph/speedscope tooling (see :mod:`repro.profile`); ``--watch``
+renders the :mod:`repro.obs` terminal dashboard, judged against
+``--slo-target``. A run writes only primary artifacts (``--trace``,
+``--record``, ``--profile-stacks``); the OpenMetrics, snapshot and
+Perfetto exports are views of the trace, written offline by
+``python -m repro.obs TRACE --openmetrics/--snapshot/--perfetto PATH``.
 All of them leave results bit-identical: observability observes, it
 never steers.
 
@@ -219,32 +220,11 @@ def main(argv: List[str] = None) -> int:
         "after the experiments finish",
     )
     parser.add_argument(
-        "--openmetrics",
-        metavar="PATH",
-        default=None,
-        help="export the run's aggregated metrics as Prometheus/OpenMetrics "
-        "text to PATH (see repro.obs.export)",
-    )
-    parser.add_argument(
-        "--obs-snapshot",
-        metavar="PATH",
-        default=None,
-        help="export the deterministic metrics snapshot (sorted JSON, "
-        "byte-stable across identical seeded runs) to PATH",
-    )
-    parser.add_argument(
-        "--perfetto",
-        metavar="PATH",
-        default=None,
-        help="export the run's traces as Chrome trace-event JSON to PATH "
-        "(open in Perfetto or chrome://tracing; one track per region trace)",
-    )
-    parser.add_argument(
         "--slo-target",
         metavar="FRACTION",
         type=slo_target_arg,
         default=DEFAULT_SLO_TARGET,
-        help="region-success SLO target for the dashboard/exports "
+        help="region-success SLO target for the dashboard "
         "(default %(default)s; a region violates by tripping its deadline or "
         "shipping degraded/unrecoverable)",
     )
@@ -283,9 +263,6 @@ def main(argv: List[str] = None) -> int:
 
     for flag, path, directory in (
         ("--trace", args.trace, False),
-        ("--openmetrics", args.openmetrics, False),
-        ("--obs-snapshot", args.obs_snapshot, False),
-        ("--perfetto", args.perfetto, False),
         ("--profile-stacks", args.profile_stacks, False),
         ("--record", args.record, True),
         ("--csv", args.csv, True),
@@ -301,21 +278,16 @@ def main(argv: List[str] = None) -> int:
     from contextlib import ExitStack
 
     from .obs import AggregatingSink, MetricsAggregator
-    from .telemetry import JSONLSink, MemorySink, Telemetry, TeeSink
+    from .telemetry import JSONLSink, Telemetry, TeeSink
 
     # Every run folds its event stream into one aggregator: the metrics
-    # exports and the resilience summary are views of it.
+    # table, the dashboard and the resilience summary are views of it.
     aggregator = MetricsAggregator(slo_target=args.slo_target)
-    sinks = [JSONLSink(args.trace)] if args.trace else []
-    sinks.append(AggregatingSink(aggregator))
-    perfetto_sink = None
-    if args.perfetto:
-        perfetto_sink = MemorySink()
-        sinks.append(perfetto_sink)
+    sink = AggregatingSink(aggregator)
+    if args.trace:
+        sink = TeeSink(JSONLSink(args.trace), sink)
     recorder = RunRecorder(draws=args.record_draws) if args.record else None
-    telemetry = Telemetry(
-        sink=sinks[0] if len(sinks) == 1 else TeeSink(*sinks), recorder=recorder
-    )
+    telemetry = Telemetry(sink=sink, recorder=recorder)
     stack = ExitStack()
     stack.callback(telemetry.close)
     context = ExperimentContext(
@@ -343,36 +315,15 @@ def main(argv: List[str] = None) -> int:
                     print("[wrote %s]" % path)
             print("[%s finished in %.1fs]\n" % (name, time.time() - started))
 
-    from .obs import (
-        render_metrics,
-        render_resilience,
-        to_openmetrics,
-        to_snapshot_json,
-        write_perfetto,
-    )
+    from .obs import render_dashboard, render_metrics, render_resilience, summarize_trace
 
     if args.trace:
-        from .telemetry.report import summarize_trace
-
         print("[trace written to %s]" % args.trace)
         print(summarize_trace(args.trace))
     if args.metrics:
         print(render_metrics(aggregator))
     if args.watch:
-        from .obs import render_dashboard
-
         print(render_dashboard(aggregator))
-    if args.openmetrics:
-        with open(args.openmetrics, "w") as handle:
-            handle.write(to_openmetrics(aggregator))
-        print("[openmetrics written to %s]" % args.openmetrics)
-    if args.obs_snapshot:
-        with open(args.obs_snapshot, "w") as handle:
-            handle.write(to_snapshot_json(aggregator))
-        print("[obs snapshot written to %s]" % args.obs_snapshot)
-    if args.perfetto:
-        write_perfetto(args.perfetto, perfetto_sink.records)
-        print("[perfetto trace written to %s]" % args.perfetto)
     if profiler is not None:
         from .profile import render_tree, write_collapsed
 

@@ -34,6 +34,7 @@ from ..machine.model import MachineModel
 from ..machine.targets import amd_vega20
 from ..parallel.scheduler import ParallelACOScheduler
 from ..pipeline.compiler import CompilePipeline, CompileRun
+from ..pipeline.filters import InvocationFilter
 from ..suite.rocprim import Suite, generate_suite
 from ..telemetry import Telemetry
 
@@ -242,7 +243,8 @@ class ExperimentContext:
 
 
 def threshold_pick(context: ExperimentContext, threshold: int):
-    """A region-outcome picker that re-applies a cycle threshold post hoc.
+    """A region-outcome picker that re-applies a cycle threshold post hoc,
+    through the pipeline's own :class:`InvocationFilter` rule.
 
     A region compiled with threshold 0 recorded both its heuristic and its
     ACO schedules; under a larger threshold, ACO simply would not have been
@@ -254,14 +256,15 @@ def threshold_pick(context: ExperimentContext, threshold: int):
     from ..rp.cost import rp_cost_lower_bound
 
     machine = context.machine
+    rule = InvocationFilter(FilterParams(cycle_threshold=threshold))
 
     def invoked(outcome) -> bool:
-        if not outcome.aco_invoked:
-            return False
-        rp_room = outcome.heuristic.rp_cost > rp_cost_lower_bound(
-            outcome.bounds, machine
+        return outcome.aco_invoked and rule.should_invoke(
+            outcome.heuristic.rp_cost,
+            rp_cost_lower_bound(outcome.bounds, machine),
+            outcome.heuristic.length,
+            outcome.bounds.length,
         )
-        return rp_room or outcome.length_gap > threshold
 
     def pick(outcome):
         return outcome.final if invoked(outcome) else outcome.heuristic

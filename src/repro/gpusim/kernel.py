@@ -15,7 +15,7 @@ from typing import Union
 import numpy as np
 
 from ..errors import GPUSimError
-from ..profile.attribution import attribute_seconds
+from ..obs.report import attribute_seconds
 from .device import GPUDevice
 
 ArrayOrFloat = Union[np.ndarray, float, int]

@@ -18,9 +18,10 @@ program-order index, matching the behaviour of LLVM's source-order
 tie-break. A policy whose choice is cheaper to make over the whole ready
 list (the AMD baseline's static ILP keys) passes its own.
 
-Each returns its schedule with the tracker's peak pressure attached
-(:attr:`Schedule.tracked_peak`) when the tracker issued exactly
-:attr:`Schedule.order`, so evaluating the schedule does not replay it.
+Each returns its schedule with the tracker's peak pressure and issue
+order attached; the schedule keeps the peak as
+:attr:`Schedule.tracked_peak` when that order is its own, so evaluating
+the schedule does not replay it.
 """
 
 from __future__ import annotations
@@ -165,8 +166,4 @@ def list_schedule(
                     # the current cycle; park it until its operands arrive.
                     pending.append((earliest[succ], succ))
         cycle += 1
-    # Schedule.order sorts a cycle's instructions by index. A multi-issue
-    # cycle may have picked them in another order, and pressure is sampled
-    # between instructions, so the tracker's peak is then not the order's.
-    tracked = issued == sorted(range(n), key=cycles.__getitem__)
-    return Schedule(region, cycles, tracked_peak=tracker.peak_pressure() if tracked else None)
+    return Schedule(region, cycles, tracked_peak=tracker.peak_pressure(), issued=issued)

@@ -1,7 +1,8 @@
-"""``repro.obs``: traces, metric aggregation, exporters and the dashboard.
+"""``repro.obs``: every view of the event stream.
 
-The production-observability layer on top of :mod:`repro.telemetry`'s
-event bus. Four pieces:
+The observability layer is split three ways: :mod:`repro.telemetry` is
+the event *stream*, this package holds every *view* of it, and
+:mod:`repro.profile` is the span profiler. The views:
 
 * :mod:`repro.obs.context` — deterministic trace-context propagation
   (``trace_id``/``span_id``/``parent_id`` derived from the region
@@ -13,12 +14,25 @@ event bus. Four pieces:
   gauges and exponential-bucket histograms in cost-model seconds, with
   byte-stable snapshots (p50/p95/p99 region latency, kernel seconds by
   pass/backend, fault/retry/degrade rates, deadline-budget consumption).
+* :mod:`repro.obs.report` — the trace summary, the per-pass kernel
+  rollup and kernel cost attribution, read from one
+  :class:`TraceView` (one read, one aggregator fold, one rollup).
 * :mod:`repro.obs.export` — OpenMetrics/Prometheus text (plus an offline
   format linter), JSON snapshots, the ``--metrics`` text table, and a
   Perfetto/Chrome trace-event export of the simulated timeline.
-* :mod:`repro.obs.dashboard` — the terminal dashboard (``--watch`` on
-  runs, or ``python -m repro.obs.dashboard TRACE.jsonl``) with the
+* :mod:`repro.obs.dashboard` — the terminal dashboard with the
   deadline-SLO/error-budget panel (:mod:`repro.obs.slo`).
+* :mod:`repro.obs.record` / :mod:`repro.obs.diff` — canonical run
+  bundles and their differ.
+
+A run writes only primary artifacts (``--trace``, ``--record``,
+``--profile-stacks``); one offline command derives the rest from a
+trace::
+
+    python -m repro.obs TRACE.jsonl [--top N] [--kernels]
+        [--dashboard [--follow] [--interval S]] [--slo-target F]
+        [--openmetrics PATH] [--snapshot PATH] [--perfetto PATH]
+    python -m repro.obs --lint METRICS.txt
 
 Like every observability layer in this repository, ``repro.obs`` only
 *observes*: it consumes event dicts, never imports a scheduler, and
@@ -36,32 +50,17 @@ from .aggregate import (
     QUANTILE_ERROR_BOUND,
     aggregate_trace,
 )
+from .dashboard import render_dashboard
+from .export import (
+    lint_openmetrics,
+    render_metrics,
+    render_resilience,
+    to_openmetrics,
+    to_perfetto,
+    write_perfetto,
+)
+from .report import TraceView, summarize_trace
 from .slo import DEFAULT_SLO_TARGET, SLOReport
-
-# ``export`` and ``dashboard`` load lazily (PEP 562): both are runnable
-# modules (``python -m repro.obs.export --lint``), and an eager import
-# here would make runpy warn about re-executing an already-imported
-# module on every CLI invocation.
-_LAZY = {
-    "lint_openmetrics": "export",
-    "to_openmetrics": "export",
-    "to_perfetto": "export",
-    "render_metrics": "export",
-    "render_resilience": "export",
-    "to_snapshot_json": "export",
-    "write_perfetto": "export",
-    "render_dashboard": "dashboard",
-}
-
-
-def __getattr__(name):
-    module = _LAZY.get(name)
-    if module is None:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from importlib import import_module
-
-    return getattr(import_module("." + module, __name__), name)
-
 
 __all__ = [
     "TraceContext",
@@ -75,8 +74,9 @@ __all__ = [
     "aggregate_trace",
     "SLOReport",
     "DEFAULT_SLO_TARGET",
+    "TraceView",
+    "summarize_trace",
     "to_openmetrics",
-    "to_snapshot_json",
     "to_perfetto",
     "write_perfetto",
     "render_metrics",

@@ -26,6 +26,7 @@ import json
 import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from ..telemetry.schema import TraceSource, read_trace_lenient
 from ..telemetry.sinks import Sink
 from .slo import DEFAULT_SLO_TARGET, SLOReport
 
@@ -456,16 +457,15 @@ class AggregatingSink(Sink):
 
 
 def aggregate_trace(
-    path: str, slo_target: float = DEFAULT_SLO_TARGET
+    source: TraceSource, slo_target: float = DEFAULT_SLO_TARGET
 ) -> Tuple[MetricsAggregator, int]:
-    """Fold a recorded JSONL trace; returns ``(aggregator, skipped_lines)``.
+    """Fold a recorded trace (a JSONL path or a record iterable); returns
+    ``(aggregator, skipped_records)``.
 
     Reading is lenient (truncated or foreign lines are skipped, not
-    fatal), matching :func:`repro.telemetry.report.summarize_trace`.
+    fatal), matching :class:`repro.obs.report.TraceView`.
     """
-    from ..telemetry.schema import read_trace_lenient
-
-    records, skipped = read_trace_lenient(path)
+    records, skipped = read_trace_lenient(source)
     aggregator = MetricsAggregator(slo_target=slo_target)
     aggregator.consume_many(records)
     return aggregator, skipped

@@ -8,22 +8,18 @@ panel with its burn rate.
 
 Two entry points:
 
-* ``repro <experiment> --watch`` — the CLI installs an
-  :class:`~repro.obs.aggregate.AggregatingSink` and renders the panel
-  after each experiment (and CI runs with ``--watch`` disabled, reading
-  the exports instead);
-* ``python -m repro.obs.dashboard TRACE.jsonl`` — fold a recorded trace
-  and render once; add ``--follow`` to poll the file as a run appends to
-  it (the only place in the subsystem that touches the wall clock, and
-  only to pace polling — never to measure).
+* ``repro <experiment> --watch`` — the run renders the panel from the
+  aggregator its event stream folds into;
+* ``python -m repro.obs TRACE.jsonl --dashboard`` — fold a recorded
+  trace and render once; add ``--follow`` to poll the file as a run
+  appends to it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from .aggregate import MetricsAggregator
-from .slo import DEFAULT_SLO_TARGET, slo_target_arg
 
 _WIDTH = 66
 _BAR = 24
@@ -197,61 +193,3 @@ def render_dashboard(
     )
     lines.append("=" * _WIDTH)
     return "\n".join(lines) + "\n"
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.dashboard",
-        description="Render the observability dashboard from a JSONL trace.",
-    )
-    parser.add_argument("trace", help="path to a JSONL telemetry trace")
-    parser.add_argument(
-        "--slo-target", type=slo_target_arg, default=DEFAULT_SLO_TARGET,
-        help="deadline-SLO target fraction (default %(default)s)",
-    )
-    parser.add_argument(
-        "--follow", action="store_true",
-        help="poll the trace file and re-render as a live run appends",
-    )
-    parser.add_argument(
-        "--interval", type=float, default=1.0,
-        help="polling interval in wall seconds for --follow (default 1.0)",
-    )
-    args = parser.parse_args(argv)
-
-    from .aggregate import aggregate_trace
-
-    try:
-        aggregator, skipped = aggregate_trace(args.trace, slo_target=args.slo_target)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if skipped:
-        print("[skipped %d invalid line(s)]" % skipped, file=sys.stderr)
-    print(render_dashboard(aggregator), end="")
-
-    if not args.follow:
-        return 0
-
-    import time
-
-    last_events = aggregator.events
-    try:
-        while True:
-            time.sleep(max(0.1, args.interval))
-            aggregator, _ = aggregate_trace(args.trace, slo_target=args.slo_target)
-            if aggregator.events != last_events:
-                last_events = aggregator.events
-                print("\033[2J\033[H", end="")
-                print(render_dashboard(aggregator), end="")
-    except KeyboardInterrupt:
-        return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -9,8 +9,7 @@ records):
   :func:`lint_openmetrics` validates the format offline (the CI smoke job
   runs it — no external dependency needed).
 * :meth:`~repro.obs.aggregate.MetricsAggregator.snapshot_json` — the
-  byte-stable JSON snapshot the golden diff gates (re-exported here as
-  :func:`to_snapshot_json` for symmetry).
+  byte-stable JSON snapshot the golden diff gates.
 * :func:`render_metrics` — an aligned text table of the same counters,
   gauges and histogram quantiles (the CLI's ``--metrics``).
 * :func:`render_resilience` — the CLI's one-line ``[resilience]``
@@ -22,11 +21,9 @@ records):
   they burned, retries/degrades/deadlines as instants. Timestamps are
   cost-model microseconds; there is no wall clock to leak.
 
-Runnable offline::
-
-    python -m repro.obs.export --lint METRICS.txt
-    python -m repro.obs.export TRACE.jsonl --openmetrics M.txt \\
-        --snapshot S.json --perfetto P.json
+Offline, ``python -m repro.obs TRACE.jsonl --openmetrics M.txt
+--snapshot S.json --perfetto P.json`` writes all three from a recorded
+trace, and ``python -m repro.obs --lint M.txt`` lints a metrics file.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ import re
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .aggregate import REPORTED_QUANTILES, MetricsAggregator
-from .slo import DEFAULT_SLO_TARGET, slo_target_arg
 
 #: Prefix of every exported metric family.
 METRIC_PREFIX = "repro"
@@ -181,11 +177,6 @@ def to_openmetrics(aggregator: MetricsAggregator) -> str:
 
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
-
-
-def to_snapshot_json(aggregator: MetricsAggregator) -> str:
-    """The byte-stable JSON snapshot (sorted keys, trailing newline)."""
-    return aggregator.snapshot_json()
 
 
 def render_metrics(aggregator: MetricsAggregator) -> str:
@@ -524,84 +515,3 @@ def write_perfetto(path: str, records: Iterable[Dict]) -> int:
         json.dump(trace, handle, sort_keys=True, indent=1)
         handle.write("\n")
     return len(trace["traceEvents"])  # type: ignore[arg-type]
-
-
-# -- CLI ----------------------------------------------------------------------
-
-
-def main(argv=None) -> int:
-    import argparse
-    import sys
-
-    parser = argparse.ArgumentParser(
-        prog="repro.obs.export",
-        description="Export or lint repro observability artifacts.",
-    )
-    parser.add_argument(
-        "source", nargs="?", default=None,
-        help="JSONL telemetry trace to export from",
-    )
-    parser.add_argument(
-        "--lint", metavar="METRICS_TXT", default=None,
-        help="validate an OpenMetrics text file and exit",
-    )
-    parser.add_argument("--openmetrics", metavar="PATH", default=None)
-    parser.add_argument("--snapshot", metavar="PATH", default=None)
-    parser.add_argument("--perfetto", metavar="PATH", default=None)
-    parser.add_argument(
-        "--slo-target", type=slo_target_arg, default=DEFAULT_SLO_TARGET,
-        help="SLO target fraction (default %(default)s)",
-    )
-    args = parser.parse_args(argv)
-
-    if args.lint:
-        try:
-            with open(args.lint) as handle:
-                text = handle.read()
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-        errors = lint_openmetrics(text)
-        for error in errors:
-            print("openmetrics: %s" % error, file=sys.stderr)
-        print(
-            "%s: %s" % (args.lint, "FAILED (%d error(s))" % len(errors)
-                        if errors else "OK")
-        )
-        return 1 if errors else 0
-
-    if not args.source:
-        parser.error("a trace source (or --lint) is required")
-    from .aggregate import aggregate_trace
-
-    try:
-        aggregator, skipped = aggregate_trace(args.source, slo_target=args.slo_target)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if skipped:
-        print("[skipped %d invalid line(s)]" % skipped, file=sys.stderr)
-    if args.openmetrics:
-        with open(args.openmetrics, "w", encoding="utf-8") as handle:
-            handle.write(to_openmetrics(aggregator))
-        print("[openmetrics written to %s]" % args.openmetrics)
-    if args.snapshot:
-        with open(args.snapshot, "w", encoding="utf-8") as handle:
-            handle.write(aggregator.snapshot_json())
-        print("[snapshot written to %s]" % args.snapshot)
-    if args.perfetto:
-        from ..telemetry.schema import read_trace_lenient
-
-        records, _ = read_trace_lenient(args.source)
-        count = write_perfetto(args.perfetto, records)
-        print("[perfetto trace written to %s (%d event(s))]"
-              % (args.perfetto, count))
-    if not (args.openmetrics or args.snapshot or args.perfetto):
-        print(to_openmetrics(aggregator), end="")
-    return 0
-
-
-if __name__ == "__main__":
-    import sys
-
-    sys.exit(main())

@@ -183,6 +183,10 @@ class RegionDeviceData:
         self.tight_ready_bound = tight_ready_bound
         tight = closure.ready_list_upper_bound()
         self.ready_capacity = min(n, tight) if tight_ready_bound else n
+        #: 32-bit words of one ant's preallocated state (Section V-A): the
+        #: size the per-iteration reset stores and the injected-OOM check
+        #: requests.
+        self.per_ant_state_words = 2 * self.ready_capacity + 2 * n + 2 * self.num_registers + 8
 
     # -- transfer accounting ------------------------------------------------
 

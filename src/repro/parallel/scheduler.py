@@ -247,7 +247,7 @@ class _DevicePass(PassEngine):
         totals = accounting.charge_totals()
         # Optional (schema-v1 extra) attribution fields: the full cost
         # breakdown travels with the event so a trace alone can attribute
-        # every launch's seconds (see repro.profile.attribution).
+        # every launch's seconds (see repro.obs.report).
         attributed = {
             name + "_seconds": value
             for name, value in accounting.attributed_seconds().items()
@@ -336,8 +336,7 @@ class ParallelACOScheduler(TwoPassDriver):
         pheromone = per_thread_rows * (2 * cost.cycles_per_op + cost.cycles_per_transaction / 8.0)
         barriers = 3 * cost.cycles_per_transaction
         # Lane-local state reset: one coalesced store per word row.
-        init_words = 2 * data.ready_capacity + 2 * n + 2 * data.num_registers + 8
-        init = init_words * (cost.cycles_per_transaction / 4.0)
+        init = data.per_ant_state_words * (cost.cycles_per_transaction / 4.0)
         return reduction_cycles(num_ants, cost) + pheromone + barriers + init
 
     def _make_colony(
@@ -377,16 +376,10 @@ class ParallelACOScheduler(TwoPassDriver):
             policy = DivergencePolicy.from_params(
                 self.gpu_params, self.device.wavefront_size
             )
-            per_ant_words = (
-                2 * data.ready_capacity
-                + 2 * data.num_instructions
-                + 2 * data.num_registers
-                + 8
-            )
             fault_plan.check_preallocation(
                 ddg.region.name,
                 attempt,
-                requested_bytes=4 * per_ant_words * policy.num_ants,
+                requested_bytes=4 * data.per_ant_state_words * policy.num_ants,
             )
         return _DeviceRegion(data, fault_plan, seed, attempt)
 

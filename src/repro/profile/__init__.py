@@ -1,15 +1,15 @@
-"""Performance observability: span profiling and kernel cost attribution.
+"""The span profiler: where a run's simulated time went.
 
-Layered on :mod:`repro.telemetry` (events record *what happened*, spans
-record *where the simulated time went*). Three pieces:
+One of the three observability packages (see the "Observability" section
+of DESIGN.md): :mod:`repro.telemetry` is the event stream (*what
+happened*), :mod:`repro.obs` holds every view of it (summaries, the
+per-pass kernel rollup, metrics, dashboard, exports), and this package
+records *where the simulated time went*. Two pieces:
 
 * :mod:`repro.profile.spans` — the hierarchical span profiler
   (context-manager + decorator API, merge-by-name tree, inert default);
 * :mod:`repro.profile.report` — terminal tree rendering, collapsed-stack
-  (flamegraph/speedscope) export, leaf-attribution accounting;
-* :mod:`repro.profile.attribution` — kernel cost attribution: per-category
-  seconds from :class:`~repro.gpusim.kernel.KernelAccounting` breakdowns
-  and per-phase rollups over recorded traces.
+  (flamegraph/speedscope) export, leaf-attribution accounting.
 
 Enable from the CLI with ``repro <experiment> --profile`` (tree report)
 and ``--profile-stacks PATH`` (collapsed stacks); programmatically::
@@ -24,13 +24,6 @@ Seeded results are bit-identical with profiling on or off: spans only
 accumulate seconds the deterministic cost models already computed.
 """
 
-from .attribution import (
-    CYCLE_CATEGORIES,
-    PhaseRollup,
-    attribute_seconds,
-    kernel_phase_rollup,
-    render_kernel_rollup,
-)
 from .report import (
     Attribution,
     attribution,
@@ -63,9 +56,4 @@ __all__ = [
     "collapsed_stacks",
     "write_collapsed",
     "top_leaves",
-    "CYCLE_CATEGORIES",
-    "PhaseRollup",
-    "attribute_seconds",
-    "kernel_phase_rollup",
-    "render_kernel_rollup",
 ]

@@ -43,12 +43,13 @@ A schedule is evaluated once per compile. The tracker that built it
 already holds its peak, so that peak travels with the result instead of a
 second tracker replaying the order:
 
-* :func:`~repro.heuristics.list_schedule` and
-  :func:`~repro.heuristics.order_schedule` attach theirs as
-  ``Schedule.tracked_peak``. The list scheduler does so only when its
-  tracker issued exactly ``Schedule.order``. A multi-issue cycle may pick
-  its instructions out of index order, and the order sorts them by index,
-  so the tracker's peak is then another order's.
+* :func:`~repro.heuristics.list_schedule`,
+  :func:`~repro.heuristics.order_schedule` and the ACO driver's pass-2
+  winner hand ``Schedule`` their tracker's peak with the order it issued.
+  The schedule keeps it as ``Schedule.tracked_peak`` only when that order
+  is ``Schedule.order``. A multi-issue cycle may pick its instructions out
+  of index order, and the order sorts them by index, so the tracker's peak
+  is then another order's.
 * The ACO driver's ``ACOResult.peak`` is its final schedule's peak; the
   pipeline evaluates the ACO schedule with it.
 * :func:`repro.rp.evaluate_schedule` and the driver read a carried peak

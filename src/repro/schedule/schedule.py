@@ -19,11 +19,13 @@ from ..ir.registers import RegisterClass
 class Schedule:
     """An immutable cycle assignment for one region.
 
-    ``tracked_peak`` is the per-class peak pressure of issuing
-    :attr:`order`, as the producer's pressure tracker recorded it while
-    building the schedule; :func:`repro.rp.evaluate_schedule` then reads it
-    instead of replaying the order. A producer passes it only when its
-    tracker issued exactly :attr:`order`. It takes no part in equality.
+    ``tracked_peak`` is the per-class peak pressure that the producer's
+    pressure tracker recorded while issuing ``issued``. The schedule keeps
+    it only when ``issued`` is exactly :attr:`order`: a multi-issue cycle
+    may pick its instructions out of index order, and :attr:`order` sorts
+    them by index, so the peak is then another order's. A kept peak is
+    what :func:`repro.rp.evaluate_schedule` reads instead of replaying the
+    order. It takes no part in equality.
     """
 
     __slots__ = ("region", "cycles", "_order", "_length", "_tracked_peak")
@@ -33,6 +35,7 @@ class Schedule:
         region: SchedulingRegion,
         cycles: Sequence[int],
         tracked_peak: Optional[Mapping[RegisterClass, int]] = None,
+        issued: Optional[Sequence[int]] = None,
     ):
         if len(cycles) != len(region):
             raise ScheduleError(
@@ -50,7 +53,8 @@ class Schedule:
             )
         )
         self._length = max(cycle_tuple) + 1 if cycle_tuple else 0
-        self._tracked_peak = None if tracked_peak is None else dict(tracked_peak)
+        carried = tracked_peak is not None and issued is not None and tuple(issued) == self._order
+        self._tracked_peak = dict(tracked_peak) if carried else None
 
     @classmethod
     def from_order(
@@ -69,7 +73,7 @@ class Schedule:
         cycles = [0] * len(region)
         for cycle, index in enumerate(order):
             cycles[index] = cycle
-        return cls(region, cycles, tracked_peak)
+        return cls(region, cycles, tracked_peak, issued=order)
 
     # -- accessors -----------------------------------------------------------
 

@@ -1,22 +1,25 @@
-"""Structured telemetry: typed trace events and pluggable sinks.
+"""Structured telemetry: the event stream of a run.
 
-The observability layer of the reproduction (see the "Observability"
-sections of README.md and DESIGN.md). The paper's speedup story lives in
-*mechanisms* — iterations to convergence, wavefront serialization,
-launch/copy overheads, ready-list occupancy against the transitive-closure
-bound — and this package makes them visible without perturbing them:
+The observability layer of the reproduction is split three ways (see
+the "Observability" section of DESIGN.md): this package is the *stream*,
+:mod:`repro.obs` holds every *view* of it, and :mod:`repro.profile` is
+the span profiler. The paper's speedup story lives in *mechanisms* —
+iterations to convergence, wavefront serialization, launch/copy
+overheads, ready-list occupancy against the transitive-closure bound —
+and the stream records them without perturbing them:
 
 * :class:`Telemetry` — the event tracer, injected into each component
   at construction (``telemetry=``; there is no process-wide instance);
 * sinks — :class:`NullSink` (inert default), :class:`MemorySink` (tests),
-  :class:`JSONLSink` (the ``--trace`` file format, schema-versioned in
-  :mod:`repro.telemetry.schema`);
-* :mod:`repro.telemetry.report` — human-readable profiles from traces.
+  :class:`JSONLSink` (the ``--trace`` file format), :class:`TeeSink`;
+* :mod:`repro.telemetry.schema` — the versioned event schema and the
+  trace readers (:func:`read_trace` strict, ``read_trace_lenient``
+  best-effort), each taking a JSONL path or a record iterable.
 
-There is no second metrics engine: counters, gauges and histograms are
-views of the event stream, folded by :class:`repro.obs.MetricsAggregator`
-(live through :class:`repro.obs.AggregatingSink`, or offline from a
-trace).
+Summaries, metrics, dashboards and exports are views, folded from the
+stream by :mod:`repro.obs` (live through
+:class:`repro.obs.AggregatingSink`, or offline with
+``python -m repro.obs TRACE.jsonl``).
 
 Disabled telemetry (the default) is a single attribute check per
 instrumentation site and never touches an RNG or a cost model, so seeded
@@ -27,10 +30,9 @@ from .core import PassScope, Telemetry
 from .schema import (
     EVENT_TYPES,
     SCHEMA_VERSION,
-    iter_trace,
     read_trace,
+    read_trace_lenient,
     validate_event,
-    validate_trace,
 )
 from .sinks import JSONLSink, MemorySink, NullSink, Sink, TeeSink
 
@@ -45,7 +47,6 @@ __all__ = [
     "SCHEMA_VERSION",
     "EVENT_TYPES",
     "validate_event",
-    "validate_trace",
     "read_trace",
-    "iter_trace",
+    "read_trace_lenient",
 ]

@@ -61,9 +61,12 @@ layer is active, and the forward-compatibility rule covers new readers.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Any, Dict, Iterable, Iterator, List, Tuple, Union
 
 from ..errors import TelemetryError
+
+#: A trace: a JSONL file path, or the records themselves.
+TraceSource = Union[str, Iterable[Dict]]
 
 #: Version stamped into every record; bump on incompatible field changes.
 SCHEMA_VERSION = 1
@@ -169,70 +172,62 @@ def validate_event(record: Dict) -> None:
         )
 
 
-def iter_trace(path: str) -> Iterator[Dict]:
-    """Yield validated records from a JSONL trace file.
+def _lines(source: TraceSource) -> Iterator[Tuple[str, Any]]:
+    """``(location, record)`` pairs of a trace path or record iterable.
 
-    Raises :class:`TelemetryError` on unparsable lines or schema-invalid
-    records, identifying the offending line number.
+    A file's lines are parsed as JSON; an unparsable line yields the
+    :class:`ValueError` in place of its record.
     """
-    with open(path) as handle:
+    if not isinstance(source, str):
+        for index, record in enumerate(source):
+            yield "record %d" % index, record
+        return
+    with open(source) as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record: Any = json.loads(line)
             except ValueError as exc:
-                raise TelemetryError(
-                    "%s:%d: not valid JSON: %s" % (path, lineno, exc)
-                ) from exc
-            try:
-                validate_event(record)
-            except TelemetryError as exc:
-                raise TelemetryError("%s:%d: %s" % (path, lineno, exc)) from exc
-            yield record
+                record = exc
+            yield "%s:%d" % (source, lineno), record
 
 
-def read_trace(path: str) -> List[Dict]:
-    """All validated records of a JSONL trace file, in file order."""
-    return list(iter_trace(path))
+def read_trace(source: TraceSource) -> List[Dict]:
+    """All records of a JSONL trace file (or a record iterable), validated.
+
+    Raises :class:`TelemetryError` on the first unparsable line or
+    schema-invalid record, naming its location.
+    """
+    records: List[Dict] = []
+    for where, record in _lines(source):
+        if isinstance(record, ValueError):
+            raise TelemetryError("%s: not valid JSON: %s" % (where, record)) from record
+        try:
+            validate_event(record)
+        except TelemetryError as exc:
+            raise TelemetryError("%s: %s" % (where, exc)) from exc
+        records.append(record)
+    return records
 
 
-def read_trace_lenient(path: str) -> Tuple[List[Dict], int]:
-    """Best-effort trace reading: ``(valid records, skipped line count)``.
+def read_trace_lenient(source: TraceSource) -> Tuple[List[Dict], int]:
+    """Best-effort trace reading: ``(valid records, skipped count)``.
 
-    Unparsable or schema-invalid lines are counted and skipped instead of
-    raising, so a truncated trace (a run killed mid-write) still yields the
-    records that made it to disk. Use :func:`read_trace` when corruption
-    should be an error.
+    ``source`` is a JSONL path or a record iterable. Unparsable or
+    schema-invalid records are counted and skipped instead of raising, so
+    a truncated trace (a run killed mid-write) still yields the records
+    that made it to disk. Use :func:`read_trace` when corruption should
+    be an error.
     """
     records: List[Dict] = []
     skipped = 0
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                validate_event(record)
-            except (ValueError, TelemetryError):
-                skipped += 1
-                continue
-            records.append(record)
+    for _where, record in _lines(source):
+        try:
+            validate_event(record)
+        except TelemetryError:
+            skipped += 1
+            continue
+        records.append(record)
     return records, skipped
-
-
-def validate_trace(source: Union[str, Iterable[Dict]]) -> int:
-    """Validate a trace file path or an iterable of records.
-
-    Returns the number of valid records; raises on the first invalid one.
-    """
-    if isinstance(source, str):
-        records: Iterable[Dict] = iter_trace(source)
-        return sum(1 for _ in records)
-    count = 0
-    for record in source:
-        validate_event(record)
-        count += 1
-    return count

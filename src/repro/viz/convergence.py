@@ -9,12 +9,10 @@ best cost fell, per region and pass. Plain text like the rest of
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import TelemetryError
-from ..telemetry.schema import read_trace, validate_event
-
-TraceSource = Union[str, Iterable[Dict]]
+from ..telemetry.schema import TraceSource, read_trace
 
 
 def convergence_series(
@@ -29,13 +27,7 @@ def convergence_series(
     the list of ``iteration`` event records (``winner_cost`` is None for
     iterations where every ant died).
     """
-    if isinstance(source, str):
-        records = read_trace(source)
-    else:
-        records = list(source)
-        for record in records:
-            validate_event(record)
-
+    records = read_trace(source)
     series: Dict[Tuple[str, int], List[Dict]] = {}
     for record in records:
         if record["event"] != "iteration":

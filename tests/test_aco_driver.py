@@ -11,23 +11,28 @@ each driver rule can be pinned exactly, independent of any real colony.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.aco import SequentialACOScheduler
 from repro.aco.driver import PassCost, PassEngine, TwoPassDriver, Winner
 from repro.aco.strategy import AntSystemStrategy
-from repro.config import ACOParams
+from repro.config import ACOParams, GPUParams
 from repro.ddg import DDG
 from repro.ddg.lower_bounds import RegionBounds
 from repro.errors import DeviceHangError, ResilienceError
 from repro.heuristics.list_scheduler import schedule_in_order
 from repro.ir.builder import figure1_region
-from repro.machine import simple_test_target
+from repro.machine import amd_vega20, simple_test_target
 from repro.obs import AggregatingSink
+from repro.parallel import ParallelACOScheduler
 from repro.resilience.checkpoint import RegionCheckpoint
 from repro.resilience.watchdog import DeadlineBudget
 from repro.rp.cost import rp_cost_lower_bound
 from repro.rp.liveness import peak_pressure
 from repro.schedule import Schedule
 from repro.telemetry import MemorySink, TeeSink, Telemetry
+from strategies import make_region, non_ssa_regions, regions
 
 #: A small register file, so the region's RP cost sits far above the
 #: cost of zero pressure.
@@ -236,3 +241,52 @@ class TestHangAndResume:
         checkpoint.pass1 = None
         with pytest.raises(ResilienceError, match="pass-1"):
             run(ddg, self.scripts(ddg), resume=checkpoint)
+
+
+# -- the pass-2 winner's carried peak -----------------------------------------
+
+#: One engine per construction path; one wavefront keeps the scalar
+#: loop engine fast enough for hypothesis.
+PEAK_ENGINES = {
+    "sequential": lambda machine: SequentialACOScheduler(
+        machine, params=ACOParams(max_iterations=6)
+    ),
+    "vectorized": lambda machine: ParallelACOScheduler(
+        machine, params=ACOParams(max_iterations=6),
+        gpu_params=GPUParams(blocks=1), backend="vectorized",
+    ),
+    "loop": lambda machine: ParallelACOScheduler(
+        machine, params=ACOParams(max_iterations=6),
+        gpu_params=GPUParams(blocks=1), backend="loop",
+    ),
+}
+
+
+def _carried_peak_result(engine, region):
+    """Schedule ``region``; the peak the result carries is the replayed one."""
+    result = PEAK_ENGINES[engine](amd_vega20()).schedule(DDG(region), seed=3)
+    replayed = peak_pressure(result.schedule)
+    assert result.peak == replayed
+    assert result.schedule.tracked_peak in (None, replayed)
+    return result
+
+
+# Module-level: hypothesis and the engine parametrization (see
+# test_differential.py for why not a class method).
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@pytest.mark.parametrize("engine", sorted(PEAK_ENGINES))
+@given(region=st.one_of(regions(max_size=24), non_ssa_regions()))
+def test_carried_pass2_peak_is_the_replayed_peak(engine, region):
+    _carried_peak_result(engine, region)
+
+
+@pytest.mark.parametrize("engine", sorted(PEAK_ENGINES))
+def test_pass2_winner_carries_its_peak(engine):
+    """A schedule an ant won in pass 2 ships with that ant's peak."""
+    won = 0
+    for seed in range(6):
+        result = _carried_peak_result(engine, make_region("reduce", seed, 24))
+        if result.pass2.invoked and result.pass2.final_cost < result.pass2.initial_cost:
+            won += 1
+            assert result.schedule.tracked_peak is not None
+    assert won

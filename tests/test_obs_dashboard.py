@@ -1,19 +1,23 @@
-"""Tests for the terminal dashboard and the obs CLI entry points."""
+"""Tests for the terminal dashboard and the ``python -m repro.obs`` command."""
 
 import json
-import os
 
 import pytest
 
 from repro.config import ACOParams, FilterParams, SuiteParams
 from repro.machine import amd_vega20
-from repro.obs import AggregatingSink, MetricsAggregator, render_dashboard
-from repro.obs.dashboard import main as dashboard_main
-from repro.obs.export import main as export_main
+from repro.obs import (
+    AggregatingSink,
+    MetricsAggregator,
+    lint_openmetrics,
+    render_dashboard,
+    summarize_trace,
+)
+from repro.obs.__main__ import main as obs_main
 from repro.pipeline import CompilePipeline
 from repro.aco import SequentialACOScheduler
 from repro.suite import generate_suite
-from repro.telemetry import JSONLSink, MemorySink, TeeSink, Telemetry
+from repro.telemetry import JSONLSink, TeeSink, Telemetry
 
 
 @pytest.fixture(scope="module")
@@ -76,24 +80,30 @@ class TestRenderDashboard:
 class TestDashboardCLI:
     def test_renders_trace_once(self, trace_path, capsys):
         path, _ = trace_path
-        assert dashboard_main([path]) == 0
+        assert obs_main([path, "--dashboard"]) == 0
         out = capsys.readouterr().out
         assert "repro.obs dashboard" in out
         assert "SLO" in out
 
     def test_offline_render_matches_live(self, trace_path, capsys):
         path, aggregator = trace_path
-        dashboard_main([path])
+        obs_main([path, "--dashboard"])
         out = capsys.readouterr().out
-        assert out == render_dashboard(aggregator)
+        assert out == summarize_trace(path) + "\n" + render_dashboard(aggregator)
 
     def test_slo_target_flag(self, trace_path, capsys):
         path, _ = trace_path
-        assert dashboard_main([path, "--slo-target", "0.5"]) == 0
+        assert obs_main([path, "--dashboard", "--slo-target", "0.5"]) == 0
         assert "50.0%" in capsys.readouterr().out
 
     def test_missing_trace_errors(self, tmp_path, capsys):
-        assert dashboard_main([str(tmp_path / "absent.jsonl")]) == 2
+        assert obs_main([str(tmp_path / "absent.jsonl"), "--dashboard"]) == 2
+
+    def test_follow_needs_dashboard(self, trace_path, capsys):
+        path, _ = trace_path
+        with pytest.raises(SystemExit) as exc:
+            obs_main([path, "--follow"])
+        assert exc.value.code == 2
 
 
 class TestExportCLI:
@@ -102,14 +112,12 @@ class TestExportCLI:
         om = str(tmp_path / "m.om")
         snap = str(tmp_path / "s.json")
         perfetto = str(tmp_path / "p.json")
-        rc = export_main([
+        rc = obs_main([
             path, "--openmetrics", om, "--snapshot", snap, "--perfetto", perfetto,
         ])
         assert rc == 0
         # The offline exports equal the live aggregator's.
         assert open(snap).read() == aggregator.snapshot_json()
-        from repro.obs import lint_openmetrics
-
         assert lint_openmetrics(open(om).read()) == []
         trace = json.load(open(perfetto))
         assert trace["traceEvents"]
@@ -117,23 +125,25 @@ class TestExportCLI:
     def test_lint_mode_accepts_own_export(self, trace_path, tmp_path, capsys):
         path, _ = trace_path
         om = str(tmp_path / "m.om")
-        export_main([path, "--openmetrics", om])
+        obs_main([path, "--openmetrics", om])
         capsys.readouterr()
-        assert export_main(["--lint", om]) == 0
+        assert obs_main(["--lint", om]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_lint_mode_rejects_broken_doc(self, tmp_path, capsys):
         bad = tmp_path / "bad.om"
         bad.write_text("# TYPE repro_x counter\nrepro_x 1\n")
-        assert export_main(["--lint", str(bad)]) == 1
+        assert obs_main(["--lint", str(bad)]) == 1
         captured = capsys.readouterr()
         assert "FAILED" in captured.out
 
-    def test_default_prints_openmetrics(self, trace_path, capsys):
-        path, _ = trace_path
-        assert export_main([path]) == 0
-        out = capsys.readouterr().out
-        assert out.endswith("# EOF\n")
+    def test_lint_mode_missing_file_errors(self, tmp_path, capsys):
+        assert obs_main(["--lint", str(tmp_path / "absent.om")]) == 2
+
+    def test_trace_or_lint_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            obs_main([])
+        assert exc.value.code == 2
 
 
 class TestSLOTargetFlag:
@@ -148,8 +158,8 @@ class TestSLOTargetFlag:
         entry_points = (
             lambda: cli_main(["table1", "--scale", "test", "--watch",
                               "--slo-target", value]),
-            lambda: dashboard_main([path, "--slo-target", value]),
-            lambda: export_main([path, "--slo-target", value]),
+            lambda: obs_main([path, "--dashboard", "--slo-target", value]),
+            lambda: obs_main([path, "--slo-target", value]),
         )
         for entry_point in entry_points:
             with pytest.raises(SystemExit) as exc:
@@ -159,22 +169,23 @@ class TestSLOTargetFlag:
             assert "SLO target must be a fraction in (0, 1]" in err
             assert "Traceback" not in err
 
-    def test_boundary_one_is_accepted(self, trace_path, capsys):
+    def test_boundary_one_is_accepted(self, trace_path, tmp_path, capsys):
         path, _ = trace_path
-        assert export_main([path, "--slo-target", "1"]) == 0
-        assert "repro_slo_target 1" in capsys.readouterr().out
+        om = tmp_path / "m.om"
+        assert obs_main([path, "--slo-target", "1", "--openmetrics", str(om)]) == 0
+        assert "repro_slo_target 1" in om.read_text()
 
 
 class TestWatchFlag:
     def test_cli_watch_renders_dashboard(self, tmp_path, capsys):
         from repro.cli import main as cli_main
 
+        trace = str(tmp_path / "run.jsonl")
         snap = str(tmp_path / "snap.json")
-        rc = cli_main([
-            "table2", "--scale", "test", "--watch", "--obs-snapshot", snap,
-        ])
+        rc = cli_main(["table2", "--scale", "test", "--watch", "--trace", trace])
         assert rc == 0
         out = capsys.readouterr().out
         assert "repro.obs dashboard" in out
-        assert os.path.exists(snap)
+        # The snapshot is a view of the trace, written offline.
+        assert obs_main([trace, "--snapshot", snap]) == 0
         json.loads(open(snap).read())

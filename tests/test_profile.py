@@ -10,15 +10,14 @@ from repro.profile import (
     attribution,
     collapsed_stacks,
     get_profiler,
-    kernel_phase_rollup,
     profile_session,
     profiled,
-    render_kernel_rollup,
     render_tree,
     set_profiler,
     top_leaves,
     write_collapsed,
 )
+from repro.obs.report import kernel_phase_rollup, render_kernel_rollup
 
 
 class TestSpanTree:

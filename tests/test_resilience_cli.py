@@ -85,9 +85,6 @@ def test_bad_resilience_value_exits_two(flags, capsys):
     "flag",
     [
         "--trace",
-        "--openmetrics",
-        "--obs-snapshot",
-        "--perfetto",
         "--profile-stacks",
         "--record",
         "--csv",

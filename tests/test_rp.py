@@ -312,6 +312,18 @@ class TestTrackedPeak:
             assert replayed.tracked_peak is None
             assert evaluate_schedule(schedule, vega) == evaluate_schedule(replayed, vega)
 
+    def test_peak_is_kept_only_for_the_issued_order(self, fig1_region):
+        """Cycles 0,0,1,...: the schedule's order puts 0 before 1 within the
+        shared cycle, so a peak tracked while issuing 1 before 0 is dropped,
+        and so is a peak that comes without its issue order."""
+        cycles = [0, 0, 1, 2, 3, 4, 5]
+        peak = {VGPR: 4}
+        kept = Schedule(fig1_region, cycles, tracked_peak=peak, issued=range(7))
+        assert kept.tracked_peak == peak
+        swapped = [1, 0, 2, 3, 4, 5, 6]
+        assert Schedule(fig1_region, cycles, tracked_peak=peak, issued=swapped).tracked_peak is None
+        assert Schedule(fig1_region, cycles, tracked_peak=peak).tracked_peak is None
+
     def test_carried_peak_takes_no_part_in_equality(self, fig1_region):
         plain = Schedule.from_order(fig1_region, range(7))
         carried = Schedule.from_order(fig1_region, range(7), tracked_peak={VGPR: 4})

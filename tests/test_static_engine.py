@@ -172,10 +172,10 @@ class TestBaseline:
 
 class TestDesignCatalog:
     def test_design_rule_table_lists_exactly_the_registered_rules(self):
-        """DESIGN.md §13's rule table names every rule and nothing else."""
+        """DESIGN.md §12's rule table names every rule and nothing else."""
         with open(os.path.join(REPO_ROOT, "DESIGN.md"), encoding="utf-8") as handle:
             design = handle.read()
-        start = design.index("## 13.")
+        start = design.index("## 12.")
         section = design[start:design.index("\n## ", start + 1)]
         listed = re.findall(r"^\| `([A-Z]{3}-\d{3})` \|", section, re.MULTILINE)
         assert sorted(listed) == sorted(rule_ids() + [SYNTAX_RULE_ID])

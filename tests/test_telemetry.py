@@ -21,7 +21,8 @@ from repro.errors import TelemetryError
 from repro.machine import simple_test_target
 from repro.parallel import MultiRegionScheduler, ParallelACOScheduler
 from repro.pipeline import CompilePipeline
-from repro.obs import AggregatingSink, MetricsAggregator, render_metrics
+from repro.obs import AggregatingSink, MetricsAggregator, render_metrics, summarize_trace
+from repro.obs.__main__ import main as obs_main
 from repro.telemetry import (
     JSONLSink,
     MemorySink,
@@ -29,11 +30,9 @@ from repro.telemetry import (
     TeeSink,
     Telemetry,
     read_trace,
+    read_trace_lenient,
     validate_event,
-    validate_trace,
 )
-from repro.telemetry.report import main as report_main
-from repro.telemetry.report import summarize_trace
 
 from conftest import make_region
 
@@ -75,9 +74,8 @@ class TestSinksAndSchema:
         scope.end(invoked=True, iterations=2, final_cost=15.0,
                   hit_lower_bound=False, seconds=1e-5)
         tele.close()
-        assert validate_trace(path) == 4
         records = read_trace(path)
-        assert [r["event"] for r in records][-4:] == [
+        assert [r["event"] for r in records] == [
             "pass_start", "iteration", "iteration", "pass_end",
         ]
         assert records[-2]["winner_cost"] is None  # strict JSON, no Infinity
@@ -99,9 +97,13 @@ class TestSinksAndSchema:
     def test_validate_trace_flags_corrupt_line(self, tmp_path):
         path = str(tmp_path / "bad.jsonl")
         with open(path, "w") as handle:
-            handle.write('{"v": 1, "seq": 0, "event": "nope"}\n')
-        with pytest.raises(TelemetryError):
-            validate_trace(path)
+            handle.write('{"v": 1, "seq": 0, "event": "region_start", '
+                         '"region": "r", "size": 1, "scheduler": "s"}\n{broken\n')
+        with pytest.raises(TelemetryError, match=r"bad\.jsonl:2: not valid JSON"):
+            read_trace(path)
+        # A record iterable is checked the same way, by position.
+        with pytest.raises(TelemetryError, match="record 1: unknown event type"):
+            read_trace([read_trace_lenient(path)[0][0], {"v": 1, "seq": 1, "event": "nope"}])
 
     def test_kernel_launch_carries_attribution_fields(self):
         """Satellite of the profiler work: every simulated launch reports
@@ -129,8 +131,9 @@ class TestSinksAndSchema:
             assert split == pytest.approx(rec["kernel_seconds"])
 
     def test_fixture_trace_is_schema_valid(self):
-        assert validate_trace(FIXTURE) > 0
         records = read_trace(FIXTURE)
+        assert records
+        assert read_trace(records) == records
         types = {r["event"] for r in records}
         assert {"pass_start", "iteration", "pass_end", "kernel_launch"} <= types
 
@@ -180,13 +183,13 @@ class TestReport:
         assert "iterations-to-convergence" in text
 
     def test_top_ranks_that_many_regions(self, capsys):
-        assert report_main([FIXTURE, "--top", "1"]) == 0
+        assert obs_main([FIXTURE, "--top", "1"]) == 0
         assert "top 1 regions by simulated scheduling time:" in capsys.readouterr().out
 
     @pytest.mark.parametrize("top", [0, -2])
     def test_top_below_one_rejected(self, top, capsys):
         with pytest.raises(SystemExit) as info:
-            report_main([FIXTURE, "--top", str(top)])
+            obs_main([FIXTURE, "--top", str(top)])
         assert info.value.code == 2
         assert "--top must be >= 1" in capsys.readouterr().err
         with pytest.raises(ValueError):
@@ -235,14 +238,13 @@ class TestReport:
         assert "skipped 2 invalid or truncated line(s)" in text
 
     def test_read_trace_lenient(self, tmp_path):
-        from repro.telemetry.schema import read_trace_lenient
-
         good = open(FIXTURE).readline()
         path = tmp_path / "t.jsonl"
         path.write_text(good + "{broken\n" + good)
         records, skipped = read_trace_lenient(str(path))
         assert len(records) == 2
         assert skipped == 1
+        assert read_trace_lenient(records + [{"event": "bogus"}]) == (records, 1)
 
 
 def _schedule_both(telemetry):
