@@ -241,8 +241,12 @@ class _Best:
             self.order = tuple(checkpoint.best_order)
             self.peak = dict(checkpoint.best_peak)
         elif checkpoint.best_cycles is not None:
+            # ``order``/``peak`` are pass 1's: a checkpointed best that
+            # issues that order (no ant improved it) keeps its peak.
             self.cost = int(checkpoint.best_cost)
-            self.schedule = Schedule(region, checkpoint.best_cycles)
+            self.schedule = Schedule(
+                region, checkpoint.best_cycles, tracked_peak=self.peak, issued=self.order
+            )
 
 
 class TwoPassDriver(ABC):
@@ -577,7 +581,7 @@ class TwoPassDriver(ABC):
         # The pass-1 pressure constrains pass 2 at APRP granularity: any
         # pressure that keeps the same occupancy step is acceptable.
         target = self.machine.aprp(best_peak)
-        initial_schedule = schedule_in_order(ddg, best_order)
+        initial_schedule = schedule_in_order(ddg, best_order, tracked_peak=best_peak)
         # When the heuristic's own latency-aware schedule already satisfies
         # the pressure target (always true when pass 1 made no progress), it
         # is a better starting point than the stretched pass-1 order.

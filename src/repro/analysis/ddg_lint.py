@@ -32,64 +32,74 @@ def lint_ddg(ddg: DDG) -> VerificationReport:
     succ_of = [dict(ddg.successors[i]) for i in range(n)]
     pred_of = [dict(ddg.predecessors[i]) for i in range(n)]
 
+    # The per-edge checks are counted in bulk; a message is built only for
+    # a failing check, in the order the checks are listed.
+    checks = 0
     for i in range(n):
         for j, latency in ddg.successors[i]:
-            report.check(
-                "edge-range",
-                0 <= j < n and j != i,
-                "edge %d -> %d leaves the region or is a self-loop" % (i, j),
-            )
-            if not (0 <= j < n):
+            in_range = 0 <= j < n
+            if not in_range or j == i:
+                report.fail(
+                    "edge-range", "edge %d -> %d leaves the region or is a self-loop" % (i, j)
+                )
+            if not in_range:
+                checks += 1
                 continue
-            report.check(
-                "program-order",
-                i < j,
-                "edge %d -> %d goes against program order" % (i, j),
-            )
-            report.check(
-                "latency-sanity",
-                latency >= 0,
-                "edge %d -> %d has negative latency %d" % (i, j, latency),
-            )
-            report.check(
-                "duality",
-                pred_of[j].get(i) == latency,
-                "edge %d -> %d (latency %d) missing or mislabelled in the "
-                "predecessor list" % (i, j, latency),
-            )
+            # edge-range, program-order, latency-sanity, duality
+            checks += 4
+            if not i < j:
+                report.fail("program-order", "edge %d -> %d goes against program order" % (i, j))
+            if not latency >= 0:
+                report.fail(
+                    "latency-sanity",
+                    "edge %d -> %d has negative latency %d" % (i, j, latency),
+                )
+            if not pred_of[j].get(i) == latency:
+                report.fail(
+                    "duality",
+                    "edge %d -> %d (latency %d) missing or mislabelled in the "
+                    "predecessor list" % (i, j, latency),
+                )
+        checks += len(ddg.predecessors[i])
         for p, latency in ddg.predecessors[i]:
-            report.check(
-                "duality",
-                0 <= p < n and succ_of[p].get(i) == latency,
-                "predecessor edge %d -> %d (latency %d) missing from the "
-                "successor list" % (p, i, latency),
-            )
+            if not (0 <= p < n and succ_of[p].get(i) == latency):
+                report.fail(
+                    "duality",
+                    "predecessor edge %d -> %d (latency %d) missing from the "
+                    "successor list" % (p, i, latency),
+                )
 
     # Merged lists carry the max latency over parallel raw edges, and every
     # raw edge must be represented.
     merged = {}
     for edge in ddg.edges:
-        report.check(
-            "raw-edge-kind",
-            isinstance(edge.kind, DepKind),
-            "edge %d -> %d has unknown kind %r" % (edge.src, edge.dst, edge.kind),
-        )
-        if edge.kind is DepKind.FLOW:
-            report.check(
-                "flow-latency",
-                edge.latency >= 1,
-                "flow edge %d -> %d has latency %d < 1"
-                % (edge.src, edge.dst, edge.latency),
+        kind = edge.kind
+        checks += 1
+        if not isinstance(kind, DepKind):
+            report.fail(
+                "raw-edge-kind",
+                "edge %d -> %d has unknown kind %r" % (edge.src, edge.dst, kind),
             )
+        if kind is DepKind.FLOW:
+            checks += 1
+            if not edge.latency >= 1:
+                report.fail(
+                    "flow-latency",
+                    "flow edge %d -> %d has latency %d < 1"
+                    % (edge.src, edge.dst, edge.latency),
+                )
         key = (edge.src, edge.dst)
-        merged[key] = max(merged.get(key, 0), edge.latency)
+        previous = merged.get(key, 0)
+        merged[key] = edge.latency if edge.latency > previous else previous
+    checks += len(merged)
     for (src, dst), latency in merged.items():
-        report.check(
-            "merge-consistency",
-            0 <= src < n and succ_of[src].get(dst) == latency,
-            "merged edge %d -> %d should carry latency %d; successor list "
-            "says %r" % (src, dst, latency, succ_of[src].get(dst) if src < n else None),
-        )
+        if not (0 <= src < n and succ_of[src].get(dst) == latency):
+            report.fail(
+                "merge-consistency",
+                "merged edge %d -> %d should carry latency %d; successor list "
+                "says %r" % (src, dst, latency, succ_of[src].get(dst) if src < n else None),
+            )
+    report.checks += checks
 
     # Derived fields.
     report.check(

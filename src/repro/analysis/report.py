@@ -56,8 +56,12 @@ class VerificationReport:
             self.violations.append(Violation(code, message))
         return condition
 
-    def add_violation(self, code: str, message: str) -> None:
-        self.checks += 1
+    def fail(self, code: str, message: str) -> None:
+        """Record one violation of a check the caller counts in ``checks``.
+
+        Hot loops add their checks to ``checks`` in bulk and build a
+        message only for a failing one.
+        """
         self.violations.append(Violation(code, message))
 
     def codes(self) -> Tuple[str, ...]:

@@ -199,13 +199,15 @@ def verify_order(ddg: DDG, order: Sequence[int]) -> VerificationReport:
     if report.ok:
         position = {index: pos for pos, index in enumerate(order)}
         for src in range(n):
-            for dst, _lat in ddg.successors[src]:
-                report.check(
-                    "order-dependence",
-                    position[src] < position[dst],
-                    "dependence %s -> %s issued out of order"
-                    % (ddg.region[src].label, ddg.region[dst].label),
-                )
+            successors = ddg.successors[src]
+            report.checks += len(successors)
+            for dst, _lat in successors:
+                if not position[src] < position[dst]:
+                    report.fail(
+                        "order-dependence",
+                        "dependence %s -> %s issued out of order"
+                        % (ddg.region[src].label, ddg.region[dst].label),
+                    )
     return report
 
 
@@ -277,28 +279,33 @@ def verify_schedule(
             % (claimed_length, true_length),
         )
 
-    # Dependence / latency legality.
+    # Dependence / latency legality, one check per edge.
+    code = "latency" if respect_latencies else "dependence"
     for src in range(n):
-        for dst, latency in ddg.successors[src]:
+        successors = ddg.successors[src]
+        report.checks += len(successors)
+        for dst, latency in successors:
             required = latency if respect_latencies else 1
-            report.check(
-                "latency" if respect_latencies else "dependence",
-                cycles[dst] - cycles[src] >= required,
-                "dependence %s -> %s needs %d cycle(s); got %d"
-                % (
-                    region[src].label,
-                    region[dst].label,
-                    required,
-                    cycles[dst] - cycles[src],
-                ),
-            )
+            if not cycles[dst] - cycles[src] >= required:
+                report.fail(
+                    code,
+                    "dependence %s -> %s needs %d cycle(s); got %d"
+                    % (
+                        region[src].label,
+                        region[dst].label,
+                        required,
+                        cycles[dst] - cycles[src],
+                    ),
+                )
 
     # Issue width.
     issue_width = machine.issue_width if machine is not None else 1
     per_cycle = Counter(cycles)
     for cycle, count in sorted(per_cycle.items()):
         if count > issue_width:
-            report.add_violation(
+            # Only an overfull cycle counts as a check.
+            report.checks += 1
+            report.fail(
                 "issue-width",
                 "cycle %d issues %d instruction(s); issue width is %d"
                 % (cycle, count, issue_width),

@@ -19,7 +19,6 @@ the LB terminates the kernel early.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -38,42 +37,42 @@ def length_lower_bound(ddg: DDG) -> int:
 def pressure_lower_bounds(region: SchedulingRegion) -> Dict[RegisterClass, int]:
     """A sound per-class PRP lower bound (see module docstring).
 
-    One pass over the instructions serves every class: a use is live
-    through its instruction when it is live-out or read again later, which
-    the precomputed index of each register's last use answers in O(1).
+    One pass over the instructions serves every class, counting into short
+    lists at each class's dense index. A use is live through its
+    instruction when the register is read again later or is live-out (a
+    live-out register's last reader is then past the end).
     """
     classes = region.register_classes()
-    live_out = region.live_out
-    last_use: Dict[VirtualRegister, int] = {}
+    width = len(classes)
+    index_of = {cls: k for k, cls in enumerate(classes)}
+    last_read: Dict[VirtualRegister, int] = {}
     for inst in region:
         for reg in inst.uses:
-            last_use[reg] = inst.index
-    bounds = {cls: 0 for cls in classes}
-
-    def raise_to(counts: Dict[RegisterClass, int]) -> None:
-        for cls, count in counts.items():
-            if count > bounds[cls]:
-                bounds[cls] = count
-
-    raise_to(Counter(reg.reg_class for reg in region.live_in))
-    raise_to(Counter(reg.reg_class for reg in live_out))
+            last_read[reg] = inst.index
+    for reg in region.live_out:
+        last_read[reg] = len(region)
+    bounds = [0] * width
+    for regs in (region.live_in, region.live_out):
+        counts = [0] * width
+        for reg in regs:
+            counts[index_of[reg.reg_class]] += 1
+        bounds = list(map(max, bounds, counts))
     for inst in region:
         index = inst.index
-        uses: Dict[RegisterClass, int] = {}
+        uses = [0] * width
         # Just after `inst` issues its defs are live together with any of
         # its uses that still have a later consumer (a successor reads
         # them) or are live-out.
-        after: Dict[RegisterClass, int] = {}
+        after = [0] * width
         for reg in inst.defs:
-            after[reg.reg_class] = after.get(reg.reg_class, 0) + 1
+            after[index_of[reg.reg_class]] += 1
         for reg in inst.uses:
-            cls = reg.reg_class
-            uses[cls] = uses.get(cls, 0) + 1
-            if reg in live_out or last_use[reg] > index:
-                after[cls] = after.get(cls, 0) + 1
-        raise_to(uses)
-        raise_to(after)
-    return bounds
+            k = index_of[reg.reg_class]
+            uses[k] += 1
+            if last_read[reg] > index:
+                after[k] += 1
+        bounds = list(map(max, bounds, uses, after))
+    return dict(zip(classes, bounds))
 
 
 @dataclass(frozen=True)

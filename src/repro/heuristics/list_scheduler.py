@@ -26,10 +26,11 @@ the schedule does not replay it.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from ..ddg.graph import DDG
 from ..errors import ScheduleError
+from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
 from ..rp.tracker import PressureTracker
 from ..schedule.schedule import Schedule
@@ -90,14 +91,18 @@ def order_schedule(
     return Schedule.from_order(region, order, tracked_peak=tracker.peak_pressure())
 
 
-def schedule_in_order(ddg: DDG, order) -> Schedule:
+def schedule_in_order(
+    ddg: DDG, order, tracked_peak: Optional[Mapping[RegisterClass, int]] = None
+) -> Schedule:
     """Stretch a fixed instruction order into a latency-legal schedule.
 
     Issues the instructions of ``order`` one per cycle in exactly that
     order, inserting the *necessary* stalls latency demands. This is how the
     best pass-1 (RP) order becomes the initial schedule of pass 2
     (Section IV-C: "Stalls are added to the best-RP schedule found in the
-    first pass to satisfy latency constraints").
+    first pass to satisfy latency constraints"). The schedule issues
+    ``order`` itself, so it keeps ``tracked_peak``, that order's peak, as
+    :meth:`Schedule.from_order` does.
     """
     cycles = [0] * ddg.num_instructions
     current = -1
@@ -109,7 +114,7 @@ def schedule_in_order(ddg: DDG, order) -> Schedule:
         current = earliest
     if sorted(order) != list(range(ddg.num_instructions)):
         raise ScheduleError("order must be a permutation of the instructions")
-    return Schedule(ddg.region, cycles)
+    return Schedule(ddg.region, cycles, tracked_peak, issued=order)
 
 
 def list_schedule(

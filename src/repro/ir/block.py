@@ -19,6 +19,25 @@ from .instructions import Instruction
 from .registers import RegisterClass, VirtualRegister
 
 
+def upward_exposed_uses(instructions: Iterable[Instruction]) -> FrozenSet[VirtualRegister]:
+    """The registers read before any definition in ``instructions``.
+
+    They must be live on entry to a region of these instructions.
+    """
+    exposed = set()
+    defined_so_far = set()
+    for inst in instructions:
+        for reg in inst.uses:
+            if reg not in defined_so_far:
+                exposed.add(reg)
+        defined_so_far.update(inst.defs)
+    return frozenset(exposed)
+
+
+def _register_sort_key(reg: VirtualRegister) -> Tuple[str, str, int]:
+    return (reg.reg_class.name, reg.reg_class.prefix, reg.ident)
+
+
 class SchedulingRegion:
     """An immutable scheduling region.
 
@@ -52,9 +71,9 @@ class SchedulingRegion:
             defined.update(inst.defs)
             used.update(inst.uses)
         # Registers used before any definition in the region must be live-in.
-        upward_exposed = self._upward_exposed_uses()
+        upward_exposed = upward_exposed_uses(insts)
         if live_in is None:
-            self.live_in: FrozenSet[VirtualRegister] = frozenset(upward_exposed)
+            self.live_in: FrozenSet[VirtualRegister] = upward_exposed
         else:
             self.live_in = frozenset(live_in)
             missing = upward_exposed - self.live_in
@@ -73,16 +92,6 @@ class SchedulingRegion:
         self._defined = frozenset(defined)
         self._used = frozenset(used)
         self._register_classes: Optional[Tuple[RegisterClass, ...]] = None
-
-    def _upward_exposed_uses(self) -> set:
-        exposed = set()
-        defined_so_far = set()
-        for inst in self._instructions:
-            for reg in inst.uses:
-                if reg not in defined_so_far:
-                    exposed.add(reg)
-            defined_so_far.update(inst.defs)
-        return exposed
 
     # -- basic accessors ---------------------------------------------------
 
@@ -124,7 +133,9 @@ class SchedulingRegion:
         """
         if self._register_classes is None:
             seen: Dict[RegisterClass, None] = {}
-            for reg in sorted(self.all_registers):
+            # The key is the registers' own (class, id) order, spelled out
+            # so the sort compares plain tuples.
+            for reg in sorted(self.all_registers, key=_register_sort_key):
                 seen.setdefault(reg.reg_class, None)
             self._register_classes = tuple(seen)
         return self._register_classes

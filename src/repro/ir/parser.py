@@ -14,10 +14,10 @@ Grammar (one construct per line; ``#`` starts a comment)::
 from __future__ import annotations
 
 import re
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import IRError, ParseError
-from .block import SchedulingRegion
+from .block import SchedulingRegion, upward_exposed_uses
 from .instructions import Instruction, opcode
 from .registers import VirtualRegister
 
@@ -27,9 +27,19 @@ _INST_RE = re.compile(
     r"(?:\s+uses\((?P<uses>[^)]*)\))?"
     r"(?:\s+lat=(?P<lat>\d+))?\s*$"
 )
+#: The label the printer gives an unnamed instruction (``i<index>``).
+_DEFAULT_LABEL_RE = re.compile(r"i\d+")
 
 
-def _parse_reg_list(text: Optional[str], line_no: int) -> List[VirtualRegister]:
+def _parse_reg_list(
+    text: Optional[str], line_no: int, registers: Dict[str, VirtualRegister]
+) -> List[VirtualRegister]:
+    """The registers named in ``text``, one object per name.
+
+    ``registers`` maps the register text already seen in this parse to its
+    object, so every later set and dict lookup of a register hits on
+    identity instead of falling through to ``__eq__``.
+    """
     if not text or not text.strip():
         return []
     regs = []
@@ -37,10 +47,13 @@ def _parse_reg_list(text: Optional[str], line_no: int) -> List[VirtualRegister]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        try:
-            regs.append(VirtualRegister.parse(chunk))
-        except Exception as exc:
-            raise ParseError(str(exc), line_no)
+        reg = registers.get(chunk)
+        if reg is None:
+            try:
+                reg = registers[chunk] = VirtualRegister.parse(chunk)
+            except Exception as exc:
+                raise ParseError(str(exc), line_no)
+        regs.append(reg)
     return regs
 
 
@@ -50,6 +63,8 @@ def parse_region(text: str) -> SchedulingRegion:
     live_in: List[VirtualRegister] = []
     live_out: List[VirtualRegister] = []
     instructions: List[Instruction] = []
+    # Local to this call: a process-wide table would grow with every region.
+    registers: Dict[str, VirtualRegister] = {}
     saw_end = False
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -69,10 +84,10 @@ def parse_region(text: str) -> SchedulingRegion:
             saw_end = True
             continue
         if line.startswith("live_in:"):
-            live_in.extend(_parse_reg_list(line[len("live_in:"):], line_no))
+            live_in.extend(_parse_reg_list(line[len("live_in:"):], line_no, registers))
             continue
         if line.startswith("live_out:"):
-            live_out.extend(_parse_reg_list(line[len("live_out:"):], line_no))
+            live_out.extend(_parse_reg_list(line[len("live_out:"):], line_no, registers))
             continue
         match = _INST_RE.match(line)
         if not match:
@@ -83,8 +98,8 @@ def parse_region(text: str) -> SchedulingRegion:
             raise ParseError(str(exc), line_no)
         lat_text = match.group("lat")
         label = match.group("label")
-        defs = tuple(_parse_reg_list(match.group("defs"), line_no))
-        uses = tuple(_parse_reg_list(match.group("uses"), line_no))
+        defs = tuple(_parse_reg_list(match.group("defs"), line_no, registers))
+        uses = tuple(_parse_reg_list(match.group("uses"), line_no, registers))
         try:
             instructions.append(
                 Instruction(
@@ -93,7 +108,7 @@ def parse_region(text: str) -> SchedulingRegion:
                     defs=defs,
                     uses=uses,
                     latency=int(lat_text) if lat_text is not None else -1,
-                    name="" if re.fullmatch(r"i\d+", label) else label,
+                    name="" if _DEFAULT_LABEL_RE.fullmatch(label) else label,
                 )
             )
         except IRError as exc:
@@ -106,10 +121,12 @@ def parse_region(text: str) -> SchedulingRegion:
     if not instructions:
         raise ParseError("region %r has no instructions" % name)
 
-    inferred = SchedulingRegion(instructions, name).live_in
-    return SchedulingRegion(
-        instructions,
-        name,
-        live_in=set(live_in) | set(inferred),
-        live_out=live_out,
-    )
+    try:
+        return SchedulingRegion(
+            instructions,
+            name,
+            live_in=set(live_in) | set(upward_exposed_uses(instructions)),
+            live_out=live_out,
+        )
+    except IRError as exc:  # e.g. a live-out register nothing defines
+        raise ParseError(str(exc))

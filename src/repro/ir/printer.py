@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .block import SchedulingRegion
+from .block import SchedulingRegion, upward_exposed_uses
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..schedule.schedule import Schedule
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def format_region(region: SchedulingRegion) -> str:
     """Serialize a region to the textual format."""
     lines = ["region %s" % region.name]
-    explicit_live_in = region.live_in - region._upward_exposed_uses()
+    explicit_live_in = region.live_in - upward_exposed_uses(region)
     if explicit_live_in:
         lines.append("live_in: %s" % ", ".join(str(r) for r in sorted(explicit_live_in)))
     if region.live_out:

@@ -21,7 +21,13 @@ class RegisterClass:
 
     ``prefix`` is the single letter used in the textual IR (``v3``, ``s7``).
     Ordered (by name) so registers sort deterministically.
+
+    Every register's hash hashes its class, so the class hash is computed
+    once, at construction, like :class:`VirtualRegister`'s. It equals the
+    dataclass hash ``hash((name, prefix))``, which keeps set order.
     """
+
+    __slots__ = ("name", "prefix", "_hash")
 
     name: str
     prefix: str
@@ -29,6 +35,15 @@ class RegisterClass:
     def __post_init__(self):
         if len(self.prefix) != 1 or not self.prefix.isalpha():
             raise IRError("register-class prefix must be a single letter")
+        object.__setattr__(self, "_hash", hash((self.name, self.prefix)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through the constructor, so copies and unpickled classes
+        # re-derive the hash: string hashes differ between processes.
+        return (RegisterClass, (self.name, self.prefix))
 
     def __str__(self) -> str:
         return self.name

@@ -243,6 +243,32 @@ class TestHangAndResume:
             run(ddg, self.scripts(ddg), resume=checkpoint)
 
 
+class TestUnimprovedPass2CarriesPass1Peak:
+    """When no ant improves pass 2, the shipped schedule is the stretched
+    pass-1 order, and it carries pass 1's peak instead of a replay."""
+
+    def scripts(self, ddg):
+        _, other = orders(ddg)
+        return {1: [rp_winner(ddg, other, RP_LB)], 2: [None] * (PATIENCE + 2)}
+
+    def assert_carried(self, ddg, result):
+        _, other = orders(ddg)
+        assert result.schedule.order == other
+        assert not result.pass2.improved
+        assert result.schedule.tracked_peak is not None
+        assert result.schedule.tracked_peak == peak_pressure(result.schedule) == result.peak
+
+    def test_fresh(self, ddg):
+        self.assert_carried(ddg, run(ddg, self.scripts(ddg)))
+
+    def test_resumed_in_pass2(self, ddg):
+        with pytest.raises(DeviceHangError) as info:
+            run(ddg, self.scripts(ddg), hang_at=(2, 1))
+        checkpoint = RegionCheckpoint.from_json(info.value.checkpoint.to_json())
+        assert checkpoint.pass_index == 2
+        self.assert_carried(ddg, run(ddg, self.scripts(ddg), resume=checkpoint))
+
+
 # -- the pass-2 winner's carried peak -----------------------------------------
 
 #: One engine per construction path; one wavefront keeps the scalar

@@ -1,7 +1,10 @@
 """Tests for the textual region format (printer + parser round trip)."""
 
+from datetime import timedelta
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ParseError
 from repro.ir import MAX_LATENCY, format_region, format_schedule, parse_region
@@ -9,6 +12,7 @@ from repro.ir.builder import figure1_region
 from repro.schedule import Schedule
 
 from conftest import regions
+from strategies import non_ssa_regions
 
 
 class TestFormatRegion:
@@ -63,6 +67,9 @@ class TestParseRegion:
             "region t\na: op1 defs(v0) lat=%d\nend" % (MAX_LATENCY + 1),
             "region t\na: op1 defs(v0)\nb: op1 uses(v0) lat=3000000000\nend",
             "region t\na: op1 defs(v0) lat=100000000000000000000\nend",
+            # A region-level defect (found by the fuzz test below) once
+            # escaped as a bare IRError.
+            "region t\nlive_out: v1\na: op1 defs(v0)\nend",
         ],
     )
     def test_errors(self, text):
@@ -95,6 +102,66 @@ class TestParseRegion:
     @settings(max_examples=40)
     def test_roundtrip_property(self, region):
         assert parse_region(format_region(region)) == region
+
+
+#: Any valid region the strategies generate, SSA-ish or not (the latter
+#: print explicit live-in lines and redefine registers).
+any_region = st.one_of(regions(max_size=25), non_ssa_regions())
+
+#: Characters that mean something to the grammar, plus anything at all.
+_fuzz_char = st.one_of(st.sampled_from(list("(),:=#\n \tvsil0123456789-_")), st.characters())
+
+#: One edit of the printed text: delete, insert or duplicate a character at
+#: a position (taken modulo the text's length when applied).
+_edit = st.tuples(
+    st.sampled_from(("delete", "insert", "duplicate")), st.integers(min_value=0), _fuzz_char
+)
+
+
+def _apply(text, edits):
+    for kind, position, char in edits:
+        position %= len(text) + 1
+        if kind == "insert":
+            text = text[:position] + char + text[position:]
+        elif kind == "duplicate":
+            text = text[:position] + text[position:position + 1] + text[position:]
+        else:
+            text = text[:position] + text[position + 1:]
+    return text
+
+
+class TestParserFuzz:
+    """Malformed text fails with a typed error; valid text round-trips."""
+
+    @given(any_region, st.lists(_edit, min_size=1, max_size=6))
+    # A generous deadline: a hang fails the test, a slow machine does not.
+    @settings(max_examples=200, deadline=timedelta(seconds=5))
+    def test_mutated_text_parses_or_raises_parse_error(self, region, edits):
+        text = _apply(format_region(region), edits)
+        try:
+            parsed = parse_region(text)
+        except ParseError:
+            return
+        # Whatever parses is a region that prints and parses back to itself.
+        assert parse_region(format_region(parsed)) == parsed
+
+    @given(any_region)
+    @settings(max_examples=60, deadline=None)
+    def test_valid_text_round_trips(self, region):
+        text = format_region(region)
+        parsed = parse_region(text)
+        assert parsed == region
+        assert format_region(parsed) == text
+
+    @given(any_region)
+    @settings(max_examples=60, deadline=None)
+    def test_one_object_per_register_text(self, region):
+        parsed = parse_region(format_region(region))
+        seen = {}
+        occurrences = [reg for inst in parsed for reg in inst.defs + inst.uses]
+        occurrences += list(parsed.live_in) + list(parsed.live_out)
+        for reg in occurrences:
+            assert seen.setdefault(str(reg), reg) is reg
 
 
 class TestFormatSchedule:

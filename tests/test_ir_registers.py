@@ -5,6 +5,7 @@ import os
 import pickle
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -48,6 +49,19 @@ class TestRegisterClass:
 
     def test_str(self):
         assert str(VGPR) == "VGPR"
+
+    @pytest.mark.parametrize("cls", [VGPR, SGPR], ids=str)
+    def test_hash_is_the_dataclass_hash(self, cls):
+        """The hash is computed once, at construction, and is the value the
+        generated dataclass hash gives, so set and dict order do not move."""
+
+        @dataclass(frozen=True)
+        class Plain:
+            name: str
+            prefix: str
+
+        assert hash(cls) == hash(Plain(cls.name, cls.prefix)) == hash((cls.name, cls.prefix))
+        assert hash(RegisterClass(cls.name, cls.prefix)) == hash(cls)
 
 
 class TestVirtualRegister:
@@ -110,31 +124,34 @@ class TestRegisterHash:
         ids=["copy", "deepcopy", "pickle"],
     )
     def test_copies_are_equal_and_hash_alike(self, clone):
-        for reg in (vreg(3), sreg(11)):
+        for reg in (vreg(3), sreg(11), VGPR, SGPR):
             twin = clone(reg)
             assert twin == reg
             assert hash(twin) == hash(reg)
             assert twin in {reg}
 
     def test_unpickling_rederives_the_hash(self):
-        """A register pickled by a process with other string hashes must
-        hash as this process's registers do once loaded."""
+        """A register or register class pickled by a process with other
+        string hashes must hash as this process's do once loaded."""
         src = str(Path(repro.__file__).resolve().parents[1])
         code = (
             "import pickle, sys\n"
-            "from repro.ir.registers import sreg, vreg\n"
-            "sys.stdout.buffer.write(pickle.dumps([vreg(3), sreg(7)]))\n"
+            "from repro.ir.registers import SGPR, VGPR, sreg, vreg\n"
+            "sys.stdout.buffer.write(pickle.dumps([vreg(3), sreg(7), VGPR, SGPR]))\n"
         )
+        here = [vreg(3), sreg(7), VGPR, SGPR]
         for hash_seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
             blob = subprocess.run(
                 [sys.executable, "-c", code], env=env, check=True, capture_output=True
             ).stdout
             loaded = pickle.loads(blob)
-            assert [hash(reg) for reg in loaded] == [hash(vreg(3)), hash(sreg(7))]
-            assert vreg(3) in set(loaded) and sreg(7) in set(loaded)
+            assert [hash(value) for value in loaded] == [hash(value) for value in here]
+            assert all(value in set(loaded) for value in here)
 
     def test_still_frozen(self):
         reg = vreg(1)
         with pytest.raises(AttributeError):
             reg.ident = 2
+        with pytest.raises(AttributeError):
+            VGPR.name = "SGPR"
