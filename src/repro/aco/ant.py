@@ -14,6 +14,15 @@ Both count the abstract operations (ready-list scans, successor traversals,
 construction steps) that drive the CPU and GPU cost models, and both accept
 an ``exploit_decider`` so the parallel scheduler can hoist the
 explore/exploit draw to wavefront level.
+
+A step does each piece of work once: one
+:meth:`~repro.rp.tracker.PressureTracker.excesses_if_scheduled` call
+previews the whole ready list, one
+:meth:`~repro.heuristics.base.PreparedHeuristic.eta_weights` call gives
+the candidates' ``eta**beta`` (a per-pass table for CP), the chosen
+instruction issues by index, and pass 2 rescans its pending releases only
+once the earliest is due. Each is exact, so the draws and the counts are
+those of a candidate-by-candidate loop (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..config import ACOParams
 from ..ddg.graph import DDG
+from ..errors import ScheduleError
 from ..heuristics.base import PreparedHeuristic, SchedulingState
 from ..ir.registers import RegisterClass
 from ..machine.model import MachineModel
@@ -33,12 +43,11 @@ from .pheromone import PheromoneTable
 from .selection import select_index
 from .stalls import OptionalStallHeuristic
 
-#: Exponent beta on the guiding-heuristic value in the selection product
-#: ``tau * eta**beta``; no run setting varies it.
-HEURISTIC_WEIGHT = 2.0
-
 #: Decides explore (False) vs. exploit (True) for one construction step.
 ExploitDecider = Callable[[int], bool]
+
+#: ``next_release`` while nothing is pending: later than any cycle.
+_NEVER = float("inf")
 
 
 @dataclass
@@ -84,11 +93,13 @@ def _default_decider(params: ACOParams, rng: random.Random) -> ExploitDecider:
 
 def _scores(
     pheromone_row,
-    ready: List[int],
+    candidates: List[int],
     prepared: PreparedHeuristic,
     state: SchedulingState,
 ) -> List[float]:
-    return [pheromone_row[j] * prepared.eta(j, state) ** HEURISTIC_WEIGHT for j in ready]
+    """``tau * eta**beta`` per candidate, the heuristic factors in one call."""
+    weights = prepared.eta_weights(candidates, state)
+    return [pheromone_row[j] * weight for j, weight in zip(candidates, weights)]
 
 
 def construct_order(
@@ -124,7 +135,7 @@ def construct_order(
         pick = select_index(scores, rng, exploit_decider(step))
         chosen = ready.pop(pick)
         order.append(chosen)
-        tracker.schedule(region[chosen])
+        tracker.schedule_at(chosen)
         stats.successor_ops += len(ddg.successors[chosen])
         for succ, _lat in ddg.successors[chosen]:
             unscheduled_preds[succ] -= 1
@@ -176,6 +187,8 @@ def construct_cycles(
     earliest = [0] * n
     ready: List[int] = list(ddg.roots)
     pending: List[Tuple[int, int]] = []  # (release_cycle, index)
+    # The earliest release in ``pending``: no rescan is due before it.
+    next_release = _NEVER
     cycles = [0] * n
     order: List[int] = []
     cycle = 0
@@ -183,11 +196,12 @@ def construct_cycles(
     step = 0
 
     def dead() -> AntResult:
+        peak = tracker.peak_pressure()
         return AntResult(
             order=tuple(order),
-            rp_cost_value=rp_cost(tracker.peak_pressure(), machine),
+            rp_cost_value=rp_cost(peak, machine),
             length=cycle + 1,
-            peak=tracker.peak_pressure(),
+            peak=peak,
             stats=stats,
             alive=False,
         )
@@ -195,18 +209,25 @@ def construct_cycles(
     while scheduled < n:
         if cycle > max_length:
             return dead()
-        still_pending = []
-        for release, index in pending:
-            if release <= cycle:
-                ready.append(index)
-            else:
-                still_pending.append((release, index))
-        pending = still_pending
+        if next_release <= cycle:
+            # Released instructions join ``ready`` in ``pending`` order,
+            # which the roulette depends on.
+            still_pending = []
+            next_release = _NEVER
+            for release, index in pending:
+                if release <= cycle:
+                    ready.append(index)
+                else:
+                    still_pending.append((release, index))
+                    if release < next_release:
+                        next_release = release
+            pending = still_pending
         stats.steps += 1
 
         if not ready:
             # Necessary stall(s): jump to the next release point.
-            next_release = min(release for release, _ in pending)
+            if not pending:
+                raise ScheduleError("DDG is not schedulable (cycle?)")
             stats.stalls += next_release - cycle
             cycle = next_release
             continue
@@ -214,7 +235,7 @@ def construct_cycles(
         # Candidates that would push the peak past the target doom the ant
         # with certainty (the peak never recedes); restrict selection to the
         # safe ones — a pure pruning of the terminate-on-violation rule.
-        excesses = [tracker.excess_if_scheduled(i, target_pressure) for i in ready]
+        excesses = tracker.excesses_if_scheduled(ready, target_pressure)
         safe = [i for i, excess in zip(ready, excesses) if excess <= 0]
         stall_capable = (
             allow_optional_stalls
@@ -255,7 +276,7 @@ def construct_cycles(
         ready.remove(chosen)
         cycles[chosen] = cycle
         order.append(chosen)
-        tracker.schedule(region[chosen])
+        tracker.schedule_at(chosen)
         scheduled += 1
         stats.successor_ops += len(ddg.successors[chosen])
         for succ, latency in ddg.successors[chosen]:
@@ -264,7 +285,10 @@ def construct_cycles(
                 earliest[succ] = release
             unscheduled_preds[succ] -= 1
             if unscheduled_preds[succ] == 0:
-                pending.append((earliest[succ], succ))
+                release = earliest[succ]
+                pending.append((release, succ))
+                if release < next_release:
+                    next_release = release
         # The constraint-violation rule: terminate on exceeding the target.
         if tracker.peak_exceeds(target_pressure):
             return dead()

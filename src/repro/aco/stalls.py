@@ -10,6 +10,11 @@ target. The paper's heuristic considers
 * the pressure impact of the semi-ready instructions, and
 * how many optional stalls were already inserted (the more stalls, the less
   likely another one — too many make the schedule excessively long).
+
+The ant hands over its least ready excess, taken from the preview it
+already made of the ready list, and the heuristic previews the semi-ready
+list in one :meth:`~repro.rp.tracker.PressureTracker.excesses_if_scheduled`
+call, so no candidate is previewed twice in a step.
 """
 
 from __future__ import annotations
@@ -48,8 +53,9 @@ class OptionalStallHeuristic:
 
         ``best_ready`` is the least pressure impact among the (non-empty)
         ready list, which the ant has already previewed to find its safe
-        candidates; ``semi_ready`` are instruction indices. Pressure impact
-        is :meth:`PressureTracker.excess_if_scheduled` over ``target``.
+        candidates; ``semi_ready`` are instruction indices, previewed in
+        one :meth:`PressureTracker.excesses_if_scheduled` call over
+        ``target`` (pressure impact is the worst per-class overshoot).
         """
         if not semi_ready:
             return False  # nothing to trade off
@@ -58,7 +64,7 @@ class OptionalStallHeuristic:
 
         # Waiting only helps if a semi-ready instruction relieves pressure
         # relative to the best ready option.
-        best_semi = min(tracker.excess_if_scheduled(i, target) for i in semi_ready)
+        best_semi = min(tracker.excesses_if_scheduled(semi_ready, target))
         if best_semi >= best_ready:
             return False
 

@@ -11,8 +11,8 @@ The defaults reproduce the settings reported in the paper:
 * a cycle-threshold filter of 21 cycles (Section VI-D).
 
 Settings the paper fixes once, and no caller varies, are named constants
-beside their reader instead of fields here: the heuristic
-exponent beta (:data:`repro.aco.ant.HEURISTIC_WEIGHT`), the revert filter's
+beside their reader instead of fields here: the heuristic exponent beta
+(:data:`repro.heuristics.base.HEURISTIC_WEIGHT`), the revert filter's
 +3 occupancy vs. +63 cycles price (:mod:`repro.pipeline.filters`), the
 hang watchdog's heartbeat (:data:`repro.parallel.scheduler.HANG_SECONDS`)
 and the fleet supervision timings (:mod:`repro.fleet.supervisor`). The

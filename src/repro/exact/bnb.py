@@ -104,7 +104,7 @@ def min_pressure_order(
         ready.sort(key=lambda i: tracker.pressure_delta(region[i]))
         for candidate in ready:
             saved = tracker.snapshot()
-            tracker.schedule(region[candidate])
+            tracker.schedule_at(candidate)
             order.append(candidate)
             for succ, _lat in ddg.successors[candidate]:
                 pred_left[succ] -= 1
@@ -177,7 +177,7 @@ def min_register_order(
         ready.sort(key=lambda i: tracker.pressure_delta(region[i]))
         for candidate in ready:
             saved = tracker.snapshot()
-            tracker.schedule(region[candidate])
+            tracker.schedule_at(candidate)
             order.append(candidate)
             for succ, _lat in ddg.successors[candidate]:
                 pred_left[succ] -= 1
@@ -269,7 +269,7 @@ def min_length_schedule(
             progressed = True
             saved = tracker.snapshot()
             saved_earliest = list(earliest)
-            tracker.schedule(region[candidate])
+            tracker.schedule_at(candidate)
             if tracker.peak_exceeds(target):
                 tracker.restore(saved)
                 continue

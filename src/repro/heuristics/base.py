@@ -15,11 +15,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from ..ddg.analysis import CriticalPathInfo, critical_path_info
 from ..ddg.graph import DDG
 from ..rp.tracker import PressureTracker
+
+#: Exponent beta on the guiding-heuristic value in the ACO selection
+#: product ``tau * eta**beta``; no run setting varies it.
+HEURISTIC_WEIGHT = 2.0
 
 
 @dataclass
@@ -52,6 +56,14 @@ class PreparedHeuristic(abc.ABC):
     def eta(self, index: int, state: SchedulingState) -> float:
         """Strictly positive desirability for the ACO selection formula."""
         return max(1e-6, 1.0 + self.score(index, state))
+
+    def eta_weights(self, candidates: Sequence[int], state: SchedulingState) -> List[float]:
+        """``eta(j, state) ** HEURISTIC_WEIGHT`` for each candidate ``j``:
+        the heuristic factor of the ants' selection product, one call per
+        construction step. A heuristic whose ``eta`` ignores the state
+        answers from a table built once per :meth:`GuidingHeuristic.prepare`."""
+        eta = self.eta
+        return [eta(j, state) ** HEURISTIC_WEIGHT for j in candidates]
 
 
 class GuidingHeuristic(abc.ABC):

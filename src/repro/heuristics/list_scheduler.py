@@ -81,7 +81,7 @@ def order_schedule(
         best = pick(ready, state)
         ready.remove(best)
         order.append(best)
-        tracker.schedule(region[best])
+        tracker.schedule_at(best)
         for succ, _lat in ddg.successors[best]:
             unscheduled_preds[succ] -= 1
             if unscheduled_preds[succ] == 0:
@@ -158,7 +158,7 @@ def list_schedule(
             best = pick(ready, state)
             ready.remove(best)
             cycles[best] = cycle
-            tracker.schedule(region[best])
+            tracker.schedule_at(best)
             issued.append(best)
             width -= 1
             for succ, latency in ddg.successors[best]:

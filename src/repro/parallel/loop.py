@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ..aco.ant import HEURISTIC_WEIGHT
+from ..heuristics.base import HEURISTIC_WEIGHT
 from .vectorized import (
     _BASE_STEP_OPS,
     _SELECT_OPS_PER_CANDIDATE,

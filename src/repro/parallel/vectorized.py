@@ -55,10 +55,10 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..aco.ant import HEURISTIC_WEIGHT
 from ..analysis.sanitizer import ColonySanitizer
 from ..config import ACOParams
 from ..gpusim.kernel import KernelAccounting
+from ..heuristics.base import HEURISTIC_WEIGHT
 from ..ir.registers import RegisterClass
 from ..rp.cost import OCCUPANCY_WEIGHT
 from .divergence import DivergencePolicy

@@ -26,7 +26,7 @@ def pressure_profile(schedule: Schedule) -> Dict[RegisterClass, List[int]]:
     tracker = PressureTracker(region)
     profile: Dict[RegisterClass, List[int]] = {cls: [] for cls in tracker.classes}
     for index in schedule.order:
-        tracker.schedule(region[index])
+        tracker.schedule_at(index)
         current = tracker.current
         for cls in tracker.classes:
             profile[cls].append(current[cls])
@@ -38,7 +38,7 @@ def peak_pressure(schedule: Schedule) -> Dict[RegisterClass, int]:
     region = schedule.region
     tracker = PressureTracker(region)
     for index in schedule.order:
-        tracker.schedule(region[index])
+        tracker.schedule_at(index)
     return tracker.peak_pressure()
 
 

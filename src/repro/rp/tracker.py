@@ -39,6 +39,14 @@ reappear in the dict views (``current``, ``peak``,
 :meth:`PressureTracker.pressure_if_scheduled`) and in
 :meth:`PressureTracker.live_registers`.
 
+The schedulers talk to the tracker by instruction index:
+:meth:`PressureTracker.schedule_at` issues one, and
+:meth:`PressureTracker.excesses_if_scheduled` previews a whole candidate
+list against a pressure target in one call, with the target compiled and
+the table's lists bound once per call rather than once per candidate.
+Every pressure preview, single or batched, dict or excess, reads the one
+``_previews`` walk, and every index is range-checked.
+
 A schedule is evaluated once per compile. The tracker that built it
 already holds its peak, so that peak travels with the result instead of a
 second tracker replaying the order:
@@ -63,7 +71,7 @@ a mismatch with the claim built from it, never as agreement.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ScheduleError
 from ..ir.block import SchedulingRegion
@@ -208,10 +216,10 @@ class PressureTracker:
     def _compile(self, limits: Mapping[RegisterClass, int]) -> None:
         """``limits`` against this table's class indices.
 
-        Memoized by identity: the previews run once per ready candidate
-        per step against the same target, so a tracker compiles each
-        mapping once and keeps it alive (its id cannot be reused). A
-        mapping must therefore not change while a tracker uses it.
+        Memoized by identity: the previews and the peak check run every
+        step against the same target, so a tracker compiles each mapping
+        once and keeps it alive (its id cannot be reused). A mapping must
+        therefore not change while a tracker uses it.
         """
         classes = self.classes
         pairs = []
@@ -224,27 +232,48 @@ class PressureTracker:
         self._limits_source = limits
         self._limits = (tuple(pairs), absent)
 
-    def _preview(self, index: int) -> List[int]:
-        """Per-class pressure right after instruction ``index`` would issue."""
+    def _previews(self, indices: Sequence[int]) -> List[List[int]]:
+        """Per-class pressure right after each instruction of ``indices``
+        would issue (each alone, from the current state); the one preview
+        every pressure query reads."""
         table = self.table
+        defs = table.defs
+        closers = table.closers
+        class_of = table.class_of
         live = self._live
         remaining = self._remaining
-        class_of = table.class_of
-        result = list(self._current)
-        for reg in table.defs[index]:
-            if not live[reg]:
-                result[class_of[reg]] += 1
-        for reg in table.closers[index]:
-            if remaining[reg] == 1 and live[reg]:
-                result[class_of[reg]] -= 1
-        return result
+        current = self._current
+        size = len(defs)
+        previews = []
+        for index in indices:
+            if not 0 <= index < size:
+                raise ScheduleError(
+                    "instruction %d is not in region %r" % (index, self.region.name)
+                )
+            preview = current[:]
+            for reg in defs[index]:
+                if not live[reg]:
+                    preview[class_of[reg]] += 1
+            for reg in closers[index]:
+                if remaining[reg] == 1 and live[reg]:
+                    preview[class_of[reg]] -= 1
+            previews.append(preview)
+        return previews
 
     # -- the scheduling step ---------------------------------------------------
 
     def schedule(self, inst: Instruction) -> None:
         """Account for issuing ``inst`` (exhausted uses close, then defs open)."""
-        index = self._index_of(inst)
+        self.schedule_at(self._index_of(inst))
+
+    def schedule_at(self, index: int) -> None:
+        """:meth:`schedule` of instruction ``index``: the schedulers issue
+        by index, so they skip the instruction lookup."""
         table = self.table
+        if not 0 <= index < len(table.uses):
+            raise ScheduleError(
+                "instruction %d is not in region %r" % (index, self.region.name)
+            )
         remaining = self._remaining
         live = self._live
         current = self._current
@@ -273,33 +302,44 @@ class PressureTracker:
         """The per-class pressure right after ``inst`` would issue.
 
         Previews an instruction's pressure impact without committing; the
-        ACO ants use :meth:`excess_if_scheduled`, which skips the dict.
+        ACO ants use :meth:`excesses_if_scheduled`, which skips the dict.
         """
-        return dict(zip(self.classes, self._preview(self._index_of(inst))))
+        return dict(zip(self.classes, self._previews((self._index_of(inst),))[0]))
 
     def excess_if_scheduled(self, index: int, limits: Mapping[RegisterClass, int]) -> int:
-        """Worst per-class overshoot of ``limits`` right after instruction
-        ``index`` would issue.
+        """:meth:`excesses_if_scheduled` of the one instruction ``index``."""
+        return self.excesses_if_scheduled((index,), limits)[0]
+
+    def excesses_if_scheduled(
+        self, indices: Sequence[int], limits: Mapping[RegisterClass, int]
+    ) -> List[int]:
+        """Worst per-class overshoot of ``limits`` right after each
+        instruction of ``indices`` would issue (each alone, from the
+        current state).
 
         Positive: some class would exceed its limit; zero: at a limit;
         negative: strictly below every limit. A class of ``limits`` the
         region has no register of counts as pressure 0; empty ``limits``
-        give 0.
+        give 0; an index outside the region raises ``ScheduleError``. The
+        ants preview their whole ready list in one call, so the limits
+        are compiled and the table's lists bound once per step, not once
+        per candidate.
         """
         if limits is not self._limits_source:
             self._compile(limits)
-        pairs, worst = self._limits
-        if not 0 <= index < len(self.table.defs):
-            raise ScheduleError(
-                "instruction %d is not in region %r" % (index, self.region.name)
-            )
-        if pairs:
-            preview = self._preview(index)
+        pairs, absent = self._limits
+        previews = self._previews(indices)
+        if not pairs:
+            return [0 if absent is None else absent] * len(previews)
+        excesses = []
+        for preview in previews:
+            worst = absent
             for k, limit in pairs:
                 excess = preview[k] - limit
                 if worst is None or excess > worst:
                     worst = excess
-        return 0 if worst is None else worst
+            excesses.append(worst)
+        return excesses
 
     def _exceeds(self, values: List[int], limits: Mapping[RegisterClass, int]) -> bool:
         if limits is not self._limits_source:
@@ -323,7 +363,7 @@ class PressureTracker:
 
     def pressure_delta(self, inst: Instruction) -> int:
         """Net change in total pressure (all classes) if ``inst`` issued now."""
-        return sum(self._preview(self._index_of(inst))) - sum(self._current)
+        return sum(self._previews((self._index_of(inst),))[0]) - sum(self._current)
 
     def closes_ranges(self, inst: Instruction) -> int:
         """How many live ranges ``inst`` would close (the LUC heuristic input)."""

@@ -16,7 +16,7 @@ from repro.heuristics import (
     order_schedule,
     pick_by_priority,
 )
-from repro.heuristics.base import builtin_heuristics
+from repro.heuristics.base import HEURISTIC_WEIGHT, builtin_heuristics
 from repro.heuristics.cp_scheduler import CriticalPathListScheduler
 from repro.ir.builder import RegionBuilder
 from repro.ir.registers import VGPR
@@ -184,6 +184,32 @@ class TestAMDPick:
             assert amd.schedule(ddg).cycles == list_schedule(ddg, machine, pick=generic).cycles
             assert amd.order_only(ddg).order == order_schedule(ddg, pick=generic).order
         assert modes == {False, True}
+
+
+class TestEtaWeights:
+    """The batched ``eta ** beta`` (CP from its per-pass table, LUC through
+    the default) equals ``eta(j, state) ** HEURISTIC_WEIGHT`` bit for bit,
+    at several points of a schedule."""
+
+    @pytest.mark.parametrize("heuristic", [CriticalPathHeuristic(), LastUseCountHeuristic()],
+                             ids=["cp", "luc"])
+    def test_bit_identical_to_eta(self, heuristic):
+        for region in _equivalence_regions():
+            ddg = DDG(region)
+            prepared = heuristic.prepare(ddg)
+            tracker = PressureTracker(region)
+            state = SchedulingState(ddg, tracker)
+            order = order_schedule(ddg, heuristic=LastUseCountHeuristic()).order
+            checkpoints = {0, len(order) // 3, 2 * len(order) // 3, len(order) - 1}
+            candidates = list(range(len(region)))[::-1]
+            for step, index in enumerate(order):
+                if step in checkpoints:
+                    state.cycle = step
+                    batched = prepared.eta_weights(candidates, state)
+                    expected = [prepared.eta(j, state) ** HEURISTIC_WEIGHT for j in candidates]
+                    assert [w.hex() for w in batched] == [w.hex() for w in expected]
+                tracker.schedule_at(index)
+            assert prepared.eta_weights([], state) == []
 
 
 class TestCriticalPathListScheduler:

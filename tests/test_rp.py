@@ -10,7 +10,7 @@ from repro.errors import ScheduleError
 from repro.analysis import verify_schedule
 from repro.heuristics import LastUseCountHeuristic, list_schedule, order_schedule
 from repro.ir.builder import RegionBuilder, figure1_region
-from repro.ir.registers import SGPR, VGPR
+from repro.ir.registers import SGPR, VGPR, RegisterClass
 from repro.machine import amd_vega20, simple_test_target
 from repro.rp import (
     PressureTracker,
@@ -26,9 +26,12 @@ from repro.schedule import Schedule
 
 from strategies import ddgs, non_ssa_regions, regions
 
+#: A class no generated region has a register of.
+AGPR = RegisterClass("AGPR", "a")
+
 #: Pressure targets: absent classes, negative limits and the empty target
 #: all occur.
-targets = st.dictionaries(st.sampled_from([VGPR, SGPR]), st.integers(-3, 12), max_size=2)
+targets = st.dictionaries(st.sampled_from([VGPR, SGPR, AGPR]), st.integers(-3, 12), max_size=3)
 
 
 class TestTrackerFigure1:
@@ -173,6 +176,15 @@ def assert_same_state(tracker, ref, region, limits):
         for target in limits:
             expected = reference.pressure_excess(preview, target)
             assert tracker.excess_if_scheduled(inst.index, target) == expected
+    indices = [inst.index for inst in region][::-1]
+    for target in limits:
+        batch = tracker.excesses_if_scheduled(indices, target)
+        assert batch == [tracker.excess_if_scheduled(i, target) for i in indices]
+        assert batch == [
+            reference.pressure_excess(ref.pressure_if_scheduled(region[i]), target)
+            for i in indices
+        ]
+        assert tracker.excesses_if_scheduled([], target) == []
     for target in limits:
         over = any(ref.peak.get(cls, 0) > limit for cls, limit in target.items())
         assert tracker.peak_exceeds(target) == over
@@ -187,13 +199,16 @@ class TestDenseTrackerMatchesReference:
 
     def check(self, region, data):
         order = data.draw(st.permutations(range(len(region))))
-        limits = [{}] + data.draw(st.lists(targets, max_size=3))
+        limits = [{}, {AGPR: 1}, {VGPR: 2, AGPR: -1}] + data.draw(st.lists(targets, max_size=3))
         tracker = PressureTracker(region)
+        by_index = PressureTracker(region)
         ref = reference.PressureTracker(region)
         assert_same_state(tracker, ref, region, limits)
         for index in order:
             tracker.schedule(region[index])
+            by_index.schedule_at(index)
             ref.schedule(region[index])
+            assert by_index.snapshot() == tracker.snapshot()
             assert_same_state(tracker, ref, region, limits)
 
     @given(regions(max_size=24), st.data())
@@ -265,11 +280,18 @@ class TestForeignInstructions:
 
     def test_index_past_the_region(self, other):
         tracker = PressureTracker(other)
+        saved = tracker.snapshot()
         for index in (-1, len(other)):
             with pytest.raises(ScheduleError):
                 tracker.excess_if_scheduled(index, {VGPR: 1})
+            for limits in ({VGPR: 1}, {}):
+                with pytest.raises(ScheduleError):
+                    tracker.excesses_if_scheduled([0, index], limits)
             with pytest.raises(ScheduleError):
                 tracker.closes_at(index)
+            with pytest.raises(ScheduleError):
+                tracker.schedule_at(index)
+            assert tracker.snapshot() == saved
         with pytest.raises(ScheduleError):
             tracker.schedule(figure1_region()[len(other)])
 
